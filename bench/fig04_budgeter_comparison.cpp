@@ -61,7 +61,7 @@ int main() {
       std::vector<std::string> fields = {util::TextTable::format_double(budget_w, 0)};
       for (std::size_t j = 0; j < jobs.size(); ++j) {
         // The *true* slowdown each job suffers at its assigned cap.
-        const double cap = result.node_cap_w.at(jobs[j].job_id);
+        const double cap = result.node_cap_w[j];
         const double slowdown = types[j].relative_time(cap) - 1.0;
         row.push_back(slowdown * 100.0);
         fields.push_back(util::TextTable::format_percent(slowdown));

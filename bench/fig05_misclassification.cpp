@@ -39,7 +39,7 @@ std::vector<double> evaluate(const std::vector<ScenarioJob>& jobs, double budget
   const budget::BudgetResult result = budgeter.distribute(profiles, budget_w);
   std::vector<double> slowdowns;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const double cap = result.node_cap_w.at(static_cast<int>(j));
+    const double cap = result.node_cap_w[j];
     slowdowns.push_back(workload::find_job_type(jobs[j].true_type).relative_time(cap) - 1.0);
   }
   return slowdowns;

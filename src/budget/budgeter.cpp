@@ -4,6 +4,7 @@
 #include "budget/even_slowdown.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "util/error.hpp"
 
 namespace anor::budget {
 
@@ -66,6 +67,14 @@ std::unique_ptr<Budgeter> make_budgeter(BudgeterKind kind) {
 std::unique_ptr<Budgeter> instrument_budgeter(std::unique_ptr<Budgeter> inner) {
   if (inner == nullptr) return nullptr;
   return std::make_unique<InstrumentedBudgeter>(std::move(inner));
+}
+
+void require_cap_per_job(const Budgeter& budgeter, const BudgetResult& result,
+                         std::size_t job_count) {
+  if (result.node_cap_w.size() == job_count) return;
+  throw util::ConfigError("budgeter '" + budgeter.name() + "' returned " +
+                          std::to_string(result.node_cap_w.size()) + " caps for " +
+                          std::to_string(job_count) + " jobs");
 }
 
 double total_min_power_w(const std::vector<JobPowerProfile>& jobs) {

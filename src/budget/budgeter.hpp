@@ -9,7 +9,7 @@
 //     power-performance model.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +31,9 @@ struct JobPowerProfile {
 
 /// Budgeting outcome: per-node cap for each job, plus diagnostics.
 struct BudgetResult {
-  std::map<int, double> node_cap_w;  // job_id -> cap per node
+  /// Cap per node, positional: node_cap_w[k] belongs to the k-th input
+  /// profile, whatever its job_id.  Exactly one entry per profile.
+  std::vector<double> node_cap_w;
   /// Total power the caps admit (sum of nodes * cap).
   double allocated_w = 0.0;
   /// The balancing variable the policy solved for (gamma or s).
@@ -66,6 +68,12 @@ std::unique_ptr<Budgeter> make_budgeter(BudgeterKind kind);
 /// the built-in kinds, so custom (policy-registry) budgeters report the
 /// same cluster.budget.* metrics and trace events.
 std::unique_ptr<Budgeter> instrument_budgeter(std::unique_ptr<Budgeter> inner);
+
+/// Throws util::ConfigError naming the budgeter unless `result` holds one
+/// cap per input profile.  Callers index the caps by profile position, and
+/// a factory-supplied budgeter is not trusted to honor that.
+void require_cap_per_job(const Budgeter& budgeter, const BudgetResult& result,
+                         std::size_t job_count);
 
 /// Feasible total-power envelope of a job set.
 double total_min_power_w(const std::vector<JobPowerProfile>& jobs);

@@ -24,10 +24,11 @@ BudgetResult EvenPowerBudgeter::distribute(const std::vector<JobPowerProfile>& j
   gamma = std::clamp(gamma, 0.0, 1.0);
 
   result.balance_point = gamma;
+  result.node_cap_w.reserve(jobs.size());
   for (const JobPowerProfile& j : jobs) {
     const double cap =
         gamma * (j.model.p_max_w() - j.model.p_min_w()) + j.model.p_min_w();
-    result.node_cap_w[j.job_id] = cap;
+    result.node_cap_w.push_back(cap);
     result.allocated_w += j.nodes * cap;
   }
   return result;

@@ -247,9 +247,10 @@ BudgetResult EvenSlowdownBudgeter::distribute(const std::vector<JobPowerProfile>
 
   result.balance_point = s;
   caps_at_slowdown(groups, s);
+  result.node_cap_w.resize(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const double cap = groups.caps[groups.group_of[i]];
-    result.node_cap_w[jobs[i].job_id] = cap;
+    result.node_cap_w[i] = cap;
     result.allocated_w += jobs[i].nodes * cap;
   }
 

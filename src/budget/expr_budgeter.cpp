@@ -50,10 +50,10 @@ BudgetResult ExpressionBudgeter::distribute(const std::vector<JobPowerProfile>& 
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobPowerProfile& job = jobs[i];
-    const double cap = job.model.p_min_w() + t * (caps[i] - job.model.p_min_w());
-    result.node_cap_w[job.job_id] = cap;
-    result.allocated_w += job.nodes * cap;
+    caps[i] = job.model.p_min_w() + t * (caps[i] - job.model.p_min_w());
+    result.allocated_w += job.nodes * caps[i];
   }
+  result.node_cap_w = std::move(caps);
   result.balance_point = t;
   return result;
 }

@@ -261,10 +261,12 @@ void ClusterManager::rebudget(double now_s) {
                                              static_cast<double>(jobs_.size()));
   const std::optional<double> target = target_at(now_s);
 
-  std::map<int, double> caps;
+  // caps[k] belongs to the k-th job in jobs_ order (the profile order).
+  std::vector<double> caps;
   if (!target) {
     // No power objective: everyone runs uncapped.
-    for (const auto& [id, job] : jobs_) caps[id] = job.model.p_max_w();
+    caps.reserve(jobs_.size());
+    for (const auto& [id, job] : jobs_) caps.push_back(job.model.p_max_w());
   } else {
     std::vector<budget::JobPowerProfile> profiles;
     profiles.reserve(jobs_.size());
@@ -275,16 +277,17 @@ void ClusterManager::rebudget(double now_s) {
       profile.model = job.model;
       profiles.push_back(std::move(profile));
     }
-    const budget::BudgetResult result = budgeter_->distribute(
+    budget::BudgetResult result = budgeter_->distribute(
         profiles, std::max(job_budget_at(*target) + correction_w_, 0.0));
-    caps = result.node_cap_w;
+    budget::require_cap_per_job(*budgeter_, result, profiles.size());
+    caps = std::move(result.node_cap_w);
   }
 
   static auto& no_channel = registry.counter("cluster.manager.send_no_channel");
+  std::size_t k = 0;
   for (auto& [id, job] : jobs_) {
-    const auto it = caps.find(id);
-    if (it == caps.end()) continue;
-    if (job.last_sent_cap_w >= 0.0 && std::abs(it->second - job.last_sent_cap_w) < 0.25) {
+    const double cap = caps[k++];
+    if (job.last_sent_cap_w >= 0.0 && std::abs(cap - job.last_sent_cap_w) < 0.25) {
       continue;  // suppress no-op chatter
     }
     if (job.channel == nullptr) {
@@ -295,14 +298,13 @@ void ClusterManager::rebudget(double now_s) {
     }
     PowerBudgetMsg msg;
     msg.job_id = id;
-    msg.node_cap_w = it->second;
+    msg.node_cap_w = cap;
     msg.timestamp_s = now_s;
     if (job.channel->send(msg)) {
-      job.last_sent_cap_w = it->second;
+      job.last_sent_cap_w = cap;
       static auto& budget_msgs = registry.counter("cluster.manager.budget_msgs_sent");
       budget_msgs.inc();
-      registry.gauge("cluster.manager.job_cap_w", {{"job", std::to_string(id)}})
-          .set(it->second);
+      registry.gauge("cluster.manager.job_cap_w", {{"job", std::to_string(id)}}).set(cap);
     } else {
       static auto& failed = registry.counter("cluster.manager.budget_send_failed");
       failed.inc();

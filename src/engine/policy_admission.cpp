@@ -92,19 +92,12 @@ AdmissionCheck check_envelope(const PolicyDescriptor& descriptor) {
                        " W (repeat call returned different caps)";
         return check;
       }
-      if (first.node_cap_w.size() != jobs.size()) {
-        check.detail = "distribute() returned " + std::to_string(first.node_cap_w.size()) +
-                       " caps for " + std::to_string(jobs.size()) + " jobs";
-        return check;
-      }
+      // A cap count that does not match throws; the catch below reports it.
+      budget::require_cap_per_job(*budgeter, first, jobs.size());
       double total = 0.0;
-      for (const budget::JobPowerProfile& job : jobs) {
-        const auto it = first.node_cap_w.find(job.job_id);
-        if (it == first.node_cap_w.end()) {
-          check.detail = "job " + std::to_string(job.job_id) + " received no cap";
-          return check;
-        }
-        const double cap = it->second;
+      for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const budget::JobPowerProfile& job = jobs[k];
+        const double cap = first.node_cap_w[k];
         if (!std::isfinite(cap) || cap < job.model.p_min_w() - 1e-6 ||
             cap > job.model.p_max_w() + 1e-6) {
           check.detail = "cap " + fmt(cap) + " W for job " + std::to_string(job.job_id) +

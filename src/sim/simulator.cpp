@@ -426,9 +426,11 @@ void TabularSimulator::complete_finished_jobs() {
     }
     if (all_done) finished_scratch_.push_back(i);
   }
+  if (finished_scratch_.empty()) return;
+  ANOR_PROF_SCOPE("sim.complete");
+  jobs_.mark_finished(finished_scratch_, now_s_);
   for (std::size_t i : finished_scratch_) {
-    JobRow& row = jobs_.row(i);
-    jobs_.mark_finished(i, now_s_);
+    const JobRow& row = jobs_.row(i);
     const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
     for (int n : row.nodes) {
       nodes_.release(n);
@@ -463,7 +465,7 @@ void TabularSimulator::complete_finished_jobs() {
     record.t_min_s = type.time_at_pmax_s;
     result_.qos.add(std::move(record));
   }
-  if (!finished_scratch_.empty()) recompute_min_earliest_done();
+  recompute_min_earliest_done();
 }
 
 void TabularSimulator::admit_arrivals() {
@@ -507,9 +509,10 @@ double TabularSimulator::projected_qos(const JobRow& row) const {
 }
 
 void TabularSimulator::schedule_and_cap() {
-  // No span: the engine.control component span is this function wall-for-
-  // wall, and budget.solve covers the budgeter below; the scheduling-only
-  // share is engine.control minus budget.solve.
+  // No span of its own: the engine.control component span is this
+  // function wall-for-wall.  sched.schedule, budget.solve and budget.apply
+  // split it; what is left in engine.control's self time is the view,
+  // start and profile bookkeeping.
   //
   // Only these two variants read node progress during control; the common
   // path leaves the owed substeps lazy (assignments zero their nodes'
@@ -541,7 +544,11 @@ void TabularSimulator::schedule_and_cap() {
     }
   }
 
-  const std::vector<workload::JobRequest> to_start = scheduler_.schedule(view);
+  std::vector<workload::JobRequest> to_start;
+  {
+    ANOR_PROF_SCOPE("sched.schedule");
+    to_start = scheduler_.schedule(view);
+  }
   if (!to_start.empty()) {
     std::vector<int> idle = nodes_.idle_nodes();
     std::size_t cursor = 0;
@@ -582,16 +589,21 @@ void TabularSimulator::apply_budget() {
 
   double budget = target - nodes_.idle_count() * config_.idle_power_w;
 
-  std::vector<budget::JobPowerProfile> profiles;
-  std::vector<std::size_t> protected_rows;
+  // profiles_[k] describes row budget_rows_[k]; the budgeter's caps come
+  // back in the same positions.  Both scratch vectors keep their capacity
+  // across ticks.
+  profiles_.clear();
+  budget_rows_.clear();
   for (std::size_t i : running) {
     const JobRow& row = jobs_.row(i);
     if (config_.protect_at_risk_jobs) {
       const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
       if (projected_qos(row) > config_.at_risk_fraction * type.qos_limit) {
         // Exempt from capping: gets max power off the top of the budget.
-        protected_rows.push_back(i);
+        // (projected_qos reads only this row's caps, so capping it here
+        // cannot change a later row's verdict.)
         budget -= static_cast<double>(row.nodes.size()) * type.p_max_w;
+        for (int n : row.nodes) nodes_.set_cap(n, type.p_max_w);
         continue;
       }
     }
@@ -599,22 +611,17 @@ void TabularSimulator::apply_budget() {
     profile.job_id = row.job_id;
     profile.nodes = static_cast<int>(row.nodes.size());
     profile.model = type_models_[static_cast<std::size_t>(row.classified_index)];
-    profiles.push_back(std::move(profile));
+    profiles_.push_back(profile);
+    budget_rows_.push_back(i);
   }
 
-  for (std::size_t i : protected_rows) {
-    JobRow& row = jobs_.row(i);
-    const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-    for (int n : row.nodes) nodes_.set_cap(n, type.p_max_w);
-  }
-
-  if (profiles.empty()) return;
-  const budget::BudgetResult result = budgeter_->distribute(profiles, std::max(budget, 0.0));
-  for (std::size_t i : running) {
-    JobRow& row = jobs_.row(i);
-    const auto it = result.node_cap_w.find(row.job_id);
-    if (it == result.node_cap_w.end()) continue;  // protected
-    for (int n : row.nodes) nodes_.set_cap(n, it->second);
+  if (profiles_.empty()) return;
+  const budget::BudgetResult result = budgeter_->distribute(profiles_, std::max(budget, 0.0));
+  budget::require_cap_per_job(*budgeter_, result, profiles_.size());
+  ANOR_PROF_SCOPE("budget.apply");
+  for (std::size_t k = 0; k < budget_rows_.size(); ++k) {
+    const double cap = result.node_cap_w[k];
+    for (int n : jobs_.row(budget_rows_[k]).nodes) nodes_.set_cap(n, cap);
   }
 }
 
@@ -680,7 +687,8 @@ void TabularSimulator::build_engine() {
   });
   // Completions, arrivals, and the log sampler are tens of ns on most
   // ticks — below the span clock's own cost — so they share one
-  // "engine.housekeeping" span instead of paying a clock read each.
+  // "engine.housekeeping" span instead of paying a clock read each.  Only
+  // a tick on which jobs finish opens a "sim.complete" child span.
   engine_->add_component(
       "complete_jobs", 0.0,
       [this](double, double) {

@@ -212,10 +212,12 @@ class TabularSimulator {
   };
   StepMetrics metrics_;
 
-  std::vector<int> touched_rows_;              // scratch: rows to re-predict
-  std::vector<std::vector<int>> lane_touched_;  // per-lane touched rows
-  std::vector<std::size_t> finished_scratch_;  // scratch: completions this tick
-  std::string log_buffer_;                     // table-log formatting buffer
+  std::vector<int> touched_rows_;                  // scratch: rows to re-predict
+  std::vector<std::vector<int>> lane_touched_;     // per-lane touched rows
+  std::vector<std::size_t> finished_scratch_;      // scratch: completions this tick
+  std::vector<budget::JobPowerProfile> profiles_;  // scratch: budgeted jobs this tick
+  std::vector<std::size_t> budget_rows_;           // scratch: row of each profile
+  std::string log_buffer_;                         // table-log formatting buffer
 
   std::ostream* table_log_ = nullptr;
   int table_log_stride_ = 1;

@@ -143,12 +143,16 @@ void JobTable::mark_started(std::size_t index, double start_s) {
   running_.insert(std::lower_bound(running_.begin(), running_.end(), index), index);
 }
 
-void JobTable::mark_finished(std::size_t index, double end_s) {
-  JobRow& job = rows_[index];
-  if (job.finished()) return;
-  job.end_s = end_s;
-  const auto it = std::lower_bound(running_.begin(), running_.end(), index);
-  if (it != running_.end() && *it == index) running_.erase(it);
+void JobTable::mark_finished(const std::vector<std::size_t>& indices, double end_s) {
+  bool any = false;
+  for (std::size_t index : indices) {
+    JobRow& job = rows_[index];
+    if (job.finished()) continue;
+    job.end_s = end_s;
+    any = true;
+  }
+  // erase_if keeps the survivors' relative order, so the set stays ascending.
+  if (any) std::erase_if(running_, [this](std::size_t i) { return rows_[i].finished(); });
 }
 
 }  // namespace anor::sim

@@ -158,12 +158,18 @@ class JobTable {
   const JobRow& by_job_id(int job_id) const;
   std::size_t index_of(int job_id) const;
 
-  /// Record the start/end transition and maintain the running set.
+  /// Record the start/end transitions and maintain the running set.  A
+  /// repeated transition is a no-op.  mark_finished takes a whole batch
+  /// (a tick's completions) and drops the finished rows from the running
+  /// set in one stable compaction pass, instead of one mid-vector erase
+  /// per row.
   void mark_started(std::size_t index, double start_s);
-  void mark_finished(std::size_t index, double end_s);
+  void mark_finished(const std::vector<std::size_t>& indices, double end_s);
 
-  /// Indices of running (started, unfinished) jobs, ascending.  Maintained
-  /// incrementally at mark_started/mark_finished — no per-tick rebuild.
+  /// Indices of running (started, unfinished) jobs, ascending: the
+  /// simulator's floating-point sums iterate this set, so its order is
+  /// part of the determinism contract.  Exact after every mark_* call —
+  /// no per-tick rebuild.
   const std::vector<std::size_t>& running() const { return running_; }
 
   const std::vector<JobRow>& rows() const { return rows_; }

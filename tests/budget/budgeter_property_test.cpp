@@ -48,10 +48,9 @@ TEST_P(BudgeterProperty, AllocationInvariants) {
 
     // (a) every job got a cap inside its feasible range.
     ASSERT_EQ(result.node_cap_w.size(), jobs.size());
-    for (const auto& job : jobs) {
-      const double cap = result.node_cap_w.at(job.job_id);
-      EXPECT_GE(cap, job.model.p_min_w() - 1e-6);
-      EXPECT_LE(cap, job.model.p_max_w() + 1e-6);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      EXPECT_GE(result.node_cap_w[k], jobs[k].model.p_min_w() - 1e-6);
+      EXPECT_LE(result.node_cap_w[k], jobs[k].model.p_max_w() + 1e-6);
     }
 
     // (b) inside the envelope the budget is used (within solver tolerance).
@@ -77,16 +76,16 @@ TEST_P(BudgeterProperty, PerJobCapsMonotoneInBudget) {
   const double min_w = total_min_power_w(jobs);
   const double max_w = total_max_power_w(jobs);
 
-  std::map<int, double> previous;
+  std::vector<double> previous;
   for (double frac = 0.0; frac <= 1.0; frac += 0.1) {
     const BudgetResult result =
         budgeter->distribute(jobs, min_w + frac * (max_w - min_w));
-    for (const auto& [id, cap] : result.node_cap_w) {
-      if (previous.count(id) != 0) {
-        EXPECT_GE(cap, previous[id] - 0.5) << "job " << id << " frac " << frac;
-      }
-      previous[id] = cap;
+    ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+    for (std::size_t k = 0; k < previous.size(); ++k) {
+      EXPECT_GE(result.node_cap_w[k], previous[k] - 0.5)
+          << "job " << jobs[k].job_id << " frac " << frac;
     }
+    previous = result.node_cap_w;
   }
 }
 

@@ -39,10 +39,11 @@ TEST(EvenPower, SameGammaForAllJobs) {
                                              profile(1, "is.D.x", 1)};
   const BudgetResult result = budgeter.distribute(jobs, 450.0);
   const double gamma = result.balance_point;
-  for (const auto& job : jobs) {
-    const double expected =
-        gamma * (job.model.p_max_w() - job.model.p_min_w()) + job.model.p_min_w();
-    EXPECT_NEAR(result.node_cap_w.at(job.job_id), expected, 1e-9);
+  ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const model::PowerPerfModel& m = jobs[k].model;
+    const double expected = gamma * (m.p_max_w() - m.p_min_w()) + m.p_min_w();
+    EXPECT_NEAR(result.node_cap_w[k], expected, 1e-9);
   }
 }
 
@@ -50,7 +51,7 @@ TEST(EvenPower, BudgetBeyondMaxSaturatesAtPMax) {
   EvenPowerBudgeter budgeter;
   const std::vector<JobPowerProfile> jobs = {profile(0, "bt.D.x", 2)};
   const BudgetResult result = budgeter.distribute(jobs, 10000.0);
-  EXPECT_DOUBLE_EQ(result.node_cap_w.at(0), jobs[0].model.p_max_w());
+  EXPECT_DOUBLE_EQ(result.node_cap_w[0], jobs[0].model.p_max_w());
   EXPECT_DOUBLE_EQ(result.balance_point, 1.0);
 }
 
@@ -59,8 +60,8 @@ TEST(EvenPower, BudgetBelowMinPinsToPMin) {
   const std::vector<JobPowerProfile> jobs = {profile(0, "bt.D.x", 2),
                                              profile(1, "lu.D.x", 2)};
   const BudgetResult result = budgeter.distribute(jobs, 100.0);
-  EXPECT_DOUBLE_EQ(result.node_cap_w.at(0), jobs[0].model.p_min_w());
-  EXPECT_DOUBLE_EQ(result.node_cap_w.at(1), jobs[1].model.p_min_w());
+  EXPECT_DOUBLE_EQ(result.node_cap_w[0], jobs[0].model.p_min_w());
+  EXPECT_DOUBLE_EQ(result.node_cap_w[1], jobs[1].model.p_min_w());
   EXPECT_DOUBLE_EQ(result.balance_point, 0.0);
 }
 
@@ -71,7 +72,26 @@ TEST(EvenPower, NodeCountsWeightTheAllocation) {
   const std::vector<JobPowerProfile> jobs = {profile(0, "cg.D.x", 4),
                                              profile(1, "cg.D.x", 1)};
   const BudgetResult result = budgeter.distribute(jobs, 5 * 200.0);
-  EXPECT_NEAR(result.node_cap_w.at(0), result.node_cap_w.at(1), 1e-9);
+  EXPECT_NEAR(result.node_cap_w[0], result.node_cap_w[1], 1e-9);
+}
+
+TEST(EvenPower, CapsArePositionalNotKeyedByJobId) {
+  // Descending, non-contiguous ids over distinct models: caps[k] is
+  // jobs[k]'s cap whatever its id.
+  EvenPowerBudgeter budgeter;
+  const std::vector<JobPowerProfile> jobs = {profile(907, "ep.D.x", 1),
+                                             profile(512, "is.D.x", 2),
+                                             profile(64, "bt.D.x", 1),
+                                             profile(9, "cg.D.x", 3)};
+  const double budget = 0.5 * (total_min_power_w(jobs) + total_max_power_w(jobs));
+  const BudgetResult result = budgeter.distribute(jobs, budget);
+  ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+  const double gamma = result.balance_point;
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const model::PowerPerfModel& m = jobs[k].model;
+    EXPECT_DOUBLE_EQ(result.node_cap_w[k], gamma * (m.p_max_w() - m.p_min_w()) + m.p_min_w())
+        << "position " << k << ", job " << jobs[k].job_id;
+  }
 }
 
 TEST(EvenPower, UnevenSensitivityStillEvenPowerRatio) {
@@ -81,8 +101,8 @@ TEST(EvenPower, UnevenSensitivityStillEvenPowerRatio) {
   const std::vector<JobPowerProfile> jobs = {profile(0, "ep.D.x", 1),
                                              profile(1, "is.D.x", 1)};
   const BudgetResult result = budgeter.distribute(jobs, 400.0);
-  const double ep_slow = jobs[0].model.slowdown_at(result.node_cap_w.at(0));
-  const double is_slow = jobs[1].model.slowdown_at(result.node_cap_w.at(1));
+  const double ep_slow = jobs[0].model.slowdown_at(result.node_cap_w[0]);
+  const double is_slow = jobs[1].model.slowdown_at(result.node_cap_w[1]);
   EXPECT_GT(ep_slow, is_slow * 2.0);
 }
 

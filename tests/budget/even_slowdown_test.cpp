@@ -38,9 +38,9 @@ TEST(EvenSlowdown, EqualExpectedSlowdownAcrossJobs) {
   const BudgetResult result = budgeter.distribute(jobs, 3 * 190.0);
   const double s = result.balance_point;
   EXPECT_GT(s, 0.0);
-  for (const auto& job : jobs) {
-    EXPECT_NEAR(job.model.slowdown_at(result.node_cap_w.at(job.job_id)), s, 0.02)
-        << job.job_id;
+  ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    EXPECT_NEAR(jobs[k].model.slowdown_at(result.node_cap_w[k]), s, 0.02) << jobs[k].job_id;
   }
 }
 
@@ -51,8 +51,8 @@ TEST(EvenSlowdown, InsensitiveJobLevelsOffAtFloor) {
   const std::vector<JobPowerProfile> jobs = {profile(0, "ep.D.x", 1),
                                              profile(1, "is.D.x", 1)};
   const BudgetResult result = budgeter.distribute(jobs, 330.0);
-  EXPECT_NEAR(result.node_cap_w.at(1), jobs[1].model.p_min_w(), 1.0);
-  EXPECT_GT(result.node_cap_w.at(0), jobs[0].model.p_min_w() + 20.0);
+  EXPECT_NEAR(result.node_cap_w[1], jobs[1].model.p_min_w(), 1.0);
+  EXPECT_GT(result.node_cap_w[0], jobs[0].model.p_min_w() + 20.0);
 }
 
 TEST(EvenSlowdown, SensitiveJobGetsMorePowerThanEvenPower) {
@@ -62,14 +62,14 @@ TEST(EvenSlowdown, SensitiveJobGetsMorePowerThanEvenPower) {
                                              profile(1, "sp.D.x", 2)};
   const BudgetResult aware = EvenSlowdownBudgeter().distribute(jobs, 840.0);
   const BudgetResult agnostic = EvenPowerBudgeter().distribute(jobs, 840.0);
-  EXPECT_GT(aware.node_cap_w.at(0), agnostic.node_cap_w.at(0));
+  EXPECT_GT(aware.node_cap_w[0], agnostic.node_cap_w[0]);
   // And the worst-case slowdown improves.
   const double aware_worst =
-      std::max(jobs[0].model.slowdown_at(aware.node_cap_w.at(0)),
-               jobs[1].model.slowdown_at(aware.node_cap_w.at(1)));
+      std::max(jobs[0].model.slowdown_at(aware.node_cap_w[0]),
+               jobs[1].model.slowdown_at(aware.node_cap_w[1]));
   const double agnostic_worst =
-      std::max(jobs[0].model.slowdown_at(agnostic.node_cap_w.at(0)),
-               jobs[1].model.slowdown_at(agnostic.node_cap_w.at(1)));
+      std::max(jobs[0].model.slowdown_at(agnostic.node_cap_w[0]),
+               jobs[1].model.slowdown_at(agnostic.node_cap_w[1]));
   EXPECT_LT(aware_worst, agnostic_worst);
 }
 
@@ -78,7 +78,7 @@ TEST(EvenSlowdown, BudgetAboveMaxGivesZeroSlowdown) {
   const std::vector<JobPowerProfile> jobs = {profile(0, "lu.D.x", 2)};
   const BudgetResult result = budgeter.distribute(jobs, 5000.0);
   EXPECT_DOUBLE_EQ(result.balance_point, 0.0);
-  EXPECT_DOUBLE_EQ(result.node_cap_w.at(0), jobs[0].model.p_max_w());
+  EXPECT_DOUBLE_EQ(result.node_cap_w[0], jobs[0].model.p_max_w());
 }
 
 TEST(EvenSlowdown, BudgetBelowMinPinsEveryoneToFloor) {
@@ -86,8 +86,8 @@ TEST(EvenSlowdown, BudgetBelowMinPinsEveryoneToFloor) {
   const std::vector<JobPowerProfile> jobs = {profile(0, "lu.D.x", 2),
                                              profile(1, "mg.D.x", 1)};
   const BudgetResult result = budgeter.distribute(jobs, 10.0);
-  EXPECT_DOUBLE_EQ(result.node_cap_w.at(0), jobs[0].model.p_min_w());
-  EXPECT_DOUBLE_EQ(result.node_cap_w.at(1), jobs[1].model.p_min_w());
+  EXPECT_DOUBLE_EQ(result.node_cap_w[0], jobs[0].model.p_min_w());
+  EXPECT_DOUBLE_EQ(result.node_cap_w[1], jobs[1].model.p_min_w());
 }
 
 TEST(EvenSlowdown, IdenticalJobsGetIdenticalCaps) {
@@ -95,7 +95,7 @@ TEST(EvenSlowdown, IdenticalJobsGetIdenticalCaps) {
   const std::vector<JobPowerProfile> jobs = {profile(0, "sp.D.x", 2),
                                              profile(1, "sp.D.x", 2)};
   const BudgetResult result = budgeter.distribute(jobs, 840.0);
-  EXPECT_NEAR(result.node_cap_w.at(0), result.node_cap_w.at(1), 1e-6);
+  EXPECT_NEAR(result.node_cap_w[0], result.node_cap_w[1], 1e-6);
 }
 
 TEST(EvenSlowdown, MonotoneInBudget) {
@@ -140,8 +140,36 @@ TEST(EvenSlowdown, ShardedSolveIsBitIdenticalToSerial) {
     EXPECT_EQ(a.balance_point, b.balance_point) << "budget fraction " << frac;
     EXPECT_EQ(a.allocated_w, b.allocated_w) << "budget fraction " << frac;
     ASSERT_EQ(a.node_cap_w.size(), b.node_cap_w.size());
-    for (const auto& [job_id, cap] : a.node_cap_w) {
-      EXPECT_EQ(cap, b.node_cap_w.at(job_id)) << "job " << job_id;
+    for (std::size_t k = 0; k < a.node_cap_w.size(); ++k) {
+      EXPECT_EQ(a.node_cap_w[k], b.node_cap_w[k]) << "job " << jobs[k].job_id;
+    }
+  }
+}
+
+TEST(EvenSlowdown, CapsArePositionalNotKeyedByJobId) {
+  // Descending, non-contiguous ids over interleaved models, on the serial
+  // path and on the sharded one (enough jobs to cross the sharded-grouping
+  // threshold): caps[k] must be jobs[k]'s own model solved at the common
+  // slowdown, bit for bit.
+  const char* const kTypes[] = {"ep.D.x", "is.D.x", "bt.D.x", "cg.D.x", "sp.D.x"};
+  std::vector<JobPowerProfile> jobs;
+  for (int i = 0; i < 5003; ++i) {
+    jobs.push_back(profile(10 * (5003 - i) + 7, kTypes[i % std::size(kTypes)], 1 + i % 3));
+  }
+  const double budget = 0.6 * total_max_power_w(jobs);
+
+  EvenSlowdownBudgeter serial;
+  EvenSlowdownBudgeter sharded;
+  util::ShardWorkers team(4);
+  sharded.set_shard_workers(&team);
+  for (const EvenSlowdownBudgeter* budgeter : {&serial, &sharded}) {
+    const BudgetResult result = budgeter->distribute(jobs, budget);
+    ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+    EXPECT_NE(result.node_cap_w[0], result.node_cap_w[2]);  // distinct models, distinct caps
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      ASSERT_EQ(result.node_cap_w[k], jobs[k].model.cap_for_slowdown(result.balance_point))
+          << "position " << k << ", job " << jobs[k].job_id
+          << (budgeter == &sharded ? " (sharded)" : " (serial)");
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "budget/budgeter.hpp"
 #include "workload/job_type.hpp"
 
@@ -33,10 +35,9 @@ TEST(ExpressionBudgeter, CapsStayInsideEachJobsEnvelope) {
                         total_max_power_w(jobs) * 0.9, total_max_power_w(jobs) * 2.0}) {
     const BudgetResult result = fair_share().distribute(jobs, budget);
     ASSERT_EQ(result.node_cap_w.size(), jobs.size());
-    for (const JobPowerProfile& job : jobs) {
-      const double cap = result.node_cap_w.at(job.job_id);
-      EXPECT_GE(cap, job.model.p_min_w() - 1e-9);
-      EXPECT_LE(cap, job.model.p_max_w() + 1e-9);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      EXPECT_GE(result.node_cap_w[k], jobs[k].model.p_min_w() - 1e-9);
+      EXPECT_LE(result.node_cap_w[k], jobs[k].model.p_max_w() + 1e-9);
     }
   }
 }
@@ -57,8 +58,9 @@ TEST(ExpressionBudgeter, NeverOverCommitsAFeasibleBudget) {
 TEST(ExpressionBudgeter, InfeasibleBudgetSaturatesAtTheFloor) {
   const std::vector<JobPowerProfile> jobs = profiles();
   const BudgetResult result = fair_share().distribute(jobs, 1.0);
-  for (const JobPowerProfile& job : jobs) {
-    EXPECT_DOUBLE_EQ(result.node_cap_w.at(job.job_id), job.model.p_min_w());
+  ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    EXPECT_DOUBLE_EQ(result.node_cap_w[k], jobs[k].model.p_min_w());
   }
   EXPECT_DOUBLE_EQ(result.balance_point, 0.0);
 }
@@ -68,8 +70,9 @@ TEST(ExpressionBudgeter, DegenerateExpressionDegradesToTheFloorCap) {
   // 1/0 is totalized to 0 inside the DSL; 0 then clamps to p_min.
   const ExpressionBudgeter broken("broken", DslExpr::parse("1 / 0"));
   const BudgetResult result = broken.distribute(jobs, 1e9);
-  for (const JobPowerProfile& job : jobs) {
-    EXPECT_DOUBLE_EQ(result.node_cap_w.at(job.job_id), job.model.p_min_w());
+  ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    EXPECT_DOUBLE_EQ(result.node_cap_w[k], jobs[k].model.p_min_w());
   }
 }
 
@@ -77,10 +80,29 @@ TEST(ExpressionBudgeter, RepeatedDistributionIsBitIdentical) {
   const std::vector<JobPowerProfile> jobs = profiles();
   const BudgetResult a = fair_share().distribute(jobs, 2000.0);
   const BudgetResult b = fair_share().distribute(jobs, 2000.0);
-  ASSERT_EQ(a.node_cap_w.size(), b.node_cap_w.size());
-  for (const auto& [id, cap] : a.node_cap_w) EXPECT_EQ(cap, b.node_cap_w.at(id));
+  EXPECT_EQ(a.node_cap_w, b.node_cap_w);
   EXPECT_EQ(a.allocated_w, b.allocated_w);
   EXPECT_EQ(a.balance_point, b.balance_point);
+}
+
+TEST(ExpressionBudgeter, CapsArePositionalNotKeyedByJobId) {
+  // Descending, non-contiguous ids; each job asks for a cap of its own
+  // (p_max less 10 W per node) and the budget is ample, so caps[k] must be
+  // exactly what jobs[k] asked for.
+  std::vector<JobPowerProfile> jobs = profiles();
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    jobs[k].job_id = static_cast<int>(1000 - 97 * k);
+    jobs[k].nodes = static_cast<int>(1 + k);
+  }
+  const ExpressionBudgeter own("own", DslExpr::parse("p_max - 10 * nodes"));
+  const BudgetResult result = own.distribute(jobs, 2.0 * total_max_power_w(jobs));
+  ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const model::PowerPerfModel& m = jobs[k].model;
+    EXPECT_DOUBLE_EQ(result.node_cap_w[k],
+                     std::clamp(m.p_max_w() - 10.0 * jobs[k].nodes, m.p_min_w(), m.p_max_w()))
+        << "position " << k << ", job " << jobs[k].job_id;
+  }
 }
 
 TEST(ExpressionBudgeter, EmptyJobSetIsANoop) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "budget/one_cap_short_budgeter.hpp"
+#include "util/error.hpp"
+
 namespace anor::cluster {
 namespace {
 
@@ -51,6 +57,23 @@ TEST(EmulatedCluster, SingleJobRunsUncappedAtExpectedRuntime) {
   EXPECT_NEAR(job.end_s - job.start_s, expected, 2.0);
   EXPECT_LT(std::abs(job.slowdown()), 0.1);
   EXPECT_EQ(job.report.epoch_count, workload::find_job_type("is.D.x").epochs);
+}
+
+TEST(EmulatedCluster, ShortCapVectorFailsLoudlyNamingTheBudgeter) {
+  EmulationConfig config = fast_config();
+  config.manager.budgeter_factory = [] { return std::make_unique<budget::OneCapShortBudgeter>(); };
+  EmulatedCluster emu(config, schedule_of({{"is.D.x", 0.0}}));
+  util::TimeSeries targets;
+  targets.add(0.0, config.node_count * 150.0);
+  emu.set_power_targets(targets);
+  try {
+    emu.run();
+    FAIL() << "a short cap vector must not be indexed";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'one-cap-short' returned 0 caps for 1 jobs"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EmulatedCluster, StaticBudgetSlowsSensitiveJob) {

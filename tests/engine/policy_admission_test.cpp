@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
+#include "budget/one_cap_short_budgeter.hpp"
 #include "engine/policy_registry.hpp"
 #include "engine/runner.hpp"
 #include "util/error.hpp"
@@ -47,6 +49,22 @@ TEST(PolicyAdmission, NoisyPolicyIsRejectedByTheDeterminismGates) {
   EXPECT_FALSE(report.checks[0].passed) << report.checks[0].detail;
   EXPECT_FALSE(PolicyRegistry::global().is_admitted("adm-test-noisy"));
   PolicyRegistry::global().unregister("adm-test-noisy");
+}
+
+TEST(PolicyAdmission, ShortCapVectorFailsTheEnvelopeGate) {
+  PolicyDescriptor descriptor;
+  descriptor.name = "adm-test-one-cap-short";
+  descriptor.budgeter_factory = [] { return std::make_unique<budget::OneCapShortBudgeter>(); };
+  PolicyRegistry::global().register_policy(descriptor);
+  const AdmissionReport report =
+      run_admission(PolicyRef("adm-test-one-cap-short"), quick_options());
+  EXPECT_FALSE(report.passed()) << report.describe();
+  ASSERT_FALSE(report.checks.empty());
+  EXPECT_EQ(report.checks[0].name, "budget-envelope");
+  EXPECT_NE(report.checks[0].detail.find("'one-cap-short' returned 5 caps for 6 jobs"),
+            std::string::npos)
+      << report.checks[0].detail;
+  PolicyRegistry::global().unregister("adm-test-one-cap-short");
 }
 
 TEST(PolicyAdmission, RunScenarioRefusesUnadmittedPolicies) {

@@ -5,6 +5,7 @@
 // (epoch drift, spec mismatch under a colliding key, corrupt file) must
 // read as a miss — never a wrong result.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -23,11 +24,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch dir per test (removed on teardown).
+/// Fresh scratch dir per test (removed on teardown).  The name carries the
+/// test name and the pid: ctest runs every case as its own process, so
+/// under `ctest -j` cases run concurrently and must not share a directory.
 class ResultCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "anor-result-cache-test";
+    dir_ = fs::temp_directory_path() /
+           ("anor-result-cache-" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+            "-" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

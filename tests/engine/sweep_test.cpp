@@ -5,6 +5,7 @@
 // materialized spec, and neither the run-level worker count, warm-start
 // reuse, nor the cache can change a single byte of any result.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -154,7 +155,12 @@ TEST(SweepExecutorTest, WarmStartOffCannotChangeResults) {
 }
 
 TEST(SweepExecutorTest, SecondPassServesEveryCellFromTheCache) {
-  const fs::path dir = fs::temp_directory_path() / "anor-sweep-exec-cache";
+  // Test name + pid: ctest runs every case as its own, possibly
+  // concurrent, process, so no two runs may share the directory.
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("anor-" + std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+       "-" + std::to_string(::getpid()));
   fs::remove_all(dir);
   const SweepGrid grid = test_grid();
   SweepOptions options;

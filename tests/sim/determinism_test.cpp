@@ -2,8 +2,9 @@
 //
 // The SoA caches, incremental aggregates, and sharded stepping are only
 // admissible because they reproduce the reference trace bit-for-bit; these
-// tests pin a seeded 1000-node run to a recorded hash and assert the hash
-// is invariant under worker count and telemetry instrumentation.  The
+// tests pin a seeded 1000-node run (and a job-dense 2000-node one) to
+// recorded hashes and assert them invariant under worker count and
+// telemetry instrumentation.  The
 // parallel-trials test doubles as the TSan target for the shared metrics
 // registry (see tools/check_tier1.sh).
 #include <gtest/gtest.h>
@@ -41,12 +42,16 @@ std::uint64_t trace_hash(const SimResult& r) {
   return h;
 }
 
+/// `node_scale` 0 scales every job type's node count by nodes/40 (a few
+/// wide jobs at any size); 1 keeps the native 1-2-node jobs, so the
+/// running-job count grows with the cluster.
 std::uint64_t run_seeded(int nodes, double duration_s, int step_workers, bool telemetry,
-                         int step_shard_nodes = 256) {
+                         int step_shard_nodes = 256, int node_scale = 0) {
   SimConfig config;
   config.node_count = nodes;
   config.duration_s = duration_s;
-  config.job_types = standard_sim_types(true, std::max(1, nodes / 40));
+  config.job_types =
+      standard_sim_types(true, node_scale > 0 ? node_scale : std::max(1, nodes / 40));
   config.bid.average_power_w = nodes * 150.0;
   config.bid.reserve_w = nodes * 18.0;
   config.telemetry_enabled = telemetry;
@@ -81,6 +86,17 @@ constexpr std::uint64_t kGolden1000Node600s = 0xb3a442b79219c7d9ULL;
 
 TEST(SimDeterminism, GoldenTraceHash1000Nodes) {
   EXPECT_EQ(run_seeded(1000, 600.0, 0, false), kGolden1000Node600s);
+}
+
+// Job-dense counterpart: native job sizes keep ~1k jobs running, so the
+// trace also pins the running-set churn and the per-job cap write-back.
+constexpr std::uint64_t kGoldenJobDense2000Node600s = 0x6c231d4cbb49d89dULL;
+
+TEST(SimDeterminism, GoldenTraceHashJobDense) {
+  for (int workers : {0, 2, 4}) {
+    EXPECT_EQ(run_seeded(2000, 600.0, workers, false, 256, 1), kGoldenJobDense2000Node600s)
+        << "step_workers=" << workers;
+  }
 }
 
 TEST(SimDeterminism, WorkerCountCannotChangeTheTrace) {

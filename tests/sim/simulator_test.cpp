@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
 
+#include "budget/one_cap_short_budgeter.hpp"
 #include "util/error.hpp"
 
 namespace anor::sim {
@@ -284,6 +287,22 @@ TEST(TabularSimulator, BackfillShortensQueueDelayBehindBigJob) {
   // Backfill: it starts nearly immediately.
   EXPECT_LT(wait_backfill, 30.0) << "fifo wait was " << wait_fifo;
   EXPECT_GT(wait_fifo, 100.0);
+}
+
+TEST(TabularSimulator, ShortCapVectorFailsLoudlyNamingTheBudgeter) {
+  SimConfig config = small_config();
+  config.duration_s = 300.0;
+  config.power_targets.add(0.0, config.node_count * 150.0);
+  config.budgeter_factory = [] { return std::make_unique<budget::OneCapShortBudgeter>(); };
+  TabularSimulator sim(config, one_job_schedule("bt.D.x"), util::Rng(5));
+  try {
+    sim.run();
+    FAIL() << "a short cap vector must not be indexed";
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'one-cap-short' returned 0 caps for 1 jobs"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TabularSimulator, UtilizationReported) {

@@ -172,13 +172,63 @@ TEST(JobTable, RunningSetMaintainedIncrementally) {
   table.mark_started(0, 2.0);
   table.mark_started(3, 3.0);
   EXPECT_EQ(table.running(), (std::vector<std::size_t>{0, 2, 3}));
-  table.mark_finished(2, 4.0);
+  table.mark_finished({2}, 4.0);
   EXPECT_EQ(table.running(), (std::vector<std::size_t>{0, 3}));
   // Idempotent transitions do not corrupt the set.
   table.mark_started(0, 5.0);
-  table.mark_finished(2, 6.0);
+  table.mark_finished({2}, 6.0);
   EXPECT_EQ(table.running(), (std::vector<std::size_t>{0, 3}));
   EXPECT_DOUBLE_EQ(table.row(0).start_s, 2.0);
+  EXPECT_DOUBLE_EQ(table.row(2).end_s, 4.0);
+}
+
+TEST(JobTable, RunningSetExactAcrossBatchedFinishes) {
+  // The simulator's floating-point sums iterate running() in order, so
+  // after every transition the set must equal the ascending list of rows
+  // that are started and not finished -- checked here against a rebuild
+  // from the rows themselves.
+  JobTable table;
+  for (int id = 0; id < 8; ++id) {
+    JobRow row;
+    row.job_id = id;
+    table.add(row);
+  }
+  const auto rebuilt = [&table] {
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      if (table.row(i).started() && !table.row(i).finished()) expected.push_back(i);
+    }
+    return expected;
+  };
+  for (std::size_t i : {5u, 0u, 7u, 2u, 3u}) table.mark_started(i, 1.0);
+  EXPECT_EQ(table.running(), (std::vector<std::size_t>{0, 2, 3, 5, 7}));
+
+  table.mark_finished({7, 0}, 2.0);  // last and first row in one batch, unsorted
+  EXPECT_EQ(table.running(), (std::vector<std::size_t>{2, 3, 5}));
+  EXPECT_EQ(table.running(), rebuilt());
+
+  table.mark_started(6, 3.0);  // starts between compactions stay in order
+  table.mark_started(1, 3.0);
+  EXPECT_EQ(table.running(), (std::vector<std::size_t>{1, 2, 3, 5, 6}));
+
+  // A repeated finish is a no-op: neither the end time nor the set moves.
+  table.mark_finished({0, 7}, 4.0);
+  EXPECT_DOUBLE_EQ(table.row(0).end_s, 2.0);
+  EXPECT_DOUBLE_EQ(table.row(7).end_s, 2.0);
+  EXPECT_EQ(table.running(), (std::vector<std::size_t>{1, 2, 3, 5, 6}));
+
+  table.mark_finished({3}, 5.0);  // a row from the middle
+  EXPECT_EQ(table.running(), (std::vector<std::size_t>{1, 2, 5, 6}));
+  EXPECT_EQ(table.running(), rebuilt());
+
+  table.mark_finished({1, 2, 5, 6}, 6.0);  // every running row at once
+  EXPECT_TRUE(table.running().empty());
+  EXPECT_EQ(table.running(), rebuilt());
+
+  table.mark_finished({}, 7.0);  // an empty batch changes nothing
+  table.mark_started(4, 7.0);
+  EXPECT_EQ(table.running(), (std::vector<std::size_t>{4}));
+  EXPECT_EQ(table.running(), rebuilt());
 }
 
 TEST(JobTable, NonContiguousIds) {
