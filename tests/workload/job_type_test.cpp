@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace anor::workload {
@@ -139,11 +142,20 @@ TEST(JobType, ScaledTypeMultipliesNodes) {
 }
 
 // Parameterized property: quadratic coefficients reproduce relative_time
-// through the T = A P^2 + B P + C expansion for every type.
-class JobTypeCurveProperty : public ::testing::TestWithParam<JobType> {};
+// through the T = A P^2 + B P + C expansion for every type.  The parameter
+// is the type name rather than the JobType: gtest prints a struct without
+// operator<< as its raw bytes, which would put a heap address into the
+// listed test name and make the name differ from run to run.
+class JobTypeCurveProperty : public ::testing::TestWithParam<std::string> {};
+
+std::vector<std::string> nas_job_type_names() {
+  std::vector<std::string> names;
+  for (const auto& t : nas_job_types()) names.push_back(t.name);
+  return names;
+}
 
 TEST_P(JobTypeCurveProperty, EpochTimeIsQuadraticInCap) {
-  const JobType& t = GetParam();
+  const JobType& t = find_job_type(GetParam());
   // Three samples determine the quadratic; a fourth must agree.  Points
   // stay below every type's max draw (IS saturates at 225 W) so they sit
   // on one quadratic segment.
@@ -161,9 +173,9 @@ TEST_P(JobTypeCurveProperty, EpochTimeIsQuadraticInCap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTypes, JobTypeCurveProperty,
-                         ::testing::ValuesIn(nas_job_types()),
-                         [](const ::testing::TestParamInfo<JobType>& info) {
-                           std::string name = info.param.name;
+                         ::testing::ValuesIn(nas_job_type_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
                            for (char& c : name) {
                              if (c == '.') c = '_';
                            }
