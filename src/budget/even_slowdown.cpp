@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/prof/prof.hpp"
@@ -12,14 +14,17 @@ namespace anor::budget {
 
 // cap_for_slowdown bisects (64 iterations) and the caller bisects over it
 // (up to 100), but jobs share a handful of distinct models (one per job
-// type), so each evaluation only needs one inverse solve per *distinct*
-// model.  Grouping keys on exact coefficient equality; caps are still
-// summed in the original job order, so the result is bit-identical to the
-// ungrouped per-job sum.
+// type).  One O(jobs) pass groups them by exact coefficient equality and
+// records each group's node total N_k; after that a bisection step costs
+// one inverse solve and one multiply-add per *distinct* model.  A group's
+// rep is its first job's model, so every cap is the one the reference
+// per-job scan would have produced.
 struct ModelGroups {
-  std::vector<const model::PowerPerfModel*> reps;  // one per distinct model
-  std::vector<std::size_t> group_of;               // job index -> rep index
-  std::vector<double> caps;                        // per-rep scratch
+  std::vector<const model::PowerPerfModel*> reps;  // one per distinct model, first-seen order
+  std::vector<std::size_t> group_of;               // job index -> group
+  std::vector<std::int64_t> nodes;                 // N_k: node total per group
+  std::vector<double> caps;                        // per-group scratch
+  std::int64_t abs_nodes = 0;                      // sum of |nodes| over jobs
 };
 
 namespace {
@@ -29,24 +34,73 @@ bool same_model(const model::PowerPerfModel& x, const model::PowerPerfModel& y) 
          x.p_min_w() == y.p_min_w() && x.p_max_w() == y.p_max_w();
 }
 
-/// Index of `m` in `reps`, appending it when new.
-std::size_t rep_index(std::vector<const model::PowerPerfModel*>& reps,
-                      const model::PowerPerfModel& m) {
-  std::size_t k = 0;
-  for (; k < reps.size(); ++k) {
-    if (same_model(*reps[k], m)) return k;
-  }
-  reps.push_back(&m);
-  return k;
+/// Hash consistent with same_model: `x + 0.0` folds -0.0 onto 0.0, which
+/// == treats as equal.  A NaN coefficient hashes somewhere but never
+/// compares equal, so each such job opens its own group, exactly as a
+/// linear scan with same_model would.  The five multiplies are independent
+/// (off the per-job latency chain), and every input bit reaches the top
+/// bits the table indexes by.
+std::uint64_t model_hash(const model::PowerPerfModel& m) {
+  const auto word = [](double x) { return std::bit_cast<std::uint64_t>(x + 0.0); };
+  return word(m.a()) * 0x9E3779B97F4A7C15ULL + word(m.b()) * 0xC2B2AE3D27D4EB4FULL +
+         word(m.c()) * 0x165667B19E3779F9ULL + word(m.p_min_w()) * 0x27D4EB2F165667C5ULL +
+         word(m.p_max_w()) * 0x85EBCA77C2B2AE63ULL;
 }
 
-ModelGroups group_models(const std::vector<JobPowerProfile>& jobs) {
-  ModelGroups groups;
-  groups.group_of.reserve(jobs.size());
-  for (const JobPowerProfile& j : jobs) {
-    groups.group_of.push_back(rep_index(groups.reps, j.model));
+/// Open-addressed model -> group table (linear probing, load <= 1/2): one
+/// hash and, on a hit, one same_model check per job, however many distinct
+/// models there are.
+class ModelIndex {
+ public:
+  /// Group of `m` in `groups`, opening a new group with N_k = 0 when no
+  /// rep equals it.
+  std::size_t find_or_add(ModelGroups& groups, const model::PowerPerfModel& m) {
+    if (2 * (groups.reps.size() + 1) > slots_.size()) rehash(groups.reps);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = model_hash(m) >> shift_;; i = (i + 1) & mask) {
+      const std::uint32_t slot = slots_[i];
+      if (slot == 0) {
+        groups.reps.push_back(&m);
+        groups.nodes.push_back(0);
+        slots_[i] = static_cast<std::uint32_t>(groups.reps.size());
+        return groups.reps.size() - 1;
+      }
+      if (same_model(*groups.reps[slot - 1], m)) return slot - 1;
+    }
   }
-  groups.caps.resize(groups.reps.size());
+
+ private:
+  void rehash(const std::vector<const model::PowerPerfModel*>& reps) {
+    std::size_t size = 16;
+    while (size < 2 * (reps.size() + 1)) size *= 2;
+    slots_.assign(size, 0);
+    shift_ = 64 - std::countr_zero(size);
+    for (std::size_t k = 0; k < reps.size(); ++k) {
+      std::size_t i = model_hash(*reps[k]) >> shift_;
+      while (slots_[i] != 0) i = (i + 1) & (size - 1);
+      slots_[i] = static_cast<std::uint32_t>(k + 1);
+    }
+  }
+
+  std::vector<std::uint32_t> slots_;  // group + 1; 0 = empty
+  int shift_ = 64;
+};
+
+/// Groups of jobs[begin, end), indices local to the range.
+ModelGroups group_models(const std::vector<JobPowerProfile>& jobs, std::size_t begin,
+                         std::size_t end) {
+  ModelGroups groups;
+  ModelIndex index;
+  groups.group_of.resize(end - begin);
+  // Integer accumulators keep the per-job adds off the floating-point
+  // latency chain.
+  for (std::size_t i = begin; i < end; ++i) {
+    const JobPowerProfile& j = jobs[i];
+    const std::size_t k = index.find_or_add(groups, j.model);
+    groups.nodes[k] += j.nodes;
+    groups.abs_nodes += std::abs(static_cast<std::int64_t>(j.nodes));
+    groups.group_of[i - begin] = k;
+  }
   return groups;
 }
 
@@ -61,42 +115,55 @@ constexpr std::size_t kGroupGrain = 1024;
 ModelGroups group_models_sharded(const std::vector<JobPowerProfile>& jobs,
                                  util::ShardWorkers& team) {
   const std::size_t blocks = (jobs.size() + kGroupGrain - 1) / kGroupGrain;
-  struct BlockGroups {
-    std::vector<const model::PowerPerfModel*> reps;
-    std::vector<std::size_t> group_of;
-  };
-  std::vector<BlockGroups> partial(blocks);
+  std::vector<ModelGroups> partial(blocks);
   const std::size_t lanes = team.worker_count();
   team.run([&](std::size_t lane) {
     const util::ShardWorkers::Slice s = util::ShardWorkers::slice(blocks, lanes, lane);
     for (std::size_t b = s.begin; b < s.end; ++b) {
-      BlockGroups& out = partial[b];
-      const std::size_t lo = b * kGroupGrain;
-      const std::size_t hi = std::min(jobs.size(), lo + kGroupGrain);
-      out.group_of.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        out.group_of.push_back(rep_index(out.reps, jobs[i].model));
-      }
+      partial[b] = group_models(jobs, b * kGroupGrain,
+                                std::min(jobs.size(), (b + 1) * kGroupGrain));
     }
   });
 
   // Merge in block order: deterministic regardless of which lane scanned
-  // which block, and identical job->rep assignments to the serial scan
-  // (rep *indices* may permute, but indices are internal — every cap is
-  // looked up through group_of).
+  // which block, and the same first-seen group order, reps and job->group
+  // assignments as the serial scan.  N_k and abs_nodes are integer sums,
+  // exact in any order.
   ModelGroups groups;
+  ModelIndex index;
   groups.group_of.reserve(jobs.size());
   std::vector<std::size_t> remap;
-  for (const BlockGroups& block : partial) {
+  for (const ModelGroups& block : partial) {
     remap.clear();
-    remap.reserve(block.reps.size());
-    for (const model::PowerPerfModel* rep : block.reps) {
-      remap.push_back(rep_index(groups.reps, *rep));
+    for (std::size_t local = 0; local < block.reps.size(); ++local) {
+      const std::size_t k = index.find_or_add(groups, *block.reps[local]);
+      groups.nodes[k] += block.nodes[local];
+      remap.push_back(k);
     }
+    groups.abs_nodes += block.abs_nodes;
     for (std::size_t local : block.group_of) groups.group_of.push_back(remap[local]);
   }
-  groups.caps.resize(groups.reps.size());
   return groups;
+}
+
+/// Σ_k N_k·value(k), in group order.
+template <class PerGroup>
+double grouped_total(const ModelGroups& groups, PerGroup value) {
+  double total = 0.0;
+  for (std::size_t k = 0; k < groups.reps.size(); ++k) {
+    total += static_cast<double>(groups.nodes[k]) * value(k);
+  }
+  return total;
+}
+
+/// Σ_j nodes_j·cap_j at the caps in groups.caps, in job order: the sum the
+/// reference solve compares, whose order fixes the rounding.
+double ordered_total(const std::vector<JobPowerProfile>& jobs, const ModelGroups& groups) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    total += jobs[i].nodes * groups.caps[groups.group_of[i]];
+  }
+  return total;
 }
 
 }  // namespace
@@ -120,48 +187,8 @@ EvenSlowdownBudgeter::CapKey EvenSlowdownBudgeter::cap_key(const model::PowerPer
                  std::bit_cast<std::uint64_t>(slowdown)}};
 }
 
-void EvenSlowdownBudgeter::warm_caps(const ModelGroups& groups, const double* slowdowns,
-                                     std::size_t count) const {
-  // Collect the (model, slowdown) pairs not yet memoized...
-  struct Miss {
-    const model::PowerPerfModel* model;
-    double slowdown;
-    CapKey key;
-    double cap = 0.0;
-  };
-  std::vector<Miss> misses;
-  for (std::size_t si = 0; si < count; ++si) {
-    for (const model::PowerPerfModel* rep : groups.reps) {
-      CapKey key = cap_key(*rep, slowdowns[si]);
-      if (cap_cache_.find(key) != cap_cache_.end()) continue;
-      bool queued = false;
-      for (const Miss& m : misses) queued = queued || m.key == key;
-      if (!queued) misses.push_back({rep, slowdowns[si], key, 0.0});
-    }
-  }
-  if (misses.empty()) return;
-  // ...solve them concurrently (cap_for_slowdown is pure; each lane writes
-  // its own slice)...
-  const std::size_t lanes = workers_->worker_count();
-  workers_->run([&](std::size_t lane) {
-    const util::ShardWorkers::Slice s = util::ShardWorkers::slice(misses.size(), lanes, lane);
-    for (std::size_t i = s.begin; i < s.end; ++i) {
-      misses[i].cap = misses[i].model->cap_for_slowdown(misses[i].slowdown);
-    }
-  });
-  // ...and publish from this thread only: the cache itself is never
-  // touched concurrently.
-  for (const Miss& m : misses) {
-    cap_cache_.emplace(m.key, m.cap);
-    ++memo_misses_;
-  }
-}
-
 void EvenSlowdownBudgeter::caps_at_slowdown(ModelGroups& groups, double slowdown) const {
   if (cap_cache_.size() > (1u << 20)) cap_cache_.clear();  // runaway guard
-  if (workers_ != nullptr && workers_->worker_count() >= 2) {
-    warm_caps(groups, &slowdown, 1);  // any misses solve in parallel
-  }
   for (std::size_t k = 0; k < groups.reps.size(); ++k) {
     const model::PowerPerfModel& m = *groups.reps[k];
     const auto [it, inserted] = cap_cache_.try_emplace(cap_key(m, slowdown), 0.0);
@@ -175,17 +202,6 @@ void EvenSlowdownBudgeter::caps_at_slowdown(ModelGroups& groups, double slowdown
   }
 }
 
-double EvenSlowdownBudgeter::total_power_at_slowdown(const std::vector<JobPowerProfile>& jobs,
-                                                     ModelGroups& groups,
-                                                     double slowdown) const {
-  caps_at_slowdown(groups, slowdown);
-  double total = 0.0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    total += jobs[i].nodes * groups.caps[groups.group_of[i]];
-  }
-  return total;
-}
-
 BudgetResult EvenSlowdownBudgeter::distribute(const std::vector<JobPowerProfile>& jobs,
                                               double budget_w) const {
   BudgetResult result;
@@ -196,42 +212,79 @@ BudgetResult EvenSlowdownBudgeter::distribute(const std::vector<JobPowerProfile>
   const std::uint64_t misses_before = memo_misses_;
   int bisect_iters = 0;
 
-  const bool parallel = workers_ != nullptr && workers_->worker_count() >= 2;
-  ModelGroups groups = parallel && jobs.size() >= kParallelGroupMin
-                           ? group_models_sharded(jobs, *workers_)
-                           : group_models(jobs);
+  ModelGroups groups = [&] {
+    ANOR_PROF_SCOPE("budget.group");
+    return workers_ != nullptr && workers_->worker_count() >= 2 &&
+                   jobs.size() >= kParallelGroupMin
+               ? group_models_sharded(jobs, *workers_)
+               : group_models(jobs, 0, jobs.size());
+  }();
+  groups.caps.resize(groups.reps.size());
 
-  const double max_total = total_max_power_w(jobs);
-  const double min_total = total_min_power_w(jobs);
+  // Every threshold decision below compares the grouped total
+  // G = Σ_k N_k·x_k with the budget instead of the reference's job-ordered
+  // total T = Σ_j nodes_j·x_j (x = p_max, p_min or the caps at a slowdown).
+  // In exact arithmetic both equal S = Σ_j nodes_j·x_j: each N_k is an exact
+  // integer sum and every job of group k has x_j == x_k.  Let u =
+  // DBL_EPSILON/2 and W = Σ_j|nodes_j| · max_k max(|p_min_k|, |p_max_k|),
+  // which bounds Σ_j|nodes_j·x_j| because every cap lies in [p_min, p_max].
+  // Recursive summation (Higham, "Accuracy and Stability of Numerical
+  // Algorithms", 2nd ed., sec. 4.2) with one rounded product per term gives
+  // |T − S| <= γ_n·W and |G − S| <= γ_K·W for n jobs and K groups, where
+  // γ_m = m·u/(1 − m·u); so |T − G| <= (γ_n + γ_K)·W ≈ (n + K)·u·W.
+  // `bound` = 4·(n + K + 4)·DBL_EPSILON·scale = 8·(n + K + 4)·u·scale with
+  // scale >= W is more than 4× that, and its 32·u·scale excess covers the
+  // rounding of G − budget, of |G − budget| − tolerance, and of the
+  // reference's own T − budget next to the tolerance.  When G lies farther
+  // than `bound` from a threshold (the budget for the envelope branches and
+  // the step direction, budget ± tolerance for the stop test), T lies on
+  // the same side, so G decides as T would; otherwise the solve sums T.
+  // Any NaN or infinity fails `far` and takes the exact sum too.
+  double max_abs_cap = 0.0;
+  for (const model::PowerPerfModel* rep : groups.reps) {
+    max_abs_cap = std::max({max_abs_cap, std::abs(rep->p_min_w()), std::abs(rep->p_max_w())});
+  }
+  const double scale =
+      std::max({static_cast<double>(groups.abs_nodes) * max_abs_cap, std::abs(budget_w),
+                std::abs(tolerance_w_)});
+  const double bound =
+      4.0 * static_cast<double>(jobs.size() + groups.reps.size() + 4) * DBL_EPSILON * scale;
+  const auto far = [bound](double total, double threshold) {
+    return std::abs(total - threshold) > bound;
+  };
+  // max is exact in any order, so the deepest slowdown over the reps equals
+  // the reference's max over jobs (equal models have equal max_slowdown).
+  const auto deepest_slowdown = [&groups] {
+    double deepest = 0.0;
+    for (const model::PowerPerfModel* rep : groups.reps) {
+      deepest = std::max(deepest, rep->max_slowdown());
+    }
+    return deepest;
+  };
 
+  const double g_max =
+      grouped_total(groups, [&](std::size_t k) { return groups.reps[k]->p_max_w(); });
+  const double g_min =
+      grouped_total(groups, [&](std::size_t k) { return groups.reps[k]->p_min_w(); });
   double s = 0.0;
-  if (budget_w >= max_total) {
+  if (far(g_max, budget_w) ? budget_w >= g_max : budget_w >= total_max_power_w(jobs)) {
     s = 0.0;
-  } else if (budget_w <= min_total) {
+  } else if (far(g_min, budget_w) ? budget_w <= g_min : budget_w <= total_min_power_w(jobs)) {
     // Even the deepest common slowdown cannot get under the budget: every
     // job pins to its floor cap.
-    s = 0.0;
-    for (const JobPowerProfile& j : jobs) s = std::max(s, j.model.max_slowdown());
+    s = deepest_slowdown();
   } else {
     // Total power is monotone non-increasing in s; bisect.
     double lo = 0.0;
-    double hi = 0.0;
-    for (const JobPowerProfile& j : jobs) hi = std::max(hi, j.model.max_slowdown());
-    hi = std::max(hi, 1e-6);
+    double hi = std::max(deepest_slowdown(), 1e-6);
     for (int iter = 0; iter < 100; ++iter) {
       ++bisect_iters;
       const double mid = 0.5 * (lo + hi);
-      if (parallel) {
-        // Speculative probes: whichever way this iteration branches, the
-        // next midpoint is one of the two children of `mid` — warm the
-        // memo for all three in one fan-out so the serial chain of
-        // dependent inverse solves becomes one round of concurrent ones.
-        // Warming computes the same pure values the later lookups would,
-        // so the bisection path (and every cap) is unchanged.
-        const double probes[3] = {mid, 0.5 * (lo + mid), 0.5 * (mid + hi)};
-        warm_caps(groups, probes, 3);
+      caps_at_slowdown(groups, mid);
+      double total = grouped_total(groups, [&](std::size_t k) { return groups.caps[k]; });
+      if (!far(total, budget_w) || !far(std::abs(total - budget_w), tolerance_w_)) {
+        total = ordered_total(jobs, groups);
       }
-      const double total = total_power_at_slowdown(jobs, groups, mid);
       if (std::abs(total - budget_w) <= tolerance_w_) {
         lo = hi = mid;
         break;

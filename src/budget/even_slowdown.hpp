@@ -34,26 +34,15 @@ class EvenSlowdownBudgeter final : public Budgeter {
   BudgetResult distribute(const std::vector<JobPowerProfile>& jobs,
                           double budget_w) const override;
 
-  /// Parallel mode: group building shards the job list over the team,
-  /// memo misses solve concurrently, and each bisection iteration
-  /// speculatively warms the memo for both possible next midpoints.  All
-  /// of it is pure-function fan-out — caps and the balance point are
-  /// bit-identical to the serial solve.
+  /// Parallel mode: job lists of at least 4096 build their model groups
+  /// block-sharded over the team, merged in block order.  Caps and the
+  /// balance point are bit-identical to the serial solve.
   void set_shard_workers(util::ShardWorkers* workers) override { workers_ = workers; }
 
  private:
   /// Fill groups.caps with each distinct model's cap at the slowdown,
   /// consulting the memo cache first.
   void caps_at_slowdown(ModelGroups& groups, double slowdown) const;
-  /// Memo-warm every (model, slowdown) pair from `slowdowns` that is not
-  /// yet cached, solving the misses concurrently on the team.  Values are
-  /// pure, so warming changes only *when* they are computed.
-  void warm_caps(const ModelGroups& groups, const double* slowdowns,
-                 std::size_t count) const;
-  /// Sum of nodes * cap over jobs in the original job order (order fixes
-  /// the floating-point accumulation).
-  double total_power_at_slowdown(const std::vector<JobPowerProfile>& jobs,
-                                 ModelGroups& groups, double slowdown) const;
 
   double tolerance_w_;
 

@@ -1,6 +1,7 @@
 #include "engine/scenario.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -40,6 +41,14 @@ void ScenarioSpec::validate() const {
   if (node_count <= 0) throw util::ConfigError("ScenarioSpec: node_count must be positive");
   if (backend == Backend::kTabular && schedule.jobs.empty()) {
     throw util::ConfigError("ScenarioSpec: tabular backend needs a non-empty schedule");
+  }
+  // The tabular job table indexes rows by id, and fault plans read job
+  // id -1 as "the lowest-numbered running job".
+  for (const workload::JobRequest& job : schedule.jobs) {
+    if (job.job_id < 0) {
+      throw util::ConfigError("ScenarioSpec: job id " + std::to_string(job.job_id) +
+                              " is negative; ids must be >= 0");
+    }
   }
 }
 

@@ -164,7 +164,8 @@ struct ScenarioSpec {
   double artifact_cadence_s = 1.0;
 
   /// Throws util::ConfigError on contradictions (budget and targets both
-  /// set, empty schedule on a tabular run, non-positive node count).
+  /// set, empty schedule on a tabular run, non-positive node count, a
+  /// negative job id).
   void validate() const;
 };
 

@@ -215,20 +215,22 @@ double TabularSimulator::current_target_w() const {
   return config_.bid.target_at(*regulation_, now_s_);
 }
 
-void TabularSimulator::refresh_pending_range(std::size_t begin, std::size_t end,
-                                             std::vector<int>& touched) {
+void TabularSimulator::set_row_cap(std::size_t row_index, double cap_w) {
+  JobRow& row = jobs_.row(row_index);
+  if (row.cap_w == cap_w) return;
+  row.cap_w = cap_w;
+  for (int n : row.nodes) nodes_.set_cap(n, cap_w);
+  if (row.cap_queued) return;
+  row.cap_queued = true;
+  pending_rows_.push_back(row_index);
+  pending_row_nodes_ += row.nodes.size();
+}
+
+void TabularSimulator::refresh_node_events(std::size_t begin, std::size_t end,
+                                           std::vector<int>& touched) {
   const std::vector<int>& pending = nodes_.pending_refresh();
   double* rate = nodes_.rate_data();
   double* power = nodes_.power_data();
-  // Nodes of one job share a row and (in every current policy) a cap, and
-  // the pending list keeps event bursts contiguous — so memoizing the last
-  // (row, cap) pair skips the row deref and the rate interpolation for all
-  // but the first node of each run.  The memo changes which *instructions*
-  // compute a value, never the value: identical inputs, identical bits.
-  int last_row = -2;
-  double last_cap = 0.0;
-  double run_rate = 0.0;
-  double run_power = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
     const int n = pending[i];
     if (nodes_.idle(n)) {
@@ -236,23 +238,38 @@ void TabularSimulator::refresh_pending_range(std::size_t begin, std::size_t end,
       power[n] = config_.idle_power_w;
       continue;
     }
+    // A job start always writes its row's cap, so the row event normally
+    // covers a newly assigned node; only a start cap equal to the row's
+    // initial 0 leaves it here.
     const int row_index = nodes_.job_row(n);
-    const double cap = nodes_.cap_w(n);
-    if (row_index != last_row || cap != last_cap) {
-      const JobRow& row = jobs_.row(static_cast<std::size_t>(row_index));
-      const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-      run_rate = type.progress_rate(cap);
-      run_power = type.power_at(cap);
-      last_row = row_index;
-      last_cap = cap;
-      touched.push_back(row_index);
-    }
+    const JobRow& row = jobs_.row(static_cast<std::size_t>(row_index));
+    if (row.cap_queued) continue;
+    const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
+    rate[n] = type.progress_rate(nodes_.cap_w(n)) * nodes_.inv_perf_multiplier(n);
+    power[n] = type.power_at(nodes_.cap_w(n));
+    touched.push_back(row_index);
+  }
+}
+
+void TabularSimulator::refresh_row_events(std::size_t begin, std::size_t end,
+                                          std::vector<int>& touched) {
+  double* rate = nodes_.rate_data();
+  double* power = nodes_.power_data();
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t row_index = pending_rows_[i];
+    const JobRow& row = jobs_.row(row_index);
+    const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
+    const double row_rate = type.progress_rate(row.cap_w);
+    const double row_power = type.power_at(row.cap_w);
     // Multiply by the precomputed reciprocal instead of dividing per node.
     // With no performance variation the multiplier is exactly 1.0 and the
     // product is the unscaled rate bit-for-bit; with variation the
     // reformulation is uniform across worker counts, so parity holds.
-    rate[n] = run_rate * nodes_.inv_perf_multiplier(n);
-    power[n] = run_power;
+    for (int n : row.nodes) {
+      rate[n] = row_rate * nodes_.inv_perf_multiplier(n);
+      power[n] = row_power;
+    }
+    touched.push_back(static_cast<int>(row_index));
   }
 }
 
@@ -303,31 +320,40 @@ void TabularSimulator::recompute_min_earliest_done() {
 
 void TabularSimulator::refresh_changed_nodes() {
   const std::vector<int>& pending = nodes_.pending_refresh();
-  if (pending.empty()) return;
+  if (pending.empty() && pending_rows_.empty()) return;
   ANOR_PROF_SCOPE("sim.refresh");
 
-  // Sharded refresh: pending nodes are unique, so slices write disjoint
-  // rate/power entries, and every entry is a pure function of the tables —
-  // the partition cannot change any value.  Per-lane touched-row lists are
-  // merged in lane order and canonicalized by the sort below, so the
-  // touched set is worker-count-invariant too.
-  if (workers_ != nullptr && pending.size() > static_cast<std::size_t>(shard_nodes_)) {
+  // Sharded refresh: node events are unique, rows own disjoint nodes, and a
+  // busy node event defers to its queued row, so lanes write disjoint
+  // rate/power entries, each a pure function of the tables — the partition
+  // cannot change any value.  Per-lane touched-row lists are merged in lane
+  // order and canonicalized by the sort below, so the touched set is
+  // worker-count-invariant too.
+  if (workers_ != nullptr &&
+      pending.size() + pending_row_nodes_ > static_cast<std::size_t>(shard_nodes_)) {
     const std::size_t lanes = workers_->worker_count();
     workers_->run([&](std::size_t lane) {
       std::vector<int>& touched = lane_touched_[lane];
       touched.clear();
-      const util::ShardWorkers::Slice s =
+      const util::ShardWorkers::Slice nodes =
           util::ShardWorkers::slice(pending.size(), lanes, lane);
-      refresh_pending_range(s.begin, s.end, touched);
+      refresh_node_events(nodes.begin, nodes.end, touched);
+      const util::ShardWorkers::Slice rows =
+          util::ShardWorkers::slice(pending_rows_.size(), lanes, lane);
+      refresh_row_events(rows.begin, rows.end, touched);
     });
     for (const std::vector<int>& touched : lane_touched_) {
       touched_rows_.insert(touched_rows_.end(), touched.begin(), touched.end());
     }
   } else {
-    refresh_pending_range(0, pending.size(), touched_rows_);
+    refresh_node_events(0, pending.size(), touched_rows_);
+    refresh_row_events(0, pending_rows_.size(), touched_rows_);
   }
   nodes_.mark_power_dirty();
   nodes_.clear_pending_refresh();
+  for (std::size_t row_index : pending_rows_) jobs_.row(row_index).cap_queued = false;
+  pending_rows_.clear();
+  pending_row_nodes_ = 0;
 
   std::sort(touched_rows_.begin(), touched_rows_.end());
   touched_rows_.erase(std::unique(touched_rows_.begin(), touched_rows_.end()),
@@ -391,7 +417,7 @@ double TabularSimulator::virtual_progress(int node) const {
 }
 
 void TabularSimulator::update_nodes(double dt_s) {
-  if (!nodes_.pending_refresh().empty()) {
+  if (!nodes_.pending_refresh().empty() || !pending_rows_.empty()) {
     // A cap/ownership event is about to rewrite rates: settle every owed
     // substep at the old rates first, exactly where the per-tick sweep
     // would have applied them.
@@ -563,9 +589,9 @@ void TabularSimulator::schedule_and_cap() {
         row.nodes.push_back(node);
         nodes_.assign(node, req.job_id, static_cast<int>(row_index));
         busy_floor_w_ += type.p_min_w;
-        // Start at the type's max power until the budgeter runs.
-        nodes_.set_cap(node, type.p_max_w);
       }
+      // Start at the type's max power until the budgeter runs.
+      set_row_cap(row_index, type.p_max_w);
     }
   }
 
@@ -580,9 +606,8 @@ void TabularSimulator::apply_budget() {
   if (target <= 0.0) {
     // No tracking: run everything uncapped.
     for (std::size_t i : running) {
-      JobRow& row = jobs_.row(i);
-      const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-      for (int n : row.nodes) nodes_.set_cap(n, type.p_max_w);
+      const JobRow& row = jobs_.row(i);
+      set_row_cap(i, config_.job_types[static_cast<std::size_t>(row.type_index)].p_max_w);
     }
     return;
   }
@@ -603,7 +628,7 @@ void TabularSimulator::apply_budget() {
         // (projected_qos reads only this row's caps, so capping it here
         // cannot change a later row's verdict.)
         budget -= static_cast<double>(row.nodes.size()) * type.p_max_w;
-        for (int n : row.nodes) nodes_.set_cap(n, type.p_max_w);
+        set_row_cap(i, type.p_max_w);
         continue;
       }
     }
@@ -620,8 +645,7 @@ void TabularSimulator::apply_budget() {
   budget::require_cap_per_job(*budgeter_, result, profiles_.size());
   ANOR_PROF_SCOPE("budget.apply");
   for (std::size_t k = 0; k < budget_rows_.size(); ++k) {
-    const double cap = result.node_cap_w[k];
-    for (int n : jobs_.row(budget_rows_[k]).nodes) nodes_.set_cap(n, cap);
+    set_row_cap(budget_rows_[k], result.node_cap_w[k]);
   }
 }
 

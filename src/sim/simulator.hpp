@@ -8,16 +8,16 @@
 //
 // Hot-path layout (see DESIGN.md "Performance model of the simulator" and
 // 6h "Persistent sharded stepping"): per-node rates/powers are cached in
-// the node table and refreshed only for nodes whose cap or ownership
-// changed since the previous tick; the running-job set / idle count /
-// floor power / total power are maintained incrementally at
-// assign/release/cap events; the per-tick progress sweep is *deferred* —
-// ticks between two rate-change events owe one `rate * dt` substep each,
-// and the owed substeps are flushed in one batched pass (bit-identical to
-// per-tick sweeps) right before anything reads or rewrites a rate; and
-// both the flush and the refresh shard across a persistent worker team
-// with fixed shard boundaries so results are bit-identical at any worker
-// count.
+// the node table and refreshed only for nodes whose ownership changed and
+// for job rows whose cap changed since the previous tick; the running-job
+// set / idle count / floor power / total power are maintained
+// incrementally at assign/release/cap events; the per-tick progress sweep
+// is *deferred* — ticks between two rate-change events owe one `rate * dt`
+// substep each, and the owed substeps are flushed in one batched pass
+// (bit-identical to per-tick sweeps) right before anything reads or
+// rewrites a rate; and both the flush and the refresh shard across a
+// persistent worker team with fixed shard boundaries so results are
+// bit-identical at any worker count.
 #pragma once
 
 #include <memory>
@@ -129,12 +129,19 @@ class TabularSimulator {
   bool time_phases() const {
     return config_.telemetry_enabled && (step_index_ % 8) == 0;
   }
+  /// The only cap write: sets every node of the row to `cap_w` and queues
+  /// the row for one rate/power refresh.  A write that does not change the
+  /// row's cap returns at once (caps are rewritten every control period
+  /// even when the budget is unchanged).
+  void set_row_cap(std::size_t row_index, double cap_w);
   void refresh_changed_nodes();
-  /// Refresh rate/power for pending[begin, end); appends every affected
-  /// job row (possibly with duplicates) to `touched`.  Pure per-node math
-  /// over disjoint index ranges — safe to run concurrently on disjoint
-  /// slices of the pending list.
-  void refresh_pending_range(std::size_t begin, std::size_t end, std::vector<int>& touched);
+  /// Refresh rate/power for the node events pending[begin, end) and the
+  /// row events pending_rows_[begin, end); append every affected job row
+  /// to `touched`.  A busy node whose row is queued is left to the row
+  /// event, so the two write disjoint entries — safe to run concurrently
+  /// on disjoint slices of either queue.
+  void refresh_node_events(std::size_t begin, std::size_t end, std::vector<int>& touched);
+  void refresh_row_events(std::size_t begin, std::size_t end, std::vector<int>& touched);
   /// Recompute `earliest_done_s` for one touched running row.  Writes only
   /// that row — rows shard trivially.
   void repredict_row_completion(int row_index);
@@ -185,9 +192,8 @@ class TabularSimulator {
   bool done_ = false;
 
   /// Persistent worker team (config.step_workers > 1) shared by the
-  /// batched sweep flush, the sharded refresh, and the budgeter's
-  /// speculative solves; fixed shard boundaries derive from node count
-  /// alone.
+  /// batched sweep flush, the sharded refresh, and the budgeter's sharded
+  /// model grouping; fixed shard boundaries derive from node count alone.
   std::unique_ptr<util::ShardWorkers> workers_;
   int shard_nodes_ = 0;
   /// Owed progress substeps (one per tick since the last flush_sweep).
@@ -212,6 +218,8 @@ class TabularSimulator {
   };
   StepMetrics metrics_;
 
+  std::vector<std::size_t> pending_rows_;          // rows whose cap changed, event order
+  std::size_t pending_row_nodes_ = 0;              // nodes under pending_rows_
   std::vector<int> touched_rows_;                  // scratch: rows to re-predict
   std::vector<std::vector<int>> lane_touched_;     // per-lane touched rows
   std::vector<std::size_t> finished_scratch_;      // scratch: completions this tick

@@ -43,12 +43,6 @@ void NodeTable::mark_pending(int node) {
   pending_.push_back(node);
 }
 
-void NodeTable::set_cap(int node, double cap_w) {
-  if (cap_w_[idx(node)] == cap_w) return;
-  cap_w_[idx(node)] = cap_w;
-  mark_pending(node);
-}
-
 void NodeTable::advance_progress(int begin, int end, double dt_s) {
   double* progress = progress_.data();
   const double* rate = rate_.data();

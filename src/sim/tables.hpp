@@ -9,9 +9,10 @@
 // (progress rate, power draw, owning job row) that changes only at
 // assign/release/cap events — never mid-tick — so the per-tick sweep is a
 // branch-light `progress += rate * dt` over contiguous arrays.  Nodes whose
-// caps or ownership changed are queued in a pending-refresh list the
-// simulator drains (serially) at the top of the next node-update phase;
-// see DESIGN.md "Performance model of the simulator".
+// ownership changed are queued in a pending-refresh list; cap changes are
+// per job row (every node of a job runs at its row's cap) and the
+// simulator queues the row.  It drains both queues at the top of the next
+// node-update phase; see DESIGN.md "Performance model of the simulator".
 #pragma once
 
 #include <cstdint>
@@ -58,10 +59,9 @@ class NodeTable {
     perf_mult_[idx(node)] = m;
     inv_perf_mult_[idx(node)] = 1.0 / m;
   }
-  /// Writes the cap and queues the node for a rate/power refresh.  A
-  /// write that does not change the value is a no-op (caps are rewritten
-  /// every control period even when the budget is unchanged).
-  void set_cap(int node, double cap_w);
+  /// Plain write: the caller (the simulator's per-row cap write) queues
+  /// the refresh, once per row rather than per node.
+  void set_cap(int node, double cap_w) { cap_w_[idx(node)] = cap_w; }
   void set_power(int node, double power_w) {
     power_w_[idx(node)] = power_w;
     power_clean_ = false;
@@ -103,8 +103,8 @@ class NodeTable {
   /// steady-state ticks pay O(1) here.
   double total_power_w() const;
 
-  /// Nodes with a cap/ownership change since the last clear, in event
-  /// order (each node listed at most once).
+  /// Nodes with an ownership change (assign/release) since the last
+  /// clear, in event order (each node listed at most once).
   const std::vector<int>& pending_refresh() const { return pending_; }
   void clear_pending_refresh();
 
@@ -140,6 +140,11 @@ struct JobRow {
   /// at the last cap event; the completion scan skips the job until then.
   double earliest_done_s = 0.0;
   std::vector<int> nodes;    // assigned node ids (empty while queued)
+  /// The cap every node in `nodes` runs at (0 until the first write, like
+  /// a fresh or released node's cap).
+  double cap_w = 0.0;
+  /// Queued for a rate/power refresh since its cap last changed.
+  bool cap_queued = false;
 
   bool started() const { return start_s >= 0.0; }
   bool finished() const { return end_s >= 0.0; }

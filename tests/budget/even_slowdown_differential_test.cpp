@@ -1,0 +1,181 @@
+// Differential test: EvenSlowdownBudgeter::distribute against the
+// job-ordered reference solve (reference_even_slowdown.hpp), bit for bit.
+//
+// The budgeter decides with grouped totals and sums in job order only when
+// a grouped total lies within a rounding bound of a threshold.  Random job
+// sets cover the common case; adversarial budgets sit exactly on the
+// reference's thresholds (an envelope total, or the ordered total at a
+// visited bisection midpoint, shifted by the tolerance and a few ulps), so
+// a decision taken from the grouped total alone would flip and move the
+// balance point.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "budget/even_slowdown.hpp"
+#include "budget/reference_even_slowdown.hpp"
+#include "util/rng.hpp"
+#include "util/shard_workers.hpp"
+
+namespace anor::budget {
+namespace {
+
+
+/// T(P) = t0 + k·(p_max − P)² on [p_min, p_max]: monotone, like a fitted
+/// job curve, with random shape and envelope.
+model::PowerPerfModel random_model(util::Rng& rng) {
+  const double p_min = rng.uniform(100.0, 150.0);
+  const double p_max = rng.uniform(190.0, 290.0);
+  const double k = rng.uniform(1e-6, 2e-4);
+  const double t0 = rng.uniform(0.5, 3.0);
+  return model::PowerPerfModel(k, -2.0 * k * p_max, t0 + k * p_max * p_max, p_min, p_max);
+}
+
+/// Model pool: random curves plus signed-zero triplets.  The triplets
+/// compare equal under ==, so they must share one group whose rep is the
+/// first seen; pinned at the floor, every member's cap carries the rep's
+/// p_min bits (+0.0 or -0.0).  Each pair differs in one zero's sign, so a
+/// hash that did not fold -0.0 onto 0.0 would split them.
+std::vector<model::PowerPerfModel> model_pool(util::Rng& rng, int count, bool signed_zeros) {
+  std::vector<model::PowerPerfModel> pool;
+  for (int i = 0; i < count; ++i) pool.push_back(random_model(rng));
+  if (signed_zeros) {
+    pool.emplace_back(0.0, -0.002, 2.0, -0.0, 250.0);  // p_min is -0.0
+    pool.emplace_back(0.0, -0.002, 2.0, 0.0, 250.0);
+    pool.emplace_back(-0.0, -0.002, 2.0, 0.0, 250.0);  // a is -0.0
+  }
+  return pool;
+}
+
+std::vector<JobPowerProfile> random_jobs(util::Rng& rng,
+                                         const std::vector<model::PowerPerfModel>& pool,
+                                         std::size_t count) {
+  std::vector<JobPowerProfile> jobs(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    jobs[i].job_id = static_cast<int>(i);
+    jobs[i].nodes = static_cast<int>(rng.uniform_int(1, 8));
+    jobs[i].model = pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  }
+  return jobs;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_equal(const BudgetResult& want, const BudgetResult& got,
+                          const std::string& where) {
+  ASSERT_EQ(bits(want.balance_point), bits(got.balance_point))
+      << where << ": balance point " << want.balance_point << " vs " << got.balance_point;
+  ASSERT_EQ(bits(want.allocated_w), bits(got.allocated_w))
+      << where << ": allocated " << want.allocated_w << " vs " << got.allocated_w;
+  ASSERT_EQ(want.node_cap_w.size(), got.node_cap_w.size()) << where;
+  for (std::size_t k = 0; k < want.node_cap_w.size(); ++k) {
+    ASSERT_EQ(bits(want.node_cap_w[k]), bits(got.node_cap_w[k]))
+        << where << ": cap " << k << " " << want.node_cap_w[k] << " vs " << got.node_cap_w[k];
+  }
+}
+
+/// `budget` and the doubles up to `ulps` steps either side of it.
+void add_with_neighbours(std::vector<double>& budgets, double budget, int ulps) {
+  budgets.push_back(budget);
+  double up = budget;
+  double down = budget;
+  for (int i = 0; i < ulps; ++i) {
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+    budgets.push_back(up);
+    budgets.push_back(down);
+  }
+}
+
+/// Budgets aimed at every threshold the reference decides on for `jobs`:
+/// below the floor, above the max, in between, both envelope totals, and
+/// for a few midpoints of an in-between solve the ordered total there and
+/// that total ± tolerance (each ± a few ulps).
+std::vector<double> threshold_budgets(util::Rng& rng, const std::vector<JobPowerProfile>& jobs,
+                                      double tolerance_w) {
+  const double max_total = total_max_power_w(jobs);
+  const double min_total = total_min_power_w(jobs);
+  std::vector<double> budgets = {0.0, 0.5 * min_total, 1.5 * max_total,
+                                 rng.uniform(min_total, max_total)};
+  add_with_neighbours(budgets, max_total, 3);
+  add_with_neighbours(budgets, min_total, 3);
+  std::vector<std::pair<double, double>> visited;
+  reference::even_slowdown(jobs, rng.uniform(min_total, max_total), tolerance_w, &visited);
+  for (std::size_t v = 0; v < visited.size(); v += 1 + visited.size() / 4) {
+    const double total = visited[v].second;
+    add_with_neighbours(budgets, total, 2);
+    add_with_neighbours(budgets, total + tolerance_w, 3);
+    add_with_neighbours(budgets, total - tolerance_w, 3);
+  }
+  return budgets;
+}
+
+void check_against_reference(std::uint64_t seed, std::size_t job_count, int model_count,
+                             double tolerance_w, util::ShardWorkers& team) {
+  util::Rng rng(seed);
+  const std::vector<model::PowerPerfModel> pool =
+      model_pool(rng, model_count, /*signed_zeros=*/seed % 2 == 0);
+  const std::vector<JobPowerProfile> jobs = random_jobs(rng, pool, job_count);
+
+  EvenSlowdownBudgeter serial(tolerance_w);
+  EvenSlowdownBudgeter sharded(tolerance_w);
+  sharded.set_shard_workers(&team);
+  for (double budget : threshold_budgets(rng, jobs, tolerance_w)) {
+    const BudgetResult want = reference::even_slowdown(jobs, budget, tolerance_w);
+    const std::string where = "seed " + std::to_string(seed) + ", " +
+                              std::to_string(job_count) + " jobs, " +
+                              std::to_string(pool.size()) + " models, tolerance " +
+                              std::to_string(tolerance_w) + ", budget " +
+                              std::to_string(budget);
+    expect_bitwise_equal(want, serial.distribute(jobs, budget), where + " (serial)");
+    expect_bitwise_equal(want, sharded.distribute(jobs, budget), where + " (sharded)");
+  }
+}
+
+TEST(EvenSlowdownDifferential, RandomJobSetsMatchTheReferenceBitForBit) {
+  util::ShardWorkers team(3);
+  util::Rng sizes(2024);
+  // Fixed sizes pin both sides of the 4096-job sharded-grouping threshold
+  // and its ragged last block; the rest are log-uniform in [1, 6000].
+  std::vector<std::size_t> job_counts = {1, 2, 4095, 4097, 6000};
+  for (int i = 0; i < 11; ++i) {
+    job_counts.push_back(
+        static_cast<std::size_t>(std::exp(sizes.uniform(0.0, std::log(6000.0)))));
+  }
+  std::uint64_t seed = 1;
+  for (std::size_t count : job_counts) {
+    const int models = static_cast<int>(sizes.uniform_int(1, 12));
+    // The default tolerance; zero, where the stop test fires only on exact
+    // equality; and a negative one, where it never fires and the direction
+    // of every step decides the path.
+    for (double tolerance_w : {0.5, 0.0, -1.0}) {
+      check_against_reference(seed++, count, models, tolerance_w, team);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EvenSlowdownDifferential, NaNCoefficientModelsMatchTheReference) {
+  // NaN never compares equal, so each NaN-model job opens its own group,
+  // in the reference's scan and in the budgeter's table alike (dozens of
+  // groups on one probe chain); the results must still match bit for bit.
+  util::Rng rng(99);
+  std::vector<model::PowerPerfModel> pool = model_pool(rng, 3, false);
+  pool.emplace_back(std::numeric_limits<double>::quiet_NaN(), -0.004, 2.0, 120.0, 250.0);
+  const std::vector<JobPowerProfile> jobs = random_jobs(rng, pool, 300);
+  EvenSlowdownBudgeter budgeter;
+  for (double budget : threshold_budgets(rng, jobs, 0.5)) {
+    expect_bitwise_equal(reference::even_slowdown(jobs, budget), budgeter.distribute(jobs, budget),
+                         "budget " + std::to_string(budget));
+  }
+}
+
+}  // namespace
+}  // namespace anor::budget

@@ -112,11 +112,11 @@ TEST(EvenSlowdown, MonotoneInBudget) {
 }
 
 TEST(EvenSlowdown, ShardedSolveIsBitIdenticalToSerial) {
-  // The parallel solve (sharded group building, concurrent memo warming,
-  // speculative bisection probes) claims bit-identical results to the
-  // serial path.  Hold it to that: same jobs, same budgets, one budgeter
-  // with a worker team attached, one without — every cap and every balance
-  // point must be EXACTLY equal, not merely close.  The job list is large
+  // The parallel solve (block-sharded group building with node totals)
+  // claims bit-identical results to the serial path.  Hold it to that:
+  // same jobs, same budgets, one budgeter with a worker team attached, one
+  // without — every cap and every balance point must be EXACTLY equal, not
+  // merely close.  The job list is large
   // enough (> 4096) to cross the sharded-grouping threshold, with a
   // ragged tail block and an interleaved mix of models so block-local rep
   // tables come out permuted relative to the serial scan.

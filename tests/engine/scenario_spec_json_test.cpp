@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "engine/scenario.hpp"
 #include "util/error.hpp"
 #include "workload/job_type.hpp"
@@ -169,6 +172,34 @@ TEST(ScenarioSpecJson, ValidateRejectsContradictions) {
   bad_nodes.schedule = small_schedule();
   bad_nodes.node_count = 0;
   EXPECT_THROW(bad_nodes.validate(), util::ConfigError);
+}
+
+// A negative id used to reach the tabular job table, whose id index cast
+// it to SIZE_MAX and wrote out of bounds.
+void expect_negative_id_rejected(const std::function<void()>& parse_or_validate) {
+  try {
+    parse_or_validate();
+    ADD_FAILURE() << "a negative job id was accepted";
+  } catch (const util::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("job id -1"), std::string::npos) << error.what();
+  }
+}
+
+TEST(ScenarioSpecJson, NegativeJobIdIsRejected) {
+  for (Backend backend : {Backend::kTabular, Backend::kEmulated}) {
+    ScenarioSpec spec;
+    spec.backend = backend;
+    spec.schedule = small_schedule();
+    spec.schedule.jobs[1].job_id = -1;
+    expect_negative_id_rejected([&spec] { spec.validate(); });
+  }
+  expect_negative_id_rejected([] {
+    scenario_spec_from_json(util::Json::parse(R"({
+      "backend": "tabular", "node_count": 8,
+      "schedule": {"duration_s": 60, "jobs": [
+        {"id": 0, "type": "bt.D.x", "submit_s": 0, "nodes": 1},
+        {"id": -1, "type": "lu.D.x", "submit_s": 5, "nodes": 1}]}})"));
+  });
 }
 
 }  // namespace

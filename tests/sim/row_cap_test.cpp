@@ -1,0 +1,118 @@
+// Row-level cap events: the simulator writes caps per job row and queues
+// the row, not each node, for the next rate/power refresh.  These tests
+// step whole runs and check the two invariants that make that equivalent
+// to per-node cap tracking:
+//   * every busy node's cap equals its row's cap after every tick;
+//   * after every node update, every node's cached rate and power equal a
+//     from-scratch evaluation at the cap that update applied.
+// Both are checked at 0, 2 and 4 step workers with shards small enough
+// that the refresh runs sharded (the sharded case is a TSan target in
+// tools/check_tier1.sh).
+#include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
+
+#include "sim/simulator.hpp"
+#include "workload/schedule.hpp"
+
+namespace anor::sim {
+namespace {
+
+/// `node_scale` 1 keeps the native 1-2-node jobs (job-dense); 0 scales
+/// every type to nodes/40 nodes (a few wide jobs).
+SimConfig row_cap_config(int nodes, int node_scale, int step_workers) {
+  SimConfig config;
+  config.node_count = nodes;
+  config.duration_s = 240.0;
+  config.job_types = standard_sim_types(true, node_scale > 0 ? node_scale : nodes / 40);
+  config.bid.average_power_w = nodes * 150.0;
+  config.bid.reserve_w = nodes * 18.0;
+  config.step_workers = step_workers;
+  config.step_shard_nodes = 64;
+  return config;
+}
+
+workload::Schedule row_cap_schedule(const SimConfig& config, util::Rng rng) {
+  std::vector<workload::JobType> gen_types;
+  for (const SimJobType& t : config.job_types) {
+    workload::JobType gt;
+    gt.name = t.name;
+    gt.nodes = t.nodes;
+    gt.base_epoch_s = t.time_at_pmax_s / 100.0;
+    gt.epochs = 100;
+    gen_types.push_back(std::move(gt));
+  }
+  workload::PoissonScheduleConfig sched_config;
+  sched_config.duration_s = config.duration_s;
+  sched_config.utilization = 0.8;
+  sched_config.cluster_nodes = config.node_count;
+  return workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule"));
+}
+
+/// Steps a run to the end, checking both invariants after every tick;
+/// `checked` counts the busy node-ticks whose rate was compared.
+void check_row_cap_invariants(const SimConfig& config, long& checked) {
+  util::Rng rng(7);
+  TabularSimulator sim(config, row_cap_schedule(config, rng), rng.child("sim"));
+  const NodeTable& nodes = sim.node_table();
+  const JobTable& jobs = sim.job_table();
+
+  // Owner row and cap of every node at the end of the previous tick: the
+  // state the next tick's node update refreshes from.
+  std::vector<int> prev_row(static_cast<std::size_t>(nodes.size()), -1);
+  std::vector<double> prev_cap(static_cast<std::size_t>(nodes.size()), 0.0);
+  checked = 0;
+  while (sim.step()) {
+    for (int n = 0; n < nodes.size(); ++n) {
+      const int row_index = nodes.job_row(n);
+      const auto slot = static_cast<std::size_t>(n);
+      if (row_index >= 0) {
+        const JobRow& row = jobs.row(static_cast<std::size_t>(row_index));
+        ASSERT_EQ(nodes.cap_w(n), row.cap_w)
+            << "t=" << sim.now_s() << " node " << n << " job " << row.job_id;
+      }
+      // A node that kept its owner through this tick was refreshed (or
+      // left alone because nothing changed) at the previous tick's cap.
+      if (row_index == prev_row[slot] && row_index >= 0) {
+        const JobRow& row = jobs.row(static_cast<std::size_t>(row_index));
+        const SimJobType& type = config.job_types[static_cast<std::size_t>(row.type_index)];
+        ASSERT_EQ(nodes.rate(n),
+                  type.progress_rate(prev_cap[slot]) * nodes.inv_perf_multiplier(n))
+            << "t=" << sim.now_s() << " node " << n;
+        ASSERT_EQ(nodes.power_w(n), type.power_at(prev_cap[slot]))
+            << "t=" << sim.now_s() << " node " << n;
+        ++checked;
+      } else if (row_index < 0 && prev_row[slot] < 0) {
+        ASSERT_EQ(nodes.rate(n), 0.0) << "t=" << sim.now_s() << " node " << n;
+        ASSERT_EQ(nodes.power_w(n), config.idle_power_w) << "t=" << sim.now_s() << " node " << n;
+      }
+      prev_row[slot] = row_index;
+      prev_cap[slot] = nodes.cap_w(n);
+    }
+  }
+}
+
+TEST(SimRowCaps, JobDenseBusyNodesMatchTheirRow) {
+  for (int workers : {0, 2, 4}) {
+    SimConfig config = row_cap_config(400, 1, workers);
+    config.perf_variation_sigma = 0.05;  // per-node rates differ within a row
+    config.protect_at_risk_jobs = true;  // the at-risk cap path writes rows too
+    long checked = 0;
+    check_row_cap_invariants(config, checked);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(checked, 10'000) << "step_workers=" << workers;
+  }
+}
+
+TEST(SimRowCaps, WideJobBusyNodesMatchTheirRow) {
+  for (int workers : {0, 2, 4}) {
+    long checked = 0;
+    check_row_cap_invariants(row_cap_config(400, 0, workers), checked);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(checked, 10'000) << "step_workers=" << workers;
+  }
+}
+
+}  // namespace
+}  // namespace anor::sim

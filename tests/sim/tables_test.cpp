@@ -51,18 +51,18 @@ TEST(NodeTable, TotalPowerSums) {
   EXPECT_DOUBLE_EQ(table.total_power_w(), 300.0);
 }
 
-TEST(NodeTable, SetCapQueuesPendingRefreshOnce) {
+TEST(NodeTable, SetCapIsAPlainWrite) {
+  // Cap changes are queued per job row by the simulator, not per node:
+  // set_cap only writes the column.
   NodeTable table(4);
   table.set_cap(1, 100.0);
-  table.set_cap(1, 120.0);  // second change: still queued only once
-  table.set_cap(2, 90.0);
-  EXPECT_EQ(table.pending_refresh(), (std::vector<int>{1, 2}));
-  table.clear_pending_refresh();
-  EXPECT_TRUE(table.pending_refresh().empty());
-  // Re-writing the current value is a no-op: caps are rewritten every
-  // control period even when the budget did not move.
   table.set_cap(1, 120.0);
+  table.set_cap(2, 90.0);
+  EXPECT_DOUBLE_EQ(table.cap_w(1), 120.0);
+  EXPECT_DOUBLE_EQ(table.cap_w(2), 90.0);
   EXPECT_TRUE(table.pending_refresh().empty());
+  // Ownership events still queue the node, once, whatever caps follow.
+  table.assign(1, 7, 0);
   table.set_cap(1, 130.0);
   EXPECT_EQ(table.pending_refresh(), (std::vector<int>{1}));
 }

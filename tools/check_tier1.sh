@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge gate: the tier-1 verify from ROADMAP.md plus sanitizer passes —
 # ASan/UBSan over the telemetry suite (its registry/ring are updated
-# concurrently from control loops) and TSan over the simulator's sharded
+# concurrently from control loops) and the even-slowdown differential
+# suite (the budgeter's hash table and grouped-decision fallback against
+# the job-ordered reference), and TSan over the simulator's sharded
 # stepping and thread-pool chunking (the paths that share the metrics
 # registry and progress columns across workers).
 #
@@ -119,15 +121,18 @@ EOF
 cmp "$policy_dir/first.json" "$policy_dir/second.json"
 rm -rf "$policy_dir"
 
-echo "== sanitizers: ASan/UBSan telemetry suite =="
+echo "== sanitizers: ASan/UBSan telemetry suite + even-slowdown differential =="
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "$asan_dir" -j"$jobs" --target telemetry_test util_test anorctl
+cmake --build "$asan_dir" -j"$jobs" --target telemetry_test util_test budget_test anorctl
 "$asan_dir/tests/telemetry_test"
 run_gtest "$asan_dir/tests/util_test" 'Logger.*:VirtualClock.*'
+# The grouped solve against the job-ordered reference, serial and sharded:
+# the open-addressed model table and the grouped-decision fallback.
+run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
 
 echo "== sanitizers: TSan parallel-trial + sharded-step suite =="
 tsan_dir="${build_dir}-tsan"
@@ -140,10 +145,12 @@ cmake --build "$tsan_dir" -j"$jobs" --target sim_test util_test platform_test bu
 # tools/tsan.supp); real races in our code are still reported.
 export TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}"
 # SimDeterminism covers the persistent-team stepping at workers {1,2,4,8}
-# and the full worker x shard-size matrix; ShardWorkers exercises the
-# epoch rendezvous directly (dispatch storms, exception rethrow); the
-# budget filter runs the sharded even-slowdown solve against serial.
-run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*'
+# and the full worker x shard-size matrix; SimRowCaps steps runs whose
+# refresh shards node and row cap events across the team; ShardWorkers
+# exercises the epoch rendezvous directly (dispatch storms, exception
+# rethrow); the budget filter runs the sharded even-slowdown solve
+# against serial.
+run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*:SimRowCaps.*'
 run_gtest "$tsan_dir/tests/util_test" 'ThreadPool.*:ParallelForEachIndex.*:ShardWorkers.*'
 run_gtest "$tsan_dir/tests/platform_test" 'ClusterHw.ShardedStepMatchesSerialBitForBit'
 run_gtest "$tsan_dir/tests/budget_test" 'EvenSlowdown.ShardedSolveIsBitIdenticalToSerial'
