@@ -26,16 +26,6 @@ util::TimeSeries fig9_targets(std::uint64_t seed, double horizon_s) {
   return workload::make_power_target_series(bid, regulation, horizon_s, 4.0);
 }
 
-util::Json experiment_report_json(const cluster::EmulationResult& result,
-                                  double series_decimation_s) {
-  return engine::run_result_json(result, series_decimation_s);
-}
-
-void save_experiment_report(const std::string& path,
-                            const cluster::EmulationResult& result) {
-  engine::save_run_result(path, result);
-}
-
 engine::ScenarioSpec to_scenario_spec(const Experiment& experiment) {
   if (experiment.static_budget_w && experiment.targets) {
     throw util::ConfigError("Experiment: set either static_budget_w or targets, not both");

@@ -16,7 +16,6 @@
 #include "cluster/emulation.hpp"
 #include "core/policies.hpp"
 #include "engine/runner.hpp"
-#include "util/json.hpp"
 #include "util/time_series.hpp"
 #include "workload/regulation.hpp"
 #include "workload/schedule.hpp"
@@ -74,16 +73,5 @@ util::TimeSeries fig9_targets(std::uint64_t seed, double horizon_s = 3600.0);
 /// The demand-response bid implied by a 16-node cluster's cap range
 /// (the Fig. 9 committed flexibility).
 workload::DemandResponseBid fig9_bid();
-
-/// Serialize a finished experiment — per-job reports, QoS records,
-/// tracking statistics, and the decimated power/target series — as a JSON
-/// artifact (the equivalent of the per-job GEOPM report files plus the
-/// cluster log the paper's experiments produce).
-util::Json experiment_report_json(const cluster::EmulationResult& result,
-                                  double series_decimation_s = 30.0);
-
-/// Write the artifact to a file.
-void save_experiment_report(const std::string& path,
-                            const cluster::EmulationResult& result);
 
 }  // namespace anor::core

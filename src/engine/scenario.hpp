@@ -187,10 +187,22 @@ void finalize_tracking(RunResult& result, double reserve_w, double warmup_s);
 
 /// Serialize a finished run — per-job records, QoS, tracking statistics,
 /// utilization, and the decimated power/target series — as the one
-/// artifact schema (`anor.run_result.v1`) both backends emit.
-util::Json run_result_json(const RunResult& result, double series_decimation_s = 30.0);
+/// artifact schema (`anor.run_result.v1`) both backends emit.  The
+/// document is streamed, never built as a tree; write_run_result_json
+/// emits it as the next value of an enclosing document.
+util::JsonText run_result_json(const RunResult& result, double series_decimation_s = 30.0);
+void write_run_result_json(util::JsonWriter& out, const RunResult& result,
+                           double series_decimation_s = 30.0);
 
-/// Write the artifact to a file.
+/// The pieces the artifact shares with the cache form: the tracking
+/// statistics, and a series as {"t_s": [...], "value": [...]} keeping a
+/// sample once `decimation_s` has passed since the last kept one (0 keeps
+/// every sample).
+void write_tracking_json(util::JsonWriter& out, const util::TrackingErrorStats& tracking);
+void write_series_json(util::JsonWriter& out, const util::TimeSeries& series,
+                       double decimation_s);
+
+/// Write the artifact to a file (indented, as save_json_file).
 void save_run_result(const std::string& path, const RunResult& result);
 
 }  // namespace anor::engine

@@ -70,12 +70,13 @@ SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options = {});
 
 /// Full report document (`anor.sweep_result.v1`): per-cell decimated
 /// run-result artifacts plus wall/cache metadata and cache statistics.
-util::Json sweep_report_json(const SweepReport& report);
+/// Both documents are streamed; indent as Json::dump.
+util::JsonText sweep_report_json(const SweepReport& report, int indent = -1);
 
 /// Deterministic projection (`anor.sweep_results.v1`): per-cell canonical
 /// key + full-fidelity result, nothing wall-clock- or cache-dependent —
 /// two runs of the same grid produce byte-identical documents (the CI
 /// sweep smoke compares these with cmp).
-util::Json sweep_results_deterministic_json(const SweepReport& report);
+util::JsonText sweep_results_deterministic_json(const SweepReport& report, int indent = -1);
 
 }  // namespace anor::engine::sweep

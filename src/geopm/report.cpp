@@ -1,5 +1,6 @@
 #include "geopm/report.hpp"
 
+#include <cmath>
 #include <sstream>
 
 namespace anor::geopm {
@@ -26,16 +27,14 @@ std::ostream& operator<<(std::ostream& out, const JobReport& report) {
 
 util::Json JobReport::to_json() const {
   util::JsonObject obj;
-  obj["job"] = util::Json(job_name);
-  obj["agent"] = util::Json(agent_name);
-  obj["nodes"] = util::Json(node_count);
-  obj["runtime_s"] = util::Json(runtime_s);
-  obj["compute_runtime_s"] = util::Json(compute_runtime_s);
-  obj["package_energy_j"] = util::Json(package_energy_j);
-  obj["average_power_w"] = util::Json(average_power_w);
-  obj["epoch_count"] = util::Json(static_cast<double>(epoch_count));
-  obj["average_cap_w"] = util::Json(average_cap_w);
+  visit_fields([&](const char* key, const auto& value) { obj[key] = util::Json(value); });
   return util::Json(std::move(obj));
+}
+
+void JobReport::write_json(util::JsonWriter& out) const {
+  out.begin_object();
+  visit_fields([&](const char* key, const auto& value) { out.key(key).value(value); });
+  out.end_object();
 }
 
 JobReport JobReport::from_json(const util::Json& json) {
@@ -49,6 +48,30 @@ JobReport JobReport::from_json(const util::Json& json) {
   report.average_power_w = json.number_or("average_power_w", 0.0);
   report.epoch_count = json.at("epoch_count").as_int();
   report.average_cap_w = json.number_or("average_cap_w", 0.0);
+  return report;
+}
+
+JobReport JobReport::read_json(util::JsonCursor& in) {
+  // visit_fields order; agent and the three derived figures are optional,
+  // as in from_json.
+  static constexpr std::array<std::string_view, 9> kKeys = {
+      "agent",       "average_cap_w", "average_power_w",  "compute_runtime_s", "epoch_count",
+      "job",         "nodes",         "package_energy_j", "runtime_s"};
+  constexpr std::uint32_t kRequired = 1u << 4 | 1u << 5 | 1u << 6 | 1u << 7 | 1u << 8;
+  JobReport report;
+  in.read_object(kKeys, kRequired, [&](std::size_t field) {
+    switch (field) {
+      case 0: in.string(report.agent_name); break;
+      case 1: report.average_cap_w = in.number(); break;
+      case 2: report.average_power_w = in.number(); break;
+      case 3: report.compute_runtime_s = in.number(); break;
+      case 4: report.epoch_count = std::llround(in.number()); break;
+      case 5: in.string(report.job_name); break;
+      case 6: report.node_count = static_cast<int>(std::llround(in.number())); break;
+      case 7: report.package_energy_j = in.number(); break;
+      case 8: report.runtime_s = in.number(); break;
+    }
+  });
   return report;
 }
 

@@ -23,19 +23,23 @@ std::map<std::string, double> QosEvaluator::percentile_by_type(double p) const {
 }
 
 bool QosEvaluator::satisfied() const {
-  const auto quantiles = percentile_by_type(constraint_.probability * 100.0);
-  for (const auto& [type, q] : quantiles) {
-    if (q > constraint_.limit) return false;
-  }
-  return true;
+  return summarize(constraint_.probability * 100.0).satisfied;
 }
 
 double QosEvaluator::worst_quantile() const {
-  double worst = 0.0;
-  for (const auto& [type, q] : percentile_by_type(constraint_.probability * 100.0)) {
-    if (q > worst) worst = q;
+  return summarize(constraint_.probability * 100.0).worst_quantile;
+}
+
+QosSummary QosEvaluator::summarize(double p) const {
+  const double constraint_p = constraint_.probability * 100.0;
+  QosSummary summary;
+  for (auto& [type, values] : degradation_by_type()) {
+    const double q = util::percentile(values, constraint_p);
+    if (q > constraint_.limit) summary.satisfied = false;
+    if (q > summary.worst_quantile) summary.worst_quantile = q;
+    summary.percentile_by_type[type] = p == constraint_p ? q : util::percentile(values, p);
   }
-  return worst;
+  return summary;
 }
 
 }  // namespace anor::sched

@@ -32,6 +32,13 @@ struct QosConstraint {
   double probability = 0.9;  // ... with at least this probability
 };
 
+/// Per-type percentiles and the constraint verdict from one grouping pass.
+struct QosSummary {
+  std::map<std::string, double> percentile_by_type;
+  bool satisfied = true;
+  double worst_quantile = 0.0;
+};
+
 class QosEvaluator {
  public:
   explicit QosEvaluator(QosConstraint constraint = {}) : constraint_(constraint) {}
@@ -53,6 +60,10 @@ class QosEvaluator {
 
   /// Worst (highest) constraint-quantile Q across types; 0 if no jobs.
   double worst_quantile() const;
+
+  /// percentile_by_type(p), satisfied() and worst_quantile() at once,
+  /// grouping the records by type a single time.
+  QosSummary summarize(double p) const;
 
  private:
   QosConstraint constraint_;

@@ -49,7 +49,14 @@ void NodeTable::advance_progress(int begin, int end, double dt_s) {
   for (int n = begin; n < end; ++n) progress[n] += rate[n] * dt_s;
 }
 
-void NodeTable::advance_progress_batch(int begin, int end, double dt_s, long substeps) {
+// Cache-line aligned so the 14-byte inner add loop always sits inside one
+// 64-byte line.  Its placement otherwise follows whatever code links
+// before src/sim: on a 4-vCPU x86-64 host, 32 bytes of padding there put
+// the loop across a line boundary and cost the wide-job tabular workload
+// 0-9 % of its sim rate, and a 5.6 KB shrink of that code cost 5-20 %,
+// all of it inside the unchanged progress sweep.
+[[gnu::aligned(64)]] void NodeTable::advance_progress_batch(int begin, int end, double dt_s,
+                                                            long substeps) {
   if (substeps <= 0) return;
   double* progress = progress_.data();
   const double* rate = rate_.data();

@@ -209,7 +209,7 @@ TEST(SweepExecutorTest, ReportJsonCarriesCacheProvenance) {
   // Cache off: every cell reports "off" and no key is canonicalized.
   SweepOptions off;
   off.cache = CacheConfig::off();
-  const util::Json off_doc = sweep_report_json(run_sweep(grid, off));
+  const util::Json off_doc = util::Json::parse(sweep_report_json(run_sweep(grid, off)).dump());
   EXPECT_EQ(off_doc.at("schema").as_string(), "anor.sweep_result.v1");
   EXPECT_EQ(off_doc.at("cells").as_array().size(), 4u);
   for (const util::Json& cell : off_doc.at("cells").as_array()) {
@@ -222,7 +222,7 @@ TEST(SweepExecutorTest, ReportJsonCarriesCacheProvenance) {
   SweepOptions memory_only;
   memory_only.cache.memory = true;
   memory_only.cache.disk = false;
-  const util::Json doc = sweep_report_json(run_sweep(grid, memory_only));
+  const util::Json doc = util::Json::parse(sweep_report_json(run_sweep(grid, memory_only)).dump());
   for (const util::Json& cell : doc.at("cells").as_array()) {
     EXPECT_EQ(cell.at("cache").as_string(), "miss");
     EXPECT_EQ(cell.at("key").as_string().size(), 16u);

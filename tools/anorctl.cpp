@@ -494,12 +494,12 @@ int cmd_sweep(const Args& args) {
             << " disk, " << stats.invalidated << " invalidated)\n";
 
   if (args.has("out")) {
-    util::save_json_file(args.str("out"), engine::sweep::sweep_report_json(report));
+    util::save_json_file(args.str("out"), engine::sweep::sweep_report_json(report, 2));
     std::cout << "wrote sweep report to " << args.str("out") << "\n";
   }
   if (args.has("results-out")) {
     util::save_json_file(args.str("results-out"),
-                         engine::sweep::sweep_results_deterministic_json(report));
+                         engine::sweep::sweep_results_deterministic_json(report, 2));
     std::cout << "wrote deterministic results to " << args.str("results-out") << "\n";
   }
 
