@@ -15,31 +15,31 @@ namespace {
 using namespace anor;
 
 util::TrackingErrorStats run_with_gain(bool closed_loop, double gain, double limit_w) {
-  core::Experiment experiment;
-  experiment.base = bench::paper_emulation_base();
-  experiment.base.scheduler.power_aware_admission = true;
-  experiment.base.manager.closed_loop = closed_loop;
-  experiment.base.manager.integral_gain_per_s = gain;
-  experiment.base.manager.correction_limit_w = limit_w;
-  experiment.node_count = 16;
-  experiment.policy = core::PolicyRef("characterized");
-  experiment.seed = 9;
+  cluster::EmulationConfig base = bench::paper_emulation_base();
+  base.scheduler.power_aware_admission = true;
+  base.manager.closed_loop = closed_loop;
+  base.manager.integral_gain_per_s = gain;
+  base.manager.correction_limit_w = limit_w;
+  engine::ScenarioSpec spec;
+  spec.node_count = 16;
+  spec.policy = engine::PolicyRef("characterized");
+  spec.seed = 9;
 
   workload::PoissonScheduleConfig schedule_config;
   schedule_config.duration_s = 3600.0;
   schedule_config.utilization = 0.95;
   schedule_config.cluster_nodes = 16;
-  experiment.schedule = workload::generate_poisson_schedule(
+  spec.schedule = workload::generate_poisson_schedule(
       workload::nas_long_job_types(), schedule_config, util::Rng(9).child("schedule"));
-  experiment.targets = core::fig9_targets(9);
+  spec.targets = workload::fig9_targets(9);
 
-  const auto result = core::run_experiment(experiment);
+  const auto result = engine::run_scenario(spec, base);
   util::TimeSeries measured;
   for (std::size_t i = 0; i < result.power_w.size(); ++i) {
     const double t = result.power_w.times()[i];
     if (t >= 300.0 && t <= 3600.0) measured.add(t, result.power_w.values()[i]);
   }
-  return util::tracking_error(measured, result.target_w, core::fig9_bid().reserve_w);
+  return util::tracking_error(measured, result.target_w, workload::fig9_bid().reserve_w);
 }
 
 }  // namespace

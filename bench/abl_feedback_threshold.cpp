@@ -21,19 +21,19 @@ int main() {
     util::RunningStats bt;
     util::RunningStats sp;
     for (int trial = 0; trial < 3; ++trial) {
-      core::Experiment experiment;
-      experiment.base = bench::paper_emulation_base();
-      experiment.base.scheduler.power_aware_admission = false;
-      experiment.base.endpoint.reclassifier.divergence_threshold = threshold;
-      experiment.node_count = 4;
-      experiment.policy = core::PolicyRef("adjusted");
-      experiment.seed = 100 + static_cast<std::uint64_t>(trial);
+      cluster::EmulationConfig base = bench::paper_emulation_base();
+      base.scheduler.power_aware_admission = false;
+      base.endpoint.reclassifier.divergence_threshold = threshold;
+      engine::ScenarioSpec spec;
+      spec.node_count = 4;
+      spec.policy = engine::PolicyRef("adjusted");
+      spec.seed = 100 + static_cast<std::uint64_t>(trial);
       workload::JobRequest bt_req{0, "bt.D.x", 0.0, 2, "is.D.x"};
       workload::JobRequest sp_req{1, "sp.D.x", 0.0, 2, ""};
-      experiment.schedule.jobs = {bt_req, sp_req};
-      experiment.schedule.duration_s = 1.0;
-      experiment.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
-      const auto result = core::run_experiment(experiment);
+      spec.schedule.jobs = {bt_req, sp_req};
+      spec.schedule.duration_s = 1.0;
+      spec.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
+      const auto result = engine::run_scenario(spec, base);
       for (const auto& job : result.completed) {
         (job.request.type_name == "bt.D.x" ? bt : sp).add(job.slowdown());
       }

@@ -17,13 +17,13 @@ namespace {
 
 using namespace anor;
 
-double run(core::PolicyRef policy, std::uint64_t seed) {
-  core::Experiment experiment;
-  experiment.base = bench::paper_emulation_base();
-  experiment.base.scheduler.power_aware_admission = false;
-  experiment.node_count = 4;
-  experiment.policy = policy;
-  experiment.seed = seed;
+double run(engine::PolicyRef policy, std::uint64_t seed) {
+  cluster::EmulationConfig base = bench::paper_emulation_base();
+  base.scheduler.power_aware_admission = false;
+  engine::ScenarioSpec spec;
+  spec.node_count = 4;
+  spec.policy = policy;
+  spec.seed = seed;
 
   // The phased job: 100 IS-like epochs then 100 BT-like epochs, with the
   // BT phase's heavier per-epoch cost.
@@ -32,20 +32,20 @@ double run(core::PolicyRef policy, std::uint64_t seed) {
   is_half.base_epoch_s = 0.9;  // long enough that the phase matters
   workload::JobType bt_half = workload::find_job_type("bt.D.x");
   bt_half.epochs = 100;
-  experiment.base.phase_overrides["is.D.x"] = {{is_half}, {bt_half}};
+  base.phase_overrides["is.D.x"] = {{is_half}, {bt_half}};
 
   workload::JobRequest phased{0, "is.D.x", 0.0, 2, ""};  // classified as IS
   workload::JobRequest co{1, "sp.D.x", 0.0, 2, ""};
-  experiment.schedule.jobs = {phased, co};
-  experiment.schedule.duration_s = 1.0;
-  experiment.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
+  spec.schedule.jobs = {phased, co};
+  spec.schedule.duration_s = 1.0;
+  spec.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
 
-  const auto result = core::run_experiment(experiment);
+  const auto result = engine::run_scenario(spec, base);
   for (const auto& job : result.completed) {
     if (job.request.job_id == 0) {
       // Reference runtime: both phases uncapped plus setup/teardown.
-      const double uncapped = experiment.base.controller.kernel.setup_s +
-                              experiment.base.controller.kernel.teardown_s +
+      const double uncapped = base.controller.kernel.setup_s +
+                              base.controller.kernel.teardown_s +
                               is_half.min_exec_time_s() + bt_half.min_exec_time_s();
       return (job.end_s - job.start_s) / uncapped - 1.0;
     }
@@ -63,11 +63,11 @@ int main() {
 
   struct Row {
     const char* label;
-    core::PolicyRef policy;
+    engine::PolicyRef policy;
   };
   const Row rows[] = {
-      {"Characterized (believes IS throughout)", core::PolicyRef("characterized")},
-      {"Adjusted (feedback re-detects at phase change)", core::PolicyRef("adjusted")},
+      {"Characterized (believes IS throughout)", engine::PolicyRef("characterized")},
+      {"Adjusted (feedback re-detects at phase change)", engine::PolicyRef("adjusted")},
   };
   util::TextTable table({"policy", "phased_job_slowdown%", "sd"});
   std::vector<std::vector<double>> csv_rows;

@@ -1,10 +1,10 @@
 // Simulator scaling bench: sweeps node counts and step-worker counts over
 // the seeded tracking scenario and writes BENCH_sim.json (schema
 // documented in README.md).  For every case it reports steps/sec and
-// ns/node-tick from an uninstrumented run, the sim.phase_us breakdown
-// from a second instrumented run, and an FNV-1a hash over the power trace
-// and QoS records; sharded cases must reproduce the serial hash
-// bit-for-bit or the bench exits nonzero.
+// ns/node-tick from an uninstrumented run, the span profiler's per-phase
+// breakdown from a second instrumented run, and an FNV-1a hash over the
+// power trace and QoS records; sharded cases must reproduce the serial
+// hash bit-for-bit or the bench exits nonzero.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -17,10 +17,8 @@
 
 #include "engine/scenario.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/prof/prof.hpp"
 #include "util/json.hpp"
-#include "workload/schedule.hpp"
 
 using namespace anor;
 
@@ -28,7 +26,6 @@ namespace {
 
 constexpr std::uint64_t kSeed = 42;
 constexpr double kUtilization = 0.75;
-const char* const kPhases[] = {"update_nodes", "complete", "admit", "control", "log"};
 
 std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -66,26 +63,8 @@ sim::SimConfig make_config(const CaseSpec& spec, bool telemetry) {
 }
 
 RunOutcome run_case(const CaseSpec& spec, bool telemetry) {
-  const sim::SimConfig config = make_config(spec, telemetry);
-  util::Rng rng(kSeed);
-  std::vector<workload::JobType> gen_types;
-  gen_types.reserve(config.job_types.size());
-  for (const sim::SimJobType& t : config.job_types) {
-    workload::JobType gt;
-    gt.name = t.name;
-    gt.nodes = t.nodes;
-    gt.base_epoch_s = t.time_at_pmax_s / 100.0;
-    gt.epochs = 100;
-    gen_types.push_back(std::move(gt));
-  }
-  workload::PoissonScheduleConfig sched_config;
-  sched_config.duration_s = config.duration_s;
-  sched_config.utilization = kUtilization;
-  sched_config.cluster_nodes = config.node_count;
-  const workload::Schedule schedule =
-      workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule"));
-
-  sim::TabularSimulator simulator(config, schedule, rng.child("sim"));
+  sim::TabularSimulator simulator =
+      sim::make_simulation(make_config(spec, telemetry), kUtilization, kSeed);
   const auto t0 = std::chrono::steady_clock::now();
   const sim::SimResult r = simulator.run();
   RunOutcome out;
@@ -108,11 +87,6 @@ std::string hash_hex(std::uint64_t h) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
   return std::string(buf);
-}
-
-telemetry::Histogram& phase_cell(const char* phase) {
-  return telemetry::MetricsRegistry::global().histogram(
-      "sim.phase_us", telemetry::exponential_bounds(1.0, 4.0, 10), {{"phase", phase}});
 }
 
 }  // namespace
@@ -145,22 +119,11 @@ int main(int argc, char** argv) {
     // Timed, uninstrumented run.
     const RunOutcome timed = run_case(spec, /*telemetry=*/false);
 
-    // Instrumented re-run for the phase breakdown; the global registry
-    // accumulates across cases, so record deltas.
-    struct Snapshot {
-      std::uint64_t count;
-      double sum;
-    };
-    std::vector<Snapshot> before;
-    for (const char* phase : kPhases) {
-      auto& cell = phase_cell(phase);
-      before.push_back({cell.count(), cell.sum()});
-    }
-    // The span profiler rides along on the instrumented run: per-phase
-    // wall attribution with quantiles, and a second determinism witness
-    // (the hash check below also proves profiling never touches sim
-    // state).  A small trace ring keeps the 100k-node cases cheap; phase
-    // statistics cover every span regardless.
+    // Instrumented re-run (telemetry and the span profiler on) for the
+    // per-phase wall attribution with quantiles, and a second determinism
+    // witness (the hash check below also proves instrumentation never
+    // touches sim state).  A small trace ring keeps the 100k-node cases
+    // cheap; phase statistics cover every span regardless.
     telemetry::prof::Profiler& profiler = telemetry::prof::Profiler::global();
     profiler.set_trace_capacity(4096);
     profiler.reset();
@@ -177,17 +140,6 @@ int main(int argc, char** argv) {
       phase["p95_us"] = util::Json(pr.p95_ns / 1e3);
       phase["p99_us"] = util::Json(pr.p99_ns / 1e3);
       prof_phases[pr.name] = util::Json(std::move(phase));
-    }
-    util::JsonObject phases;
-    for (std::size_t i = 0; i < std::size(kPhases); ++i) {
-      auto& cell = phase_cell(kPhases[i]);
-      const std::uint64_t count = cell.count() - before[i].count;
-      const double sum_us = cell.sum() - before[i].sum;
-      util::JsonObject phase;
-      phase["samples"] = util::Json(static_cast<double>(count));
-      phase["mean_us"] = util::Json(count > 0 ? sum_us / static_cast<double>(count) : 0.0);
-      phase["total_ms"] = util::Json(sum_us / 1000.0);
-      phases[kPhases[i]] = util::Json(std::move(phase));
     }
     if (instrumented.trace_hash != timed.trace_hash) hashes_consistent = false;
 
@@ -219,7 +171,6 @@ int main(int argc, char** argv) {
     // any other "off"/"miss" case — and never to a "hit" one
     // (compare_bench.py enforces this).
     entry["cache"] = util::Json(std::string("off"));
-    entry["phase_us"] = util::Json(std::move(phases));
     entry["profile"] = util::Json(std::move(prof_phases));
     cases.push_back(util::Json(std::move(entry)));
 

@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "core/framework.hpp"
-#include "core/policies.hpp"
+#include "cluster/emulation.hpp"
+#include "engine/runner.hpp"
 #include "util/stats.hpp"
 #include "workload/schedule.hpp"
 
@@ -36,7 +36,7 @@ struct StaticScenario {
   std::string misclassify_as;
   bool misclassify_all = false;
 
-  core::PolicyRef policy = core::PolicyRef("characterized");
+  engine::PolicyRef policy = "characterized";
   double budget_fraction_of_tdp = 0.75;
   int node_count = 4;
   std::uint64_t seed = 1;
@@ -44,12 +44,12 @@ struct StaticScenario {
 
 /// Runs the scenario once; returns per-true-type slowdowns (fraction).
 inline std::map<std::string, double> run_static_scenario(const StaticScenario& scenario) {
-  core::Experiment experiment;
-  experiment.base = paper_emulation_base();
-  experiment.base.scheduler.power_aware_admission = false;
-  experiment.node_count = scenario.node_count;
-  experiment.policy = scenario.policy;
-  experiment.seed = scenario.seed;
+  cluster::EmulationConfig base = paper_emulation_base();
+  base.scheduler.power_aware_admission = false;
+  engine::ScenarioSpec spec;
+  spec.node_count = scenario.node_count;
+  spec.policy = scenario.policy;
+  spec.seed = scenario.seed;
 
   int id = 0;
   int busy_nodes = 0;
@@ -60,13 +60,13 @@ inline std::map<std::string, double> run_static_scenario(const StaticScenario& s
     request.submit_time_s = 0.0;
     request.nodes = nodes;
     busy_nodes += nodes;
-    experiment.schedule.jobs.push_back(std::move(request));
+    spec.schedule.jobs.push_back(std::move(request));
   }
-  experiment.schedule.duration_s = 1.0;
+  spec.schedule.duration_s = 1.0;
 
   if (!scenario.misclassify_type.empty()) {
     bool labeled = false;
-    for (auto& job : experiment.schedule.jobs) {
+    for (auto& job : spec.schedule.jobs) {
       if (job.type_name == scenario.misclassify_type) {
         if (labeled && !scenario.misclassify_all) continue;
         job.classified_as = scenario.misclassify_as;
@@ -77,11 +77,11 @@ inline std::map<std::string, double> run_static_scenario(const StaticScenario& s
 
   // Budget: the stated fraction of TDP over the busy nodes, plus idle
   // headroom for the rest of the cluster.
-  experiment.static_budget_w =
+  spec.static_budget_w =
       busy_nodes * scenario.budget_fraction_of_tdp * workload::kNodeTdpW +
-      (scenario.node_count - busy_nodes) * experiment.base.manager.idle_node_power_w;
+      (scenario.node_count - busy_nodes) * base.manager.idle_node_power_w;
 
-  const cluster::EmulationResult result = core::run_experiment(experiment);
+  const engine::RunResult result = engine::run_scenario(spec, base);
   std::map<std::string, double> slowdowns;
   std::map<std::string, int> counts;
   for (const auto& job : result.completed) {

@@ -20,17 +20,17 @@ int main() {
 
   struct Row {
     const char* label;
-    core::PolicyRef policy;
+    engine::PolicyRef policy;
     const char* mis_type;
     const char* mis_as;
   };
   const Row rows[] = {
-      {"Performance Agnostic", core::PolicyRef("uniform"), "", ""},
-      {"Performance Aware", core::PolicyRef("characterized"), "", ""},
-      {"Under-estimate bt", core::PolicyRef("misclassified"), "bt.D.x", "is.D.x"},
-      {"Under-estimate bt, with feedback", core::PolicyRef("adjusted"), "bt.D.x", "is.D.x"},
-      {"Over-estimate sp", core::PolicyRef("misclassified"), "sp.D.x", "ep.D.x"},
-      {"Over-estimate sp, with feedback", core::PolicyRef("adjusted"), "sp.D.x", "ep.D.x"},
+      {"Performance Agnostic", engine::PolicyRef("uniform"), "", ""},
+      {"Performance Aware", engine::PolicyRef("characterized"), "", ""},
+      {"Under-estimate bt", engine::PolicyRef("misclassified"), "bt.D.x", "is.D.x"},
+      {"Under-estimate bt, with feedback", engine::PolicyRef("adjusted"), "bt.D.x", "is.D.x"},
+      {"Over-estimate sp", engine::PolicyRef("misclassified"), "sp.D.x", "ep.D.x"},
+      {"Over-estimate sp, with feedback", engine::PolicyRef("adjusted"), "sp.D.x", "ep.D.x"},
   };
 
   util::TextTable table({"policy", "bt_slowdown%", "bt_sd", "sp_slowdown%", "sp_sd"});

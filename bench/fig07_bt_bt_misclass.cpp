@@ -19,14 +19,14 @@ int main() {
 
   struct Row {
     const char* label;
-    core::PolicyRef policy;
+    engine::PolicyRef policy;
     bool misclassify;
   };
   const Row rows[] = {
-      {"Performance Agnostic", core::PolicyRef("uniform"), false},
-      {"Performance Aware", core::PolicyRef("characterized"), false},
-      {"Under-estimate bt", core::PolicyRef("misclassified"), true},
-      {"Under-estimate bt, with feedback", core::PolicyRef("adjusted"), true},
+      {"Performance Agnostic", engine::PolicyRef("uniform"), false},
+      {"Performance Aware", engine::PolicyRef("characterized"), false},
+      {"Under-estimate bt", engine::PolicyRef("misclassified"), true},
+      {"Under-estimate bt, with feedback", engine::PolicyRef("adjusted"), true},
   };
 
   util::TextTable table({"policy", "bt%", "bt_sd", "bt=is%", "bt=is_sd"});

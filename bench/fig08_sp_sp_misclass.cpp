@@ -18,14 +18,14 @@ int main() {
 
   struct Row {
     const char* label;
-    core::PolicyRef policy;
+    engine::PolicyRef policy;
     bool misclassify;
   };
   const Row rows[] = {
-      {"Performance Agnostic", core::PolicyRef("uniform"), false},
-      {"Performance Aware", core::PolicyRef("characterized"), false},
-      {"Over-estimate sp", core::PolicyRef("misclassified"), true},
-      {"Over-estimate sp, with feedback", core::PolicyRef("adjusted"), true},
+      {"Performance Agnostic", engine::PolicyRef("uniform"), false},
+      {"Performance Aware", engine::PolicyRef("characterized"), false},
+      {"Over-estimate sp", engine::PolicyRef("misclassified"), true},
+      {"Over-estimate sp, with feedback", engine::PolicyRef("adjusted"), true},
   };
 
   util::TextTable table({"policy", "sp%", "sp_sd", "sp=ep%", "sp=ep_sd"});

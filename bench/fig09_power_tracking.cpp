@@ -1,6 +1,6 @@
 // Figure 9 + the Sec. 6.3 tracking-error claims: one hour of job arrivals
 // on the 16-node cluster under power targets that move every 4 s within
-// [2.3, 4.5] kW.  Prints a decimated target-vs-measured trace plus the
+// [2.3, 4.3] kW.  Prints a decimated target-vs-measured trace plus the
 // tracking-error statistics per policy (the paper: worst case < 24 % of
 // reserve at least 90 % of the time, all others < 17 %).
 #include <iostream>
@@ -12,28 +12,26 @@ namespace {
 
 using namespace anor;
 
-core::Experiment make_experiment(core::PolicyRef policy, bool misclassify_bt,
-                                 std::uint64_t seed) {
-  core::Experiment experiment;
-  experiment.base = bench::paper_emulation_base();
-  experiment.base.scheduler.power_aware_admission = true;
-  experiment.node_count = 16;
-  experiment.policy = policy;
-  experiment.seed = seed;
+engine::ScenarioSpec make_spec(engine::PolicyRef policy, bool misclassify_bt,
+                               std::uint64_t seed) {
+  engine::ScenarioSpec spec;
+  spec.node_count = 16;
+  spec.policy = policy;
+  spec.seed = seed;
 
   workload::PoissonScheduleConfig schedule_config;
   schedule_config.duration_s = 3600.0;
   schedule_config.utilization = 0.95;
   schedule_config.cluster_nodes = 16;
-  experiment.schedule = workload::generate_poisson_schedule(
+  spec.schedule = workload::generate_poisson_schedule(
       workload::nas_long_job_types(), schedule_config, util::Rng(seed).child("schedule"));
-  if (misclassify_bt) workload::misclassify(experiment.schedule, "bt.D.x", "is.D.x");
+  if (misclassify_bt) workload::misclassify(spec.schedule, "bt.D.x", "is.D.x");
 
-  experiment.targets = core::fig9_targets(seed);
-  return experiment;
+  spec.targets = workload::fig9_targets(seed);
+  return spec;
 }
 
-util::TrackingErrorStats tracking_after_warmup(const cluster::EmulationResult& result,
+util::TrackingErrorStats tracking_after_warmup(const engine::RunResult& result,
                                                double warmup_s, double reserve_w) {
   util::TimeSeries measured;
   for (std::size_t i = 0; i < result.power_w.size(); ++i) {
@@ -51,14 +49,16 @@ int main() {
                       "1-hour time-varying power-target tracking, 16 nodes, "
                       "6 job types at 95% utilization");
 
-  const workload::DemandResponseBid bid = core::fig9_bid();
+  const workload::DemandResponseBid bid = workload::fig9_bid();
   std::cout << "committed flexibility: " << bid.average_power_w - bid.reserve_w << " .. "
             << bid.average_power_w + bid.reserve_w << " W (mean "
             << bid.average_power_w << ", reserve " << bid.reserve_w << ")\n\n";
 
   // --- the trace itself (characterized policy) ---
-  const auto experiment = make_experiment(core::PolicyRef("characterized"), false, 9);
-  const auto result = core::run_experiment(experiment);
+  cluster::EmulationConfig base = bench::paper_emulation_base();
+  base.scheduler.power_aware_admission = true;
+  const auto result =
+      engine::run_scenario(make_spec(engine::PolicyRef("characterized"), false, 9), base);
 
   util::TextTable trace({"t_s", "target_kW", "measured_kW"});
   std::vector<std::vector<double>> csv_rows;
@@ -76,21 +76,20 @@ int main() {
   // --- tracking error per policy (Sec. 6.3 text) ---
   struct Row {
     const char* label;
-    core::PolicyRef policy;
+    engine::PolicyRef policy;
     bool misclassify;
   };
   const Row rows[] = {
-      {"Uniform", core::PolicyRef("uniform"), false},
-      {"Characterized", core::PolicyRef("characterized"), false},
-      {"Misclassified (bt=is)", core::PolicyRef("misclassified"), true},
-      {"Adjusted (bt=is, feedback)", core::PolicyRef("adjusted"), true},
+      {"Uniform", engine::PolicyRef("uniform"), false},
+      {"Characterized", engine::PolicyRef("characterized"), false},
+      {"Misclassified (bt=is)", engine::PolicyRef("misclassified"), true},
+      {"Adjusted (bt=is, feedback)", engine::PolicyRef("adjusted"), true},
   };
   util::TextTable errors(
       {"policy", "p90_error%", "mean_error%", "within_30%_of_time", "jobs_done"});
   std::vector<std::vector<double>> error_rows;
   for (const Row& row : rows) {
-    const auto exp = make_experiment(row.policy, row.misclassify, 9);
-    const auto res = core::run_experiment(exp);
+    const auto res = engine::run_scenario(make_spec(row.policy, row.misclassify, 9), base);
     const auto stats = tracking_after_warmup(res, 300.0, bid.reserve_w);
     errors.add_row({row.label, util::TextTable::format_percent(stats.p90_error),
                     util::TextTable::format_percent(stats.mean_error),

@@ -15,26 +15,26 @@ namespace {
 
 using namespace anor;
 
-std::map<std::string, util::RunningStats> run_policy(core::PolicyRef policy,
+std::map<std::string, util::RunningStats> run_policy(engine::PolicyRef policy,
                                                      bool misclassify_bt,
                                                      std::uint64_t seed) {
-  core::Experiment experiment;
-  experiment.base = bench::paper_emulation_base();
-  experiment.base.scheduler.power_aware_admission = true;
-  experiment.node_count = 16;
-  experiment.policy = policy;
-  experiment.seed = seed;
+  cluster::EmulationConfig base = bench::paper_emulation_base();
+  base.scheduler.power_aware_admission = true;
+  engine::ScenarioSpec spec;
+  spec.node_count = 16;
+  spec.policy = policy;
+  spec.seed = seed;
 
   workload::PoissonScheduleConfig schedule_config;
   schedule_config.duration_s = 3600.0;
   schedule_config.utilization = 0.95;
   schedule_config.cluster_nodes = 16;
-  experiment.schedule = workload::generate_poisson_schedule(
+  spec.schedule = workload::generate_poisson_schedule(
       workload::nas_long_job_types(), schedule_config, util::Rng(seed).child("schedule"));
-  if (misclassify_bt) workload::misclassify(experiment.schedule, "bt.D.x", "is.D.x");
-  experiment.targets = core::fig9_targets(seed);
+  if (misclassify_bt) workload::misclassify(spec.schedule, "bt.D.x", "is.D.x");
+  spec.targets = workload::fig9_targets(seed);
 
-  const auto result = core::run_experiment(experiment);
+  const auto result = engine::run_scenario(spec, base);
   std::map<std::string, util::RunningStats> stats;
   for (const auto& job : result.completed) {
     stats[job.request.type_name].add(job.slowdown());
@@ -52,14 +52,14 @@ int main() {
 
   struct Row {
     const char* label;
-    core::PolicyRef policy;
+    engine::PolicyRef policy;
     bool misclassify;
   };
   const Row rows[] = {
-      {"Uniform", core::PolicyRef("uniform"), false},
-      {"Characterized", core::PolicyRef("characterized"), false},
-      {"Misclassified", core::PolicyRef("misclassified"), true},
-      {"Adjusted", core::PolicyRef("adjusted"), true},
+      {"Uniform", engine::PolicyRef("uniform"), false},
+      {"Characterized", engine::PolicyRef("characterized"), false},
+      {"Misclassified", engine::PolicyRef("misclassified"), true},
+      {"Adjusted", engine::PolicyRef("adjusted"), true},
   };
 
   std::vector<std::string> type_names;

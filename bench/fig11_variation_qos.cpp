@@ -9,8 +9,8 @@
 #include "bench_common.hpp"
 #include "platform/cluster_hw.hpp"
 #include "sim/simulator.hpp"
+#include "util/shard_workers.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 int main() {
   anor::bench::ArtifactScope artifacts("fig11_variation_qos");
@@ -36,8 +36,8 @@ int main() {
     util::RunningStats within30;
     std::mutex mutex;
 
-    util::ThreadPool pool;
-    pool.parallel_for(kTrials, [&](std::size_t trial) {
+    util::ShardWorkers team(0);  // one lane per hardware thread
+    team.parallel_for(kTrials, [&](std::size_t trial) {
       sim::SimConfig config;
       config.node_count = 1000;
       config.duration_s = 3600.0;

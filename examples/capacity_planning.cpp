@@ -5,7 +5,10 @@
 //   $ ./capacity_planning
 #include <iostream>
 
-#include "core/anor.hpp"
+#include "sched/bidder.hpp"
+#include "sched/weight_trainer.hpp"
+#include "sim/evaluators.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace anor;

@@ -6,24 +6,26 @@
 //   $ ./carbon_aware
 #include <iostream>
 
-#include "core/anor.hpp"
+#include "engine/runner.hpp"
+#include "util/table.hpp"
 #include "workload/grid_signals.hpp"
 
 namespace {
 
 using namespace anor;
 
-cluster::EmulationResult run_with_targets(const util::TimeSeries& targets,
-                                          const workload::Schedule& schedule) {
-  core::Experiment experiment;
-  experiment.node_count = 8;
-  experiment.policy = core::PolicyRef("characterized");
-  experiment.base.scheduler.power_aware_admission = true;
-  experiment.base.manager.control_period_s = 0.5;
-  experiment.base.endpoint.period_s = 0.5;
-  experiment.schedule = schedule;
-  experiment.targets = targets;
-  return core::run_experiment(experiment);
+engine::RunResult run_with_targets(const util::TimeSeries& targets,
+                                   const workload::Schedule& schedule) {
+  cluster::EmulationConfig base;
+  base.scheduler.power_aware_admission = true;
+  base.manager.control_period_s = 0.5;
+  base.endpoint.period_s = 0.5;
+  engine::ScenarioSpec spec;
+  spec.node_count = 8;
+  spec.policy = "characterized";
+  spec.schedule = schedule;
+  spec.targets = targets;
+  return engine::run_scenario(spec, base);
 }
 
 }  // namespace
@@ -52,7 +54,7 @@ int main() {
 
   // --- flat baseline at the same mean power budget ---
   const auto flat_targets =
-      core::constant_targets(carbon_targets.mean(), kHorizon, 60.0);
+      engine::constant_targets(carbon_targets.mean(), kHorizon, 60.0);
   const auto flat_run = run_with_targets(flat_targets, schedule);
 
   const double carbon_aware_g = workload::carbon_emitted_g(carbon_run.power_w, carbon);

@@ -10,7 +10,10 @@
 // paper policies — once it passes the same gates they are held to.
 #include <iostream>
 
-#include "core/anor.hpp"
+#include "engine/policy_admission.hpp"
+#include "engine/policy_registry.hpp"
+#include "engine/runner.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace anor;
@@ -19,7 +22,7 @@ int main() {
   //    of the cluster budget, clamped into the job's achievable cap range.
   //    (This is close to, but not the same as, the uniform policy — the
   //    slice ignores each job's power sensitivity entirely.)
-  core::PolicyRegistry::global().register_expression_policy(
+  engine::PolicyRegistry::global().register_expression_policy(
       "dsl-fairshare", "clamp(budget_w / total_nodes, p_min, p_max)",
       "equal per-node budget slice, clamped to the envelope");
 
@@ -32,7 +35,7 @@ int main() {
   options.chaos_duration_s = 120.0;
   options.chaos_node_count = 4;
   const engine::AdmissionReport report =
-      core::admit_policy(core::PolicyRef("dsl-fairshare"), options);
+      engine::admit_policy("dsl-fairshare", options);
   std::cout << report.describe();
   if (!report.passed()) {
     std::cerr << "dsl-fairshare failed admission\n";
@@ -54,7 +57,7 @@ int main() {
     spec.name = name;
     spec.backend = engine::Backend::kTabular;
     spec.schedule = schedule;
-    spec.policy = core::PolicyRef(name);
+    spec.policy = engine::PolicyRef(name);
     spec.static_budget_w = 8 * 165.0;
     spec.tracking_reserve_w = *spec.static_budget_w;
     spec.node_count = 8;

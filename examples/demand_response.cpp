@@ -7,14 +7,17 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/anor.hpp"
+#include "cluster/emulation.hpp"
+#include "engine/runner.hpp"
+#include "util/json.hpp"
+#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace anor;
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
 
   // --- the cluster offers flexibility for the next hour ---
-  const workload::DemandResponseBid bid = core::fig9_bid();
+  const workload::DemandResponseBid bid = workload::fig9_bid();
   std::cout << "bidding mean " << bid.average_power_w / 1000.0 << " kW, reserve "
             << bid.reserve_w / 1000.0 << " kW for the hour\n";
 
@@ -23,7 +26,7 @@ int main(int argc, char** argv) {
   // process does (Sec. 4.1: "reads power targets and a job submission
   // schedule from files").
   const std::string dir = "/tmp";
-  const util::TimeSeries targets = core::fig9_targets(seed);
+  const util::TimeSeries targets = workload::fig9_targets(seed);
   util::save_json_file(dir + "/anor_targets.json", cluster::power_targets_to_json(targets));
 
   workload::PoissonScheduleConfig schedule_config;
@@ -35,18 +38,19 @@ int main(int argc, char** argv) {
   schedule.save(dir + "/anor_schedule.json");
 
   // --- run the hour ---
-  core::Experiment experiment;
-  experiment.node_count = 16;
-  experiment.policy = core::PolicyRef("characterized");
-  experiment.seed = seed;
-  experiment.base.scheduler.power_aware_admission = true;
-  experiment.schedule = workload::Schedule::load(dir + "/anor_schedule.json");
-  experiment.targets =
+  cluster::EmulationConfig base;
+  base.scheduler.power_aware_admission = true;
+  engine::ScenarioSpec spec;
+  spec.node_count = 16;
+  spec.policy = "characterized";
+  spec.seed = seed;
+  spec.schedule = workload::Schedule::load(dir + "/anor_schedule.json");
+  spec.targets =
       cluster::power_targets_from_json(util::load_json_file(dir + "/anor_targets.json"));
 
-  std::cout << "running " << experiment.schedule.jobs.size()
+  std::cout << "running " << spec.schedule.jobs.size()
             << " job arrivals over one hour on 16 nodes...\n";
-  const cluster::EmulationResult result = core::run_experiment(experiment);
+  const engine::RunResult result = engine::run_scenario(spec, base);
 
   // --- report ---
   util::TimeSeries steady;

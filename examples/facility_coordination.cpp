@@ -7,7 +7,9 @@
 //   $ ./facility_coordination
 #include <iostream>
 
-#include "core/anor.hpp"
+#include "cluster/emulation.hpp"
+#include "cluster/facility.hpp"
+#include "util/table.hpp"
 
 namespace {
 

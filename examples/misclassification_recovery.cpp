@@ -6,23 +6,24 @@
 //   $ ./misclassification_recovery
 #include <iostream>
 
-#include "core/anor.hpp"
+#include "engine/runner.hpp"
+#include "util/table.hpp"
 
 namespace {
 
 using namespace anor;
 
-double run(core::PolicyRef policy, bool lie) {
-  core::Experiment experiment;
-  experiment.node_count = 4;
-  experiment.policy = policy;
-  experiment.schedule.jobs = {
+double run(engine::PolicyRef policy, bool lie) {
+  engine::ScenarioSpec spec;
+  spec.node_count = 4;
+  spec.policy = policy;
+  spec.schedule.jobs = {
       {0, "bt.D.x", 0.0, 2, lie ? "is.D.x" : ""},
       {1, "sp.D.x", 0.0, 2, ""},
   };
-  experiment.schedule.duration_s = 1.0;
-  experiment.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
-  const auto result = core::run_experiment(experiment);
+  spec.schedule.duration_s = 1.0;
+  spec.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
+  const auto result = engine::run_scenario(spec);
   for (const auto& job : result.completed) {
     if (job.request.type_name == "bt.D.x") return job.slowdown();
   }
@@ -38,16 +39,16 @@ int main() {
       "cluster capped at 75% of TDP.  The batch system believes BT is an IS\n"
       "job -- a type whose performance barely reacts to power.\n\n";
 
-  const double honest = run(core::PolicyRef("characterized"), false);
+  const double honest = run(engine::PolicyRef("characterized"), false);
   std::cout << "1. correctly classified, performance-aware budgeter:\n"
             << "   BT slowdown " << util::TextTable::format_percent(honest) << "\n\n";
 
-  const double lied = run(core::PolicyRef("misclassified"), true);
+  const double lied = run(engine::PolicyRef("misclassified"), true);
   std::cout << "2. misclassified as IS, no feedback:\n"
             << "   the budgeter starves BT of power (IS 'wouldn't care')\n"
             << "   BT slowdown " << util::TextTable::format_percent(lied) << "\n\n";
 
-  const double recovered = run(core::PolicyRef("adjusted"), true);
+  const double recovered = run(engine::PolicyRef("adjusted"), true);
   std::cout << "3. misclassified as IS, with the ANOR feedback loop:\n"
             << "   the job-tier modeler sees epochs arriving ~5x slower than the\n"
             << "   IS curve predicts, reclassifies against the precharacterized\n"

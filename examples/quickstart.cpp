@@ -8,32 +8,35 @@
 // schedule, pick a policy and a power objective, run, inspect results.
 #include <iostream>
 
-#include "core/anor.hpp"
+#include "engine/runner.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace anor;
 
   // 1. Describe the work: one BT (power-sensitive) and one SP (not) job,
   //    both submitted at t=0, two nodes each.
-  core::Experiment experiment;
-  experiment.node_count = 4;
-  experiment.schedule.jobs = {
+  engine::ScenarioSpec spec;
+  spec.node_count = 4;
+  spec.schedule.jobs = {
       {0, "bt.D.x", 0.0, 2, ""},
       {1, "sp.D.x", 0.0, 2, ""},
   };
-  experiment.schedule.duration_s = 1.0;
+  spec.schedule.duration_s = 1.0;
 
   // 2. Pick the power objective: a static cluster budget at 75 % of TDP.
-  experiment.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
+  spec.static_budget_w = 4 * 0.75 * workload::kNodeTdpW;
 
   // 3. Pick the policy: the performance-aware even-slowdown budgeter with
   //    correct precharacterized models.
-  experiment.policy = core::PolicyRef("characterized");
+  spec.policy = "characterized";
 
   // 4. Run.  The full two-tier stack executes: a cluster manager budgets
   //    power, per-job endpoints model performance, GEOPM-like agents
-  //    enforce caps through emulated RAPL registers.
-  const cluster::EmulationResult result = core::run_experiment(experiment);
+  //    enforce caps through emulated RAPL registers.  Setting
+  //    spec.backend = engine::Backend::kTabular runs the same scenario on
+  //    the tabular simulator instead.
+  const engine::RunResult result = engine::run_scenario(spec);
 
   // 5. Inspect.
   std::cout << "completed " << result.completed.size() << " jobs in "

@@ -1,7 +1,7 @@
 // ScenarioRunner: one dispatch point from a backend-agnostic ScenarioSpec
 // onto either evaluation stack.
 //
-// `run_scenario` is what core::run_experiment, the examples, and
+// `run_scenario` is what the figure benches, the examples, and
 // `anorctl run --backend={emulated,tabular}` all call: it applies the
 // policy, translates the power objective, runs the selected backend, and
 // finalizes the shared RunResult with the spec's tracking normalization —

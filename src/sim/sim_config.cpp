@@ -50,130 +50,6 @@ model::PowerPerfModel SimJobType::budget_model() const {
   return model::PowerPerfModel::fit(caps, times, p_min_w, p_max_w);
 }
 
-util::Json sim_config_to_json(const SimConfig& config) {
-  util::JsonObject obj;
-  obj["node_count"] = util::Json(config.node_count);
-  obj["idle_power_w"] = util::Json(config.idle_power_w);
-  obj["duration_s"] = util::Json(config.duration_s);
-  obj["step_s"] = util::Json(config.step_s);
-  obj["perf_variation_sigma"] = util::Json(config.perf_variation_sigma);
-  obj["budgeter"] = util::Json(budget::to_string(config.budgeter));
-  obj["power_aware_admission"] = util::Json(config.power_aware_admission);
-  obj["backfill"] = util::Json(config.backfill);
-  obj["single_queue"] = util::Json(config.single_queue);
-  obj["protect_at_risk_jobs"] = util::Json(config.protect_at_risk_jobs);
-  obj["at_risk_fraction"] = util::Json(config.at_risk_fraction);
-  obj["bid_mean_w"] = util::Json(config.bid.average_power_w);
-  obj["bid_reserve_w"] = util::Json(config.bid.reserve_w);
-  obj["regulation_step_s"] = util::Json(config.regulation_step_s);
-  obj["regulation_volatility"] = util::Json(config.regulation_volatility);
-  if (!config.power_targets.empty()) {
-    util::JsonArray t;
-    util::JsonArray v;
-    for (std::size_t i = 0; i < config.power_targets.size(); ++i) {
-      t.push_back(util::Json(config.power_targets.times()[i]));
-      v.push_back(util::Json(config.power_targets.values()[i]));
-    }
-    util::JsonObject targets;
-    targets["t_s"] = util::Json(std::move(t));
-    targets["power_w"] = util::Json(std::move(v));
-    obj["power_targets"] = util::Json(std::move(targets));
-  }
-  obj["tracking_reserve_w"] = util::Json(config.tracking_reserve_w);
-  obj["control_period_s"] = util::Json(config.control_period_s);
-  obj["tracking_warmup_s"] = util::Json(config.tracking_warmup_s);
-  obj["step_workers"] = util::Json(config.step_workers);
-  obj["step_shard_nodes"] = util::Json(config.step_shard_nodes);
-
-  util::JsonArray types;
-  for (const SimJobType& t : config.job_types) {
-    util::JsonObject type_obj;
-    type_obj["name"] = util::Json(t.name);
-    type_obj["nodes"] = util::Json(t.nodes);
-    type_obj["p_max_w"] = util::Json(t.p_max_w);
-    type_obj["p_min_w"] = util::Json(t.p_min_w);
-    type_obj["time_at_pmax_s"] = util::Json(t.time_at_pmax_s);
-    type_obj["time_at_pmin_s"] = util::Json(t.time_at_pmin_s);
-    type_obj["qos_limit"] = util::Json(t.qos_limit);
-    types.push_back(util::Json(std::move(type_obj)));
-  }
-  obj["job_types"] = util::Json(std::move(types));
-
-  if (!config.queue_weights.empty()) {
-    util::JsonObject weights;
-    for (const auto& [name, weight] : config.queue_weights) {
-      weights[name] = util::Json(weight);
-    }
-    obj["queue_weights"] = util::Json(std::move(weights));
-  }
-  return util::Json(std::move(obj));
-}
-
-SimConfig sim_config_from_json(const util::Json& json) {
-  SimConfig config;
-  config.node_count = static_cast<int>(json.number_or("node_count", config.node_count));
-  config.idle_power_w = json.number_or("idle_power_w", config.idle_power_w);
-  config.duration_s = json.number_or("duration_s", config.duration_s);
-  config.step_s = json.number_or("step_s", config.step_s);
-  config.perf_variation_sigma =
-      json.number_or("perf_variation_sigma", config.perf_variation_sigma);
-  const std::string budgeter = json.string_or("budgeter", "even-slowdown");
-  config.budgeter = budgeter == "even-power" ? budget::BudgeterKind::kEvenPower
-                                             : budget::BudgeterKind::kEvenSlowdown;
-  config.power_aware_admission =
-      json.bool_or("power_aware_admission", config.power_aware_admission);
-  config.backfill = json.bool_or("backfill", config.backfill);
-  config.single_queue = json.bool_or("single_queue", config.single_queue);
-  config.protect_at_risk_jobs =
-      json.bool_or("protect_at_risk_jobs", config.protect_at_risk_jobs);
-  config.at_risk_fraction = json.number_or("at_risk_fraction", config.at_risk_fraction);
-  config.bid.average_power_w = json.number_or("bid_mean_w", 0.0);
-  config.bid.reserve_w = json.number_or("bid_reserve_w", 0.0);
-  config.regulation_step_s = json.number_or("regulation_step_s", config.regulation_step_s);
-  config.regulation_volatility =
-      json.number_or("regulation_volatility", config.regulation_volatility);
-  if (json.contains("power_targets")) {
-    const util::Json& targets = json.at("power_targets");
-    const util::JsonArray& t = targets.at("t_s").as_array();
-    const util::JsonArray& v = targets.at("power_w").as_array();
-    for (std::size_t i = 0; i < std::min(t.size(), v.size()); ++i) {
-      config.power_targets.add(t[i].as_number(), v[i].as_number());
-    }
-  }
-  config.tracking_reserve_w =
-      json.number_or("tracking_reserve_w", config.tracking_reserve_w);
-  config.control_period_s = json.number_or("control_period_s", config.control_period_s);
-  config.tracking_warmup_s = json.number_or("tracking_warmup_s", config.tracking_warmup_s);
-  config.step_workers =
-      static_cast<int>(json.number_or("step_workers", config.step_workers));
-  config.step_shard_nodes =
-      static_cast<int>(json.number_or("step_shard_nodes", config.step_shard_nodes));
-
-  if (json.contains("standard_types")) {
-    const util::Json& standard = json.at("standard_types");
-    config.job_types = standard_sim_types(standard.bool_or("long_only", true),
-                                          static_cast<int>(standard.number_or("node_scale", 1)));
-  } else if (json.contains("job_types")) {
-    for (const util::Json& item : json.at("job_types").as_array()) {
-      SimJobType type;
-      type.name = item.at("name").as_string();
-      type.nodes = static_cast<int>(item.number_or("nodes", 1));
-      type.p_max_w = item.number_or("p_max_w", type.p_max_w);
-      type.p_min_w = item.number_or("p_min_w", type.p_min_w);
-      type.time_at_pmax_s = item.number_or("time_at_pmax_s", type.time_at_pmax_s);
-      type.time_at_pmin_s = item.number_or("time_at_pmin_s", type.time_at_pmin_s);
-      type.qos_limit = item.number_or("qos_limit", type.qos_limit);
-      config.job_types.push_back(std::move(type));
-    }
-  }
-  if (json.contains("queue_weights")) {
-    for (const auto& [name, weight] : json.at("queue_weights").as_object()) {
-      config.queue_weights[name] = weight.as_number();
-    }
-  }
-  return config;
-}
-
 std::vector<SimJobType> standard_sim_types(bool long_types_only, int node_scale) {
   const auto& types =
       long_types_only ? workload::nas_long_job_types() : workload::nas_job_types();

@@ -16,7 +16,6 @@
 
 #include "budget/budgeter.hpp"
 #include "model/perf_model.hpp"
-#include "util/json.hpp"
 #include "util/time_series.hpp"
 #include "workload/job_type.hpp"
 #include "workload/regulation.hpp"
@@ -72,8 +71,7 @@ struct SimConfig {
   /// When set, overrides `budgeter`: the policy registry's factory seam
   /// for custom (e.g. expression-DSL) budgeters.  The simulator wraps the
   /// product in the same telemetry decorator make_budgeter applies.
-  /// Excluded from JSON round-trips — custom policies travel by name
-  /// through ScenarioSpec, not through raw SimConfig documents.
+  /// Custom policies travel by name through ScenarioSpec.
   std::function<std::unique_ptr<budget::Budgeter>()> budgeter_factory;
   bool power_aware_admission = true;
   /// EASY backfill within queues (see sched::SchedulerConfig::backfill).
@@ -110,8 +108,9 @@ struct SimConfig {
   /// Queue weights for the scheduler (type name -> weight, default 1).
   std::map<std::string, double> queue_weights;
 
-  /// Record tick counts and per-phase wall-clock timing in the global
-  /// metrics registry (sim.ticks, sim.phase_us{phase=...}).
+  /// Record the tick count, cluster power and running-job count in the
+  /// global metrics registry (sim.ticks, sim.power_w, sim.running_jobs).
+  /// Per-phase wall time comes from the span profiler, not from here.
   bool telemetry_enabled = true;
 
   /// Shard the per-tick progress sweep across this many persistent
@@ -134,11 +133,5 @@ int resolve_step_shard_nodes(int node_count, int step_workers, int configured);
 
 /// The six-type / eight-type standard mixes, as SimJobTypes.
 std::vector<SimJobType> standard_sim_types(bool long_types_only, int node_scale);
-
-/// File-driven simulator configuration (anorctl simulate --config).
-/// Job types may be listed explicitly or referenced via
-/// {"standard_types": {"long_only": bool, "node_scale": int}}.
-util::Json sim_config_to_json(const SimConfig& config);
-SimConfig sim_config_from_json(const util::Json& json);
 
 }  // namespace anor::sim

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -13,37 +12,6 @@
 #include "util/logging.hpp"
 
 namespace anor::sim {
-
-namespace {
-
-/// Wall-clock (not virtual) duration of one simulator phase, recorded
-/// into a shared sim.phase_us histogram keyed by phase name.
-class PhaseTimer {
- public:
-  PhaseTimer(bool enabled, telemetry::Histogram* histogram)
-      : enabled_(enabled), histogram_(histogram) {
-    if (enabled_) start_ = std::chrono::steady_clock::now();
-  }
-  ~PhaseTimer() {
-    if (!enabled_) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    histogram_->observe(std::chrono::duration<double, std::micro>(elapsed).count());
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  bool enabled_;
-  telemetry::Histogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-telemetry::Histogram& phase_histogram(const char* phase) {
-  return telemetry::MetricsRegistry::global().histogram(
-      "sim.phase_us", telemetry::exponential_bounds(1.0, 4.0, 10), {{"phase", phase}});
-}
-
-}  // namespace
 
 TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule,
                                    util::Rng rng)
@@ -171,11 +139,6 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
   if (config_.telemetry_enabled) {
     auto& registry = telemetry::MetricsRegistry::global();
     metrics_.ticks = &registry.counter("sim.ticks");
-    metrics_.update = &phase_histogram("update_nodes");
-    metrics_.complete = &phase_histogram("complete");
-    metrics_.admit = &phase_histogram("admit");
-    metrics_.control = &phase_histogram("control");
-    metrics_.log = &phase_histogram("log");
     metrics_.power = &registry.gauge("sim.power_w");
     metrics_.running = &registry.gauge("sim.running_jobs");
   }
@@ -703,10 +666,6 @@ void TabularSimulator::build_engine() {
     now_s_ = engine_->now_s();
     step_index_ = engine_->step_index();
     if (config_.telemetry_enabled) metrics_.ticks->inc();
-    // Phase timing reads the wall clock twice per phase, which would
-    // dominate a short tick if done every step; sampling every 8th tick
-    // keeps the sim.phase_us distribution representative at <1 % overhead.
-    PhaseTimer timer(time_phases(), metrics_.update);
     update_nodes(dt);
   });
   // Completions, arrivals, and the log sampler are tens of ns on most
@@ -714,27 +673,16 @@ void TabularSimulator::build_engine() {
   // "engine.housekeeping" span instead of paying a clock read each.  Only
   // a tick on which jobs finish opens a "sim.complete" child span.
   engine_->add_component(
-      "complete_jobs", 0.0,
-      [this](double, double) {
-        PhaseTimer timer(time_phases(), metrics_.complete);
-        complete_finished_jobs();
-      },
+      "complete_jobs", 0.0, [this](double, double) { complete_finished_jobs(); },
       engine::DiscreteEngine::SpanMode::kHousekeeping);
   engine_->add_component(
-      "admit_arrivals", 0.0,
-      [this](double, double) {
-        PhaseTimer timer(time_phases(), metrics_.admit);
-        admit_arrivals();
-      },
+      "admit_arrivals", 0.0, [this](double, double) { admit_arrivals(); },
       engine::DiscreteEngine::SpanMode::kHousekeeping);
-  engine_->add_component("control", config_.control_period_s, [this](double, double) {
-    PhaseTimer timer(time_phases(), metrics_.control);
-    schedule_and_cap();
-  });
+  engine_->add_component("control", config_.control_period_s,
+                         [this](double, double) { schedule_and_cap(); });
   engine_->add_component(
       "log_sampler", 0.0,
       [this](double, double) {
-        PhaseTimer timer(time_phases(), metrics_.log);
         const double power_w = nodes_.total_power_w();
         result_.power_w.add(now_s_, power_w);
         if (regulation_ != nullptr || !config_.power_targets.empty()) {
@@ -743,9 +691,7 @@ void TabularSimulator::build_engine() {
         append_table_log();
         if (config_.telemetry_enabled) {
           metrics_.power->set(power_w);
-          if (time_phases()) {
-            metrics_.running->set(static_cast<double>(jobs_.running().size()));
-          }
+          metrics_.running->set(static_cast<double>(jobs_.running().size()));
         }
         if (artifacts_ != nullptr) artifacts_->maybe_sample(now_s_);
       },
@@ -795,8 +741,8 @@ SimResult TabularSimulator::run() {
   return result_;
 }
 
-SimResult run_simulation(const SimConfig& config, double utilization, std::uint64_t seed,
-                         telemetry::RunArtifactWriter* artifacts) {
+TabularSimulator make_simulation(const SimConfig& config, double utilization,
+                                 std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<workload::JobType> gen_types;
   gen_types.reserve(config.job_types.size());
@@ -812,9 +758,14 @@ SimResult run_simulation(const SimConfig& config, double utilization, std::uint6
   sched_config.duration_s = config.duration_s;
   sched_config.utilization = utilization;
   sched_config.cluster_nodes = config.node_count;
-  const workload::Schedule schedule =
-      workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule"));
-  TabularSimulator simulator(config, schedule, rng.child("sim"));
+  return TabularSimulator(
+      config, workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule")),
+      rng.child("sim"));
+}
+
+SimResult run_simulation(const SimConfig& config, double utilization, std::uint64_t seed,
+                         telemetry::RunArtifactWriter* artifacts) {
+  TabularSimulator simulator = make_simulation(config, utilization, seed);
   simulator.set_artifacts(artifacts);
   return simulator.run();
 }

@@ -125,10 +125,6 @@ class TabularSimulator {
   /// the first step; the clock advances after the phases, so they see the
   /// tick's start time as before).
   void build_engine();
-  /// Phase-timing sampler: every 8th tick, when telemetry is on.
-  bool time_phases() const {
-    return config_.telemetry_enabled && (step_index_ % 8) == 0;
-  }
   /// The only cap write: sets every node of the row to `cap_w` and queues
   /// the row for one rate/power refresh.  A write that does not change the
   /// row's cap returns at once (caps are rewritten every control period
@@ -208,11 +204,6 @@ class TabularSimulator {
   /// trials share the cells; updates are relaxed atomics).
   struct StepMetrics {
     telemetry::Counter* ticks = nullptr;
-    telemetry::Histogram* update = nullptr;
-    telemetry::Histogram* complete = nullptr;
-    telemetry::Histogram* admit = nullptr;
-    telemetry::Histogram* control = nullptr;
-    telemetry::Histogram* log = nullptr;
     telemetry::Gauge* power = nullptr;
     telemetry::Gauge* running = nullptr;
   };
@@ -234,10 +225,18 @@ class TabularSimulator {
   telemetry::RunArtifactWriter* artifacts_ = nullptr;
 };
 
-/// Convenience wrapper: build schedule + simulator from a config and seed,
-/// run, and return the result.  Used by benches and the bid/weight
-/// evaluators.  A non-null `artifacts` writer is sampled once per
-/// simulated second (the caller finalizes it).
+/// The simulator for a config, a utilization and a seed: a Poisson
+/// schedule of config.job_types (at their configured node counts) filling
+/// `utilization` of the cluster over config.duration_s, drawn from
+/// Rng(seed).child("schedule"), run on Rng(seed).child("sim").  This is the
+/// one mapping from those three inputs to a run; run_simulation, `anorctl
+/// simulate` (with or without --table-log) and bench_sim_scale all use it.
+TabularSimulator make_simulation(const SimConfig& config, double utilization,
+                                 std::uint64_t seed);
+
+/// Build with make_simulation, run, and return the result.  Used by
+/// benches and the bid/weight evaluators.  A non-null `artifacts` writer
+/// is sampled once per simulated second (the caller finalizes it).
 SimResult run_simulation(const SimConfig& config, double utilization, std::uint64_t seed,
                          telemetry::RunArtifactWriter* artifacts = nullptr);
 

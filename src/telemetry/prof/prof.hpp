@@ -22,9 +22,9 @@
 //
 // Collection contract: phase_report()/lanes()/reset() must run at a
 // quiescent point — after worker threads have joined or between
-// parallel_for calls (the pool's future synchronization orders their
-// writes before the collector's reads).  This library has no dependencies
-// (util::ThreadPool instruments itself with it); exporters live in
+// parallel_for calls (the team's completion latch orders their writes
+// before the collector's reads).  This library has no dependencies
+// (util::ShardWorkers instruments itself with it); exporters live in
 // telemetry/prof_export.hpp.
 #pragma once
 

@@ -1,15 +1,15 @@
-// Persistent shard workers: the rendezvous primitive under the sharded
-// stepping architecture (DESIGN.md 6h).
+// Persistent shard workers: the one parallel primitive in the codebase,
+// under the sharded stepping architecture (DESIGN.md 6h) and the benches'
+// seeded-trial fan-out alike.
 //
-// ThreadPool::parallel_for pays a queue lock, a wake, and a join per
-// dispatch — fine for benches that fan out seeded trials lasting seconds,
-// ruinous for a simulator tick whose sharded sweep lasts microseconds.  A
-// ShardWorkers team is the opposite trade: `workers` long-lived threads
-// are bound to the team for its lifetime, and a dispatch is one atomic
-// epoch bump.  Workers spin briefly on the epoch counter (they are almost
-// always already hot between consecutive simulator dispatches) before
-// parking in std::atomic::wait, run `task(worker)` exactly once for their
-// own lane, and count down a completion latch the caller spins on.
+// A simulator tick's sharded sweep lasts microseconds, so a dispatch
+// cannot afford a queue lock, a wake and a join.  Instead `workers`
+// long-lived threads are bound to the team for its lifetime, and a
+// dispatch is one atomic epoch bump.  Workers spin briefly on the epoch
+// counter (they are almost always already hot between consecutive
+// simulator dispatches) before parking in std::atomic::wait, run
+// `task(worker)` exactly once for their own lane, and count down a
+// completion latch the caller spins on.
 //
 // Determinism contract: the team never decides *what* is computed, only
 // *which lane* computes it.  Callers partition work by pure functions of
@@ -33,7 +33,8 @@ namespace anor::util {
 
 class ShardWorkers {
  public:
-  /// Spawns `workers` persistent threads (at least 1).
+  /// Spawns `workers` persistent threads; 0 means one per hardware
+  /// thread (at least 1).
   explicit ShardWorkers(std::size_t workers);
   ~ShardWorkers();
 

@@ -6,6 +6,7 @@
 // few seconds (4 s in the paper's real-cluster experiment, Sec. 6.3).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -65,5 +66,14 @@ struct DemandResponseBid {
 util::TimeSeries make_power_target_series(const DemandResponseBid& bid,
                                           const RegulationSignal& signal, double horizon_s,
                                           double update_period_s = 4.0);
+
+/// The demand-response bid implied by a 16-node cluster's cap range
+/// (the Fig. 9 committed flexibility).
+DemandResponseBid fig9_bid();
+
+/// The paper's Fig. 9 setup: one hour of targets in [2.3, 4.3] kW updated
+/// every 4 s around the committed mean, derived from a seeded regulation
+/// walk.
+util::TimeSeries fig9_targets(std::uint64_t seed, double horizon_s = 3600.0);
 
 }  // namespace anor::workload

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/emulation.hpp"
-#include "core/framework.hpp"
-#include "core/policies.hpp"
+#include "engine/policy_registry.hpp"
+#include "engine/runner.hpp"
 
 namespace anor::cluster {
 namespace {
@@ -116,21 +116,20 @@ TEST(EmulationInvariants, PowerSeriesMatchesHardwareScale) {
 }
 
 TEST(EmulationInvariants, PoliciesAllDrainTheSameSchedule) {
-  for (const core::PolicyRef policy :
-       {core::PolicyRef("uniform"), core::PolicyRef("characterized"),
-        core::PolicyRef("misclassified"), core::PolicyRef("adjusted")}) {
-    core::Experiment experiment;
-    experiment.base = invariant_config();
-    experiment.node_count = 6;
-    experiment.policy = policy;
-    experiment.schedule = busy_schedule();
-    if (core::expects_misclassification(policy)) {
-      workload::misclassify(experiment.schedule, "cg.D.x", "is.D.x");
+  for (const engine::PolicyRef policy :
+       {engine::PolicyRef("uniform"), engine::PolicyRef("characterized"),
+        engine::PolicyRef("misclassified"), engine::PolicyRef("adjusted")}) {
+    engine::ScenarioSpec spec;
+    spec.node_count = 6;
+    spec.policy = policy;
+    spec.schedule = busy_schedule();
+    if (engine::expects_misclassification(policy)) {
+      workload::misclassify(spec.schedule, "cg.D.x", "is.D.x");
     }
-    experiment.static_budget_w = 6 * 190.0;
-    const auto result = core::run_experiment(experiment);
+    spec.static_budget_w = 6 * 190.0;
+    const auto result = engine::run_scenario(spec, invariant_config());
     EXPECT_EQ(result.completed.size(), busy_schedule().jobs.size())
-        << core::to_string(policy);
+        << engine::to_string(policy);
   }
 }
 

@@ -135,9 +135,11 @@ TEST_F(ParityTest, PolicyOrderingConsistentAcrossBackends) {
 }
 
 TEST_F(ParityTest, EmulatedScenarioMatchesLegacyExperimentPath) {
-  // run_scenario on the emulated backend must be bit-identical to the
-  // historical core::run_experiment plumbing it replaced: same seed, same
-  // schedule, same policy => same power trace.
+  // run_scenario is the only emulated entry point (the figure benches,
+  // the examples and anorctl all go through it), so it must be
+  // reproducible: same seed, same schedule, same policy => a bit-identical
+  // power trace.  The test name predates the removal of the second entry
+  // point it was first compared against.
   ScenarioSpec spec;
   spec.schedule = parity_schedule();
   spec.policy = PolicyRef("characterized");

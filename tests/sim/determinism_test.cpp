@@ -11,12 +11,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <future>
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/schedule.hpp"
+#include "util/shard_workers.hpp"
 
 namespace anor::sim {
 namespace {
@@ -58,25 +56,7 @@ std::uint64_t run_seeded(int nodes, double duration_s, int step_workers, bool te
   config.step_workers = step_workers;
   config.step_shard_nodes = step_shard_nodes;
 
-  util::Rng rng(42);
-  std::vector<workload::JobType> gen_types;
-  for (const SimJobType& t : config.job_types) {
-    workload::JobType gt;
-    gt.name = t.name;
-    gt.nodes = t.nodes;
-    gt.base_epoch_s = t.time_at_pmax_s / 100.0;
-    gt.epochs = 100;
-    gen_types.push_back(std::move(gt));
-  }
-  workload::PoissonScheduleConfig sched_config;
-  sched_config.duration_s = config.duration_s;
-  sched_config.utilization = 0.75;
-  sched_config.cluster_nodes = config.node_count;
-  const workload::Schedule schedule =
-      workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule"));
-
-  TabularSimulator simulator(config, schedule, rng.child("sim"));
-  return trace_hash(simulator.run());
+  return trace_hash(make_simulation(config, 0.75, 42).run());
 }
 
 // Recorded from the seed run (power trace + QoS records, FNV-1a).  Any
@@ -143,16 +123,10 @@ TEST(SimDeterminism, ParallelSeededTrialsShareRegistrySafely) {
   // Four identical seeded trials run concurrently with telemetry on: they
   // hammer the same global MetricsRegistry from four threads (the TSan
   // target) and must still each produce the reference trace.
-  util::ThreadPool pool(4);
-  std::vector<std::future<void>> futures;
-  std::vector<std::uint64_t> hashes(4, 0);
-  for (int t = 0; t < 4; ++t) {
-    futures.push_back(pool.submit([&hashes, t] {
-      hashes[static_cast<std::size_t>(t)] = run_seeded(200, 300.0, 0, true);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  for (int t = 1; t < 4; ++t) EXPECT_EQ(hashes[static_cast<std::size_t>(t)], hashes[0]);
+  util::ShardWorkers team(4);
+  std::vector<std::uint64_t> hashes(team.worker_count(), 0);
+  team.run([&hashes](std::size_t lane) { hashes[lane] = run_seeded(200, 300.0, 0, true); });
+  for (std::size_t t = 1; t < hashes.size(); ++t) EXPECT_EQ(hashes[t], hashes[0]);
   EXPECT_NE(hashes[0], 0u);
 }
 

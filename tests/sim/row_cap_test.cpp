@@ -10,11 +10,9 @@
 // tools/check_tier1.sh).
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "workload/schedule.hpp"
 
 namespace anor::sim {
 namespace {
@@ -33,28 +31,10 @@ SimConfig row_cap_config(int nodes, int node_scale, int step_workers) {
   return config;
 }
 
-workload::Schedule row_cap_schedule(const SimConfig& config, util::Rng rng) {
-  std::vector<workload::JobType> gen_types;
-  for (const SimJobType& t : config.job_types) {
-    workload::JobType gt;
-    gt.name = t.name;
-    gt.nodes = t.nodes;
-    gt.base_epoch_s = t.time_at_pmax_s / 100.0;
-    gt.epochs = 100;
-    gen_types.push_back(std::move(gt));
-  }
-  workload::PoissonScheduleConfig sched_config;
-  sched_config.duration_s = config.duration_s;
-  sched_config.utilization = 0.8;
-  sched_config.cluster_nodes = config.node_count;
-  return workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule"));
-}
-
 /// Steps a run to the end, checking both invariants after every tick;
 /// `checked` counts the busy node-ticks whose rate was compared.
 void check_row_cap_invariants(const SimConfig& config, long& checked) {
-  util::Rng rng(7);
-  TabularSimulator sim(config, row_cap_schedule(config, rng), rng.child("sim"));
+  TabularSimulator sim = make_simulation(config, 0.8, 7);
   const NodeTable& nodes = sim.node_table();
   const JobTable& jobs = sim.job_table();
 

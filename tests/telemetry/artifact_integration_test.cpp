@@ -12,11 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "core/framework.hpp"
+#include "engine/runner.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 
-namespace anor::core {
+namespace anor::engine {
 namespace {
 
 namespace fs = std::filesystem;
@@ -28,16 +28,23 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-Experiment small_experiment(const std::string& artifact_dir) {
-  Experiment experiment;
-  experiment.base.node.package.response_tau_s = 0.0;
-  experiment.base.step_s = 0.25;
-  experiment.base.controller.kernel.time_noise_sigma = 0.0;
-  experiment.base.controller.kernel.power_noise_sigma_w = 0.0;
-  experiment.base.scheduler.power_aware_admission = false;
-  experiment.base.manager.control_period_s = 0.5;
-  experiment.base.endpoint.period_s = 0.5;
-  experiment.node_count = 4;
+/// Fast, noise-free emulation knobs for a 4-node closed loop.
+cluster::EmulationConfig small_base() {
+  cluster::EmulationConfig base;
+  base.node.package.response_tau_s = 0.0;
+  base.step_s = 0.25;
+  base.controller.kernel.time_noise_sigma = 0.0;
+  base.controller.kernel.power_noise_sigma_w = 0.0;
+  base.scheduler.power_aware_admission = false;
+  base.manager.control_period_s = 0.5;
+  base.endpoint.period_s = 0.5;
+  return base;
+}
+
+ScenarioSpec small_spec(const std::string& artifact_dir) {
+  ScenarioSpec spec;
+  spec.name = "experiment";
+  spec.node_count = 4;
 
   workload::JobRequest bt;
   bt.job_id = 0;
@@ -49,13 +56,13 @@ Experiment small_experiment(const std::string& artifact_dir) {
   sp.type_name = "sp.D.x";
   sp.submit_time_s = 0.0;
   sp.nodes = 2;
-  experiment.schedule.jobs = {bt, sp};
-  experiment.schedule.duration_s = 1.0;
+  spec.schedule.jobs = {bt, sp};
+  spec.schedule.duration_s = 1.0;
 
-  experiment.static_budget_w = 4 * 0.75 * 280.0;
-  experiment.artifact_dir = artifact_dir;
-  experiment.artifact_cadence_s = 1.0;
-  return experiment;
+  spec.static_budget_w = 4 * 0.75 * 280.0;
+  spec.artifact_dir = artifact_dir;
+  spec.artifact_cadence_s = 1.0;
+  return spec;
 }
 
 double metric_value(const util::Json& metrics, const std::string& key) {
@@ -81,7 +88,7 @@ TEST(ArtifactIntegration, ClosedLoopRunProducesParsableArtifacts) {
   telemetry::MetricsRegistry::global().reset_values();
   telemetry::TraceRecorder::global().clear();
 
-  const auto result = run_experiment(small_experiment(dir));
+  const auto result = run_scenario(small_spec(dir), small_base());
   ASSERT_EQ(result.completed.size(), 2u);
 
   // --- metrics.json: final registry snapshot with the run's vitals ---
@@ -140,4 +147,4 @@ TEST(ArtifactIntegration, ClosedLoopRunProducesParsableArtifacts) {
 }
 
 }  // namespace
-}  // namespace anor::core
+}  // namespace anor::engine

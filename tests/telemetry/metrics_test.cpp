@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
+#include "util/shard_workers.hpp"
 
 namespace anor::telemetry {
 namespace {
@@ -105,8 +105,8 @@ TEST(MetricsRegistry, ConcurrentUpdatesAreExact) {
 
   constexpr std::size_t kTasks = 8;
   constexpr int kPerTask = 20000;
-  util::ThreadPool pool(4);
-  pool.parallel_for(kTasks, [&](std::size_t task) {
+  util::ShardWorkers team(4);
+  team.parallel_for(kTasks, [&](std::size_t task) {
     for (int i = 0; i < kPerTask; ++i) {
       counter.inc();
       gauge.add(1.0);
@@ -125,8 +125,8 @@ TEST(MetricsRegistry, ConcurrentUpdatesAreExact) {
 
 TEST(MetricsRegistry, ConcurrentRegistrationIsSafe) {
   MetricsRegistry registry;
-  util::ThreadPool pool(4);
-  pool.parallel_for(16, [&](std::size_t task) {
+  util::ShardWorkers team(4);
+  team.parallel_for(16, [&](std::size_t task) {
     // All tasks race to register the same handful of keys.
     registry.counter("shared.counter", {{"i", std::to_string(task % 4)}}).inc();
   });

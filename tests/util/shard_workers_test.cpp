@@ -10,6 +10,8 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace anor::util {
@@ -70,10 +72,9 @@ TEST(ShardWorkers, SliceCoversRangeDisjointlyInOrder) {
 
 TEST(ShardWorkers, SliceUsesCeilBlocks) {
   // slice() hands out ceil(count/parts)-sized blocks with short or empty
-  // trailing slices — the same fixed boundaries parallel_for chunks by,
-  // so a team and a pool partition identically.  Every slice is bounded
-  // by the block length, and once a slice comes up empty all later ones
-  // are empty too.
+  // trailing slices — the same fixed boundaries parallel_for chunks by.
+  // Every slice is bounded by the block length, and once a slice comes up
+  // empty all later ones are empty too.
   for (std::size_t count : {100u, 101u, 1023u}) {
     for (std::size_t parts : {3u, 7u, 16u}) {
       const std::size_t block = (count + parts - 1) / parts;
@@ -111,29 +112,40 @@ TEST(ShardWorkers, ParallelSumMatchesSerial) {
 }
 
 TEST(ShardWorkers, ParallelForVisitsEveryIndexOnce) {
-  ShardWorkers team(4);
-  std::vector<std::atomic<int>> hits(1001);
-  team.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Zero-count dispatch is a no-op (and must not deadlock the team).
-  team.parallel_for(0, [&](std::size_t) { FAIL() << "body ran for count 0"; });
+  // (workers, count): more items than lanes, and more lanes than items
+  // (lanes past the last item get empty slices and must not touch it).
+  const std::pair<std::size_t, std::size_t> cases[] = {{4, 1001}, {8, 3}};
+  for (const auto& [workers, count] : cases) {
+    ShardWorkers team(workers);
+    std::vector<std::atomic<int>> hits(count);
+    team.parallel_for(hits.size(),
+                      [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << workers << " workers, " << count;
+    // Zero-count dispatch is a no-op (and must not deadlock the team).
+    team.parallel_for(0, [&](std::size_t) { FAIL() << "body ran for count 0"; });
+  }
 }
 
 TEST(ShardWorkers, ParallelForAssignsLaneOwnedSlices) {
-  // Index i must run on the lane whose slice(count, lanes, lane) owns it —
-  // the same fixed boundaries ThreadPool::parallel_for always chunked by.
+  // Each lane's slice(count, lanes, lane) must run entirely on one thread,
+  // and different lanes on different (persistent) threads.
   ShardWorkers team(3);
   const std::size_t count = 101;
-  std::vector<int> owner(count, -1);
-  team.parallel_for(count,
-                    [&](std::size_t i) { owner[i] = static_cast<int>(i); });
+  std::vector<std::thread::id> ran_on(count);
+  team.parallel_for(count, [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  std::vector<std::thread::id> lane_threads;
   for (std::size_t lane = 0; lane < team.worker_count(); ++lane) {
     const ShardWorkers::Slice s = ShardWorkers::slice(count, team.worker_count(), lane);
+    ASSERT_FALSE(s.empty());
     for (std::size_t i = s.begin; i < s.end; ++i) {
-      EXPECT_EQ(owner[i], static_cast<int>(i));
+      EXPECT_EQ(ran_on[i], ran_on[s.begin]) << "lane " << lane << " index " << i;
     }
+    lane_threads.push_back(ran_on[s.begin]);
   }
+  EXPECT_NE(lane_threads[0], lane_threads[1]);
+  EXPECT_NE(lane_threads[0], lane_threads[2]);
+  EXPECT_NE(lane_threads[1], lane_threads[2]);
+  EXPECT_NE(lane_threads[0], std::this_thread::get_id());
 }
 
 TEST(ShardWorkers, ParallelForRethrowsLowestLaneError) {

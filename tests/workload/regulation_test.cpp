@@ -87,5 +87,32 @@ TEST(PowerTargetSeries, GridAndRange) {
   EXPECT_THROW(make_power_target_series(bid, reg, 100.0, 0.0), std::invalid_argument);
 }
 
+TEST(Fig9Targets, RangeMatchesCommittedFlexibility) {
+  const auto bid = fig9_bid();
+  const auto targets = fig9_targets(3);
+  ASSERT_GT(targets.size(), 800u);  // one per 4 s over an hour
+  for (double v : targets.values()) {
+    EXPECT_GE(v, bid.average_power_w - bid.reserve_w - 1e-9);
+    EXPECT_LE(v, bid.average_power_w + bid.reserve_w + 1e-9);
+  }
+  // Lower edge matches the paper's 2.3 kW floor; the ceiling reflects the
+  // calibrated job types' achievable draw (see fig9_bid's comment).
+  EXPECT_DOUBLE_EQ(bid.average_power_w - bid.reserve_w, 2300.0);
+  EXPECT_GE(bid.average_power_w + bid.reserve_w, 4200.0);
+}
+
+TEST(Fig9Targets, SeedDeterminism) {
+  const auto a = fig9_targets(3);
+  const auto b = fig9_targets(3);
+  const auto c = fig9_targets(4);
+  ASSERT_EQ(a.size(), b.size());
+  bool differs = false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.values()[i], b.values()[i]);
+    differs |= a.values()[i] != c.values()[i];
+  }
+  EXPECT_TRUE(differs);
+}
+
 }  // namespace
 }  // namespace anor::workload

@@ -49,8 +49,13 @@
 //       if the cache hit rate lands below the threshold (CI smoke).
 //   anorctl simulate [--nodes N] [--duration S] [--utilization F]
 //       [--variation F] [--scale K] [--mean-per-node W] [--reserve-per-node W]
-//       [--seed K]
-//       Run the tabular cluster simulator and print QoS/tracking stats.
+//       [--seed K] [--table-log FILE] [--artifacts DIR]
+//       Run the tabular cluster simulator on a Poisson schedule of the
+//       long job types (node counts scaled by --scale) tracking a
+//       demand-response bid, and print QoS/tracking stats.  --table-log
+//       appends the node and job tables every 10th step (paper Sec. 5.6)
+//       without changing the run.  A tabular scenario file runs through
+//       `run --scenario FILE --backend tabular` instead.
 //   anorctl replay --report FILE
 //       Summarize a saved experiment report (produced by run --out).
 //   anorctl profile [--scenario FILE] [--backend emulated|tabular] [--nodes N]
@@ -99,10 +104,20 @@
 #include <vector>
 
 #include "budget/policy_dsl.hpp"
+#include "cluster/emulation.hpp"
 #include "cluster/metrics_service.hpp"
-#include "core/anor.hpp"
+#include "engine/policy_admission.hpp"
+#include "engine/policy_registry.hpp"
+#include "engine/runner.hpp"
+#include "engine/sweep/executor.hpp"
+#include "engine/sweep/sweep.hpp"
+#include "fault/chaos.hpp"
+#include "platform/cluster_hw.hpp"
+#include "sim/simulator.hpp"
 #include "telemetry/prof/prof.hpp"
 #include "telemetry/prof_export.hpp"
+#include "telemetry/telemetry.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/grid_signals.hpp"
 
@@ -192,8 +207,8 @@ int cmd_gen_targets(const Args& args) {
   util::TimeSeries targets;
   if (mode == "dr") {
     workload::DemandResponseBid bid;
-    bid.average_power_w = args.num("mean", core::fig9_bid().average_power_w);
-    bid.reserve_w = args.num("reserve", core::fig9_bid().reserve_w);
+    bid.average_power_w = args.num("mean", workload::fig9_bid().average_power_w);
+    bid.reserve_w = args.num("reserve", workload::fig9_bid().reserve_w);
     const workload::RandomWalkRegulation regulation(
         util::Rng(args.seed()).child("regulation"), duration + 60.0, period);
     targets = workload::make_power_target_series(bid, regulation, duration, period);
@@ -518,26 +533,25 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-int cmd_simulate(const Args& args) {
+/// Run `anorctl simulate` into `result`; returns the exit code.
+int simulate(const Args& args, sim::SimResult& result) {
   sim::SimConfig config;
-  if (args.has("config")) {
-    config = sim::sim_config_from_json(util::load_json_file(args.str("config")));
-    if (config.job_types.empty()) {
-      std::cerr << "config file lists no job types\n";
-      return 2;
-    }
-  } else {
-    config.node_count = static_cast<int>(args.num("nodes", 1000));
-    config.duration_s = args.num("duration", 3600.0);
-    config.perf_variation_sigma =
-        platform::sigma_from_band99(args.num("variation", 0.0));
-    config.job_types =
-        sim::standard_sim_types(true, static_cast<int>(args.num("scale", 25)));
-    config.bid.average_power_w = config.node_count * args.num("mean-per-node", 150.0);
-    config.bid.reserve_w = config.node_count * args.num("reserve-per-node", 18.0);
-    config.tracking_warmup_s = 300.0;
-  }
+  config.node_count = static_cast<int>(args.num("nodes", 1000));
+  config.duration_s = args.num("duration", 3600.0);
+  config.perf_variation_sigma = platform::sigma_from_band99(args.num("variation", 0.0));
+  config.job_types = sim::standard_sim_types(true, static_cast<int>(args.num("scale", 25)));
+  config.bid.average_power_w = config.node_count * args.num("mean-per-node", 150.0);
+  config.bid.reserve_w = config.node_count * args.num("reserve-per-node", 18.0);
+  config.tracking_warmup_s = 300.0;
 
+  std::ofstream log;
+  if (args.has("table-log")) {
+    log.open(args.str("table-log"));
+    if (!log) {
+      std::cerr << "cannot open " << args.str("table-log") << "\n";
+      return 1;
+    }
+  }
   std::unique_ptr<telemetry::RunArtifactWriter> artifacts;
   if (args.has("artifacts")) {
     telemetry::RunArtifactConfig artifact_config;
@@ -548,37 +562,24 @@ int cmd_simulate(const Args& args) {
         &telemetry::TraceRecorder::global());
   }
 
-  sim::SimResult result;
-  if (args.has("table-log")) {
-    // Run with the per-step table log the paper's simulator appends
-    // (Sec. 5.6); thinned to every 10th step to keep files manageable.
-    std::ofstream log(args.str("table-log"));
-    if (!log) {
-      std::cerr << "cannot open " << args.str("table-log") << "\n";
-      return 1;
-    }
-    util::Rng rng(args.seed());
-    std::vector<workload::JobType> gen_types;
-    for (const auto& t : workload::nas_long_job_types()) gen_types.push_back(t);
-    workload::PoissonScheduleConfig sc;
-    sc.duration_s = config.duration_s;
-    sc.utilization = args.num("utilization", 0.75);
-    sc.cluster_nodes = config.node_count;
-    const auto schedule =
-        workload::generate_poisson_schedule(gen_types, sc, rng.child("schedule"));
-    sim::TabularSimulator simulator(config, schedule, rng.child("sim"));
-    simulator.set_table_log(&log, 10);
-    simulator.set_artifacts(artifacts.get());
-    result = simulator.run();
-    std::cout << "table log written to " << args.str("table-log") << "\n";
-  } else {
-    result = sim::run_simulation(config, args.num("utilization", 0.75), args.seed(),
-                                 artifacts.get());
-  }
+  sim::TabularSimulator simulator =
+      sim::make_simulation(config, args.num("utilization", 0.75), args.seed());
+  // The per-step table log the paper's simulator appends (Sec. 5.6),
+  // thinned to every 10th step to keep files manageable.
+  if (log.is_open()) simulator.set_table_log(&log, 10);
+  simulator.set_artifacts(artifacts.get());
+  result = simulator.run();
+  if (log.is_open()) std::cout << "table log written to " << args.str("table-log") << "\n";
   if (artifacts != nullptr) {
     artifacts->finalize();
     std::cout << "wrote run artifacts to " << artifacts->dir() << "\n";
   }
+  return 0;
+}
+
+int cmd_simulate(const Args& args) {
+  sim::SimResult result;
+  if (const int rc = simulate(args, result); rc != 0) return rc;
 
   std::cout << "completed " << result.jobs_completed << "/" << result.jobs_submitted
             << " jobs, mean utilization "
@@ -1074,6 +1075,24 @@ int cmd_selftest() {
                           "--scale", "1", "--variation", "0.15"};
     Args args(10, const_cast<char**>(argv), 2);
     if (cmd_simulate(args) != 0) return 1;
+  }
+  // the table log records the run it rides on: at a --scale other than 1,
+  // the same flags with and without --table-log finish the same jobs
+  {
+    const std::string log_path = (dir / "table_log.csv").string();
+    const char* argv[] = {"anorctl", "simulate", "--nodes", "200", "--duration", "900",
+                          "--scale", "5", "--seed", "5", "--table-log", log_path.c_str()};
+    sim::SimResult plain;
+    sim::SimResult logged;
+    if (simulate(Args(10, const_cast<char**>(argv), 2), plain) != 0) return 1;
+    if (simulate(Args(12, const_cast<char**>(argv), 2), logged) != 0) return 1;
+    if (logged.jobs_submitted != plain.jobs_submitted ||
+        logged.jobs_completed != plain.jobs_completed) {
+      std::cerr << "selftest: simulate --table-log ran " << logged.jobs_completed << "/"
+                << logged.jobs_submitted << " jobs, without it "
+                << plain.jobs_completed << "/" << plain.jobs_submitted << "\n";
+      return 1;
+    }
   }
   std::cout << "selftest OK\n";
   return 0;

@@ -5,9 +5,9 @@
 # (the budgeter's hash table and grouped-decision fallback against the
 # job-ordered reference) and the streaming JSON writer, cache-entry
 # reader, Json::parse and export goldens (parsers of untrusted files),
-# and TSan over the simulator's sharded stepping, thread-pool chunking
-# and the result cache's concurrent stores and lookups (the paths that
-# share state across workers).
+# and TSan over the simulator's sharded stepping, the ShardWorkers
+# rendezvous and parallel_for chunking, and the result cache's concurrent
+# stores and lookups (the paths that share state across workers).
 #
 # Usage: tools/check_tier1.sh [build-dir]
 #   build-dir defaults to `build`; the sanitizer builds go to
@@ -159,7 +159,7 @@ export TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}"
 # rethrow); the budget filter runs the sharded even-slowdown solve
 # against serial.
 run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*:SimRowCaps.*'
-run_gtest "$tsan_dir/tests/util_test" 'ThreadPool.*:ParallelForEachIndex.*:ShardWorkers.*'
+run_gtest "$tsan_dir/tests/util_test" 'ShardWorkers.*'
 run_gtest "$tsan_dir/tests/platform_test" 'ClusterHw.ShardedStepMatchesSerialBitForBit'
 run_gtest "$tsan_dir/tests/budget_test" 'EvenSlowdown.ShardedSolveIsBitIdenticalToSerial'
 # The sweep executor layers run-level workers (atomic cursor, shared
