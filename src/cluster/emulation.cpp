@@ -1,6 +1,7 @@
 #include "cluster/emulation.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "model/default_models.hpp"
 #include "telemetry/metrics.hpp"
@@ -51,6 +52,8 @@ EmulatedCluster::EmulatedCluster(EmulationConfig config, workload::Schedule sche
               return a.submit_time_s < b.submit_time_s;
             });
   result_.qos = sched::QosEvaluator(config_.qos);
+  result_.completed.reserve(schedule_.jobs.size());
+  result_.qos.reserve(schedule_.jobs.size());
 }
 
 EmulatedCluster::~EmulatedCluster() {
@@ -337,6 +340,9 @@ bool EmulatedCluster::step() {
 }
 
 EmulationResult EmulatedCluster::run() {
+  if (result_taken_) {
+    throw std::logic_error("EmulatedCluster::run: the result was already handed over");
+  }
   while (step()) {
   }
   result_.end_time_s = clock_.now();
@@ -348,7 +354,8 @@ EmulationResult EmulatedCluster::run() {
   // Zero reserve derives half the observed target span — the emulation's
   // historical normalization.
   engine::finalize_tracking(result_, 0.0, 0.0);
-  return result_;
+  result_taken_ = true;
+  return std::move(result_);
 }
 
 }  // namespace anor::cluster

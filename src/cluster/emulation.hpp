@@ -98,7 +98,9 @@ class EmulatedCluster {
   /// detached with nullptr); the caller finalizes it.
   void attach_artifacts(telemetry::RunArtifactWriter* artifacts) { artifacts_ = artifacts; }
 
-  /// Run until the schedule drains (or max_duration_s).
+  /// Run until the schedule drains (or max_duration_s) and hand the
+  /// result over by move.  Callable once: a second call throws
+  /// std::logic_error.
   EmulationResult run();
 
   /// Single-step interface for tests.  Returns false when finished.
@@ -188,6 +190,7 @@ class EmulatedCluster {
   std::unique_ptr<engine::DiscreteEngine> engine_;
   double busy_node_seconds_ = 0.0;
   bool done_ = false;
+  bool result_taken_ = false;  // run() handed result_ over
 };
 
 }  // namespace anor::cluster

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "telemetry/prof/prof.hpp"
 #include "util/error.hpp"
@@ -45,11 +46,36 @@ void ScenarioSpec::validate() const {
   }
   // The tabular job table indexes rows by id, and fault plans read job
   // id -1 as "the lowest-numbered running job".
+  int max_id = 0;
   for (const workload::JobRequest& job : schedule.jobs) {
     if (job.job_id < 0) {
       throw util::ConfigError("ScenarioSpec: job id " + std::to_string(job.job_id) +
                               " is negative; ids must be >= 0");
     }
+    max_id = std::max(max_id, job.job_id);
+  }
+  // A repeated id would make the tabular backend lose a job that the
+  // emulated one runs.  Dense ids (the generators number 0..n-1) are
+  // checked with a flat seen-array, sparse ones with a sorted copy.
+  const auto duplicate = [](int id) {
+    return util::ConfigError("ScenarioSpec: job id " + std::to_string(id) +
+                             " appears more than once; ids must be unique");
+  };
+  const std::size_t jobs = schedule.jobs.size();
+  if (static_cast<std::size_t>(max_id) < 4 * jobs + 64) {
+    std::vector<char> seen(static_cast<std::size_t>(max_id) + 1, 0);
+    for (const workload::JobRequest& job : schedule.jobs) {
+      char& mark = seen[static_cast<std::size_t>(job.job_id)];
+      if (mark != 0) throw duplicate(job.job_id);
+      mark = 1;
+    }
+  } else {
+    std::vector<int> ids;
+    ids.reserve(jobs);
+    for (const workload::JobRequest& job : schedule.jobs) ids.push_back(job.job_id);
+    std::sort(ids.begin(), ids.end());
+    const auto repeat = std::adjacent_find(ids.begin(), ids.end());
+    if (repeat != ids.end()) throw duplicate(*repeat);
   }
 }
 

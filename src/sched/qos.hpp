@@ -44,6 +44,8 @@ class QosEvaluator {
   explicit QosEvaluator(QosConstraint constraint = {}) : constraint_(constraint) {}
 
   void add(JobQosRecord record);
+  /// Room for `jobs` records without reallocating.
+  void reserve(std::size_t jobs) { records_.reserve(jobs); }
   std::size_t job_count() const { return records_.size(); }
   const std::vector<JobQosRecord>& records() const { return records_; }
   const QosConstraint& constraint() const { return constraint_; }

@@ -109,9 +109,8 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
     }
   }
 
-  // Idle nodes draw idle power from t=0 (the rate column starts at 0, so
-  // the progress sweep needs no idle test).
-  for (int n = 0; n < config_.node_count; ++n) nodes_.set_power(n, config_.idle_power_w);
+  // Idle nodes draw idle power from t=0.
+  nodes_.set_idle_power_w(config_.idle_power_w);
 
   shard_nodes_ =
       resolve_step_shard_nodes(config_.node_count, config_.step_workers, config_.step_shard_nodes);
@@ -122,7 +121,6 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
     } else {
       workers_ = std::make_unique<util::ShardWorkers>(want);
     }
-    lane_touched_.resize(workers_->worker_count());
     const int shards = (config_.node_count + shard_nodes_ - 1) / shard_nodes_;
     if (shards < config_.step_workers) {
       util::log_warn("sim", "step_shard_nodes=" + std::to_string(shard_nodes_) + " yields " +
@@ -148,6 +146,8 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
               return a.submit_time_s < b.submit_time_s;
             });
   result_.jobs_submitted = static_cast<int>(schedule_.jobs.size());
+  result_.completed.reserve(schedule_.jobs.size());
+  result_.qos.reserve(schedule_.jobs.size());
 }
 
 void TabularSimulator::recycle(WarmStart& warm) {
@@ -179,97 +179,63 @@ double TabularSimulator::current_target_w() const {
 }
 
 void TabularSimulator::set_row_cap(std::size_t row_index, double cap_w) {
+  if (nodes_.row_cap_w(row_index) == cap_w) return;
+  nodes_.set_row_cap(row_index, cap_w);
+  queue_row_refresh(row_index);
+}
+
+void TabularSimulator::queue_row_refresh(std::size_t row_index) {
   JobRow& row = jobs_.row(row_index);
-  if (row.cap_w == cap_w) return;
-  row.cap_w = cap_w;
-  for (int n : row.nodes) nodes_.set_cap(n, cap_w);
   if (row.cap_queued) return;
   row.cap_queued = true;
   pending_rows_.push_back(row_index);
-  pending_row_nodes_ += row.nodes.size();
+  pending_row_lanes_ += row.lane >= 0 ? 1 : row.nodes.size();
 }
 
-void TabularSimulator::refresh_node_events(std::size_t begin, std::size_t end,
-                                           std::vector<int>& touched) {
-  const std::vector<int>& pending = nodes_.pending_refresh();
-  double* rate = nodes_.rate_data();
-  double* power = nodes_.power_data();
-  for (std::size_t i = begin; i < end; ++i) {
-    const int n = pending[i];
-    if (nodes_.idle(n)) {
-      rate[n] = 0.0;
-      power[n] = config_.idle_power_w;
-      continue;
-    }
-    // A job start always writes its row's cap, so the row event normally
-    // covers a newly assigned node; only a start cap equal to the row's
-    // initial 0 leaves it here.
-    const int row_index = nodes_.job_row(n);
-    const JobRow& row = jobs_.row(static_cast<std::size_t>(row_index));
-    if (row.cap_queued) continue;
-    const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-    rate[n] = type.progress_rate(nodes_.cap_w(n)) * nodes_.inv_perf_multiplier(n);
-    power[n] = type.power_at(nodes_.cap_w(n));
-    touched.push_back(row_index);
+template <class F>
+bool TabularSimulator::every_lane(const JobRow& row, F&& f) const {
+  if (row.lane >= 0) return f(row.lane, row.nodes.front());
+  for (int n : row.nodes) {
+    if (!f(nodes_.lane(n), n)) return false;
   }
+  return true;
 }
 
-void TabularSimulator::refresh_row_events(std::size_t begin, std::size_t end,
-                                          std::vector<int>& touched) {
-  double* rate = nodes_.rate_data();
-  double* power = nodes_.power_data();
+void TabularSimulator::refresh_lanes(std::size_t begin, std::size_t end) {
   for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t row_index = pending_rows_[i];
-    const JobRow& row = jobs_.row(row_index);
-    const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-    const double row_rate = type.progress_rate(row.cap_w);
-    const double row_power = type.power_at(row.cap_w);
-    // Multiply by the precomputed reciprocal instead of dividing per node.
+    JobRow& row = jobs_.row(pending_rows_[i]);
+    const double row_rate = job_type(row).progress_rate(nodes_.row_cap_w(pending_rows_[i]));
+    // Multiply by the lane's precomputed reciprocal instead of dividing.
     // With no performance variation the multiplier is exactly 1.0 and the
-    // product is the unscaled rate bit-for-bit; with variation the
-    // reformulation is uniform across worker counts, so parity holds.
-    for (int n : row.nodes) {
-      rate[n] = row_rate * nodes_.inv_perf_multiplier(n);
-      power[n] = row_power;
-    }
-    touched.push_back(static_cast<int>(row_index));
+    // product is the unscaled rate bit for bit.
+    every_lane(row, [&](int lane, int) {
+      nodes_.set_lane_rate(lane, row_rate * nodes_.lane_inv_multiplier(lane));
+      return true;
+    });
+    repredict_row_completion(row);
   }
 }
 
-void TabularSimulator::repredict_row_completion(int row_index) {
-  // Rates are constant until the next cap event, so "all nodes reach
+void TabularSimulator::repredict_row_completion(JobRow& row) {
+  // Rates are constant until the next cap event, so "all lanes reach
   // progress 1" cannot happen before now + max remaining time.  The
   // margin (relative 1e-9 plus two steps) covers the rounding drift of
   // the additive progress accumulation; the completion scan still does
-  // the exact per-node test once the skip window closes.  The prediction
+  // the exact per-lane test once the skip window closes.  The prediction
   // is a conservative gate, never hashed.
-  JobRow& row = jobs_.row(static_cast<std::size_t>(row_index));
   if (!row.started() || row.finished()) return;
   double max_remaining_s = 0.0;
-  if (config_.perf_variation_sigma == 0.0 && !row.nodes.empty()) {
-    // Uniform multipliers => every node of the row shares one rate, and
-    // division by a positive constant is monotone: the worst node is the
-    // least-progressed one.  One divide per row instead of per node.
-    double min_progress = nodes_.progress(row.nodes.front());
-    for (int n : row.nodes) min_progress = std::min(min_progress, nodes_.progress(n));
-    const double remaining = 1.0 - min_progress;
-    if (remaining > 0.0) {
-      const double rate = nodes_.rate(row.nodes.front());
-      max_remaining_s =
-          rate > 0.0 ? remaining / rate : std::numeric_limits<double>::infinity();
+  every_lane(row, [&](int lane, int) {
+    const double remaining = 1.0 - nodes_.lane_progress(lane);
+    if (remaining <= 0.0) return true;
+    const double rate = nodes_.lane_rate(lane);
+    if (rate <= 0.0) {
+      max_remaining_s = std::numeric_limits<double>::infinity();
+      return false;
     }
-  } else {
-    for (int n : row.nodes) {
-      const double remaining = 1.0 - nodes_.progress(n);
-      if (remaining <= 0.0) continue;
-      const double rate = nodes_.rate(n);
-      if (rate <= 0.0) {
-        max_remaining_s = std::numeric_limits<double>::infinity();
-        break;
-      }
-      max_remaining_s = std::max(max_remaining_s, remaining / rate);
-    }
-  }
+    max_remaining_s = std::max(max_remaining_s, remaining / rate);
+    return true;
+  });
   row.earliest_done_s = now_s_ + max_remaining_s * (1.0 - 1e-9) - 2.0 * config_.step_s;
 }
 
@@ -281,61 +247,42 @@ void TabularSimulator::recompute_min_earliest_done() {
   min_earliest_done_s_ = min_done;
 }
 
-void TabularSimulator::refresh_changed_nodes() {
-  const std::vector<int>& pending = nodes_.pending_refresh();
-  if (pending.empty() && pending_rows_.empty()) return;
+void TabularSimulator::refresh_rows() {
   ANOR_PROF_SCOPE("sim.refresh");
-
-  // Sharded refresh: node events are unique, rows own disjoint nodes, and a
-  // busy node event defers to its queued row, so lanes write disjoint
-  // rate/power entries, each a pure function of the tables — the partition
-  // cannot change any value.  Per-lane touched-row lists are merged in lane
-  // order and canonicalized by the sort below, so the touched set is
-  // worker-count-invariant too.
-  if (workers_ != nullptr &&
-      pending.size() + pending_row_nodes_ > static_cast<std::size_t>(shard_nodes_)) {
-    const std::size_t lanes = workers_->worker_count();
-    workers_->run([&](std::size_t lane) {
-      std::vector<int>& touched = lane_touched_[lane];
-      touched.clear();
-      const util::ShardWorkers::Slice nodes =
-          util::ShardWorkers::slice(pending.size(), lanes, lane);
-      refresh_node_events(nodes.begin, nodes.end, touched);
-      const util::ShardWorkers::Slice rows =
-          util::ShardWorkers::slice(pending_rows_.size(), lanes, lane);
-      refresh_row_events(rows.begin, rows.end, touched);
-    });
-    for (const std::vector<int>& touched : lane_touched_) {
-      touched_rows_.insert(touched_rows_.end(), touched.begin(), touched.end());
-    }
-  } else {
-    refresh_node_events(0, pending.size(), touched_rows_);
-    refresh_row_events(0, pending_rows_.size(), touched_rows_);
+  // Power sources move here and nowhere else, which is what makes a new
+  // cap take effect one tick late and a released node show its job's
+  // power for the tick it finished (and, when a job started on it in the
+  // same tick, until this refresh).  A finished row's nodes that are
+  // still idle draw idle power; a started row's nodes draw its power.
+  for (std::size_t row_index : finished_rows_) {
+    nodes_.draw_idle_power(jobs_.row(row_index).nodes);
   }
-  nodes_.mark_power_dirty();
-  nodes_.clear_pending_refresh();
+  for (std::size_t row_index : started_rows_) {
+    nodes_.draw_row_power(row_index, jobs_.row(row_index).nodes);
+  }
+  for (std::size_t row_index : pending_rows_) {
+    nodes_.set_row_power(row_index,
+                         job_type(jobs_.row(row_index)).power_at(nodes_.row_cap_w(row_index)));
+  }
+
+  // Sharded over rows when there are enough lanes to be worth a
+  // rendezvous: rows own disjoint lanes and predictions, each a pure
+  // function of the tables, so the partition cannot change any value.
+  if (workers_ != nullptr && pending_row_lanes_ > static_cast<std::size_t>(shard_nodes_)) {
+    const std::size_t workers = workers_->worker_count();
+    workers_->run([&](std::size_t worker) {
+      const util::ShardWorkers::Slice rows =
+          util::ShardWorkers::slice(pending_rows_.size(), workers, worker);
+      refresh_lanes(rows.begin, rows.end);
+    });
+  } else {
+    refresh_lanes(0, pending_rows_.size());
+  }
   for (std::size_t row_index : pending_rows_) jobs_.row(row_index).cap_queued = false;
   pending_rows_.clear();
-  pending_row_nodes_ = 0;
-
-  std::sort(touched_rows_.begin(), touched_rows_.end());
-  touched_rows_.erase(std::unique(touched_rows_.begin(), touched_rows_.end()),
-                      touched_rows_.end());
-  if (workers_ != nullptr && touched_rows_.size() > 64) {
-    // Each lane re-predicts a disjoint slice of rows; a row's prediction
-    // reads only that row's nodes and writes only that row.
-    const std::size_t lanes = workers_->worker_count();
-    workers_->run([&](std::size_t lane) {
-      const util::ShardWorkers::Slice s =
-          util::ShardWorkers::slice(touched_rows_.size(), lanes, lane);
-      for (std::size_t i = s.begin; i < s.end; ++i) {
-        repredict_row_completion(touched_rows_[i]);
-      }
-    });
-  } else {
-    for (int row_index : touched_rows_) repredict_row_completion(row_index);
-  }
-  touched_rows_.clear();
+  pending_row_lanes_ = 0;
+  started_rows_.clear();
+  finished_rows_.clear();
   recompute_min_earliest_done();
 }
 
@@ -343,20 +290,20 @@ void TabularSimulator::flush_sweep() {
   if (sweep_lag_ == 0) return;
   const long lag = sweep_lag_;
   sweep_lag_ = 0;
-  const int count = nodes_.size();
+  const int count = nodes_.lane_end();
   // No span of its own: the engine.node_update component span covers this
   // sweep (minus sim.refresh, which is recorded separately), and an extra
   // span here would eat the profiler-overhead budget.
   if (workers_ != nullptr && count > shard_nodes_) {
-    // Fixed shard boundaries derived from node count alone: the worker
+    // Fixed shard boundaries, multiples of shard_nodes_ lanes: the worker
     // count decides only which thread sweeps which shards, never what any
     // shard computes, so traces are bit-identical at any worker count.
     const int shards = (count + shard_nodes_ - 1) / shard_nodes_;
-    const std::size_t lanes = workers_->worker_count();
+    const std::size_t workers = workers_->worker_count();
     const double dt_s = config_.step_s;
-    workers_->run([&](std::size_t lane) {
+    workers_->run([&](std::size_t worker) {
       const util::ShardWorkers::Slice s =
-          util::ShardWorkers::slice(static_cast<std::size_t>(shards), lanes, lane);
+          util::ShardWorkers::slice(static_cast<std::size_t>(shards), workers, worker);
       const int begin = static_cast<int>(s.begin) * shard_nodes_;
       const int end = std::min(count, static_cast<int>(s.end) * shard_nodes_);
       nodes_.advance_progress_batch(begin, end, dt_s, lag);
@@ -366,10 +313,10 @@ void TabularSimulator::flush_sweep() {
   }
 }
 
-double TabularSimulator::virtual_progress(int node) const {
-  double p = nodes_.progress(node);
+double TabularSimulator::virtual_progress(int lane) const {
+  double p = nodes_.lane_progress(lane);
   if (sweep_lag_ > 0) {
-    const double d = nodes_.rate(node) * config_.step_s;
+    const double d = nodes_.lane_rate(lane) * config_.step_s;
     // Replay the owed per-step additions exactly (see
     // NodeTable::advance_progress_batch); d == 0 adds nothing.
     if (d != 0.0) {
@@ -380,12 +327,12 @@ double TabularSimulator::virtual_progress(int node) const {
 }
 
 void TabularSimulator::update_nodes(double dt_s) {
-  if (!nodes_.pending_refresh().empty() || !pending_rows_.empty()) {
-    // A cap/ownership event is about to rewrite rates: settle every owed
-    // substep at the old rates first, exactly where the per-tick sweep
-    // would have applied them.
+  if (!pending_rows_.empty() || !finished_rows_.empty()) {
+    // A row event is about to rewrite rates: settle every owed substep at
+    // the old rates first, exactly where the per-tick sweep would have
+    // applied them.
     flush_sweep();
-    refresh_changed_nodes();
+    refresh_rows();
   }
   busy_node_seconds_ += static_cast<double>(nodes_.busy_count()) * dt_s;
   // This tick's substep is owed from here on; it is applied by the next
@@ -401,30 +348,26 @@ void TabularSimulator::complete_finished_jobs() {
   if (min_earliest_done_s_ > now_s_) return;
   finished_scratch_.clear();
   for (std::size_t i : jobs_.running()) {
-    JobRow& row = jobs_.row(i);
+    const JobRow& row = jobs_.row(i);
     if (row.earliest_done_s > now_s_) continue;
-    bool all_done = true;
-    for (int n : row.nodes) {
-      // Progress through *this* tick, with owed substeps replayed
-      // virtually — the released nodes below are zeroed anyway, so the
-      // table itself need not be flushed to decide completion.
-      if (virtual_progress(n) < 1.0) {
-        all_done = false;
-        break;
-      }
+    // Progress through *this* tick, with owed substeps replayed virtually
+    // — the freed lanes below are zeroed anyway, so the table itself need
+    // not be flushed to decide completion.
+    if (every_lane(row, [&](int lane, int) { return virtual_progress(lane) >= 1.0; })) {
+      finished_scratch_.push_back(i);
     }
-    if (all_done) finished_scratch_.push_back(i);
   }
   if (finished_scratch_.empty()) return;
   ANOR_PROF_SCOPE("sim.complete");
   jobs_.mark_finished(finished_scratch_, now_s_);
   for (std::size_t i : finished_scratch_) {
     const JobRow& row = jobs_.row(i);
-    const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-    for (int n : row.nodes) {
-      nodes_.release(n);
-      busy_floor_w_ -= type.p_min_w;
-    }
+    const SimJobType& type = job_type(row);
+    // A row event: the lanes free now, the nodes' idle power waits for
+    // the next refresh.
+    nodes_.finish_row(row.nodes);
+    finished_rows_.push_back(i);
+    for (std::size_t k = 0; k < row.nodes.size(); ++k) busy_floor_w_ -= type.p_min_w;
     scheduler_.job_finished(type.name, static_cast<int>(row.nodes.size()));
     ++result_.jobs_completed;
 
@@ -479,20 +422,23 @@ void TabularSimulator::admit_arrivals() {
   }
 }
 
-double TabularSimulator::projected_qos(const JobRow& row) const {
-  // Computed from the caps as written (not the cached rates): inside a
-  // control tick, freshly assigned nodes carry stale caches until the
-  // next node-update phase.
-  const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
+double TabularSimulator::projected_qos(std::size_t row_index) const {
+  // Computed from the cap as written (not the cached rates): inside a
+  // control tick, freshly started rows carry stale rates until the next
+  // node-update phase.
+  const JobRow& row = jobs_.row(row_index);
+  const SimJobType& type = job_type(row);
+  const double row_rate = type.progress_rate(nodes_.row_cap_w(row_index));
   double worst_end = now_s_;
-  for (int n : row.nodes) {
-    const double progress = nodes_.progress(n);
-    if (progress >= 1.0) continue;
-    const double rate =
-        type.progress_rate(nodes_.cap_w(n)) / nodes_.perf_multiplier(n);
-    if (rate <= 0.0) return std::numeric_limits<double>::infinity();
+  const bool finite = every_lane(row, [&](int lane, int node) {
+    const double progress = nodes_.lane_progress(lane);
+    if (progress >= 1.0) return true;
+    const double rate = row_rate / nodes_.perf_multiplier(node);
+    if (rate <= 0.0) return false;
     worst_end = std::max(worst_end, now_s_ + (1.0 - progress) / rate);
-  }
+    return true;
+  });
+  if (!finite) return std::numeric_limits<double>::infinity();
   const double t_min = type.time_at_pmax_s;
   return t_min > 0.0 ? (worst_end - row.submit_s - t_min) / t_min : 0.0;
 }
@@ -524,11 +470,13 @@ void TabularSimulator::schedule_and_cap() {
     for (std::size_t i : jobs_.running()) {
       const JobRow& row = jobs_.row(i);
       double worst_end = now_s_;
-      for (int n : row.nodes) {
-        const double rate = nodes_.rate(n);
-        if (rate <= 0.0) continue;
-        worst_end = std::max(worst_end, now_s_ + (1.0 - nodes_.progress(n)) / rate);
-      }
+      every_lane(row, [&](int lane, int) {
+        const double rate = nodes_.lane_rate(lane);
+        if (rate > 0.0) {
+          worst_end = std::max(worst_end, now_s_ + (1.0 - nodes_.lane_progress(lane)) / rate);
+        }
+        return true;
+      });
       view.projected_releases.emplace_back(worst_end, static_cast<int>(row.nodes.size()));
     }
   }
@@ -538,24 +486,23 @@ void TabularSimulator::schedule_and_cap() {
     ANOR_PROF_SCOPE("sched.schedule");
     to_start = scheduler_.schedule(view);
   }
-  if (!to_start.empty()) {
-    std::vector<int> idle = nodes_.idle_nodes();
-    std::size_t cursor = 0;
-    for (const workload::JobRequest& req : to_start) {
-      const std::size_t row_index = jobs_.index_of(req.job_id);
-      JobRow& row = jobs_.row(row_index);
-      jobs_.mark_started(row_index, now_s_);
-      row.nodes.clear();
-      const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-      for (int k = 0; k < req.nodes; ++k) {
-        const int node = idle[cursor++];
-        row.nodes.push_back(node);
-        nodes_.assign(node, req.job_id, static_cast<int>(row_index));
-        busy_floor_w_ += type.p_min_w;
-      }
-      // Start at the type's max power until the budgeter runs.
-      set_row_cap(row_index, type.p_max_w);
-    }
+  for (const workload::JobRequest& req : to_start) {
+    // A row event: the job takes the lowest-numbered idle nodes, opens
+    // its lanes and writes its cap; its nodes keep drawing their old
+    // power until the next refresh, which every start queues (even when
+    // the start cap equals the row's initial 0).
+    const std::size_t row_index = jobs_.index_of(req.job_id);
+    JobRow& row = jobs_.row(row_index);
+    jobs_.mark_started(row_index, now_s_);
+    const SimJobType& type = job_type(row);
+    row.nodes.clear();
+    nodes_.lowest_idle_nodes(req.nodes, row.nodes);
+    for (std::size_t k = 0; k < row.nodes.size(); ++k) busy_floor_w_ += type.p_min_w;
+    row.lane = nodes_.start_row(row_index, req.job_id, row.nodes);
+    started_rows_.push_back(row_index);
+    // Start at the type's max power until the budgeter runs.
+    set_row_cap(row_index, type.p_max_w);
+    queue_row_refresh(row_index);
   }
 
   apply_budget();
@@ -585,10 +532,10 @@ void TabularSimulator::apply_budget() {
   for (std::size_t i : running) {
     const JobRow& row = jobs_.row(i);
     if (config_.protect_at_risk_jobs) {
-      const SimJobType& type = config_.job_types[static_cast<std::size_t>(row.type_index)];
-      if (projected_qos(row) > config_.at_risk_fraction * type.qos_limit) {
+      const SimJobType& type = job_type(row);
+      if (projected_qos(i) > config_.at_risk_fraction * type.qos_limit) {
         // Exempt from capping: gets max power off the top of the budget.
-        // (projected_qos reads only this row's caps, so capping it here
+        // (projected_qos reads only this row's cap, so capping it here
         // cannot change a later row's verdict.)
         budget -= static_cast<double>(row.nodes.size()) * type.p_max_w;
         set_row_cap(i, type.p_max_w);
@@ -719,6 +666,9 @@ bool TabularSimulator::step() {
 }
 
 SimResult TabularSimulator::run() {
+  if (result_taken_) {
+    throw std::logic_error("TabularSimulator::run: the result was already handed over");
+  }
   // Batched path: hand the whole loop to the engine.  Nothing observes the
   // tables between ticks, so the deferred sweep only settles at rate
   // events (and once here at the end) instead of every tick.
@@ -738,7 +688,8 @@ SimResult TabularSimulator::run() {
   }
   const double elapsed = std::max(now_s_, config_.step_s);
   result_.mean_utilization = busy_node_seconds_ / (elapsed * config_.node_count);
-  return result_;
+  result_taken_ = true;
+  return std::move(result_);
 }
 
 TabularSimulator make_simulation(const SimConfig& config, double utilization,

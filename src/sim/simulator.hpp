@@ -7,17 +7,19 @@
 // node-update stage of the next time step."
 //
 // Hot-path layout (see DESIGN.md "Performance model of the simulator" and
-// 6h "Persistent sharded stepping"): per-node rates/powers are cached in
-// the node table and refreshed only for nodes whose ownership changed and
-// for job rows whose cap changed since the previous tick; the running-job
-// set / idle count / floor power / total power are maintained
-// incrementally at assign/release/cap events; the per-tick progress sweep
-// is *deferred* — ticks between two rate-change events owe one `rate * dt`
-// substep each, and the owed substeps are flushed in one batched pass
+// 6h "Persistent sharded stepping"): the node table keeps progress and
+// rate per progress lane (the nodes of a job that share a multiplier: one
+// lane per row without node variation) and cap and power per row; a job
+// start, finish or cap change is a row event that the next node update
+// refreshes, writing one rate per lane and one power per row;
+// the running-job set / idle count / floor power / total power are
+// maintained incrementally; the per-tick progress sweep is *deferred* —
+// ticks between two rate-change events owe one `rate * dt` substep each,
+// and the owed substeps are flushed in one batched pass over the lanes
 // (bit-identical to per-tick sweeps) right before anything reads or
 // rewrites a rate; and both the flush and the refresh shard across a
-// persistent worker team with fixed shard boundaries so results are
-// bit-identical at any worker count.
+// persistent worker team, sized in lanes, so results are bit-identical at
+// any worker count.
 #pragma once
 
 #include <memory>
@@ -48,8 +50,8 @@ using SimResult = engine::RunResult;
 
 /// Pooled across-run resources for the sweep executor (DESIGN.md 6i).
 ///
-/// A cold TabularSimulator construction pays for a NodeTable's eight
-/// column allocations, a ShardWorkers thread spawn, and one quadratic
+/// A cold TabularSimulator construction pays for a NodeTable's column
+/// allocations, a ShardWorkers thread spawn, and one quadratic
 /// model fit per job type — none of which depend on the run's policy or
 /// signal.  A WarmStart carries those across runs: the constructor takes
 /// what fits (table via reset(), team when the worker count matches,
@@ -93,7 +95,8 @@ class TabularSimulator {
   void recycle(WarmStart& warm);
 
   /// Run to completion (duration plus drain of running jobs, bounded by
-  /// 4x duration) and return the result.
+  /// 4x duration) and hand the result over by move.  Callable once: a
+  /// second call throws std::logic_error.
   SimResult run();
 
   /// Single-step interface for tests: advance one step_s.  Returns false
@@ -125,32 +128,39 @@ class TabularSimulator {
   /// the first step; the clock advances after the phases, so they see the
   /// tick's start time as before).
   void build_engine();
-  /// The only cap write: sets every node of the row to `cap_w` and queues
-  /// the row for one rate/power refresh.  A write that does not change the
+  /// The only cap write: sets the row's cap (one store) and queues the
+  /// row for one rate/power refresh.  A write that does not change the
   /// row's cap returns at once (caps are rewritten every control period
   /// even when the budget is unchanged).
   void set_row_cap(std::size_t row_index, double cap_w);
-  void refresh_changed_nodes();
-  /// Refresh rate/power for the node events pending[begin, end) and the
-  /// row events pending_rows_[begin, end); append every affected job row
-  /// to `touched`.  A busy node whose row is queued is left to the row
-  /// event, so the two write disjoint entries — safe to run concurrently
-  /// on disjoint slices of either queue.
-  void refresh_node_events(std::size_t begin, std::size_t end, std::vector<int>& touched);
-  void refresh_row_events(std::size_t begin, std::size_t end, std::vector<int>& touched);
-  /// Recompute `earliest_done_s` for one touched running row.  Writes only
-  /// that row — rows shard trivially.
-  void repredict_row_completion(int row_index);
+  /// Queue the row for the next refresh, once (a start always queues).
+  void queue_row_refresh(std::size_t row_index);
+  /// The node update's refresh: moves the power sources of the rows that
+  /// started or finished since the last one, and gives every queued row
+  /// its power, its lanes' rates and a new completion prediction.
+  void refresh_rows();
+  /// Rates and predictions for the queued rows pending_rows_[begin, end).
+  /// Each row writes only its own lanes and its own prediction, so
+  /// disjoint slices can run concurrently.
+  void refresh_lanes(std::size_t begin, std::size_t end);
+  /// Recompute `earliest_done_s` for one running row from its lanes.
+  void repredict_row_completion(JobRow& row);
   void recompute_min_earliest_done();
+  /// Calls f(lane, node) for each progress lane of a started row — its
+  /// shared lane with its first node, or each node's own lane — while f
+  /// returns true; returns whether every call did.
+  template <class F>
+  bool every_lane(const JobRow& row, F&& f) const;
   /// Apply every owed `progress += rate * dt` substep (one per elapsed
-  /// tick since the last flush) in a single batched sweep, sharded across
-  /// the worker team when one exists.  Bit-identical to having swept every
-  /// tick serially: rates are constant between flush points by
-  /// construction (any rate write is preceded by a flush).
+  /// tick since the last flush) in a single batched sweep over the lanes,
+  /// sharded across the worker team when one exists.  Bit-identical to
+  /// having swept every tick serially: rates are constant between flush
+  /// points by construction (any rate write is preceded by a flush).
   void flush_sweep();
-  /// progress(node) as it will read after the owed substeps are flushed —
-  /// the exact per-step accumulation replayed without touching the table.
-  double virtual_progress(int node) const;
+  /// A lane's progress as it will read after the owed substeps are
+  /// flushed — the exact per-step accumulation replayed without touching
+  /// the table.
+  double virtual_progress(int lane) const;
   void update_nodes(double dt_s);
   void append_table_log();
   void complete_finished_jobs();
@@ -159,8 +169,11 @@ class TabularSimulator {
   void apply_budget();
   int type_index(const std::string& name) const;
   double current_target_w() const;
-  /// Projected QoS degradation of a running job at its current rate.
-  double projected_qos(const JobRow& row) const;
+  const SimJobType& job_type(const JobRow& row) const {
+    return config_.job_types[static_cast<std::size_t>(row.type_index)];
+  }
+  /// Projected QoS degradation of a running job at its current cap.
+  double projected_qos(std::size_t row_index) const;
 
   SimConfig config_;
   workload::Schedule schedule_;
@@ -186,10 +199,13 @@ class TabularSimulator {
   /// assign/release (the busy half of the cluster's floor power).
   double busy_floor_w_ = 0.0;
   bool done_ = false;
+  bool result_taken_ = false;  // run() handed result_ over
 
   /// Persistent worker team (config.step_workers > 1) shared by the
   /// batched sweep flush, the sharded refresh, and the budgeter's sharded
-  /// model grouping; fixed shard boundaries derive from node count alone.
+  /// model grouping.  Work is sized in lanes: a site shards when it has
+  /// more than shard_nodes_ lanes, and the sweep's shard boundaries are
+  /// fixed multiples of shard_nodes_ (which derives from node count alone).
   std::unique_ptr<util::ShardWorkers> workers_;
   int shard_nodes_ = 0;
   /// Owed progress substeps (one per tick since the last flush_sweep).
@@ -209,10 +225,11 @@ class TabularSimulator {
   };
   StepMetrics metrics_;
 
-  std::vector<std::size_t> pending_rows_;          // rows whose cap changed, event order
-  std::size_t pending_row_nodes_ = 0;              // nodes under pending_rows_
-  std::vector<int> touched_rows_;                  // scratch: rows to re-predict
-  std::vector<std::vector<int>> lane_touched_;     // per-lane touched rows
+  // Row events since the last refresh, in event order.
+  std::vector<std::size_t> pending_rows_;   // started or cap changed (cap_queued)
+  std::size_t pending_row_lanes_ = 0;       // lanes under pending_rows_
+  std::vector<std::size_t> started_rows_;   // power sources to move to the row
+  std::vector<std::size_t> finished_rows_;  // power sources to move to idle
   std::vector<std::size_t> finished_scratch_;      // scratch: completions this tick
   std::vector<budget::JobPowerProfile> profiles_;  // scratch: budgeted jobs this tick
   std::vector<std::size_t> budget_rows_;           // scratch: row of each profile

@@ -1,52 +1,108 @@
 #include "sim/tables.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace anor::sim {
 
-NodeTable::NodeTable(int node_count)
-    : job_id_(static_cast<std::size_t>(node_count), -1),
-      cap_w_(static_cast<std::size_t>(node_count), 0.0),
-      power_w_(static_cast<std::size_t>(node_count), 0.0),
-      progress_(static_cast<std::size_t>(node_count), 0.0),
-      perf_mult_(static_cast<std::size_t>(node_count), 1.0),
-      inv_perf_mult_(static_cast<std::size_t>(node_count), 1.0),
-      rate_(static_cast<std::size_t>(node_count), 0.0),
-      job_row_(static_cast<std::size_t>(node_count), -1),
-      idle_count_(node_count),
-      pending_flag_(static_cast<std::size_t>(node_count), 0) {
-  if (node_count <= 0) throw std::invalid_argument("NodeTable: node_count <= 0");
-}
+NodeTable::NodeTable(int node_count) { reset(node_count); }
 
 void NodeTable::reset(int node_count) {
   if (node_count <= 0) throw std::invalid_argument("NodeTable: node_count <= 0");
   const auto n = static_cast<std::size_t>(node_count);
   job_id_.assign(n, -1);
-  cap_w_.assign(n, 0.0);
-  power_w_.assign(n, 0.0);
-  progress_.assign(n, 0.0);
+  lane_.assign(n, -1);
+  power_source_.assign(n, -1);
   perf_mult_.assign(n, 1.0);
-  inv_perf_mult_.assign(n, 1.0);
-  rate_.assign(n, 0.0);
-  job_row_.assign(n, -1);
+  idle_bits_.assign((n + 63) / 64, ~std::uint64_t{0});
+  if (n % 64 != 0) idle_bits_.back() = (std::uint64_t{1} << (n % 64)) - 1;
   idle_count_ = node_count;
-  pending_.clear();
-  pending_flag_.assign(n, 0);
+  lane_progress_.clear();
+  lane_rate_.clear();
+  lane_inv_mult_.clear();
+  lane_row_.clear();
+  free_lanes_.clear();
+  row_cap_w_.clear();
+  row_power_w_.clear();
+  idle_power_w_ = 0.0;
   total_power_cache_ = 0.0;
   power_clean_ = false;
 }
 
-void NodeTable::mark_pending(int node) {
-  if (pending_flag_[idx(node)]) return;
-  pending_flag_[idx(node)] = 1;
-  pending_.push_back(node);
+int NodeTable::open_lane(std::size_t row, double multiplier) {
+  int lane = 0;
+  if (free_lanes_.empty()) {
+    lane = lane_end();
+    lane_progress_.push_back(0.0);
+    lane_rate_.push_back(0.0);
+    lane_inv_mult_.push_back(0.0);
+    lane_row_.push_back(-1);
+  } else {
+    lane = free_lanes_.back();
+    free_lanes_.pop_back();
+  }
+  lane_inv_mult_[idx(lane)] = 1.0 / multiplier;
+  lane_row_[idx(lane)] = static_cast<int>(row);
+  return lane;
 }
 
-void NodeTable::advance_progress(int begin, int end, double dt_s) {
-  double* progress = progress_.data();
-  const double* rate = rate_.data();
-  for (int n = begin; n < end; ++n) progress[n] += rate[n] * dt_s;
+int NodeTable::start_row(std::size_t row, int job_id, const std::vector<int>& nodes) {
+  if (row >= row_cap_w_.size()) {
+    row_cap_w_.resize(row + 1, 0.0);
+    row_power_w_.resize(row + 1, 0.0);
+  }
+  if (nodes.empty()) return -1;
+  const double first = perf_mult_[idx(nodes.front())];
+  const bool shared = std::all_of(nodes.begin(), nodes.end(),
+                                  [&](int n) { return perf_mult_[idx(n)] == first; });
+  const int shared_lane = shared ? open_lane(row, first) : -1;
+  for (int n : nodes) {
+    job_id_[idx(n)] = job_id;
+    lane_[idx(n)] = shared ? shared_lane : open_lane(row, perf_mult_[idx(n)]);
+    idle_bits_[idx(n) / 64] &= ~(std::uint64_t{1} << (idx(n) % 64));
+  }
+  idle_count_ -= static_cast<int>(nodes.size());
+  return shared_lane;
+}
+
+void NodeTable::finish_row(const std::vector<int>& nodes) {
+  for (int n : nodes) {
+    const auto lane = idx(lane_[idx(n)]);
+    if (lane_row_[lane] >= 0) {  // a shared lane is freed with its first node
+      lane_progress_[lane] = 0.0;
+      lane_rate_[lane] = 0.0;  // the sweep adds nothing to a free slot
+      lane_row_[lane] = -1;
+      free_lanes_.push_back(static_cast<int>(lane));
+    }
+    job_id_[idx(n)] = -1;
+    lane_[idx(n)] = -1;
+    idle_bits_[idx(n) / 64] |= std::uint64_t{1} << (idx(n) % 64);
+  }
+  idle_count_ += static_cast<int>(nodes.size());
+}
+
+void NodeTable::set_row_power(std::size_t row, double power_w) {
+  row_power_w_[row] = power_w;
+  power_clean_ = false;
+}
+
+void NodeTable::set_idle_power_w(double power_w) {
+  idle_power_w_ = power_w;
+  power_clean_ = false;
+}
+
+void NodeTable::draw_row_power(std::size_t row, const std::vector<int>& nodes) {
+  for (int n : nodes) power_source_[idx(n)] = static_cast<int>(row);
+  power_clean_ = false;
+}
+
+void NodeTable::draw_idle_power(const std::vector<int>& nodes) {
+  for (int n : nodes) {
+    if (idle(n)) power_source_[idx(n)] = -1;
+  }
+  power_clean_ = false;
 }
 
 // Cache-line aligned so the 14-byte inner add loop always sits inside one
@@ -58,61 +114,49 @@ void NodeTable::advance_progress(int begin, int end, double dt_s) {
 [[gnu::aligned(64)]] void NodeTable::advance_progress_batch(int begin, int end, double dt_s,
                                                             long substeps) {
   if (substeps <= 0) return;
-  double* progress = progress_.data();
-  const double* rate = rate_.data();
-  for (int n = begin; n < end; ++n) {
+  double* progress = lane_progress_.data();
+  const double* rate = lane_rate_.data();
+  for (int l = begin; l < end; ++l) {
     // Repeated addition, not d * substeps: floating-point accumulation is
     // not distributive, and the batch must land on the exact bits the
-    // per-step sweep would have produced.  The per-node delta is loop
+    // per-step sweep would have produced.  The per-lane delta is loop
     // invariant, so the inner loop is a register-only add chain.
-    const double d = rate[n] * dt_s;
+    const double d = rate[l] * dt_s;
     if (d == 0.0) continue;
-    double p = progress[n];
+    double p = progress[l];
     for (long k = 0; k < substeps; ++k) p += d;
-    progress[n] = p;
+    progress[l] = p;
   }
-}
-
-void NodeTable::assign(int node, int job, int job_row) {
-  if (job_id_[idx(node)] < 0) --idle_count_;
-  job_id_[idx(node)] = job;
-  job_row_[idx(node)] = job_row;
-  progress_[idx(node)] = 0.0;
-  mark_pending(node);
-}
-
-void NodeTable::release(int node) {
-  if (job_id_[idx(node)] >= 0) ++idle_count_;
-  job_id_[idx(node)] = -1;
-  job_row_[idx(node)] = -1;
-  progress_[idx(node)] = 0.0;
-  cap_w_[idx(node)] = 0.0;
-  rate_[idx(node)] = 0.0;
-  mark_pending(node);
 }
 
 std::vector<int> NodeTable::idle_nodes() const {
   std::vector<int> idle;
-  idle.reserve(static_cast<std::size_t>(idle_count_));
-  for (int n = 0; n < size(); ++n) {
-    if (job_id_[idx(n)] < 0) idle.push_back(n);
-  }
+  lowest_idle_nodes(idle_count_, idle);
   return idle;
+}
+
+void NodeTable::lowest_idle_nodes(int count, std::vector<int>& out) const {
+  if (count > idle_count_) {
+    throw std::logic_error("NodeTable: " + std::to_string(count) + " nodes requested, " +
+                           std::to_string(idle_count_) + " idle");
+  }
+  out.reserve(out.size() + static_cast<std::size_t>(std::max(count, 0)));
+  for (std::size_t w = 0; count > 0; ++w) {
+    for (std::uint64_t bits = idle_bits_[w]; bits != 0 && count > 0; bits &= bits - 1) {
+      out.push_back(static_cast<int>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      --count;
+    }
+  }
 }
 
 double NodeTable::total_power_w() const {
   if (!power_clean_) {
     double total = 0.0;
-    for (double p : power_w_) total += p;
+    for (int source : power_source_) total += source_power_w(source);
     total_power_cache_ = total;
     power_clean_ = true;
   }
   return total_power_cache_;
-}
-
-void NodeTable::clear_pending_refresh() {
-  for (int n : pending_) pending_flag_[idx(n)] = 0;
-  pending_.clear();
 }
 
 std::size_t JobTable::add(JobRow row) {

@@ -2,17 +2,26 @@
 //
 // "The simulator is implemented as a collection of tables that store the
 // current state of nodes and jobs in the cluster."  Structure-of-arrays
-// layout: the per-second update sweeps every node, and SoA keeps those
-// sweeps cache-friendly at 1000+ nodes.
+// layout throughout.
 //
-// Beyond the raw columns, the node table caches derived per-node state
-// (progress rate, power draw, owning job row) that changes only at
-// assign/release/cap events — never mid-tick — so the per-tick sweep is a
-// branch-light `progress += rate * dt` over contiguous arrays.  Nodes whose
-// ownership changed are queued in a pending-refresh list; cap changes are
-// per job row (every node of a job runs at its row's cap) and the
-// simulator queues the row.  It drains both queues at the top of the next
-// node-update phase; see DESIGN.md "Performance model of the simulator".
+// Every node of a job runs at its row's cap, and without node variation
+// at the same rate too, so the node table keeps one copy of what those
+// nodes share instead of one per node:
+//   * A *progress lane* is the set of a job row's nodes that share one
+//     performance multiplier bit for bit: one lane per row without node
+//     variation, one lane per node with it.  Progress, rate and the
+//     reciprocal multiplier live in dense per-lane columns whose slots are
+//     reused after a job finishes, and the per-tick sweep is
+//     `progress += rate * dt` over those columns.
+//   * Cap and power are per job row (indexed like JobTable's rows).  Each
+//     node points at a *power source*, idle or a row, and draws that
+//     source's power.  Sources move only at the simulator's refresh, so a
+//     node released and re-assigned in one tick draws its old job's power
+//     until the next node update.
+// Per node the table keeps ownership (job id), the lane index, the power
+// source, the performance multiplier and an idle bitmap; the per-node
+// getters derive progress, rate, cap and power from lanes and rows.  See
+// DESIGN.md "Performance model of the simulator".
 #pragma once
 
 #include <cstdint>
@@ -21,109 +30,150 @@
 
 namespace anor::sim {
 
-/// Per-node state.  job_id < 0 means idle.
+/// Per-node state, its progress lanes and the per-row cap and power.
+/// job_id < 0 means idle.
 class NodeTable {
  public:
   explicit NodeTable(int node_count);
 
   /// Restore the exact state of a freshly constructed NodeTable(node_count)
   /// while reusing the column allocations — the warm-start path pools one
-  /// table across sweep runs instead of reallocating eight columns per run.
+  /// table across sweep runs instead of reallocating its columns per run.
   /// Bit-equivalence with fresh construction is load-bearing (warm runs
   /// must hash identically to cold ones) and pinned by WarmStart tests.
   void reset(int node_count);
 
   int size() const { return static_cast<int>(job_id_.size()); }
 
+  // --- per node ---------------------------------------------------------
+
   int job_id(int node) const { return job_id_[idx(node)]; }
-  double cap_w(int node) const { return cap_w_[idx(node)]; }
-  double power_w(int node) const { return power_w_[idx(node)]; }
-  double progress(int node) const { return progress_[idx(node)]; }
-  double perf_multiplier(int node) const { return perf_mult_[idx(node)]; }
   bool idle(int node) const { return job_id_[idx(node)] < 0; }
-
-  /// Cached progress per second under the current cap (0 while idle).
-  /// Owned by the simulator's pending-refresh pass; stale between a cap
-  /// write and the next refresh.
-  double rate(int node) const { return rate_[idx(node)]; }
-  void set_rate(int node, double rate) { rate_[idx(node)] = rate; }
-
+  /// Progress lane of a busy node (-1 while idle).
+  int lane(int node) const { return lane_[idx(node)]; }
   /// Row index of the owning job in the JobTable (-1 while idle).
-  int job_row(int node) const { return job_row_[idx(node)]; }
-
-  /// Precomputed 1 / perf_multiplier, kept alongside the multiplier so
-  /// the refresh sweep multiplies instead of dividing per node.
-  double inv_perf_multiplier(int node) const { return inv_perf_mult_[idx(node)]; }
-
-  void set_perf_multiplier(int node, double m) {
-    perf_mult_[idx(node)] = m;
-    inv_perf_mult_[idx(node)] = 1.0 / m;
+  int job_row(int node) const {
+    const int l = lane(node);
+    return l < 0 ? -1 : lane_row_[idx(l)];
   }
-  /// Plain write: the caller (the simulator's per-row cap write) queues
-  /// the refresh, once per row rather than per node.
-  void set_cap(int node, double cap_w) { cap_w_[idx(node)] = cap_w; }
-  void set_power(int node, double power_w) {
-    power_w_[idx(node)] = power_w;
-    power_clean_ = false;
+  /// The node's lane's progress and cached rate (0 while idle).
+  double progress(int node) const {
+    const int l = lane(node);
+    return l < 0 ? 0.0 : lane_progress_[idx(l)];
   }
-  void add_progress(int node, double delta) { progress_[idx(node)] += delta; }
+  double rate(int node) const {
+    const int l = lane(node);
+    return l < 0 ? 0.0 : lane_rate_[idx(l)];
+  }
+  /// The owning row's cap (0 while idle).
+  double cap_w(int node) const {
+    const int l = lane(node);
+    return l < 0 ? 0.0 : row_cap_w_[idx(lane_row_[idx(l)])];
+  }
+  /// Power the node draws: its power source's.
+  double power_w(int node) const { return source_power_w(power_source_[idx(node)]); }
+  /// The row whose power the node draws, or -1 for idle power.
+  int power_source(int node) const { return power_source_[idx(node)]; }
 
-  /// progress[n] += rate[n] * dt for n in [begin, end).  Idle nodes have
-  /// rate 0, so the sweep needs no busy test.  Writes only the progress
-  /// column of its own range — shards over disjoint ranges never race.
-  void advance_progress(int begin, int end, double dt_s);
+  double perf_multiplier(int node) const { return perf_mult_[idx(node)]; }
+  double inv_perf_multiplier(int node) const { return 1.0 / perf_mult_[idx(node)]; }
+  void set_perf_multiplier(int node, double m) { perf_mult_[idx(node)] = m; }
 
-  /// Apply `substeps` consecutive per-step sweeps in one pass: each node
-  /// receives its additive updates in step order, so the result is
-  /// bit-identical to calling advance_progress(begin, end, dt_s)
-  /// `substeps` times — but the rate/progress columns are streamed once,
-  /// not `substeps` times (the deferred-sweep flush in the simulator
-  /// batches all steps between two rate-change events into one call).
+  // --- job rows -----------------------------------------------------------
+
+  /// Make the idle `nodes` the nodes of job `job_id`, JobTable row `row`,
+  /// and open the row's lanes at progress 0 and rate 0: one lane when
+  /// every node has the same multiplier, else one per node.  Returns the
+  /// shared lane, or -1 when each node has its own (read it with
+  /// lane(node)).  The row's cap starts at 0 and its nodes keep their
+  /// power source.
+  int start_row(std::size_t row, int job_id, const std::vector<int>& nodes);
+  /// Free the lanes of a finished row's `nodes` and make them idle (cap,
+  /// rate and progress read 0).  They keep drawing the row's power until
+  /// draw_idle_power().
+  void finish_row(const std::vector<int>& nodes);
+
+  /// Cap of a started row; a plain write (the simulator queues the
+  /// refresh, once per row).
+  double row_cap_w(std::size_t row) const { return row_cap_w_[row]; }
+  void set_row_cap(std::size_t row, double cap_w) { row_cap_w_[row] = cap_w; }
+  /// Power each node drawing from a started row draws.
+  void set_row_power(std::size_t row, double power_w);
+  /// Power an idle-sourced node draws (0 in a fresh table).
+  void set_idle_power_w(double power_w);
+
+  /// Power-source moves, made by the simulator's refresh: `nodes` draw
+  /// `row`'s power from now on; of `nodes`, those still idle draw idle
+  /// power (a node re-assigned since is left to its new row).
+  void draw_row_power(std::size_t row, const std::vector<int>& nodes);
+  void draw_idle_power(const std::vector<int>& nodes);
+
+  // --- lanes --------------------------------------------------------------
+
+  /// Every open lane is in [0, lane_end()); a free slot has rate 0.
+  int lane_end() const { return static_cast<int>(lane_progress_.size()); }
+  double lane_progress(int lane) const { return lane_progress_[idx(lane)]; }
+  double lane_rate(int lane) const { return lane_rate_[idx(lane)]; }
+  /// 1 / the lane's multiplier, computed once when the lane opens.
+  double lane_inv_multiplier(int lane) const { return lane_inv_mult_[idx(lane)]; }
+  int lane_row(int lane) const { return lane_row_[idx(lane)]; }
+  /// Cached progress per second under the row's cap.  Owned by the
+  /// simulator's refresh; stale between a cap write and the next refresh.
+  void set_lane_rate(int lane, double rate) { lane_rate_[idx(lane)] = rate; }
+
+  /// Apply `substeps` consecutive `progress += rate * dt_s` sweeps to the
+  /// lanes [begin, end) in one pass: each lane receives its additive
+  /// updates in step order, so the result is bit-identical to sweeping
+  /// `substeps` times — but the rate/progress columns are streamed once
+  /// (the deferred-sweep flush in the simulator batches all steps between
+  /// two rate-change events into one call).  Writes only the progress of
+  /// its own range, so shards over disjoint ranges never race.
   void advance_progress_batch(int begin, int end, double dt_s, long substeps);
 
-  /// Direct access to the derived-state columns for the sharded refresh
-  /// sweep: workers write disjoint [begin, end) ranges of rate/power, so
-  /// no per-call bookkeeping is allowed here.  Callers that touch the
-  /// power column must call mark_power_dirty() (once, from one thread)
-  /// so total_power_w() recomputes.
-  double* rate_data() { return rate_.data(); }
-  double* power_data() { return power_w_.data(); }
-  void mark_power_dirty() { power_clean_ = false; }
-
-  void assign(int node, int job, int job_row = -1);
-  void release(int node);
+  // --- idle set and totals ------------------------------------------------
 
   std::vector<int> idle_nodes() const;
-  /// O(1): maintained incrementally at assign/release.
+  /// Append the `count` lowest-numbered idle nodes to `out`, ascending:
+  /// the prefix of idle_nodes(), found through the idle bitmap without
+  /// walking the busy nodes one by one.  Throws std::logic_error when
+  /// fewer than `count` nodes are idle.
+  void lowest_idle_nodes(int count, std::vector<int>& out) const;
+  /// O(1): maintained incrementally at start/finish.
   int idle_count() const { return idle_count_; }
   int busy_count() const { return size() - idle_count_; }
 
-  /// Left-to-right sum over the power column, cached between power
-  /// writes.  Power changes only at refresh/assign/release events, so
-  /// steady-state ticks pay O(1) here.
+  /// Left-to-right sum of power_w(n) over the nodes, cached between power
+  /// changes.  Power changes only at refresh events, so steady-state
+  /// ticks pay O(1) here.
   double total_power_w() const;
 
-  /// Nodes with an ownership change (assign/release) since the last
-  /// clear, in event order (each node listed at most once).
-  const std::vector<int>& pending_refresh() const { return pending_; }
-  void clear_pending_refresh();
-
  private:
-  static std::size_t idx(int node) { return static_cast<std::size_t>(node); }
-  void mark_pending(int node);
+  static std::size_t idx(int i) { return static_cast<std::size_t>(i); }
+  double source_power_w(int source) const {
+    return source < 0 ? idle_power_w_ : row_power_w_[idx(source)];
+  }
+  int open_lane(std::size_t row, double multiplier);
 
+  // Per node.
   std::vector<int> job_id_;
-  std::vector<double> cap_w_;
-  std::vector<double> power_w_;
-  std::vector<double> progress_;
+  std::vector<int> lane_;
+  std::vector<int> power_source_;
   std::vector<double> perf_mult_;
-  std::vector<double> inv_perf_mult_;
-  std::vector<double> rate_;
-  std::vector<int> job_row_;
-
+  std::vector<std::uint64_t> idle_bits_;  // bit n % 64 of word n / 64: node n idle
   int idle_count_ = 0;
-  std::vector<int> pending_;
-  std::vector<std::uint8_t> pending_flag_;
+
+  // Per lane.
+  std::vector<double> lane_progress_;
+  std::vector<double> lane_rate_;
+  std::vector<double> lane_inv_mult_;
+  std::vector<int> lane_row_;  // -1 for a free slot
+  std::vector<int> free_lanes_;
+
+  // Per job row.
+  std::vector<double> row_cap_w_;
+  std::vector<double> row_power_w_;
+  double idle_power_w_ = 0.0;
+
   mutable double total_power_cache_ = 0.0;
   mutable bool power_clean_ = false;
 };
@@ -140,10 +190,10 @@ struct JobRow {
   /// at the last cap event; the completion scan skips the job until then.
   double earliest_done_s = 0.0;
   std::vector<int> nodes;    // assigned node ids (empty while queued)
-  /// The cap every node in `nodes` runs at (0 until the first write, like
-  /// a fresh or released node's cap).
-  double cap_w = 0.0;
-  /// Queued for a rate/power refresh since its cap last changed.
+  /// The row's progress lane when all its nodes share one, or -1 when
+  /// each node has its own (NodeTable::start_row).
+  int lane = -1;
+  /// Queued for a rate/power refresh since it started or its cap changed.
   bool cap_queued = false;
 
   bool started() const { return start_s >= 0.0; }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "budget/one_cap_short_budgeter.hpp"
@@ -57,6 +58,17 @@ TEST(EmulatedCluster, SingleJobRunsUncappedAtExpectedRuntime) {
   EXPECT_NEAR(job.end_s - job.start_s, expected, 2.0);
   EXPECT_LT(std::abs(job.slowdown()), 0.1);
   EXPECT_EQ(job.report.epoch_count, workload::find_job_type("is.D.x").epochs);
+}
+
+TEST(EmulatedCluster, RunHandsItsResultOverOnce) {
+  EmulatedCluster emu(fast_config(), schedule_of({{"is.D.x", 0.0}}));
+  while (emu.step()) {
+  }
+  // run() after stepping to the end finalizes and hands the result over.
+  const EmulationResult result = emu.run();
+  EXPECT_EQ(result.jobs_completed, 1);
+  ASSERT_EQ(result.completed.size(), 1u);
+  EXPECT_THROW(emu.run(), std::logic_error);
 }
 
 TEST(EmulatedCluster, ShortCapVectorFailsLoudlyNamingTheBudgeter) {

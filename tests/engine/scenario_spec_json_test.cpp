@@ -202,5 +202,42 @@ TEST(ScenarioSpecJson, NegativeJobIdIsRejected) {
   });
 }
 
+// A repeated id used to pass validation: the tabular backend then lost
+// one of the two jobs (2 of 3 completed) while the emulated one ran all 3.
+void expect_duplicate_id_rejected(const std::function<void()>& parse_or_validate, int id) {
+  try {
+    parse_or_validate();
+    ADD_FAILURE() << "a repeated job id was accepted";
+  } catch (const util::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("job id " + std::to_string(id) + " appears"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ScenarioSpecJson, DuplicateJobIdIsRejected) {
+  expect_duplicate_id_rejected([] {
+    scenario_spec_from_json(util::Json::parse(R"({
+      "backend": "tabular", "node_count": 2,
+      "schedule": {"duration_s": 60, "jobs": [
+        {"id": 9, "type": "cg.D.x", "submit_s": 0, "nodes": 2},
+        {"id": 1, "type": "cg.D.x", "submit_s": 1, "nodes": 1},
+        {"id": 1, "type": "mg.D.x", "submit_s": 2, "nodes": 1}]}})"));
+  }, 1);
+  for (Backend backend : {Backend::kTabular, Backend::kEmulated}) {
+    ScenarioSpec spec;
+    spec.backend = backend;
+    spec.schedule = small_schedule();
+    spec.schedule.jobs[1].job_id = spec.schedule.jobs[0].job_id;
+    expect_duplicate_id_rejected([&spec] { spec.validate(); }, 1);
+    // Ids far apart take the sorted-copy path instead of the flat array.
+    spec.schedule.jobs[0].job_id = 2'000'000'000;
+    spec.schedule.jobs[1].job_id = 2'000'000'000;
+    expect_duplicate_id_rejected([&spec] { spec.validate(); }, 2'000'000'000);
+    spec.schedule.jobs[1].job_id = 7;
+    EXPECT_NO_THROW(spec.validate());
+  }
+}
+
 }  // namespace
 }  // namespace anor::engine

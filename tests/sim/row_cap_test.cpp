@@ -1,15 +1,22 @@
-// Row-level cap events: the simulator writes caps per job row and queues
-// the row, not each node, for the next rate/power refresh.  These tests
-// step whole runs and check the two invariants that make that equivalent
-// to per-node cap tracking:
+// Row-level events: the simulator writes caps per job row, keeps
+// progress and rate per progress lane (the nodes of a row that share a
+// performance multiplier) and queues the row, not each node, for the next
+// rate/power refresh.  These tests step whole runs and check the
+// invariants that make that equivalent to per-node tracking:
 //   * every busy node's cap equals its row's cap after every tick;
 //   * after every node update, every node's cached rate and power equal a
-//     from-scratch evaluation at the cap that update applied.
-// Both are checked at 0, 2 and 4 step workers with shards small enough
-// that the refresh runs sharded (the sharded case is a TSan target in
-// tools/check_tier1.sh).
+//     from-scratch evaluation at the cap that update applied;
+//   * every node's progress equals a per-node reference that adds
+//     rate(n) * step_s tick by tick, bit for bit;
+//   * a row has one lane exactly when its nodes share a multiplier, and
+//     lane slots are reused (never more lanes than nodes, nor, without
+//     variation, than running rows).
+// All are checked at 0, 2 and 4 step workers with shards small enough
+// that the sweep and the refresh run sharded (the sharded case is a TSan
+// target in tools/check_tier1.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -31,7 +38,7 @@ SimConfig row_cap_config(int nodes, int node_scale, int step_workers) {
   return config;
 }
 
-/// Steps a run to the end, checking both invariants after every tick;
+/// Steps a run to the end, checking the invariants after every tick;
 /// `checked` counts the busy node-ticks whose rate was compared.
 void check_row_cap_invariants(const SimConfig& config, long& checked) {
   TabularSimulator sim = make_simulation(config, 0.8, 7);
@@ -42,15 +49,31 @@ void check_row_cap_invariants(const SimConfig& config, long& checked) {
   // state the next tick's node update refreshes from.
   std::vector<int> prev_row(static_cast<std::size_t>(nodes.size()), -1);
   std::vector<double> prev_cap(static_cast<std::size_t>(nodes.size()), 0.0);
+  // Per-node progress as a node-by-node sweep would accumulate it.
+  std::vector<double> reference(static_cast<std::size_t>(nodes.size()), 0.0);
   checked = 0;
+  std::size_t max_running = 0;
   while (sim.step()) {
+    // Slots are reused: never more lanes than busy nodes ever were, and
+    // without variation never more than running rows ever were.
+    max_running = std::max(max_running, jobs.running().size());
+    ASSERT_LE(nodes.lane_end(), config.perf_variation_sigma == 0.0
+                                    ? static_cast<int>(max_running)
+                                    : nodes.size())
+        << "t=" << sim.now_s();
     for (int n = 0; n < nodes.size(); ++n) {
       const int row_index = nodes.job_row(n);
       const auto slot = static_cast<std::size_t>(n);
       if (row_index >= 0) {
-        const JobRow& row = jobs.row(static_cast<std::size_t>(row_index));
-        ASSERT_EQ(nodes.cap_w(n), row.cap_w)
+        const auto row_slot = static_cast<std::size_t>(row_index);
+        const JobRow& row = jobs.row(row_slot);
+        ASSERT_EQ(nodes.cap_w(n), nodes.row_cap_w(row_slot))
             << "t=" << sim.now_s() << " node " << n << " job " << row.job_id;
+        const bool shared = std::all_of(row.nodes.begin(), row.nodes.end(), [&](int m) {
+          return nodes.perf_multiplier(m) == nodes.perf_multiplier(row.nodes.front());
+        });
+        ASSERT_EQ(row.lane >= 0, shared) << "t=" << sim.now_s() << " job " << row.job_id;
+        if (shared) ASSERT_EQ(nodes.lane(n), row.lane) << "t=" << sim.now_s() << " node " << n;
       }
       // A node that kept its owner through this tick was refreshed (or
       // left alone because nothing changed) at the previous tick's cap.
@@ -67,6 +90,12 @@ void check_row_cap_invariants(const SimConfig& config, long& checked) {
         ASSERT_EQ(nodes.rate(n), 0.0) << "t=" << sim.now_s() << " node " << n;
         ASSERT_EQ(nodes.power_w(n), config.idle_power_w) << "t=" << sim.now_s() << " node " << n;
       }
+      // This tick's substep used the rate its node update left, which
+      // nothing later in the tick changes for a node that kept its owner;
+      // a new owner (or none) starts from 0 at rate 0.
+      if (row_index != prev_row[slot]) reference[slot] = 0.0;
+      reference[slot] += nodes.rate(n) * config.step_s;
+      ASSERT_EQ(nodes.progress(n), reference[slot]) << "t=" << sim.now_s() << " node " << n;
       prev_row[slot] = row_index;
       prev_cap[slot] = nodes.cap_w(n);
     }

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "budget/one_cap_short_budgeter.hpp"
@@ -303,6 +304,17 @@ TEST(TabularSimulator, ShortCapVectorFailsLoudlyNamingTheBudgeter) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(TabularSimulator, RunHandsItsResultOverOnce) {
+  SimConfig config = small_config();
+  config.duration_s = 300.0;
+  TabularSimulator sim(config, one_job_schedule("cg.D.x"), util::Rng(2));
+  const SimResult result = sim.run();
+  EXPECT_EQ(result.jobs_completed, 1);
+  ASSERT_EQ(result.completed.size(), 1u);
+  EXPECT_THROW(sim.run(), std::logic_error);
+  EXPECT_FALSE(sim.step());
 }
 
 TEST(TabularSimulator, UtilizationReported) {

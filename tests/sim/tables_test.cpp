@@ -22,73 +22,102 @@ TEST(NodeTable, RejectsEmpty) {
 
 TEST(NodeTable, AssignReleaseLifecycle) {
   NodeTable table(4);
-  table.assign(2, 17);
+  const int lane = table.start_row(0, 17, {2});
   EXPECT_FALSE(table.idle(2));
   EXPECT_EQ(table.job_id(2), 17);
+  EXPECT_EQ(table.job_row(2), 0);
+  EXPECT_EQ(table.lane(2), lane);
   EXPECT_EQ(table.idle_count(), 3);
-  table.add_progress(2, 0.4);
-  EXPECT_DOUBLE_EQ(table.progress(2), 0.4);
-  table.release(2);
+  table.set_lane_rate(lane, 0.2);
+  table.advance_progress_batch(0, table.lane_end(), 1.0, 2);
+  EXPECT_DOUBLE_EQ(table.progress(2), 0.2 + 0.2);
+  table.finish_row({2});
   EXPECT_TRUE(table.idle(2));
+  EXPECT_EQ(table.idle_count(), 4);
+  EXPECT_EQ(table.lane(2), -1);
   EXPECT_DOUBLE_EQ(table.progress(2), 0.0);
   EXPECT_DOUBLE_EQ(table.cap_w(2), 0.0);
 }
 
 TEST(NodeTable, AssignResetsProgress) {
+  // A finished row's lane slot is reused by the next start, at progress 0.
   NodeTable table(2);
-  table.assign(0, 1);
-  table.add_progress(0, 0.9);
-  table.release(0);
-  table.assign(0, 2);
+  const int first = table.start_row(0, 1, {0});
+  table.set_lane_rate(first, 0.9);
+  table.advance_progress_batch(0, table.lane_end(), 1.0, 1);
+  table.finish_row({0});
+  const int second = table.start_row(1, 2, {0});
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(table.lane_end(), 1);
   EXPECT_DOUBLE_EQ(table.progress(0), 0.0);
+  EXPECT_DOUBLE_EQ(table.rate(0), 0.0);
 }
 
 TEST(NodeTable, TotalPowerSums) {
+  // Each node draws its power source's power: idle, or its row's.
   NodeTable table(3);
-  table.set_power(0, 100.0);
-  table.set_power(1, 150.0);
-  table.set_power(2, 50.0);
+  table.set_idle_power_w(50.0);
+  table.start_row(0, 7, {0});
+  table.start_row(1, 8, {1});
+  table.draw_row_power(0, {0});
+  table.draw_row_power(1, {1});
+  table.set_row_power(0, 100.0);
+  table.set_row_power(1, 150.0);
+  EXPECT_DOUBLE_EQ(table.power_w(0), 100.0);
+  EXPECT_DOUBLE_EQ(table.power_w(2), 50.0);
   EXPECT_DOUBLE_EQ(table.total_power_w(), 300.0);
 }
 
 TEST(NodeTable, SetCapIsAPlainWrite) {
-  // Cap changes are queued per job row by the simulator, not per node:
-  // set_cap only writes the column.
+  // Cap changes are per job row and queued by the simulator: set_row_cap
+  // writes the row's cap, which every node of the row reads, and leaves
+  // rate and power to the refresh.
   NodeTable table(4);
-  table.set_cap(1, 100.0);
-  table.set_cap(1, 120.0);
-  table.set_cap(2, 90.0);
+  table.set_idle_power_w(90.0);
+  const int lane = table.start_row(0, 7, {1, 2});
+  EXPECT_DOUBLE_EQ(table.cap_w(1), 0.0);  // a row's cap starts at 0
+  table.set_row_cap(0, 100.0);
+  table.set_row_cap(0, 120.0);
+  EXPECT_DOUBLE_EQ(table.row_cap_w(0), 120.0);
   EXPECT_DOUBLE_EQ(table.cap_w(1), 120.0);
-  EXPECT_DOUBLE_EQ(table.cap_w(2), 90.0);
-  EXPECT_TRUE(table.pending_refresh().empty());
-  // Ownership events still queue the node, once, whatever caps follow.
-  table.assign(1, 7, 0);
-  table.set_cap(1, 130.0);
-  EXPECT_EQ(table.pending_refresh(), (std::vector<int>{1}));
+  EXPECT_DOUBLE_EQ(table.cap_w(2), 120.0);
+  EXPECT_DOUBLE_EQ(table.cap_w(3), 0.0);
+  EXPECT_DOUBLE_EQ(table.lane_rate(lane), 0.0);
+  EXPECT_DOUBLE_EQ(table.power_w(1), 90.0);
+  EXPECT_DOUBLE_EQ(table.total_power_w(), 4 * 90.0);
 }
 
 TEST(NodeTable, AssignAndReleaseQueuePendingRefresh) {
+  // Start and finish change ownership at once; the power a node draws
+  // waits for the refresh, which moves its power source.
   NodeTable table(3);
-  table.assign(0, 7, 4);
+  table.set_idle_power_w(90.0);
+  const int lane = table.start_row(4, 7, {0});
   EXPECT_EQ(table.job_row(0), 4);
-  EXPECT_EQ(table.pending_refresh(), (std::vector<int>{0}));
-  table.clear_pending_refresh();
-  table.set_rate(0, 0.5);
-  table.release(0);
+  EXPECT_EQ(table.lane_row(lane), 4);
+  EXPECT_EQ(table.power_source(0), -1);  // still idle power until the refresh
+  table.draw_row_power(4, {0});
+  table.set_row_power(4, 200.0);
+  table.set_lane_rate(lane, 0.5);
+  EXPECT_EQ(table.power_source(0), 4);
+  table.finish_row({0});
   EXPECT_EQ(table.job_row(0), -1);
   EXPECT_DOUBLE_EQ(table.rate(0), 0.0);  // idle nodes advance at rate 0
   EXPECT_DOUBLE_EQ(table.cap_w(0), 0.0);
-  EXPECT_EQ(table.pending_refresh(), (std::vector<int>{0}));
+  EXPECT_DOUBLE_EQ(table.lane_rate(lane), 0.0);  // the free slot adds nothing
+  EXPECT_DOUBLE_EQ(table.power_w(0), 200.0);     // the row's power, until...
+  table.draw_idle_power({0});
+  EXPECT_DOUBLE_EQ(table.power_w(0), 90.0);
 }
 
 TEST(NodeTable, AdvanceProgressUsesCachedRatesOverRanges) {
   NodeTable table(4);
-  table.assign(1, 10);
-  table.assign(3, 11);
-  table.set_rate(1, 0.25);
-  table.set_rate(3, 0.5);
-  table.advance_progress(0, 2, 2.0);  // first shard: nodes 0-1
-  table.advance_progress(2, 4, 2.0);  // second shard: nodes 2-3
+  const int a = table.start_row(0, 10, {1});
+  const int b = table.start_row(1, 11, {3});
+  table.set_lane_rate(a, 0.25);
+  table.set_lane_rate(b, 0.5);
+  table.advance_progress_batch(0, 1, 2.0, 1);  // first shard: lane 0
+  table.advance_progress_batch(1, 2, 2.0, 1);  // second shard: lane 1
   EXPECT_DOUBLE_EQ(table.progress(0), 0.0);
   EXPECT_DOUBLE_EQ(table.progress(1), 0.5);
   EXPECT_DOUBLE_EQ(table.progress(2), 0.0);
@@ -97,12 +126,36 @@ TEST(NodeTable, AdvanceProgressUsesCachedRatesOverRanges) {
 
 TEST(NodeTable, TotalPowerCacheInvalidatedByWrites) {
   NodeTable table(3);
-  table.set_power(0, 100.0);
-  table.set_power(1, 150.0);
+  table.set_idle_power_w(50.0);
+  table.start_row(0, 1, {0, 1});
+  table.draw_row_power(0, {0, 1});
+  table.set_row_power(0, 100.0);
   EXPECT_DOUBLE_EQ(table.total_power_w(), 250.0);
   EXPECT_DOUBLE_EQ(table.total_power_w(), 250.0);  // cached re-read
-  table.set_power(2, 50.0);
-  EXPECT_DOUBLE_EQ(table.total_power_w(), 300.0);
+  table.set_row_power(0, 110.0);
+  EXPECT_DOUBLE_EQ(table.total_power_w(), 270.0);
+  table.set_idle_power_w(60.0);
+  EXPECT_DOUBLE_EQ(table.total_power_w(), 280.0);
+  table.finish_row({0, 1});
+  table.draw_idle_power({0, 1});
+  EXPECT_DOUBLE_EQ(table.total_power_w(), 180.0);
+}
+
+TEST(NodeTable, RowsShareALaneOnlyWhenTheirMultipliersMatch) {
+  NodeTable table(6);
+  table.set_perf_multiplier(3, 1.1);
+  const int shared = table.start_row(0, 1, {0, 1, 2});
+  EXPECT_GE(shared, 0);
+  for (int n : {0, 1, 2}) EXPECT_EQ(table.lane(n), shared);
+  EXPECT_EQ(table.start_row(1, 2, {3, 4}), -1);  // 1.1 and 1.0: one lane each
+  EXPECT_NE(table.lane(3), table.lane(4));
+  EXPECT_EQ(table.lane_end(), 3);
+  EXPECT_EQ(table.lane_inv_multiplier(table.lane(3)), 1.0 / 1.1);
+  table.finish_row({0, 1, 2});
+  table.finish_row({3, 4});
+  EXPECT_EQ(table.idle_count(), 6);
+  table.start_row(2, 3, {0, 1, 2, 3, 4, 5});  // one per node again, from free slots
+  EXPECT_EQ(table.lane_end(), 6);
 }
 
 TEST(JobTable, AddAndLookupById) {

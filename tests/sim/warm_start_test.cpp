@@ -46,23 +46,30 @@ std::string fingerprint(const engine::RunResult& result) {
 
 TEST(NodeTableReset, ResetEqualsFreshConstruction) {
   NodeTable used(16);
-  // Dirty every column.
-  for (int n = 0; n < 16; ++n) {
-    used.assign(n, n + 100, 7);
-    used.set_cap(n, 120.0);
-    used.set_power(n, 115.0);
-    used.set_perf_multiplier(n, 0.9);
-    used.add_progress(n, 42.0);
-    used.set_rate(n, 1.5);
+  // Dirty every column: per node, per lane and per row.
+  used.set_idle_power_w(90.0);
+  for (int n = 0; n < 16; ++n) used.set_perf_multiplier(n, n % 2 == 0 ? 0.9 : 1.1);
+  for (int n = 0; n < 16; n += 2) {
+    const std::size_t row = static_cast<std::size_t>(n / 2);
+    used.start_row(row, n + 100, {n, n + 1});
+    used.set_row_cap(row, 120.0);
+    used.set_row_power(row, 115.0);
+    used.draw_row_power(row, {n, n + 1});
+    used.set_lane_rate(used.lane(n), 1.5);
   }
-  used.release(3);
+  used.advance_progress_batch(0, used.lane_end(), 1.0, 28);
+  used.finish_row({2, 3});
 
   used.reset(16);
   const NodeTable fresh(16);
   ASSERT_EQ(used.size(), fresh.size());
   EXPECT_EQ(used.idle_count(), fresh.idle_count());
+  EXPECT_EQ(used.lane_end(), fresh.lane_end());
+  EXPECT_EQ(used.idle_nodes(), fresh.idle_nodes());
   for (int n = 0; n < 16; ++n) {
     EXPECT_EQ(used.job_id(n), fresh.job_id(n)) << n;
+    EXPECT_EQ(used.lane(n), fresh.lane(n)) << n;
+    EXPECT_EQ(used.power_source(n), fresh.power_source(n)) << n;
     EXPECT_EQ(used.cap_w(n), fresh.cap_w(n)) << n;
     EXPECT_EQ(used.power_w(n), fresh.power_w(n)) << n;
     EXPECT_EQ(used.progress(n), fresh.progress(n)) << n;
@@ -71,6 +78,9 @@ TEST(NodeTableReset, ResetEqualsFreshConstruction) {
     EXPECT_EQ(used.rate(n), fresh.rate(n)) << n;
   }
   EXPECT_EQ(used.total_power_w(), fresh.total_power_w());
+  // The first lane and row handed out after a reset are the fresh table's.
+  NodeTable fresh_copy(16);
+  EXPECT_EQ(used.start_row(0, 1, {5}), fresh_copy.start_row(0, 1, {5}));
 }
 
 TEST(NodeTableReset, ResetCanResize) {

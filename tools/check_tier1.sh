@@ -3,9 +3,10 @@
 # ASan/UBSan over the telemetry suite (its registry/ring are updated
 # concurrently from control loops), the even-slowdown differential suite
 # (the budgeter's hash table and grouped-decision fallback against the
-# job-ordered reference) and the streaming JSON writer, cache-entry
-# reader, Json::parse and export goldens (parsers of untrusted files),
-# and TSan over the simulator's sharded stepping, the ShardWorkers
+# job-ordered reference), the simulator's node table (lane, row and
+# power-source indices, the idle bitmap) and the streaming JSON writer,
+# cache-entry reader, Json::parse and export goldens (parsers of untrusted
+# files), and TSan over the simulator's sharded stepping, the ShardWorkers
 # rendezvous and parallel_for chunking, and the result cache's concurrent
 # stores and lookups (the paths that share state across workers).
 #
@@ -123,18 +124,23 @@ EOF
 cmp "$policy_dir/first.json" "$policy_dir/second.json"
 rm -rf "$policy_dir"
 
-echo "== sanitizers: ASan/UBSan telemetry, even-slowdown differential, JSON streaming =="
+echo "== sanitizers: ASan/UBSan telemetry, even-slowdown differential, node table, JSON streaming =="
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "$asan_dir" -j"$jobs" --target telemetry_test util_test budget_test engine_test anorctl
+cmake --build "$asan_dir" -j"$jobs" --target telemetry_test util_test budget_test engine_test sim_test \
+  anorctl
 "$asan_dir/tests/telemetry_test"
 run_gtest "$asan_dir/tests/util_test" 'Logger.*:VirtualClock.*'
 # The grouped solve against the job-ordered reference, serial and sharded:
 # the open-addressed model table and the grouped-decision fallback.
 run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
+# Every node read goes through a lane, row or power-source index and job
+# starts read the idle bitmap: the node-table unit tests, whole runs at
+# 0/2/4 step workers checked tick by tick, and the lane properties.
+run_gtest "$asan_dir/tests/sim_test" 'NodeTable*:SimRowCaps.*:SimLanes.*'
 # The streaming writer and number formatter against Json::dump/printf,
 # the cursor (and Json::parse, built on it) against the original parser
 # on mutated texts, the cache-entry reader on truncated and byte-flipped
@@ -154,11 +160,12 @@ cmake --build "$tsan_dir" -j"$jobs" --target sim_test util_test platform_test bu
 export TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}"
 # SimDeterminism covers the persistent-team stepping at workers {1,2,4,8}
 # and the full worker x shard-size matrix; SimRowCaps steps runs whose
-# refresh shards node and row cap events across the team; ShardWorkers
+# lane sweep and row refresh shard across the team; SimLanes steps whole
+# runs over the lane layout; ShardWorkers
 # exercises the epoch rendezvous directly (dispatch storms, exception
 # rethrow); the budget filter runs the sharded even-slowdown solve
 # against serial.
-run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*:SimRowCaps.*'
+run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*:SimRowCaps.*:SimLanes.*'
 run_gtest "$tsan_dir/tests/util_test" 'ShardWorkers.*'
 run_gtest "$tsan_dir/tests/platform_test" 'ClusterHw.ShardedStepMatchesSerialBitForBit'
 run_gtest "$tsan_dir/tests/budget_test" 'EvenSlowdown.ShardedSolveIsBitIdenticalToSerial'
