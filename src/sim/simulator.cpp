@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "telemetry/prof/prof.hpp"
+#include "util/add_repeated.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -367,7 +368,8 @@ void TabularSimulator::complete_finished_jobs() {
     // the next refresh.
     nodes_.finish_row(row.nodes);
     finished_rows_.push_back(i);
-    for (std::size_t k = 0; k < row.nodes.size(); ++k) busy_floor_w_ -= type.p_min_w;
+    busy_floor_w_ = util::add_repeated(busy_floor_w_, -type.p_min_w,
+                                       static_cast<std::int64_t>(row.nodes.size()));
     scheduler_.job_finished(type.name, static_cast<int>(row.nodes.size()));
     ++result_.jobs_completed;
 
@@ -497,7 +499,8 @@ void TabularSimulator::schedule_and_cap() {
     const SimJobType& type = job_type(row);
     row.nodes.clear();
     nodes_.lowest_idle_nodes(req.nodes, row.nodes);
-    for (std::size_t k = 0; k < row.nodes.size(); ++k) busy_floor_w_ += type.p_min_w;
+    busy_floor_w_ = util::add_repeated(busy_floor_w_, type.p_min_w,
+                                       static_cast<std::int64_t>(row.nodes.size()));
     row.lane = nodes_.start_row(row_index, req.job_id, row.nodes);
     started_rows_.push_back(row_index);
     // Start at the type's max power until the budgeter runs.

@@ -13,7 +13,10 @@
 // start, finish or cap change is a row event that the next node update
 // refreshes, writing one rate per lane and one power per row;
 // the running-job set / idle count / floor power / total power are
-// maintained incrementally; the per-tick progress sweep is *deferred* —
+// maintained incrementally, the floor with one util::add_repeated call per
+// start or finish and the total with one per run of nodes that share a
+// power source, each bit for bit its per-node sum; the per-tick progress
+// sweep is *deferred* —
 // ticks between two rate-change events owe one `rate * dt` substep each,
 // and the owed substeps are flushed in one batched pass over the lanes
 // (bit-identical to per-tick sweeps) right before anything reads or
@@ -196,7 +199,8 @@ class TabularSimulator {
   double now_s_ = 0.0;
   double busy_node_seconds_ = 0.0;
   /// Sum over busy nodes of their type's p_min, maintained at
-  /// assign/release (the busy half of the cluster's floor power).
+  /// assign/release (the busy half of the cluster's floor power): one
+  /// add per node, taken as one util::add_repeated call per start/finish.
   double busy_floor_w_ = 0.0;
   bool done_ = false;
   bool result_taken_ = false;  // run() handed result_ over

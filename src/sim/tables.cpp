@@ -2,10 +2,21 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
+#include "util/add_repeated.hpp"
+
 namespace anor::sim {
+namespace {
+
+/// A recompute walks the power runs when they average at least this many
+/// nodes.  add_repeated costs about as much as 30-40 plain adds, so
+/// shorter runs (1-2 node jobs) sum faster node by node.
+constexpr int kMinMeanRunNodes = 64;
+
+}  // namespace
 
 NodeTable::NodeTable(int node_count) { reset(node_count); }
 
@@ -19,6 +30,10 @@ void NodeTable::reset(int node_count) {
   idle_bits_.assign((n + 63) / 64, ~std::uint64_t{0});
   if (n % 64 != 0) idle_bits_.back() = (std::uint64_t{1} << (n % 64)) - 1;
   idle_count_ = node_count;
+  // One run: every node draws idle power.
+  run_starts_.assign((n + 63) / 64, 0);
+  run_starts_.front() = 1;
+  power_runs_ = 1;
   lane_progress_.clear();
   lane_rate_.clear();
   lane_inv_mult_.clear();
@@ -94,15 +109,56 @@ void NodeTable::set_idle_power_w(double power_w) {
 }
 
 void NodeTable::draw_row_power(std::size_t row, const std::vector<int>& nodes) {
-  for (int n : nodes) power_source_[idx(n)] = static_cast<int>(row);
-  power_clean_ = false;
+  draw_power(static_cast<int>(row), nodes, [](int) { return true; });
 }
 
 void NodeTable::draw_idle_power(const std::vector<int>& nodes) {
-  for (int n : nodes) {
-    if (idle(n)) power_source_[idx(n)] = -1;
+  draw_power(-1, nodes, [this](int n) { return idle(n); });
+}
+
+template <class Moves>
+void NodeTable::draw_power(int source, const std::vector<int>& nodes, Moves&& moves) {
+  for (std::size_t i = 0; i < nodes.size();) {
+    if (!moves(nodes[i])) {
+      ++i;
+      continue;
+    }
+    // The block [first, last]: consecutive entries naming consecutive nodes.
+    const auto first = idx(nodes[i]);
+    for (++i; i < nodes.size() && idx(nodes[i]) == idx(nodes[i - 1]) + 1 && moves(nodes[i]);) ++i;
+    const auto last = idx(nodes[i - 1]);
+    std::fill(power_source_.begin() + static_cast<std::ptrdiff_t>(first),
+              power_source_.begin() + static_cast<std::ptrdiff_t>(last + 1), source);
+    // Only the block's edges can start a run; any node between them
+    // follows a node with the same source.
+    clear_run_starts(first + 1, last + 1);
+    set_run_start(first, first == 0 || power_source_[first - 1] != source);
+    if (last + 1 < power_source_.size()) {
+      set_run_start(last + 1, power_source_[last + 1] != source);
+    }
   }
   power_clean_ = false;
+}
+
+void NodeTable::set_run_start(std::size_t n, bool starts) {
+  std::uint64_t& word = run_starts_[n / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (n % 64);
+  if (((word & bit) != 0) == starts) return;
+  word ^= bit;
+  power_runs_ += starts ? 1 : -1;
+}
+
+void NodeTable::clear_run_starts(std::size_t first, std::size_t last) {
+  if (first >= last) return;
+  const std::size_t first_word = first / 64;
+  const std::size_t last_word = (last - 1) / 64;
+  for (std::size_t w = first_word; w <= last_word; ++w) {
+    std::uint64_t mask = ~std::uint64_t{0};
+    if (w == first_word) mask &= ~std::uint64_t{0} << (first % 64);
+    if (w == last_word) mask &= ~std::uint64_t{0} >> (63 - (last - 1) % 64);
+    power_runs_ -= std::popcount(run_starts_[w] & mask);
+    run_starts_[w] &= ~mask;
+  }
 }
 
 // Cache-line aligned so the 14-byte inner add loop always sits inside one
@@ -150,13 +206,31 @@ void NodeTable::lowest_idle_nodes(int count, std::vector<int>& out) const {
 }
 
 double NodeTable::total_power_w() const {
-  if (!power_clean_) {
-    double total = 0.0;
+  if (power_clean_) return total_power_cache_;
+  double total = 0.0;
+  if (power_runs_ > size() / kMinMeanRunNodes) {
     for (int source : power_source_) total += source_power_w(source);
-    total_power_cache_ = total;
-    power_clean_ = true;
+  } else {
+    // Every node of a run adds the same power, so the run's adds are one
+    // add_repeated call: the same bits in O(binade crossings).
+    std::size_t start = 0;  // node 0 always starts a run
+    std::uint64_t bits = run_starts_.front() & ~std::uint64_t{1};
+    for (std::size_t w = 0;;) {
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t next = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        total = util::add_repeated(total, source_power_w(power_source_[start]),
+                                   static_cast<std::int64_t>(next - start));
+        start = next;
+      }
+      if (++w == run_starts_.size()) break;
+      bits = run_starts_[w];
+    }
+    total = util::add_repeated(total, source_power_w(power_source_[start]),
+                               static_cast<std::int64_t>(power_source_.size() - start));
   }
-  return total_power_cache_;
+  total_power_cache_ = total;
+  power_clean_ = true;
+  return total;
 }
 
 std::size_t JobTable::add(JobRow row) {

@@ -18,10 +18,15 @@
 //     source's power.  Sources move only at the simulator's refresh, so a
 //     node released and re-assigned in one tick draws its old job's power
 //     until the next node update.
+//   * Consecutive nodes with one power source form a *power run*.  A
+//     run-break bitmap marks where runs start; the draws update it only at
+//     the edges of each contiguous block of nodes they move.  The total
+//     power then sums each run's equal terms with one util::add_repeated
+//     call, bit for bit the left-to-right node loop.
 // Per node the table keeps ownership (job id), the lane index, the power
-// source, the performance multiplier and an idle bitmap; the per-node
-// getters derive progress, rate, cap and power from lanes and rows.  See
-// DESIGN.md "Performance model of the simulator".
+// source, the performance multiplier, an idle bitmap and the run-break
+// bitmap; the per-node getters derive progress, rate, cap and power from
+// lanes and rows.  See DESIGN.md "Performance model of the simulator".
 #pragma once
 
 #include <cstdint>
@@ -74,6 +79,13 @@ class NodeTable {
   double power_w(int node) const { return source_power_w(power_source_[idx(node)]); }
   /// The row whose power the node draws, or -1 for idle power.
   int power_source(int node) const { return power_source_[idx(node)]; }
+  /// Whether a power run starts at the node: node 0, or a node whose power
+  /// source differs from the node before it.
+  bool starts_power_run(int node) const {
+    return (run_starts_[idx(node) / 64] >> (idx(node) % 64) & 1) != 0;
+  }
+  /// Number of power runs (1 when every node draws from one source).
+  int power_runs() const { return power_runs_; }
 
   double perf_multiplier(int node) const { return perf_mult_[idx(node)]; }
   double inv_perf_multiplier(int node) const { return 1.0 / perf_mult_[idx(node)]; }
@@ -104,7 +116,9 @@ class NodeTable {
 
   /// Power-source moves, made by the simulator's refresh: `nodes` draw
   /// `row`'s power from now on; of `nodes`, those still idle draw idle
-  /// power (a node re-assigned since is left to its new row).
+  /// power (a node re-assigned since is left to its new row).  Each
+  /// contiguous block of moved nodes rewrites the run breaks at its two
+  /// edges and clears the ones inside it a word at a time.
   void draw_row_power(std::size_t row, const std::vector<int>& nodes);
   void draw_idle_power(const std::vector<int>& nodes);
 
@@ -142,9 +156,11 @@ class NodeTable {
   int idle_count() const { return idle_count_; }
   int busy_count() const { return size() - idle_count_; }
 
-  /// Left-to-right sum of power_w(n) over the nodes, cached between power
-  /// changes.  Power changes only at refresh events, so steady-state
-  /// ticks pay O(1) here.
+  /// Left-to-right sum of power_w(n) over the nodes, bit for bit, cached
+  /// between power changes (refresh events), so steady-state ticks pay
+  /// O(1) here.  A recompute adds each power run with one
+  /// util::add_repeated call, O(runs); when runs are short on average (a
+  /// job-dense table) it keeps the node loop, which is cheaper there.
   double total_power_w() const;
 
  private:
@@ -153,6 +169,14 @@ class NodeTable {
     return source < 0 ? idle_power_w_ : row_power_w_[idx(source)];
   }
   int open_lane(std::size_t row, double multiplier);
+  /// Point the nodes of `nodes` that pass `moves` at `source`, one
+  /// contiguous block at a time, keeping the run breaks exact.
+  template <class Moves>
+  void draw_power(int source, const std::vector<int>& nodes, Moves&& moves);
+  /// Set or clear node n's run-break bit, keeping power_runs_.
+  void set_run_start(std::size_t n, bool starts);
+  /// Clear the run-break bits of nodes [first, last).
+  void clear_run_starts(std::size_t first, std::size_t last);
 
   // Per node.
   std::vector<int> job_id_;
@@ -161,6 +185,8 @@ class NodeTable {
   std::vector<double> perf_mult_;
   std::vector<std::uint64_t> idle_bits_;  // bit n % 64 of word n / 64: node n idle
   int idle_count_ = 0;
+  std::vector<std::uint64_t> run_starts_;  // same layout: starts_power_run(n)
+  int power_runs_ = 0;                     // popcount of run_starts_
 
   // Per lane.
   std::vector<double> lane_progress_;

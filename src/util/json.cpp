@@ -215,17 +215,12 @@ Json parse_value(JsonCursor& in) {
     case 'f': return Json(in.boolean());
     case 'n': in.null(); return Json(nullptr);
     default: {
-      // std::stod, not parse_json_number: it rejects subnormals, and its
-      // error rules are this parser's contract until a property test
-      // pins them.
-      const std::string token(in.number_token());
-      try {
-        std::size_t used = 0;
-        const double d = std::stod(token, &used);
-        if (used == token.size()) return Json(d);
-      } catch (const std::exception&) {
-      }
-      in.fail("malformed number '" + token + "'");
+      // The cache reader's rule: from_chars over the whole token, so a
+      // subnormal the writer emitted reads back exactly.
+      const std::string_view token = in.number_token();
+      double d = 0.0;
+      if (!parse_json_number(token, d)) in.fail("malformed number '" + std::string(token) + "'");
+      return Json(d);
     }
   }
 }
@@ -348,8 +343,8 @@ constexpr int kMaxSkipDepth = 256;
 bool parse_json_number(std::string_view token, double& out) {
   const char* first = token.data();
   const char* last = first + token.size();
-  // std::stod takes a leading '+', from_chars does not; the rest of the
-  // grammar (and out-of-range rejection) is the same for this charset.
+  // The readers have always taken a leading '+' (std::stod did);
+  // from_chars does not.
   if (token.size() > 1 && token[0] == '+' &&
       (std::isdigit(static_cast<unsigned char>(token[1])) || token[1] == '.')) {
     ++first;

@@ -241,10 +241,11 @@ class JsonCursor {
   std::string key_;
 };
 
-/// Parse one number token the way Json::parse does (std::stod over the
-/// whole token), except that a subnormal value, which std::stod rejects,
-/// reads exactly.  False when the token is not a complete, in-range
-/// number.
+/// Parse one number token, the rule of both readers (Json::parse and
+/// JsonCursor::number): std::from_chars over the whole token, after an
+/// optional leading '+'.  Subnormals read exactly; a value that overflows,
+/// or underflows to zero, does not read.  False when the token is not a
+/// complete, in-range number.
 bool parse_json_number(std::string_view token, double& out);
 
 /// Read/write whole files; throw ConfigError on I/O failure.

@@ -391,9 +391,7 @@ TEST_F(CacheReaderProperty, KeyShuffledEntriesStillHit) {
   }
 }
 
-/// A small entry: two jobs, a few samples, two QoS records.  Its numbers
-/// stay clear of the subnormal range, where the DOM decode (std::stod)
-/// and the streaming reader deliberately differ.
+/// A small entry: two jobs, a few samples, two QoS records.
 RunResult small_result() {
   RunResult result;
   for (int i = 0; i < 2; ++i) {

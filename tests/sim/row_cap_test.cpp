@@ -10,13 +10,18 @@
 //     rate(n) * step_s tick by tick, bit for bit;
 //   * a row has one lane exactly when its nodes share a multiplier, and
 //     lane slots are reused (never more lanes than nodes, nor, without
-//     variation, than running rows).
+//     variation, than running rows);
+//   * the power-run breaks match the per-node power sources, and the
+//     total power equals a left-to-right sum of every node's power, bit
+//     for bit.
 // All are checked at 0, 2 and 4 step workers with shards small enough
 // that the sweep and the refresh run sharded (the sharded case is a TSan
 // target in tools/check_tier1.sh).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -99,6 +104,18 @@ void check_row_cap_invariants(const SimConfig& config, long& checked) {
       prev_row[slot] = row_index;
       prev_cap[slot] = nodes.cap_w(n);
     }
+    int runs = 0;
+    double total = 0.0;
+    for (int n = 0; n < nodes.size(); ++n) {
+      const bool starts = n == 0 || nodes.power_source(n) != nodes.power_source(n - 1);
+      ASSERT_EQ(nodes.starts_power_run(n), starts) << "t=" << sim.now_s() << " node " << n;
+      runs += starts ? 1 : 0;
+      total += nodes.power_w(n);
+    }
+    ASSERT_EQ(nodes.power_runs(), runs) << "t=" << sim.now_s();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(nodes.total_power_w()),
+              std::bit_cast<std::uint64_t>(total))
+        << "t=" << sim.now_s();
   }
 }
 

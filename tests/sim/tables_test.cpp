@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace anor::sim {
 namespace {
 
@@ -156,6 +164,129 @@ TEST(NodeTable, RowsShareALaneOnlyWhenTheirMultipliersMatch) {
   EXPECT_EQ(table.idle_count(), 6);
   table.start_row(2, 3, {0, 1, 2, 3, 4, 5});  // one per node again, from free slots
   EXPECT_EQ(table.lane_end(), 6);
+}
+
+/// The run breaks, the run count and the total power against a rebuild
+/// from the per-node power sources and powers.
+void expect_runs_match_rebuild(const NodeTable& table, const std::string& where) {
+  int runs = 0;
+  double total = 0.0;
+  for (int n = 0; n < table.size(); ++n) {
+    const bool starts = n == 0 || table.power_source(n) != table.power_source(n - 1);
+    ASSERT_EQ(table.starts_power_run(n), starts) << where << ", node " << n;
+    runs += starts ? 1 : 0;
+    total += table.power_w(n);
+  }
+  ASSERT_EQ(table.power_runs(), runs) << where;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(table.total_power_w()),
+            std::bit_cast<std::uint64_t>(total))
+      << where << ": " << table.total_power_w() << " vs " << total;
+}
+
+TEST(NodeTable, PowerRunsMatchARebuild) {
+  util::Rng rng(20261018);
+  for (int size : {1, 63, 64, 65, 197, 256}) {
+    NodeTable table(size);
+    struct Row {
+      std::vector<int> nodes;
+      bool finished = false;
+    };
+    std::vector<Row> rows;
+    // Row and idle powers with full significands, so summing a run is
+    // more than integer arithmetic.
+    auto power = [&] { return rng.uniform(50.0, 400.0); };
+    auto any_row = [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(rows.size()) - 1));
+    };
+    long few_runs = 0;  // checks where the runs average 64+ nodes
+    for (int op = 0; op < 3000; ++op) {
+      std::string what;
+      const auto pick = [&](auto want) -> Row* {
+        std::vector<Row*> match;
+        for (Row& row : rows) {
+          if (want(row)) match.push_back(&row);
+        }
+        return match.empty() ? nullptr
+                             : match[static_cast<std::size_t>(rng.uniform_int(
+                                   0, static_cast<std::int64_t>(match.size()) - 1))];
+      };
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+        case 1: {  // start: the lowest idle nodes, or scattered ones
+          if (table.idle_count() == 0) break;
+          const int count = static_cast<int>(
+              rng.uniform_int(0, 1) == 0 ? rng.uniform_int(1, std::min(3, table.idle_count()))
+                                         : rng.uniform_int(1, table.idle_count()));
+          std::vector<int> nodes;
+          if (rng.uniform_int(0, 1) == 0) {
+            table.lowest_idle_nodes(count, nodes);
+          } else {
+            std::vector<int> idle = table.idle_nodes();
+            for (int i = 0; i < count; ++i) {
+              const auto j = static_cast<std::size_t>(
+                  rng.uniform_int(i, static_cast<std::int64_t>(idle.size()) - 1));
+              std::swap(idle[static_cast<std::size_t>(i)], idle[j]);
+            }
+            nodes.assign(idle.begin(), idle.begin() + count);
+            std::sort(nodes.begin(), nodes.end());
+          }
+          table.start_row(rows.size(), static_cast<int>(rows.size()), nodes);
+          table.set_row_power(rows.size(), power());
+          rows.push_back({std::move(nodes)});
+          what = "start";
+          break;
+        }
+        case 2:
+        case 3: {  // the refresh moves a started row's nodes to its power
+          if (rows.empty()) break;
+          const std::size_t row = any_row();
+          table.draw_row_power(row, rows[row].nodes);
+          what = "draw row";
+          break;
+        }
+        case 4:
+        case 5: {  // finish a running row
+          Row* row = pick([](const Row& r) { return !r.finished; });
+          if (row == nullptr) break;
+          table.finish_row(row->nodes);
+          row->finished = true;
+          what = "finish";
+          break;
+        }
+        case 6:
+        case 7: {  // the refresh moves a finished row's still-idle nodes to idle
+          Row* row = pick([](const Row& r) { return r.finished; });
+          if (row == nullptr) break;
+          table.draw_idle_power(row->nodes);
+          what = "draw idle";
+          break;
+        }
+        case 8: {  // power changes without source moves
+          if (!rows.empty() && rng.uniform_int(0, 1) == 0) {
+            table.set_row_power(any_row(), power());
+          } else {
+            table.set_idle_power_w(power());
+          }
+          what = "set power";
+          break;
+        }
+        default: {
+          if (rng.uniform_int(0, 20) != 0) break;
+          table.reset(size);
+          rows.clear();
+          what = "reset";
+          break;
+        }
+      }
+      if (what.empty()) continue;
+      expect_runs_match_rebuild(table, std::to_string(size) + " nodes, op " +
+                                           std::to_string(op) + " (" + what + ")");
+      if (HasFatalFailure()) return;
+      if (table.power_runs() * 64 <= table.size()) ++few_runs;
+    }
+    if (size >= 128) EXPECT_GT(few_runs, 0) << size << " nodes";
+  }
 }
 
 TEST(JobTable, AddAndLookupById) {

@@ -70,6 +70,7 @@ TEST(NodeTableReset, ResetEqualsFreshConstruction) {
     EXPECT_EQ(used.job_id(n), fresh.job_id(n)) << n;
     EXPECT_EQ(used.lane(n), fresh.lane(n)) << n;
     EXPECT_EQ(used.power_source(n), fresh.power_source(n)) << n;
+    EXPECT_EQ(used.starts_power_run(n), fresh.starts_power_run(n)) << n;
     EXPECT_EQ(used.cap_w(n), fresh.cap_w(n)) << n;
     EXPECT_EQ(used.power_w(n), fresh.power_w(n)) << n;
     EXPECT_EQ(used.progress(n), fresh.progress(n)) << n;
@@ -77,6 +78,7 @@ TEST(NodeTableReset, ResetEqualsFreshConstruction) {
     EXPECT_EQ(used.inv_perf_multiplier(n), fresh.inv_perf_multiplier(n)) << n;
     EXPECT_EQ(used.rate(n), fresh.rate(n)) << n;
   }
+  EXPECT_EQ(used.power_runs(), fresh.power_runs());
   EXPECT_EQ(used.total_power_w(), fresh.total_power_w());
   // The first lane and row handed out after a reset are the fresh table's.
   NodeTable fresh_copy(16);

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace anor::util {
 namespace {
@@ -79,6 +85,30 @@ TEST(Json, RoundTripPretty) {
   const Json j(std::move(obj));
   const Json reparsed = Json::parse(j.dump(2));
   EXPECT_EQ(reparsed, j);
+}
+
+TEST(Json, SubnormalsRoundTripThroughDumpAndParse) {
+  // The writer spells subnormals out; a spec or grid it wrote must read
+  // back to the same bits.
+  EXPECT_EQ(Json(JsonObject{{"x", Json(DBL_TRUE_MIN)}}).dump(), R"({"x":4.9406564584124654e-324})");
+  std::vector<double> values = {DBL_TRUE_MIN, -DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0),
+                                -std::nextafter(DBL_MIN, 0.0)};
+  Rng rng(324);
+  while (values.size() < 20'000) {
+    const double d = std::bit_cast<double>(rng.next_u64() & 0x800fffffffffffffULL);
+    if (d != 0.0) values.push_back(d);
+  }
+  for (const double d : values) {
+    const Json doc(JsonObject{{"x", Json(d)}, {"y", Json(JsonArray{Json(d)})}});
+    for (const int indent : {-1, 2}) {
+      const std::string text = doc.dump(indent);
+      const Json back = Json::parse(text);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(back.at("x").as_number()),
+                std::bit_cast<std::uint64_t>(d))
+          << text;
+      ASSERT_EQ(back, doc) << text;
+    }
+  }
 }
 
 TEST(Json, IntegersDumpWithoutDecimal) {

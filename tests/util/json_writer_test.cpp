@@ -274,19 +274,32 @@ bool cursor_number(const std::string& token, double& out) {
   }
 }
 
-/// The one deliberate difference: std::stod rejects a result at or below
-/// the smallest normal double; the cursor reads subnormals exactly.
-bool in_subnormal_range(double d) { return d != 0.0 && std::abs(d) <= DBL_MIN; }
+/// The reference parser's verdict on one number document: std::stod, or
+/// std::strtod where stod rejects a subnormal result.
+bool reference_number(const std::string& token, double& out) {
+  try {
+    out = reference::parse(token).as_number();
+    return true;
+  } catch (const ConfigError&) {
+    return false;
+  }
+}
 
+/// Json::parse, the cursor and the reference parser agree on every token:
+/// all reject it, or all read the same bits.
 void expect_same_verdict(const std::string& token) {
   double dom = 0.0;
   double cursor = 0.0;
+  double reference = 0.0;
   const bool dom_ok = dom_number(token, dom);
   const bool cursor_ok = cursor_number(token, cursor);
-  if (!dom_ok && cursor_ok && in_subnormal_range(cursor)) return;
+  const bool reference_ok = reference_number(token, reference);
   ASSERT_EQ(cursor_ok, dom_ok) << "token '" << token << "'";
+  ASSERT_EQ(reference_ok, dom_ok) << "token '" << token << "'";
   if (dom_ok) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(cursor), std::bit_cast<std::uint64_t>(dom))
+        << "token '" << token << "'";
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(reference), std::bit_cast<std::uint64_t>(dom))
         << "token '" << token << "'";
   }
 }
@@ -318,6 +331,8 @@ TEST(JsonCursorProperty, NumberTokensReadAsJsonParseReadsThem) {
   // Subnormals read exactly; nan and inf cannot be spelled at all.
   double d = 0.0;
   ASSERT_TRUE(cursor_number("4.9406564584124654e-324", d));
+  EXPECT_EQ(d, DBL_TRUE_MIN);
+  ASSERT_TRUE(dom_number("4.9406564584124654e-324", d));
   EXPECT_EQ(d, DBL_TRUE_MIN);
   EXPECT_FALSE(cursor_number("nan", d));
   EXPECT_FALSE(cursor_number("inf", d));

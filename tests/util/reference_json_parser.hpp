@@ -1,10 +1,16 @@
 // Reference JSON parser for differential tests: the character-by-character
 // recursive-descent parser util::Json::parse used before it became a tree
-// builder over util::JsonCursor, kept verbatim.  Json::parse must accept
-// exactly the texts this accepts and build equal trees from them.
+// builder over util::JsonCursor, kept verbatim but for one number rule: a
+// value in the subnormal range, which std::stod rejects as out of range,
+// reads as std::strtod computes it (Json::parse reads subnormals exactly).
+// Json::parse must accept exactly the texts this accepts and build equal
+// trees from them.
 #pragma once
 
 #include <cctype>
+#include <cfloat>
+#include <cmath>
+#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -173,9 +179,15 @@ class Parser {
       const double d = std::stod(token, &used);
       if (used != token.size()) throw std::invalid_argument("partial");
       return Json(d);
+    } catch (const std::out_of_range&) {
+      char* end = nullptr;
+      const double d = std::strtod(token.c_str(), &end);
+      if (end == token.c_str() + token.size() && d != 0.0 && std::abs(d) <= DBL_MIN) {
+        return Json(d);
+      }
     } catch (const std::exception&) {
-      fail("malformed number '" + token + "'");
     }
+    fail("malformed number '" + token + "'");
   }
 
   const std::string& text_;

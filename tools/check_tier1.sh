@@ -3,8 +3,9 @@
 # ASan/UBSan over the telemetry suite (its registry/ring are updated
 # concurrently from control loops), the even-slowdown differential suite
 # (the budgeter's hash table and grouped-decision fallback against the
-# job-ordered reference), the simulator's node table (lane, row and
-# power-source indices, the idle bitmap) and the streaming JSON writer,
+# job-ordered reference), the repeated-add helper, the simulator's node
+# table (lane, row and power-source indices, the idle and run-break
+# bitmaps) and the streaming JSON writer,
 # cache-entry reader, Json::parse and export goldens (parsers of untrusted
 # files), and TSan over the simulator's sharded stepping, the ShardWorkers
 # rendezvous and parallel_for chunking, and the result cache's concurrent
@@ -134,12 +135,17 @@ cmake --build "$asan_dir" -j"$jobs" --target telemetry_test util_test budget_tes
   anorctl
 "$asan_dir/tests/telemetry_test"
 run_gtest "$asan_dir/tests/util_test" 'Logger.*:VirtualClock.*'
+# util::add_repeated against the plain add loop, bit for bit: the
+# significand arithmetic, shifts and bit casts behind the total power and
+# the busy floor.
+run_gtest "$asan_dir/tests/util_test" 'AddRepeated.*'
 # The grouped solve against the job-ordered reference, serial and sharded:
 # the open-addressed model table and the grouped-decision fallback.
 run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
-# Every node read goes through a lane, row or power-source index and job
-# starts read the idle bitmap: the node-table unit tests, whole runs at
-# 0/2/4 step workers checked tick by tick, and the lane properties.
+# Every node read goes through a lane, row or power-source index, job
+# starts read the idle bitmap and the total power walks the run-break
+# bitmap: the node-table unit tests, whole runs at 0/2/4 step workers
+# checked tick by tick, and the lane properties.
 run_gtest "$asan_dir/tests/sim_test" 'NodeTable*:SimRowCaps.*:SimLanes.*'
 # The streaming writer and number formatter against Json::dump/printf,
 # the cursor (and Json::parse, built on it) against the original parser

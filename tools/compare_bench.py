@@ -4,7 +4,9 @@
 Matches cases by (nodes, duration_s, step_workers), prints a side-by-side
 steps/sec table with the per-phase profile deltas that moved most, and
 exits nonzero if any case's steps_per_sec regressed by more than the
-threshold (default 10%).
+threshold (default 10%), or if any shared case's trace_hash changed: a
+speed comparison between runs that computed different results means
+nothing, so the script names each such case and fails.
 
 Cases carry a "cache" provenance field ("hit" | "miss" | "off").  A cached
 wall time measures a map lookup, not the simulator, so a case is only
@@ -126,12 +128,14 @@ def main():
         for phase, b, c, d in phase_deltas(base_cases[key], cand_cases[key])[:args.top_phases]:
             print(f"  {phase:<24} {b:>9.2f} -> {c:>9.2f} us/step ({d:+.2f})")
 
+    hash_changes = []
     for key in sorted(shared):
         bh = base_cases[key].get("trace_hash")
         ch = cand_cases[key].get("trace_hash")
         if bh and ch and bh != ch:
-            print(f"note: {fmt_key(key)}: trace hash changed {bh} -> {ch} "
+            print(f"{fmt_key(key)}: trace hash changed {bh} -> {ch} "
                   f"(simulation behavior differs, not just speed)")
+            hash_changes.append(key)
 
     # Workers-vs-serial speedup inside the candidate report: each sharded
     # case against the serial run of the same (nodes, duration_s).
@@ -157,12 +161,15 @@ def main():
             print(f"{fmt_key(case_key(c)):>16} {ref:>15.1f} "
                   f"{c['steps_per_sec']:>16.1f} {speedup:>7.2f}x{flag}")
 
-    failed = bool(regressions)
+    failed = bool(regressions) or bool(hash_changes)
     if regressions:
         print(f"\nFAIL: {len(regressions)} case(s) regressed more than "
               f"{args.threshold:.0%}")
     else:
         print(f"\nOK: no case regressed more than {args.threshold:.0%}")
+    if hash_changes:
+        print(f"FAIL: trace hash changed in {len(hash_changes)} case(s): "
+              + ", ".join(fmt_key(key) for key in hash_changes))
 
     if args.require_parallel_win:
         hw_threads = cand_report.get("hardware_threads", 0)
