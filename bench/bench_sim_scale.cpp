@@ -1,10 +1,16 @@
 // Simulator scaling bench: sweeps node counts and step-worker counts over
 // the seeded tracking scenario and writes BENCH_sim.json (schema
-// documented in README.md).  For every case it reports steps/sec and
-// ns/node-tick from an uninstrumented run, the span profiler's per-phase
-// breakdown from a second instrumented run, and an FNV-1a hash over the
-// power trace and QoS records; sharded cases must reproduce the serial
-// hash bit-for-bit or the bench exits nonzero.
+// documented in README.md).  Two job shapes: "wide" scales every NAS-long
+// type to nodes/40 nodes (~700 jobs per hour at any size, the per-node
+// layers carry the wall), "dense" keeps their native 1-2 nodes (the job
+// count grows with the cluster, the per-job layers carry the wall).  For
+// every case it reports steps/sec, jobs/sec and ns/node-tick as the median
+// of uninstrumented runs repeated until they total at least 0.5 s of wall,
+// the span profiler's per-phase breakdown from one more, instrumented run,
+// and an FNV-1a hash over the power trace and QoS records.  Every repeat
+// and the instrumented run must reproduce the case's hash, and sharded
+// cases the serial hash, bit for bit, or the bench exits nonzero.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -36,10 +42,16 @@ std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
   return h;
 }
 
+/// Repeat a case's timed run until the repeats total this much wall, and
+/// report their median: one ~20 ms run swings more between identical
+/// runs than compare_bench.py's regression threshold.
+constexpr double kMinTimedWallS = 0.5;
+
 struct CaseSpec {
   int nodes = 1000;
   double duration_s = 3600.0;
   int step_workers = 0;  // 0 = serial
+  bool dense = false;    // native job sizes instead of nodes/40
 };
 
 struct RunOutcome {
@@ -53,7 +65,8 @@ sim::SimConfig make_config(const CaseSpec& spec, bool telemetry) {
   sim::SimConfig config;
   config.node_count = spec.nodes;
   config.duration_s = spec.duration_s;
-  config.job_types = sim::standard_sim_types(true, std::max(1, spec.nodes / 40));
+  config.job_types =
+      sim::standard_sim_types(true, spec.dense ? 1 : std::max(1, spec.nodes / 40));
   config.bid.average_power_w = spec.nodes * 150.0;
   config.bid.reserve_w = spec.nodes * 18.0;
   config.telemetry_enabled = telemetry;
@@ -98,26 +111,40 @@ int main(int argc, char** argv) {
   // Node-count x worker-count sweep.  The 1M x 1h case is the scale
   // target; sharded variants demonstrate worker-count invariance (fixed
   // shard boundaries make the trace identical at any worker count) and,
-  // on multicore hosts, the persistent-team speedup.
+  // on multicore hosts, the persistent-team speedup.  The dense cases are
+  // the job-dense gate case of ROADMAP item 1 (100k nodes, 20 minutes of
+  // arrivals: ~590k jobs) and a tenth of it.
   std::vector<CaseSpec> specs;
   if (quick) {
-    specs = {{1000, 600.0, 0}, {1000, 600.0, 4}};
+    specs = {{1000, 600.0, 0}, {1000, 600.0, 4}, {1000, 600.0, 0, true}};
   } else {
-    specs = {{1000, 3600.0, 0},    {1000, 3600.0, 4},   {10000, 900.0, 0},
-             {10000, 900.0, 2},    {10000, 900.0, 4},   {10000, 900.0, 8},
-             {100000, 3600.0, 0},  {100000, 3600.0, 8}, {1000000, 3600.0, 0},
-             {1000000, 3600.0, 8}};
+    specs = {{1000, 3600.0, 0},         {1000, 3600.0, 4},          {10000, 900.0, 0},
+             {10000, 900.0, 2},         {10000, 900.0, 4},          {10000, 900.0, 8},
+             {100000, 3600.0, 0},       {100000, 3600.0, 8},        {1000000, 3600.0, 0},
+             {1000000, 3600.0, 8},      {10000, 1200.0, 0, true},   {100000, 1200.0, 0, true}};
   }
 
   util::JsonArray cases;
   std::uint64_t serial_hash_1k = 0;
   bool hashes_consistent = true;
-  // Serial reference hash per node count: sharded runs must match it.
-  std::vector<std::pair<int, std::uint64_t>> serial_hashes;
+  // Serial reference hash per node count and job shape: sharded runs
+  // must match it.
+  std::vector<std::pair<std::pair<int, bool>, std::uint64_t>> serial_hashes;
 
   for (const CaseSpec& spec : specs) {
-    // Timed, uninstrumented run.
-    const RunOutcome timed = run_case(spec, /*telemetry=*/false);
+    // Timed, uninstrumented runs: the median wall of enough repeats to
+    // total kMinTimedWallS, each of which must compute the same trace.
+    RunOutcome timed = run_case(spec, /*telemetry=*/false);
+    std::vector<double> walls = {timed.wall_s};
+    for (double total = timed.wall_s; total < kMinTimedWallS;) {
+      const RunOutcome repeat = run_case(spec, /*telemetry=*/false);
+      if (repeat.trace_hash != timed.trace_hash) hashes_consistent = false;
+      walls.push_back(repeat.wall_s);
+      total += repeat.wall_s;
+    }
+    std::sort(walls.begin(), walls.end());
+    const std::size_t mid = walls.size() / 2;
+    timed.wall_s = walls.size() % 2 == 1 ? walls[mid] : 0.5 * (walls[mid - 1] + walls[mid]);
 
     // Instrumented re-run (telemetry and the span profiler on) for the
     // per-phase wall attribution with quantiles, and a second determinism
@@ -145,11 +172,11 @@ int main(int argc, char** argv) {
 
     bool matches_serial = true;
     if (spec.step_workers <= 1) {
-      serial_hashes.emplace_back(spec.nodes, timed.trace_hash);
-      if (spec.nodes == 1000) serial_hash_1k = timed.trace_hash;
+      serial_hashes.push_back({{spec.nodes, spec.dense}, timed.trace_hash});
+      if (spec.nodes == 1000 && !spec.dense) serial_hash_1k = timed.trace_hash;
     } else {
-      for (const auto& [nodes, hash] : serial_hashes) {
-        if (nodes == spec.nodes) matches_serial = timed.trace_hash == hash;
+      for (const auto& [shape, hash] : serial_hashes) {
+        if (shape == std::pair{spec.nodes, spec.dense}) matches_serial = timed.trace_hash == hash;
       }
       if (!matches_serial) hashes_consistent = false;
     }
@@ -158,9 +185,12 @@ int main(int argc, char** argv) {
     entry["nodes"] = util::Json(spec.nodes);
     entry["duration_s"] = util::Json(spec.duration_s);
     entry["step_workers"] = util::Json(spec.step_workers);
+    entry["job_shape"] = util::Json(std::string(spec.dense ? "dense" : "wide"));
     entry["steps"] = util::Json(static_cast<double>(timed.steps));
     entry["wall_s"] = util::Json(timed.wall_s);
+    entry["timed_runs"] = util::Json(static_cast<double>(walls.size()));
     entry["steps_per_sec"] = util::Json(timed.steps / timed.wall_s);
+    entry["jobs_per_sec"] = util::Json(timed.jobs_completed / timed.wall_s);
     entry["ns_per_node_tick"] =
         util::Json(timed.wall_s * 1e9 / (static_cast<double>(timed.steps) * spec.nodes));
     entry["jobs_completed"] = util::Json(timed.jobs_completed);
@@ -174,10 +204,11 @@ int main(int argc, char** argv) {
     entry["profile"] = util::Json(std::move(prof_phases));
     cases.push_back(util::Json(std::move(entry)));
 
-    std::printf("nodes=%-6d workers=%d steps=%ld wall_s=%.3f steps_per_sec=%.1f "
-                "ns_per_node_tick=%.2f hash=%s%s\n",
-                spec.nodes, spec.step_workers, timed.steps, timed.wall_s,
-                timed.steps / timed.wall_s,
+    std::printf("nodes=%-7d %s workers=%d steps=%ld runs=%zu wall_s=%.3f steps_per_sec=%.1f "
+                "jobs_per_sec=%.0f ns_per_node_tick=%.2f hash=%s%s\n",
+                spec.nodes, spec.dense ? "dense" : "wide ", spec.step_workers, timed.steps,
+                walls.size(), timed.wall_s, timed.steps / timed.wall_s,
+                timed.jobs_completed / timed.wall_s,
                 timed.wall_s * 1e9 / (static_cast<double>(timed.steps) * spec.nodes),
                 hash_hex(timed.trace_hash).c_str(),
                 matches_serial ? "" : "  HASH MISMATCH vs serial");
@@ -210,7 +241,8 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!hashes_consistent) {
-    std::fprintf(stderr, "FAIL: sharded/instrumented runs diverged from the serial trace\n");
+    std::fprintf(stderr,
+                 "FAIL: repeated/sharded/instrumented runs diverged from the serial trace\n");
     return 1;
   }
   return 0;

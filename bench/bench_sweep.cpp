@@ -234,6 +234,7 @@ int main(int argc, char** argv) {
   const char* revision = std::getenv("ANOR_GIT_REVISION");
   root["git_revision"] = util::Json(std::string(revision ? revision : "unknown"));
   root["quick"] = util::Json(quick);
+  root["grid"] = util::Json(grid.name);
   root["grid_cells"] = util::Json(cell_count);
   root["hardware_threads"] =
       util::Json(static_cast<double>(std::thread::hardware_concurrency()));

@@ -27,6 +27,14 @@ struct JobPowerProfile {
   int job_id = 0;
   int nodes = 1;
   model::PowerPerfModel model;
+  /// Grouping hint, -1 for none.  Profiles that share a key in
+  /// [0, kMaxModelKey) are expected to carry equal models (the tabular
+  /// simulator passes the job's classified type index).  A budgeter may
+  /// group by key instead of comparing every model, but must confirm each
+  /// keyed model against its group's and fall back when they differ, so a
+  /// key can never change a result, only its cost.
+  int model_key = -1;
+  static constexpr int kMaxModelKey = 4096;
 };
 
 /// Budgeting outcome: per-node cap for each job, plus diagnostics.

@@ -87,16 +87,38 @@ class ModelIndex {
 };
 
 /// Groups of jobs[begin, end), indices local to the range.
+///
+/// A keyed job (JobPowerProfile::model_key) is checked with one same_model
+/// against the group its key last mapped to, and goes through the model
+/// index only when the key is new or the check fails.  Both paths return
+/// the group whose rep equals the job's model, which is unique, so keys
+/// change nothing: not the first-seen group order, not the merging of
+/// equal models under different keys, not the one-group-per-job of NaN
+/// models (a NaN model never passes the check).
 ModelGroups group_models(const std::vector<JobPowerProfile>& jobs, std::size_t begin,
                          std::size_t end) {
   ModelGroups groups;
   ModelIndex index;
+  std::vector<std::size_t> key_group;  // key -> group + 1, 0 = not seen
   groups.group_of.resize(end - begin);
   // Integer accumulators keep the per-job adds off the floating-point
   // latency chain.
   for (std::size_t i = begin; i < end; ++i) {
     const JobPowerProfile& j = jobs[i];
-    const std::size_t k = index.find_or_add(groups, j.model);
+    std::size_t k = 0;
+    if (j.model_key >= 0 && j.model_key < JobPowerProfile::kMaxModelKey) {
+      const auto key = static_cast<std::size_t>(j.model_key);
+      if (key >= key_group.size()) key_group.resize(key + 1, 0);
+      std::size_t& slot = key_group[key];
+      if (slot != 0 && same_model(*groups.reps[slot - 1], j.model)) {
+        k = slot - 1;
+      } else {
+        k = index.find_or_add(groups, j.model);
+        slot = k + 1;
+      }
+    } else {
+      k = index.find_or_add(groups, j.model);
+    }
     groups.nodes[k] += j.nodes;
     groups.abs_nodes += std::abs(static_cast<std::int64_t>(j.nodes));
     groups.group_of[i - begin] = k;

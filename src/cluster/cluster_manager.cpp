@@ -11,6 +11,19 @@
 
 namespace anor::cluster {
 
+namespace {
+
+/// The job's cap gauge, looked up in the registry once per ManagedJob.
+telemetry::Gauge& cap_gauge(int job_id, ManagedJob& job) {
+  if (job.cap_gauge == nullptr) {
+    job.cap_gauge = &telemetry::MetricsRegistry::global().gauge(
+        "cluster.manager.job_cap_w", {{"job", std::to_string(job_id)}});
+  }
+  return *job.cap_gauge;
+}
+
+}  // namespace
+
 ClusterManager::ClusterManager(ClusterManagerConfig config) : config_(config) {
   budgeter_ = config_.budgeter_factory
                   ? budget::instrument_budgeter(config_.budgeter_factory())
@@ -126,8 +139,7 @@ void ClusterManager::expire_leases(double now_s) {
                    "job " + job.job_name + " silent for over " +
                        std::to_string(config_.lease_s) +
                        " s; declaring dead and reclaiming its budget");
-    registry.gauge("cluster.manager.job_cap_w", {{"job", std::to_string(it->first)}})
-        .set(0.0);
+    cap_gauge(it->first, job).set(0.0);
     it = jobs_.erase(it);
     // Redistribute the reclaimed budget immediately.
     next_control_s_ = 0.0;
@@ -304,7 +316,7 @@ void ClusterManager::rebudget(double now_s) {
       job.last_sent_cap_w = cap;
       static auto& budget_msgs = registry.counter("cluster.manager.budget_msgs_sent");
       budget_msgs.inc();
-      registry.gauge("cluster.manager.job_cap_w", {{"job", std::to_string(id)}}).set(cap);
+      cap_gauge(id, job).set(cap);
     } else {
       static auto& failed = registry.counter("cluster.manager.budget_send_failed");
       failed.inc();

@@ -31,6 +31,10 @@
 #include "model/default_models.hpp"
 #include "util/time_series.hpp"
 
+namespace anor::telemetry {
+class Gauge;
+}  // namespace anor::telemetry
+
 namespace anor::cluster {
 
 struct ClusterManagerConfig {
@@ -88,6 +92,10 @@ struct ManagedJob {
   double last_heard_s = 0.0;
   /// When the current (feedback) model was last refreshed.
   double model_updated_s = 0.0;
+  /// The job's cluster.manager.job_cap_w{job=…} gauge, resolved at its
+  /// first budget send (registry entries are never removed), so later
+  /// sends skip the label build and the registry lock.
+  telemetry::Gauge* cap_gauge = nullptr;
 };
 
 class ClusterManager {

@@ -12,6 +12,9 @@ namespace anor::model {
 
 namespace {
 
+/// Registry lookup of one rejection reason's counter.  Each call site keeps
+/// the handle in a function static, so a reason registers at its first
+/// rejection (never before) and later ones skip the label build and lock.
 telemetry::Counter& refit_rejected_counter(const char* reason) {
   return telemetry::MetricsRegistry::global().counter("job.modeler.refit_rejected",
                                                       {{"reason", reason}});
@@ -214,7 +217,8 @@ bool OnlineModeler::retrain() {
   attempts.inc();
   const std::vector<EpochObservation> clean = clean_observations();
   if (clean.size() < config_.min_fit_observations) {
-    refit_rejected_counter("too_few_observations").inc();
+    static auto& too_few = refit_rejected_counter("too_few_observations");
+    too_few.inc();
     return false;
   }
   // Fit against cap-pooled rates (quantization-free), weighting each cap
@@ -234,13 +238,15 @@ bool OnlineModeler::retrain() {
     // Reject non-physical fits (time increasing with power) — noise at
     // nearly identical caps can produce them.
     if (refit.time_at(refit.p_min_w()) + 1e-12 < refit.time_at(refit.p_max_w())) {
-      refit_rejected_counter("non_physical").inc();
+      static auto& non_physical = refit_rejected_counter("non_physical");
+      non_physical.inc();
       return false;
     }
     // Reject poorly conditioned fits: observations clustered at one or
     // two caps produce wild quadratics with near-zero R².
     if (refit.r2() < config_.min_r2) {
-      refit_rejected_counter("low_r2").inc();
+      static auto& low_r2 = refit_rejected_counter("low_r2");
+      low_r2.inc();
       return false;
     }
     // Reject fits that do not actually explain the raw observations —
@@ -257,7 +263,8 @@ bool OnlineModeler::retrain() {
     const double mean_error =
         counted > 0 ? raw_error / static_cast<double>(counted) : 0.0;
     if (counted == 0 || mean_error > config_.max_refit_error) {
-      refit_rejected_counter("high_refit_error").inc();
+      static auto& high_error = refit_rejected_counter("high_refit_error");
+      high_error.inc();
       return false;
     }
     model_ = refit;
@@ -269,7 +276,8 @@ bool OnlineModeler::retrain() {
   } catch (const util::NumericalError&) {
     // Not enough cap diversity yet (e.g. the job has run under a single
     // cap so far); keep serving the current model.
-    refit_rejected_counter("numerical").inc();
+    static auto& numerical = refit_rejected_counter("numerical");
+    numerical.inc();
     return false;
   }
 }

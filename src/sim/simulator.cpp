@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -45,7 +46,8 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
           };
         }
         return sc;
-      }()) {
+      }()),
+      completion_queue_(kCompletionHorizonSteps * config_.step_s) {
   if (config_.job_types.empty()) throw util::ConfigError("TabularSimulator: no job types");
   nodes_.reset(config_.node_count);
   budgeter_ = config_.budgeter_factory
@@ -133,7 +135,6 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
     }
     budgeter_->set_shard_workers(workers_.get());
   }
-  min_earliest_done_s_ = std::numeric_limits<double>::infinity();
 
   if (config_.telemetry_enabled) {
     auto& registry = telemetry::MetricsRegistry::global();
@@ -146,6 +147,7 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
             [](const workload::JobRequest& a, const workload::JobRequest& b) {
               return a.submit_time_s < b.submit_time_s;
             });
+  jobs_.reserve(schedule_.jobs.size());
   result_.jobs_submitted = static_cast<int>(schedule_.jobs.size());
   result_.completed.reserve(schedule_.jobs.size());
   result_.qos.reserve(schedule_.jobs.size());
@@ -203,9 +205,25 @@ bool TabularSimulator::every_lane(const JobRow& row, F&& f) const {
 }
 
 void TabularSimulator::refresh_lanes(std::size_t begin, std::size_t end) {
+  // progress_rate is a pure function of the type and the cap, and the
+  // budgeter gives every job of a model group one cap, so a refresh asks
+  // for few distinct pairs: remember the last cap per real type and its
+  // rate.  The memo is local to this slice, so a sharded refresh shares
+  // nothing.
+  struct RateMemo {
+    std::uint64_t cap_bits = 0;
+    double rate = 0.0;
+    bool valid = false;
+  };
+  std::vector<RateMemo> memo(config_.job_types.size());
   for (std::size_t i = begin; i < end; ++i) {
     JobRow& row = jobs_.row(pending_rows_[i]);
-    const double row_rate = job_type(row).progress_rate(nodes_.row_cap_w(pending_rows_[i]));
+    const double cap_w = nodes_.row_cap_w(pending_rows_[i]);
+    RateMemo& m = memo[static_cast<std::size_t>(row.type_index)];
+    if (!m.valid || m.cap_bits != std::bit_cast<std::uint64_t>(cap_w)) {
+      m = {std::bit_cast<std::uint64_t>(cap_w), job_type(row).progress_rate(cap_w), true};
+    }
+    const double row_rate = m.rate;
     // Multiply by the lane's precomputed reciprocal instead of dividing.
     // With no performance variation the multiplier is exactly 1.0 and the
     // product is the unscaled rate bit for bit.
@@ -214,6 +232,8 @@ void TabularSimulator::refresh_lanes(std::size_t begin, std::size_t end) {
       return true;
     });
     repredict_row_completion(row);
+    row.cap_queued = false;
+    pending_keys_[i] = row.started() && !row.finished() ? row.earliest_done_s : kNotQueued;
   }
 }
 
@@ -240,14 +260,6 @@ void TabularSimulator::repredict_row_completion(JobRow& row) {
   row.earliest_done_s = now_s_ + max_remaining_s * (1.0 - 1e-9) - 2.0 * config_.step_s;
 }
 
-void TabularSimulator::recompute_min_earliest_done() {
-  double min_done = std::numeric_limits<double>::infinity();
-  for (std::size_t i : jobs_.running()) {
-    min_done = std::min(min_done, jobs_.row(i).earliest_done_s);
-  }
-  min_earliest_done_s_ = min_done;
-}
-
 void TabularSimulator::refresh_rows() {
   ANOR_PROF_SCOPE("sim.refresh");
   // Power sources move here and nowhere else, which is what makes a new
@@ -269,6 +281,7 @@ void TabularSimulator::refresh_rows() {
   // Sharded over rows when there are enough lanes to be worth a
   // rendezvous: rows own disjoint lanes and predictions, each a pure
   // function of the tables, so the partition cannot change any value.
+  pending_keys_.resize(pending_rows_.size());
   if (workers_ != nullptr && pending_row_lanes_ > static_cast<std::size_t>(shard_nodes_)) {
     const std::size_t workers = workers_->worker_count();
     workers_->run([&](std::size_t worker) {
@@ -279,12 +292,16 @@ void TabularSimulator::refresh_rows() {
   } else {
     refresh_lanes(0, pending_rows_.size());
   }
-  for (std::size_t row_index : pending_rows_) jobs_.row(row_index).cap_queued = false;
+  // Re-key the completion queue from the new predictions, serially and
+  // after every slice is done: the queue keeps its own copy of each key,
+  // so its heap order never sees a prediction change under it.
+  for (std::size_t i = 0; i < pending_rows_.size(); ++i) {
+    if (!std::isnan(pending_keys_[i])) completion_queue_.set(pending_rows_[i], pending_keys_[i]);
+  }
   pending_rows_.clear();
   pending_row_lanes_ = 0;
   started_rows_.clear();
   finished_rows_.clear();
-  recompute_min_earliest_done();
 }
 
 void TabularSimulator::flush_sweep() {
@@ -342,24 +359,25 @@ void TabularSimulator::update_nodes(double dt_s) {
 }
 
 void TabularSimulator::complete_finished_jobs() {
-  // O(1) on almost every tick: no running job can possibly be done before
-  // the cached minimum of the per-row predictions.  (A scan that would
-  // have skipped every row is a no-op, so skipping it wholesale cannot
-  // change the trace.)
-  if (min_earliest_done_s_ > now_s_) return;
+  // Only the rows predicted done by now are tested (none, on most ticks):
+  // every other running row would fail the prediction gate of a full scan
+  // of the running set, so visiting only these cannot change the trace.
   finished_scratch_.clear();
-  for (std::size_t i : jobs_.running()) {
-    const JobRow& row = jobs_.row(i);
-    if (row.earliest_done_s > now_s_) continue;
+  completion_queue_.for_each_due(now_s_, [&](std::size_t i) {
     // Progress through *this* tick, with owed substeps replayed virtually
     // — the freed lanes below are zeroed anyway, so the table itself need
     // not be flushed to decide completion.
-    if (every_lane(row, [&](int lane, int) { return virtual_progress(lane) >= 1.0; })) {
+    if (every_lane(jobs_.row(i),
+                   [&](int lane, int) { return virtual_progress(lane) >= 1.0; })) {
       finished_scratch_.push_back(i);
     }
-  }
+  });
   if (finished_scratch_.empty()) return;
   ANOR_PROF_SCOPE("sim.complete");
+  // Ascending row order, as a scan of the running set finds them: the
+  // result records and the scheduler's releases follow it.
+  std::sort(finished_scratch_.begin(), finished_scratch_.end());
+  for (std::size_t i : finished_scratch_) completion_queue_.erase(i);
   jobs_.mark_finished(finished_scratch_, now_s_);
   for (std::size_t i : finished_scratch_) {
     const JobRow& row = jobs_.row(i);
@@ -399,12 +417,17 @@ void TabularSimulator::complete_finished_jobs() {
     record.t_min_s = type.time_at_pmax_s;
     result_.qos.add(std::move(record));
   }
-  recompute_min_earliest_done();
 }
 
 void TabularSimulator::admit_arrivals() {
-  while (next_arrival_ < schedule_.jobs.size() &&
-         schedule_.jobs[next_arrival_].submit_time_s <= now_s_) {
+  const auto arrived = [this] {
+    return next_arrival_ < schedule_.jobs.size() &&
+           schedule_.jobs[next_arrival_].submit_time_s <= now_s_;
+  };
+  // Most ticks admit nothing; a span is opened only on ticks that do.
+  if (!arrived()) return;
+  ANOR_PROF_SCOPE("sim.arrivals");
+  while (arrived()) {
     const workload::JobRequest& req = schedule_.jobs[next_arrival_];
     JobRow row;
     row.job_id = req.job_id;
@@ -447,9 +470,9 @@ double TabularSimulator::projected_qos(std::size_t row_index) const {
 
 void TabularSimulator::schedule_and_cap() {
   // No span of its own: the engine.control component span is this
-  // function wall-for-wall.  sched.schedule, budget.solve and budget.apply
-  // split it; what is left in engine.control's self time is the view,
-  // start and profile bookkeeping.
+  // function wall-for-wall.  sched.schedule, sim.start, budget.profiles,
+  // budget.solve and budget.apply split it; what is left in
+  // engine.control's self time is the scheduler view and the loop glue.
   //
   // Only these two variants read node progress during control; the common
   // path leaves the owed substeps lazy (assignments zero their nodes'
@@ -488,24 +511,28 @@ void TabularSimulator::schedule_and_cap() {
     ANOR_PROF_SCOPE("sched.schedule");
     to_start = scheduler_.schedule(view);
   }
-  for (const workload::JobRequest& req : to_start) {
-    // A row event: the job takes the lowest-numbered idle nodes, opens
-    // its lanes and writes its cap; its nodes keep drawing their old
-    // power until the next refresh, which every start queues (even when
-    // the start cap equals the row's initial 0).
-    const std::size_t row_index = jobs_.index_of(req.job_id);
-    JobRow& row = jobs_.row(row_index);
-    jobs_.mark_started(row_index, now_s_);
-    const SimJobType& type = job_type(row);
-    row.nodes.clear();
-    nodes_.lowest_idle_nodes(req.nodes, row.nodes);
-    busy_floor_w_ = util::add_repeated(busy_floor_w_, type.p_min_w,
-                                       static_cast<std::int64_t>(row.nodes.size()));
-    row.lane = nodes_.start_row(row_index, req.job_id, row.nodes);
-    started_rows_.push_back(row_index);
-    // Start at the type's max power until the budgeter runs.
-    set_row_cap(row_index, type.p_max_w);
-    queue_row_refresh(row_index);
+  if (!to_start.empty()) {
+    ANOR_PROF_SCOPE("sim.start");
+    for (const workload::JobRequest& req : to_start) {
+      // A row event: the job takes the lowest-numbered idle nodes, opens
+      // its lanes and writes its cap; its nodes keep drawing their old
+      // power until the next refresh, which every start queues (even when
+      // the start cap equals the row's initial 0).  The refresh also puts
+      // the row on the completion queue.
+      const std::size_t row_index = jobs_.index_of(req.job_id);
+      JobRow& row = jobs_.row(row_index);
+      jobs_.mark_started(row_index, now_s_);
+      const SimJobType& type = job_type(row);
+      row.nodes.clear();
+      nodes_.lowest_idle_nodes(req.nodes, row.nodes);
+      busy_floor_w_ = util::add_repeated(busy_floor_w_, type.p_min_w,
+                                         static_cast<std::int64_t>(row.nodes.size()));
+      row.lane = nodes_.start_row(row_index, req.job_id, row.nodes);
+      started_rows_.push_back(row_index);
+      // Start at the type's max power until the budgeter runs.
+      set_row_cap(row_index, type.p_max_w);
+      queue_row_refresh(row_index);
+    }
   }
 
   apply_budget();
@@ -525,33 +552,38 @@ void TabularSimulator::apply_budget() {
     return;
   }
 
-  double budget = target - nodes_.idle_count() * config_.idle_power_w;
-
   // profiles_[k] describes row budget_rows_[k]; the budgeter's caps come
   // back in the same positions.  Both scratch vectors keep their capacity
-  // across ticks.
-  profiles_.clear();
-  budget_rows_.clear();
-  for (std::size_t i : running) {
-    const JobRow& row = jobs_.row(i);
-    if (config_.protect_at_risk_jobs) {
-      const SimJobType& type = job_type(row);
-      if (projected_qos(i) > config_.at_risk_fraction * type.qos_limit) {
-        // Exempt from capping: gets max power off the top of the budget.
-        // (projected_qos reads only this row's cap, so capping it here
-        // cannot change a later row's verdict.)
-        budget -= static_cast<double>(row.nodes.size()) * type.p_max_w;
-        set_row_cap(i, type.p_max_w);
-        continue;
+  // across ticks.  Returns what the budget leaves for the profiled jobs.
+  const double budget = [&] {
+    ANOR_PROF_SCOPE("budget.profiles");
+    double jobs_budget = target - nodes_.idle_count() * config_.idle_power_w;
+    profiles_.clear();
+    budget_rows_.clear();
+    for (std::size_t i : running) {
+      const JobRow& row = jobs_.row(i);
+      if (config_.protect_at_risk_jobs) {
+        const SimJobType& type = job_type(row);
+        if (projected_qos(i) > config_.at_risk_fraction * type.qos_limit) {
+          // Exempt from capping: gets max power off the top of the budget.
+          // (projected_qos reads only this row's cap, so capping it here
+          // cannot change a later row's verdict.)
+          jobs_budget -= static_cast<double>(row.nodes.size()) * type.p_max_w;
+          set_row_cap(i, type.p_max_w);
+          continue;
+        }
       }
+      budget::JobPowerProfile profile;
+      profile.job_id = row.job_id;
+      profile.nodes = static_cast<int>(row.nodes.size());
+      profile.model = type_models_[static_cast<std::size_t>(row.classified_index)];
+      // Every job classified as one type carries that type's model.
+      profile.model_key = row.classified_index;
+      profiles_.push_back(profile);
+      budget_rows_.push_back(i);
     }
-    budget::JobPowerProfile profile;
-    profile.job_id = row.job_id;
-    profile.nodes = static_cast<int>(row.nodes.size());
-    profile.model = type_models_[static_cast<std::size_t>(row.classified_index)];
-    profiles_.push_back(profile);
-    budget_rows_.push_back(i);
-  }
+    return jobs_budget;
+  }();
 
   if (profiles_.empty()) return;
   const budget::BudgetResult result = budgeter_->distribute(profiles_, std::max(budget, 0.0));
@@ -641,7 +673,7 @@ void TabularSimulator::build_engine() {
         append_table_log();
         if (config_.telemetry_enabled) {
           metrics_.power->set(power_w);
-          metrics_.running->set(static_cast<double>(jobs_.running().size()));
+          metrics_.running->set(static_cast<double>(jobs_.running_count()));
         }
         if (artifacts_ != nullptr) artifacts_->maybe_sample(now_s_);
       },
@@ -649,7 +681,7 @@ void TabularSimulator::build_engine() {
   engine_->set_stop_predicate([this](double now) {
     const bool horizon_passed = now >= config_.duration_s;
     const bool drained = next_arrival_ >= schedule_.jobs.size() &&
-                         jobs_.running().empty() && !scheduler_.has_pending();
+                         jobs_.running_count() == 0 && !scheduler_.has_pending();
     const bool hard_stop = now >= config_.duration_s * 4.0;
     return (horizon_passed && drained) || hard_stop;
   });

@@ -15,7 +15,11 @@
 // the running-job set / idle count / floor power / total power are
 // maintained incrementally, the floor with one util::add_repeated call per
 // start or finish and the total with one per run of nodes that share a
-// power source, each bit for bit its per-node sum; the per-tick progress
+// power source, each bit for bit its per-node sum; a job start costs the
+// job (an idle-bitmap hint, a lazily merged running set), the completion
+// phase visits only the rows a completion queue ordered by predicted
+// finish time says may be done, and the budgeter groups jobs by their
+// classified type before it compares models; the per-tick progress
 // sweep is *deferred* —
 // ticks between two rate-change events owe one `rate * dt` substep each,
 // and the owed substeps are flushed in one batched pass over the lanes
@@ -25,6 +29,7 @@
 // any worker count.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -144,11 +149,11 @@ class TabularSimulator {
   void refresh_rows();
   /// Rates and predictions for the queued rows pending_rows_[begin, end).
   /// Each row writes only its own lanes and its own prediction, so
-  /// disjoint slices can run concurrently.
+  /// disjoint slices can run concurrently.  One progress_rate call per
+  /// real type and cap, memoized per slice.
   void refresh_lanes(std::size_t begin, std::size_t end);
   /// Recompute `earliest_done_s` for one running row from its lanes.
   void repredict_row_completion(JobRow& row);
-  void recompute_min_earliest_done();
   /// Calls f(lane, node) for each progress lane of a started row — its
   /// shared lane with its first node, or each node's own lane — while f
   /// returns true; returns whether every call did.
@@ -214,10 +219,16 @@ class TabularSimulator {
   int shard_nodes_ = 0;
   /// Owed progress substeps (one per tick since the last flush_sweep).
   long sweep_lag_ = 0;
-  /// min over running rows of earliest_done_s: the completion scan is
-  /// skipped entirely while now < this.  Exact after every mutation of a
-  /// running row's prediction (refresh) or of the running set (finish).
-  double min_earliest_done_s_ = 0.0;
+  /// The running rows keyed on earliest_done_s: the completion phase
+  /// tests only the rows whose key is <= now.  Re-keyed serially after
+  /// each refresh (which may shard) from the rows' new predictions; a
+  /// finished row leaves it.  Started rows join at their first refresh,
+  /// which always precedes their first completion phase.  Its heap covers
+  /// the next kCompletionHorizonSteps steps.
+  CompletionQueue completion_queue_;
+  /// One pass over the rows beyond the horizon per this many steps, and a
+  /// heap of about this many steps' completions.
+  static constexpr double kCompletionHorizonSteps = 64.0;
 
   /// Per-instance telemetry handles, resolved once in the constructor so
   /// the step loop never touches the registry map (concurrent seeded
@@ -234,6 +245,12 @@ class TabularSimulator {
   std::size_t pending_row_lanes_ = 0;       // lanes under pending_rows_
   std::vector<std::size_t> started_rows_;   // power sources to move to the row
   std::vector<std::size_t> finished_rows_;  // power sources to move to idle
+  /// The refresh's new completion key per pending row, or kNotQueued for
+  /// a row that is not running.  Rows become pending only in the control
+  /// phase, which follows the tick's completions, so this guards an
+  /// invariant: a finished row never re-enters the queue.
+  std::vector<double> pending_keys_;
+  static constexpr double kNotQueued = std::numeric_limits<double>::quiet_NaN();
   std::vector<std::size_t> finished_scratch_;      // scratch: completions this tick
   std::vector<budget::JobPowerProfile> profiles_;  // scratch: budgeted jobs this tick
   std::vector<std::size_t> budget_rows_;           // scratch: row of each profile

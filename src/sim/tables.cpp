@@ -30,6 +30,7 @@ void NodeTable::reset(int node_count) {
   idle_bits_.assign((n + 63) / 64, ~std::uint64_t{0});
   if (n % 64 != 0) idle_bits_.back() = (std::uint64_t{1} << (n % 64)) - 1;
   idle_count_ = node_count;
+  idle_hint_ = 0;
   // One run: every node draws idle power.
   run_starts_.assign((n + 63) / 64, 0);
   run_starts_.front() = 1;
@@ -94,6 +95,7 @@ void NodeTable::finish_row(const std::vector<int>& nodes) {
     job_id_[idx(n)] = -1;
     lane_[idx(n)] = -1;
     idle_bits_[idx(n) / 64] |= std::uint64_t{1} << (idx(n) % 64);
+    idle_hint_ = std::min(idle_hint_, idx(n) / 64);
   }
   idle_count_ += static_cast<int>(nodes.size());
 }
@@ -108,36 +110,89 @@ void NodeTable::set_idle_power_w(double power_w) {
   power_clean_ = false;
 }
 
+// Every caller passes an ascending node list (lowest_idle_nodes' output),
+// so entries i..j name one contiguous block exactly when
+// nodes[j] - nodes[i] == j - i, a predicate that holds on a prefix of j:
+// a galloping search finds a block's end in O(log block) steps.
+namespace {
+
+std::size_t block_end(const std::vector<int>& nodes, std::size_t i) {
+  const auto contiguous = [&](std::size_t j) {
+    return static_cast<std::size_t>(nodes[j] - nodes[i]) == j - i;
+  };
+  std::size_t good = i;  // contiguous(good) holds
+  std::size_t step = 1;
+  std::size_t bad = nodes.size();  // first index known not to hold (or the end)
+  while (good + step < nodes.size()) {
+    if (!contiguous(good + step)) {
+      bad = good + step;
+      break;
+    }
+    good += step;
+    step *= 2;
+  }
+  while (bad - good > 1) {
+    const std::size_t mid = good + (bad - good) / 2;
+    if (contiguous(mid)) {
+      good = mid;
+    } else {
+      bad = mid;
+    }
+  }
+  return good;
+}
+
+/// The first node m in [n, end) whose bit in `bits` equals `set`, or
+/// `end`: a word of the bitmap at a time.
+std::size_t next_with_bit(const std::vector<std::uint64_t>& bits, std::size_t n,
+                          std::size_t end, bool set) {
+  const std::uint64_t flip = set ? 0 : ~std::uint64_t{0};
+  std::size_t w = n / 64;
+  std::uint64_t word = (bits[w] ^ flip) & (~std::uint64_t{0} << (n % 64));
+  while (word == 0) {
+    if (++w * 64 >= end) return end;
+    word = bits[w] ^ flip;
+  }
+  return std::min(end, w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+}
+
+}  // namespace
+
 void NodeTable::draw_row_power(std::size_t row, const std::vector<int>& nodes) {
-  draw_power(static_cast<int>(row), nodes, [](int) { return true; });
+  for (std::size_t i = 0; i < nodes.size();) {
+    const std::size_t j = block_end(nodes, i);
+    draw_block(static_cast<int>(row), idx(nodes[i]), idx(nodes[j]));
+    i = j + 1;
+  }
+  power_clean_ = false;
 }
 
 void NodeTable::draw_idle_power(const std::vector<int>& nodes) {
-  draw_power(-1, nodes, [this](int n) { return idle(n); });
-}
-
-template <class Moves>
-void NodeTable::draw_power(int source, const std::vector<int>& nodes, Moves&& moves) {
   for (std::size_t i = 0; i < nodes.size();) {
-    if (!moves(nodes[i])) {
-      ++i;
-      continue;
+    const std::size_t j = block_end(nodes, i);
+    // Every node of [nodes[i], nodes[j]] is listed: move its idle stretches.
+    const std::size_t end = idx(nodes[j]) + 1;
+    for (std::size_t n = idx(nodes[i]); n < end;) {
+      const std::size_t first = next_with_bit(idle_bits_, n, end, true);
+      if (first == end) break;
+      n = next_with_bit(idle_bits_, first, end, false);
+      draw_block(-1, first, n - 1);
     }
-    // The block [first, last]: consecutive entries naming consecutive nodes.
-    const auto first = idx(nodes[i]);
-    for (++i; i < nodes.size() && idx(nodes[i]) == idx(nodes[i - 1]) + 1 && moves(nodes[i]);) ++i;
-    const auto last = idx(nodes[i - 1]);
-    std::fill(power_source_.begin() + static_cast<std::ptrdiff_t>(first),
-              power_source_.begin() + static_cast<std::ptrdiff_t>(last + 1), source);
-    // Only the block's edges can start a run; any node between them
-    // follows a node with the same source.
-    clear_run_starts(first + 1, last + 1);
-    set_run_start(first, first == 0 || power_source_[first - 1] != source);
-    if (last + 1 < power_source_.size()) {
-      set_run_start(last + 1, power_source_[last + 1] != source);
-    }
+    i = j + 1;
   }
   power_clean_ = false;
+}
+
+void NodeTable::draw_block(int source, std::size_t first, std::size_t last) {
+  std::fill(power_source_.begin() + static_cast<std::ptrdiff_t>(first),
+            power_source_.begin() + static_cast<std::ptrdiff_t>(last + 1), source);
+  // Only the block's edges can start a run; any node between them
+  // follows a node with the same source.
+  clear_run_starts(first + 1, last + 1);
+  set_run_start(first, first == 0 || power_source_[first - 1] != source);
+  if (last + 1 < power_source_.size()) {
+    set_run_start(last + 1, power_source_[last + 1] != source);
+  }
 }
 
 void NodeTable::set_run_start(std::size_t n, bool starts) {
@@ -197,7 +252,10 @@ void NodeTable::lowest_idle_nodes(int count, std::vector<int>& out) const {
                            std::to_string(idle_count_) + " idle");
   }
   out.reserve(out.size() + static_cast<std::size_t>(std::max(count, 0)));
-  for (std::size_t w = 0; count > 0; ++w) {
+  if (count <= 0) return;
+  // count <= idle_count_, so an idle bit lies ahead and the skip stops.
+  while (idle_bits_[idle_hint_] == 0) ++idle_hint_;
+  for (std::size_t w = idle_hint_; count > 0; ++w) {
     for (std::uint64_t bits = idle_bits_[w]; bits != 0 && count > 0; bits &= bits - 1) {
       out.push_back(static_cast<int>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
       --count;
@@ -239,7 +297,10 @@ std::size_t JobTable::add(JobRow row) {
   by_id_[id] = rows_.size();
   const bool running = row.started() && !row.finished();
   rows_.push_back(std::move(row));
-  if (running) running_.push_back(rows_.size() - 1);
+  if (running) {
+    started_tail_.push_back(rows_.size() - 1);
+    ++running_count_;
+  }
   return rows_.size() - 1;
 }
 
@@ -259,19 +320,146 @@ void JobTable::mark_started(std::size_t index, double start_s) {
   JobRow& job = rows_[index];
   if (job.started()) return;
   job.start_s = start_s;
-  running_.insert(std::lower_bound(running_.begin(), running_.end(), index), index);
+  if (job.finished()) return;
+  started_tail_.push_back(index);
+  ++running_count_;
 }
 
 void JobTable::mark_finished(const std::vector<std::size_t>& indices, double end_s) {
-  bool any = false;
   for (std::size_t index : indices) {
     JobRow& job = rows_[index];
     if (job.finished()) continue;
     job.end_s = end_s;
-    any = true;
+    if (!job.started()) continue;
+    --running_count_;
+    finished_since_merge_ = true;
   }
-  // erase_if keeps the survivors' relative order, so the set stays ascending.
-  if (any) std::erase_if(running_, [this](std::size_t i) { return rows_[i].finished(); });
+}
+
+void JobTable::merge_running() const {
+  // Rows start once, so the tail and the merged set are disjoint; a row
+  // that finished before this read since its start is dropped here too.
+  std::sort(started_tail_.begin(), started_tail_.end());
+  merge_scratch_.clear();
+  merge_scratch_.reserve(running_count_);
+  auto a = running_.begin();
+  auto b = started_tail_.begin();
+  while (a != running_.end() || b != started_tail_.end()) {
+    const std::size_t i =
+        b == started_tail_.end() || (a != running_.end() && *a < *b) ? *a++ : *b++;
+    if (!rows_[i].finished()) merge_scratch_.push_back(i);
+  }
+  running_.swap(merge_scratch_);
+  started_tail_.clear();
+  finished_since_merge_ = false;
+}
+
+void CompletionQueue::set(std::size_t row, double key) {
+  if (row >= rows_.size()) rows_.resize(row + 1);
+  rows_[row].key = key;
+  const bool near = key <= horizon_end_;
+  const std::size_t slot = rows_[row].slot;
+  if (slot == kAbsent) {
+    if (near) {
+      heap_push(row, key);
+    } else {
+      far_push(row);
+    }
+  } else if ((slot & kFar) != 0) {
+    if (near) {  // else the stored key is all that changes
+      far_erase(slot & ~kFar);
+      heap_push(row, key);
+    }
+  } else if (near) {
+    const double old_key = heap_[slot].key;
+    heap_[slot].key = key;
+    if (key < old_key) {
+      sift_up(slot);
+    } else {
+      sift_down(slot);
+    }
+  } else {
+    heap_erase(slot);
+    far_push(row);
+  }
+}
+
+void CompletionQueue::erase(std::size_t row) {
+  if (!contains(row)) return;
+  const std::size_t slot = rows_[row].slot;
+  if ((slot & kFar) != 0) {
+    far_erase(slot & ~kFar);
+  } else {
+    heap_erase(slot);
+  }
+  rows_[row].slot = kAbsent;
+}
+
+void CompletionQueue::advance(double t) {
+  horizon_end_ = t + horizon_s_;
+  for (std::size_t i = 0; i < far_.size();) {
+    const std::size_t row = far_[i];
+    if (rows_[row].key <= horizon_end_) {
+      far_erase(i);  // moves the last far row to i
+      heap_push(row, rows_[row].key);
+    } else {
+      ++i;
+    }
+  }
+}
+
+void CompletionQueue::heap_push(std::size_t row, double key) {
+  heap_.push_back({key, row});
+  rows_[row].slot = heap_.size() - 1;
+  sift_up(heap_.size() - 1);
+}
+
+void CompletionQueue::heap_erase(std::size_t slot) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (slot == heap_.size()) return;  // it was the last slot
+  place(slot, last);
+  if (slot > 0 && last.key < heap_[(slot - 1) / 2].key) {
+    sift_up(slot);
+  } else {
+    sift_down(slot);
+  }
+}
+
+void CompletionQueue::far_push(std::size_t row) {
+  rows_[row].slot = kFar | far_.size();
+  far_.push_back(row);
+}
+
+void CompletionQueue::far_erase(std::size_t index) {
+  const std::size_t moved = far_.back();
+  far_[index] = moved;
+  rows_[moved].slot = kFar | index;
+  far_.pop_back();
+}
+
+void CompletionQueue::sift_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e.key < heap_[parent].key)) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, e);
+}
+
+void CompletionQueue::sift_down(std::size_t i) {
+  const Entry e = heap_[i];
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_[child + 1].key < heap_[child].key) ++child;
+    if (!(heap_[child].key < e.key)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, e);
 }
 
 }  // namespace anor::sim

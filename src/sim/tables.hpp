@@ -26,10 +26,17 @@
 // Per node the table keeps ownership (job id), the lane index, the power
 // source, the performance multiplier, an idle bitmap and the run-break
 // bitmap; the per-node getters derive progress, rate, cap and power from
-// lanes and rows.  See DESIGN.md "Performance model of the simulator".
+// lanes and rows.  A job start costs the job, not the cluster: the idle
+// scan starts at a hint (the lowest bitmap word that may hold an idle
+// bit), and JobTable appends starts to an unsorted tail that the next
+// read of the running set sorts and merges in.  CompletionQueue orders the
+// running rows by predicted completion, so the completion phase visits
+// only the rows that may be done.  See DESIGN.md "Performance model of
+// the simulator".
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -116,9 +123,12 @@ class NodeTable {
 
   /// Power-source moves, made by the simulator's refresh: `nodes` draw
   /// `row`'s power from now on; of `nodes`, those still idle draw idle
-  /// power (a node re-assigned since is left to its new row).  Each
-  /// contiguous block of moved nodes rewrites the run breaks at its two
-  /// edges and clears the ones inside it a word at a time.
+  /// power (a node re-assigned since is left to its new row).  `nodes`
+  /// must be ascending (lowest_idle_nodes' order): a galloping search
+  /// finds the end of each contiguous block, the idle draw finds the idle
+  /// stretches in a block a bitmap word at a time, and each stretch
+  /// rewrites the run breaks at its two edges and clears the ones inside
+  /// it a word at a time.  O(blocks · log(block size)) plus the fill.
   void draw_row_power(std::size_t row, const std::vector<int>& nodes);
   void draw_idle_power(const std::vector<int>& nodes);
 
@@ -149,8 +159,10 @@ class NodeTable {
   std::vector<int> idle_nodes() const;
   /// Append the `count` lowest-numbered idle nodes to `out`, ascending:
   /// the prefix of idle_nodes(), found through the idle bitmap without
-  /// walking the busy nodes one by one.  Throws std::logic_error when
-  /// fewer than `count` nodes are idle.
+  /// walking the busy nodes one by one.  The scan starts at the idle hint
+  /// and moves it past the all-busy words it skips, so a start costs its
+  /// own nodes plus the words that filled since the last start.  Throws
+  /// std::logic_error when fewer than `count` nodes are idle.
   void lowest_idle_nodes(int count, std::vector<int>& out) const;
   /// O(1): maintained incrementally at start/finish.
   int idle_count() const { return idle_count_; }
@@ -169,10 +181,9 @@ class NodeTable {
     return source < 0 ? idle_power_w_ : row_power_w_[idx(source)];
   }
   int open_lane(std::size_t row, double multiplier);
-  /// Point the nodes of `nodes` that pass `moves` at `source`, one
-  /// contiguous block at a time, keeping the run breaks exact.
-  template <class Moves>
-  void draw_power(int source, const std::vector<int>& nodes, Moves&& moves);
+  /// Point nodes [first, last] at `source`, keeping the run breaks exact:
+  /// only the block's two edges can start a run.
+  void draw_block(int source, std::size_t first, std::size_t last);
   /// Set or clear node n's run-break bit, keeping power_runs_.
   void set_run_start(std::size_t n, bool starts);
   /// Clear the run-break bits of nodes [first, last).
@@ -185,6 +196,9 @@ class NodeTable {
   std::vector<double> perf_mult_;
   std::vector<std::uint64_t> idle_bits_;  // bit n % 64 of word n / 64: node n idle
   int idle_count_ = 0;
+  /// Every idle_bits_ word below this one is zero (no idle node).
+  /// finish_row lowers it; lowest_idle_nodes moves it past zero words.
+  mutable std::size_t idle_hint_ = 0;
   std::vector<std::uint64_t> run_starts_;  // same layout: starts_power_run(n)
   int power_runs_ = 0;                     // popcount of run_starts_
 
@@ -213,7 +227,8 @@ struct JobRow {
   double start_s = -1.0;
   double end_s = -1.0;
   /// Earliest simulated time the job can possibly finish given the rates
-  /// at the last cap event; the completion scan skips the job until then.
+  /// at the last cap event; the completion phase skips the job until
+  /// then (the simulator's CompletionQueue holds a copy as its key).
   double earliest_done_s = 0.0;
   std::vector<int> nodes;    // assigned node ids (empty while queued)
   /// The row's progress lane when all its nodes share one, or -1 when
@@ -230,6 +245,8 @@ class JobTable {
  public:
   /// Returns the row index.
   std::size_t add(JobRow row);
+  /// Reserve capacity for `rows` rows (the simulator knows its schedule).
+  void reserve(std::size_t rows) { rows_.reserve(rows); }
 
   JobRow& row(std::size_t index) { return rows_[index]; }
   const JobRow& row(std::size_t index) const { return rows_[index]; }
@@ -239,26 +256,115 @@ class JobTable {
   const JobRow& by_job_id(int job_id) const;
   std::size_t index_of(int job_id) const;
 
-  /// Record the start/end transitions and maintain the running set.  A
-  /// repeated transition is a no-op.  mark_finished takes a whole batch
-  /// (a tick's completions) and drops the finished rows from the running
-  /// set in one stable compaction pass, instead of one mid-vector erase
-  /// per row.
+  /// Record the start/end transitions.  A repeated transition is a no-op.
+  /// Both are O(1) per row: mark_started appends the row to an unsorted
+  /// tail, and mark_finished (a tick's completions, in one batch) only
+  /// marks its rows.  The next running() read merges both in.
   void mark_started(std::size_t index, double start_s);
   void mark_finished(const std::vector<std::size_t>& indices, double end_s);
 
   /// Indices of running (started, unfinished) jobs, ascending: the
   /// simulator's floating-point sums iterate this set, so its order is
-  /// part of the determinism contract.  Exact after every mark_* call —
-  /// no per-tick rebuild.
-  const std::vector<std::size_t>& running() const { return running_; }
+  /// part of the determinism contract.  Exact at every read: a read after
+  /// starts or finishes sorts the started tail and merges it into the
+  /// set, dropping finished rows, in one pass.  Because a read may merge,
+  /// it must not race with any other use of the table.
+  const std::vector<std::size_t>& running() const {
+    if (!started_tail_.empty() || finished_since_merge_) merge_running();
+    return running_;
+  }
+  /// Size of running(), O(1) and without a merge.
+  std::size_t running_count() const { return running_count_; }
 
   const std::vector<JobRow>& rows() const { return rows_; }
 
  private:
+  void merge_running() const;
+
   std::vector<JobRow> rows_;
   std::vector<std::size_t> by_id_;  // job_id -> row index
-  std::vector<std::size_t> running_;
+  // running() as of the last merge, plus what changed since: the rows
+  // started since (unsorted) and whether any running row finished since.
+  mutable std::vector<std::size_t> running_;
+  mutable std::vector<std::size_t> started_tail_;
+  mutable std::vector<std::size_t> merge_scratch_;
+  mutable bool finished_since_merge_ = false;
+  std::size_t running_count_ = 0;
+};
+
+/// Running rows keyed on predicted completion time, for the completion
+/// phase's walk over the rows that may be done.  The rows whose key lies
+/// within a horizon sit in an indexed binary min-heap; the rest sit
+/// unordered, so re-keying a row that stays beyond the horizon is one
+/// store.  A walk past the horizon first moves it `horizon_s` beyond the
+/// walk's time and moves the rows it now covers into the heap: one pass
+/// over the far rows per horizon.  The queue holds its own copy of each
+/// key and changes it only through set(), so a caller that rewrites many
+/// predictions at once (a sharded refresh) re-keys the rows afterwards,
+/// one by one.  A NaN key is never due.
+class CompletionQueue {
+ public:
+  explicit CompletionQueue(double horizon_s) : horizon_s_(horizon_s) {}
+
+  /// Queue `row` under `key`, or move it to `key` when already queued.
+  void set(std::size_t row, double key);
+  /// Remove `row`; a no-op when it is not queued.
+  void erase(std::size_t row);
+  bool contains(std::size_t row) const {
+    return row < rows_.size() && rows_[row].slot != kAbsent;
+  }
+  std::size_t size() const { return heap_.size() + far_.size(); }
+
+  /// Call f(row) for every queued row whose key is <= t, in no particular
+  /// order.  O(1) while no key is, else O(due rows): a heap entry above t
+  /// hides its whole subtree.  f must not change the queue.
+  template <class F>
+  void for_each_due(double t, F&& f) {
+    if (!(t <= horizon_end_)) advance(t);
+    if (heap_.empty() || !(heap_.front().key <= t)) return;
+    due_stack_.assign(1, 0);
+    while (!due_stack_.empty()) {
+      const std::size_t i = due_stack_.back();
+      due_stack_.pop_back();
+      f(heap_[i].row);
+      for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < heap_.size(); ++c) {
+        if (heap_[c].key <= t) due_stack_.push_back(c);
+      }
+    }
+  }
+
+ private:
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kFar = std::size_t{1} << 62;  // flag on a far_ index
+  struct Entry {
+    double key;
+    std::size_t row;
+  };
+  /// Move the horizon to t + horizon_s and the far rows it covers into the heap.
+  void advance(double t);
+  void heap_push(std::size_t row, double key);
+  void heap_erase(std::size_t slot);
+  void far_push(std::size_t row);
+  void far_erase(std::size_t index);
+  /// Put `e` at heap slot i and record the row's slot.
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    rows_[e.row].slot = i;
+  }
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+
+  double horizon_s_;
+  /// Every queued row whose key is <= this is in the heap.
+  double horizon_end_ = -std::numeric_limits<double>::infinity();
+  std::vector<Entry> heap_;
+  std::vector<std::size_t> far_;  // rows with key > horizon_end_ (or NaN), unordered
+  struct RowState {
+    double key = 0.0;             // while queued
+    std::size_t slot = kAbsent;  // heap slot, kFar | far_ index, or kAbsent
+  };
+  std::vector<RowState> rows_;  // by row index
+  std::vector<std::size_t> due_stack_;
 };
 
 }  // namespace anor::sim

@@ -177,5 +177,105 @@ TEST(EvenSlowdownDifferential, NaNCoefficientModelsMatchTheReference) {
   }
 }
 
+/// Keyed profiles (JobPowerProfile::model_key) against the reference,
+/// which ignores keys, serial and sharded: a key steers only how the
+/// budgeter finds a job's group, so every result must match bit for bit.
+void check_keyed_against_reference(util::Rng& rng, const std::vector<JobPowerProfile>& jobs,
+                                   util::ShardWorkers& team, const std::string& what) {
+  EvenSlowdownBudgeter serial;
+  EvenSlowdownBudgeter sharded;
+  sharded.set_shard_workers(&team);
+  for (double budget : threshold_budgets(rng, jobs, 0.5)) {
+    const BudgetResult want = reference::even_slowdown(jobs, budget);
+    const std::string where =
+        what + ", " + std::to_string(jobs.size()) + " jobs, budget " + std::to_string(budget);
+    expect_bitwise_equal(want, serial.distribute(jobs, budget), where + " (serial)");
+    if (::testing::Test::HasFatalFailure()) return;
+    expect_bitwise_equal(want, sharded.distribute(jobs, budget), where + " (sharded)");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// Jobs drawn from `pool`, each keyed with the key of its pool entry.
+std::vector<JobPowerProfile> keyed_jobs(util::Rng& rng,
+                                        const std::vector<model::PowerPerfModel>& pool,
+                                        const std::vector<int>& keys, std::size_t count) {
+  std::vector<JobPowerProfile> jobs(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
+    jobs[i].job_id = static_cast<int>(i);
+    jobs[i].nodes = static_cast<int>(rng.uniform_int(1, 8));
+    jobs[i].model = pool[pick];
+    jobs[i].model_key = keys[pick];
+  }
+  return jobs;
+}
+
+// Sizes on both sides of the 4096-job sharded-grouping threshold.
+constexpr std::size_t kKeyedSizes[] = {1, 300, 5000};
+
+TEST(EvenSlowdownDifferential, KeysOverEqualModelsMergeIntoOneGroup) {
+  // Two keys name equal models (one with a -0.0 where the other has 0.0):
+  // both keys must land in the first-seen group, as equal models do
+  // without keys.
+  util::ShardWorkers team(3);
+  util::Rng rng(4101);
+  std::vector<model::PowerPerfModel> pool = model_pool(rng, 3, false);
+  pool.emplace_back(0.0, -0.002, 2.0, -0.0, 250.0);
+  pool.emplace_back(0.0, -0.002, 2.0, 0.0, 250.0);
+  pool.push_back(pool[0]);
+  for (std::size_t count : kKeyedSizes) {
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {0, 1, 2, 3, 4, 5}, count), team,
+                                  "equal models under two keys");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EvenSlowdownDifferential, KeyOverANaNModelOpensAGroupPerJob) {
+  // A NaN coefficient never compares equal, so a keyed NaN-model job
+  // fails its key's check and opens its own group, as it does unkeyed.
+  util::ShardWorkers team(3);
+  util::Rng rng(4102);
+  std::vector<model::PowerPerfModel> pool = model_pool(rng, 3, false);
+  pool.emplace_back(std::numeric_limits<double>::quiet_NaN(), -0.004, 2.0, 120.0, 250.0);
+  for (std::size_t count : kKeyedSizes) {
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {0, 1, 2, 3}, count), team,
+                                  "a keyed NaN model");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EvenSlowdownDifferential, OneKeyOverTwoModelsFallsBack) {
+  // A key that names two different models fails its check on every
+  // switch between them and falls back to the model index.
+  util::ShardWorkers team(3);
+  util::Rng rng(4103);
+  const std::vector<model::PowerPerfModel> pool = model_pool(rng, 4, false);
+  for (std::size_t count : kKeyedSizes) {
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {7, 7, 2, 7}, count), team,
+                                  "one key over two models");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EvenSlowdownDifferential, KeyedAndUnkeyedProfilesMix) {
+  // Unkeyed profiles (-1), keys at the top of the keyed range and beyond
+  // it (treated as no key) share models with keyed ones.
+  util::ShardWorkers team(3);
+  util::Rng rng(4104);
+  std::vector<model::PowerPerfModel> pool = model_pool(rng, 5, true);
+  pool.push_back(pool[1]);
+  pool.push_back(pool[2]);
+  const int top = JobPowerProfile::kMaxModelKey - 1;
+  // pool: five random curves, the signed-zero triplet, copies of 1 and 2.
+  const std::vector<int> keys = {0, 1, -1, 3, top, 5, 5, 6, -1, JobPowerProfile::kMaxModelKey};
+  for (std::size_t count : kKeyedSizes) {
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, keys, count), team,
+                                  "keyed and unkeyed");
+    if (HasFatalFailure()) return;
+  }
+}
+
 }  // namespace
 }  // namespace anor::budget

@@ -115,6 +115,45 @@ TEST(SimLanes, LowestIdleSelectionMatchesIdleNodesPrefix) {
       ASSERT_THROW(table.lowest_idle_nodes(table.idle_count() + 1, too_many), std::logic_error);
     }
   }
+
+  // The scan starts at a hint, the lowest bitmap word that may hold an
+  // idle bit.  Fill a 640-node table from the bottom, so the hint moves
+  // forward a word at a time, then free rows in a high word and in a low
+  // one, so it moves back, and refill: every selection must still be the
+  // prefix of the node-order walk.
+  NodeTable table(640);
+  const auto expect_walk_prefix = [&](int count, const char* when) {
+    std::vector<int> walk;
+    for (int n = 0; n < table.size() && static_cast<int>(walk.size()) < count; ++n) {
+      if (table.idle(n)) walk.push_back(n);
+    }
+    std::vector<int> got;
+    table.lowest_idle_nodes(count, got);
+    ASSERT_EQ(got, walk) << when << ", count " << count;
+  };
+  std::vector<std::vector<int>> rows;
+  const auto start = [&](int count, const char* when) {
+    expect_walk_prefix(count, when);
+    std::vector<int> nodes;
+    table.lowest_idle_nodes(count, nodes);
+    table.start_row(rows.size(), static_cast<int>(rows.size()), nodes);
+    rows.push_back(std::move(nodes));
+  };
+  while (table.idle_count() > 0) start(std::min(table.idle_count(), 37), "filling");
+  expect_walk_prefix(0, "full");
+  table.finish_row(rows[15]);  // nodes 555-591, words 8-9
+  expect_walk_prefix(table.idle_count(), "a high row freed");
+  start(3, "a high row freed");
+  table.finish_row(rows[1]);  // nodes 37-73, words 0-1: the hint moves back
+  expect_walk_prefix(table.idle_count(), "a low row freed");
+  for (int k = 0; k < 40 && table.idle_count() > 0; ++k) start(1, "refilling one by one");
+  expect_walk_prefix(table.idle_count(), "refilled");
+  table.finish_row(rows[0]);  // nodes 0-36: word 0 again
+  table.finish_row(rows.back());
+  while (table.idle_count() > 0) {
+    start(std::min(table.idle_count(), 5), "refilling after the lowest row");
+  }
+  expect_walk_prefix(0, "full again");
 }
 
 }  // namespace

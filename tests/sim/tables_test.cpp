@@ -415,6 +415,79 @@ TEST(JobTable, RunningSetExactAcrossBatchedFinishes) {
   EXPECT_EQ(table.running(), rebuilt());
 }
 
+TEST(JobTable, RunningSetMatchesARebuildUnderRandomBatches) {
+  // Starts append to an unsorted tail and finishes only mark their rows;
+  // a read merges both.  Random interleavings of starts, batched finishes
+  // (unsorted, with repeats and rows that never started) and reads --
+  // including rows that start and finish between two reads -- must leave
+  // running() equal to the ascending rebuild from the rows at every read,
+  // and running_count() equal to its size after every operation.
+  util::Rng rng(20261019);
+  long finished_unread = 0;  // rows that finished before any read since their start
+  for (int trial = 0; trial < 40; ++trial) {
+    JobTable table;
+    const int rows = static_cast<int>(rng.uniform_int(1, 300));
+    for (int id = 0; id < rows; ++id) {
+      JobRow row;
+      row.job_id = id;
+      if (rng.coin(0.05)) row.start_s = 0.0;  // added already running
+      table.add(row);
+    }
+    const auto rebuilt = [&table] {
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        if (table.row(i).started() && !table.row(i).finished()) expected.push_back(i);
+      }
+      return expected;
+    };
+    const auto any_row = [&] {
+      return static_cast<std::size_t>(rng.uniform_int(0, rows - 1));
+    };
+    double t = 1.0;
+    std::vector<std::size_t> started_since_read;
+    for (int op = 0; op < 400; ++op, t += 1.0) {
+      const std::string where = "trial " + std::to_string(trial) + " op " + std::to_string(op);
+      switch (rng.uniform_int(0, 5)) {
+        case 0:
+        case 1: {  // a burst of starts, in random row order
+          const int count = static_cast<int>(rng.uniform_int(1, 8));
+          for (int k = 0; k < count; ++k) {
+            const std::size_t i = any_row();
+            if (!table.row(i).started()) started_since_read.push_back(i);
+            table.mark_started(i, t);
+          }
+          break;
+        }
+        case 2:
+        case 3: {  // a tick's batch of finishes
+          std::vector<std::size_t> batch;
+          const int count = static_cast<int>(rng.uniform_int(0, 6));
+          for (int k = 0; k < count; ++k) batch.push_back(any_row());
+          if (!started_since_read.empty() && rng.coin(0.5)) {
+            batch.push_back(started_since_read[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(started_since_read.size()) - 1))]);
+          }
+          for (std::size_t i : batch) {
+            const bool unread = std::find(started_since_read.begin(), started_since_read.end(),
+                                          i) != started_since_read.end();
+            if (unread && !table.row(i).finished()) ++finished_unread;
+          }
+          table.mark_finished(batch, t);
+          break;
+        }
+        default: {  // a read
+          ASSERT_EQ(table.running(), rebuilt()) << where;
+          started_since_read.clear();
+          break;
+        }
+      }
+      ASSERT_EQ(table.running_count(), rebuilt().size()) << where;
+    }
+    ASSERT_EQ(table.running(), rebuilt()) << "trial " << trial << " (final read)";
+  }
+  EXPECT_GT(finished_unread, 0) << "no row finished before a read since its start";
+}
+
 TEST(JobTable, NonContiguousIds) {
   JobTable table;
   JobRow row;

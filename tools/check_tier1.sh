@@ -5,7 +5,8 @@
 # (the budgeter's hash table and grouped-decision fallback against the
 # job-ordered reference), the repeated-add helper, the simulator's node
 # table (lane, row and power-source indices, the idle and run-break
-# bitmaps) and the streaming JSON writer,
+# bitmaps), job table (the lazily merged running set) and completion
+# queue, and the streaming JSON writer,
 # cache-entry reader, Json::parse and export goldens (parsers of untrusted
 # files), and TSan over the simulator's sharded stepping, the ShardWorkers
 # rendezvous and parallel_for chunking, and the result cache's concurrent
@@ -143,10 +144,13 @@ run_gtest "$asan_dir/tests/util_test" 'AddRepeated.*'
 # the open-addressed model table and the grouped-decision fallback.
 run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
 # Every node read goes through a lane, row or power-source index, job
-# starts read the idle bitmap and the total power walks the run-break
-# bitmap: the node-table unit tests, whole runs at 0/2/4 step workers
-# checked tick by tick, and the lane properties.
-run_gtest "$asan_dir/tests/sim_test" 'NodeTable*:SimRowCaps.*:SimLanes.*'
+# starts read the idle bitmap from its hint and the total power walks the
+# run-break bitmap; the running set merges a started tail and the
+# completion queue indexes a heap by row: the node- and job-table unit
+# tests, whole runs at 0/2/4 step workers checked tick by tick, the lane
+# properties, and the completion gate against a full scan.
+run_gtest "$asan_dir/tests/sim_test" \
+  'NodeTable*:SimRowCaps.*:SimLanes.*:JobTable*:SimCompletionGate.*'
 # The streaming writer and number formatter against Json::dump/printf,
 # the cursor (and Json::parse, built on it) against the original parser
 # on mutated texts, the cache-entry reader on truncated and byte-flipped
@@ -167,11 +171,13 @@ export TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}"
 # SimDeterminism covers the persistent-team stepping at workers {1,2,4,8}
 # and the full worker x shard-size matrix; SimRowCaps steps runs whose
 # lane sweep and row refresh shard across the team; SimLanes steps whole
-# runs over the lane layout; ShardWorkers
+# runs over the lane layout; SimCompletionGate steps 2-worker runs whose
+# sharded refresh writes the completion keys that the queue then takes
+# serially; ShardWorkers
 # exercises the epoch rendezvous directly (dispatch storms, exception
 # rethrow); the budget filter runs the sharded even-slowdown solve
 # against serial.
-run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*:SimRowCaps.*:SimLanes.*'
+run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*:SimRowCaps.*:SimLanes.*:SimCompletionGate.*'
 run_gtest "$tsan_dir/tests/util_test" 'ShardWorkers.*'
 run_gtest "$tsan_dir/tests/platform_test" 'ClusterHw.ShardedStepMatchesSerialBitForBit'
 run_gtest "$tsan_dir/tests/budget_test" 'EvenSlowdown.ShardedSolveIsBitIdenticalToSerial'

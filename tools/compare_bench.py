@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_sim.json reports (schema anor.bench_sim.v1).
+"""Compare two BENCH_sim.json or two BENCH_sweep.json reports.
 
-Matches cases by (nodes, duration_s, step_workers), prints a side-by-side
-steps/sec table with the per-phase profile deltas that moved most, and
-exits nonzero if any case's steps_per_sec regressed by more than the
-threshold (default 10%), or if any shared case's trace_hash changed: a
-speed comparison between runs that computed different results means
-nothing, so the script names each such case and fails.
+BENCH_sim.json (schema anor.bench_sim.v1): matches cases by (nodes,
+duration_s, step_workers, job_shape; a report without job_shape has only
+"wide" cases), prints a side-by-side steps/sec table with the per-phase
+profile deltas that moved most, and exits nonzero if any case's
+steps_per_sec regressed by more than the threshold (default 10%), or if
+any shared case's trace_hash changed: a speed comparison between runs
+that computed different results means nothing, so the script names each
+such case and fails.
+
+BENCH_sweep.json (schema anor.bench_sweep.v1): prints the cold pass's
+wall time and the warm and cached speedups over it, baseline -> candidate,
+and exits nonzero, naming the grid, when results_hash changed.  Its
+speedups are gated by bench_sweep itself, so no threshold applies here.
 
 Cases carry a "cache" provenance field ("hit" | "miss" | "off").  A cached
 wall time measures a map lookup, not the simulator, so a case is only
@@ -30,8 +37,13 @@ import json
 import sys
 
 
+SIM_SCHEMA = "anor.bench_sim.v1"
+SWEEP_SCHEMA = "anor.bench_sweep.v1"
+
+
 def case_key(case):
-    return (case["nodes"], case["duration_s"], case["step_workers"])
+    return (case["nodes"], case["duration_s"], case["step_workers"],
+            case.get("job_shape", "wide"))
 
 
 def was_computed(case):
@@ -41,16 +53,44 @@ def was_computed(case):
 
 
 def fmt_key(key):
-    nodes, duration, workers = key
-    return f"{nodes}n/{duration:g}s/w{workers}"
+    nodes, duration, workers, shape = key
+    return f"{nodes}n/{duration:g}s/w{workers}" + ("/dense" if shape == "dense" else "")
 
 
-def load_cases(path):
+def load_report(path):
     with open(path) as f:
         report = json.load(f)
-    if report.get("schema") != "anor.bench_sim.v1":
+    if report.get("schema") not in (SIM_SCHEMA, SWEEP_SCHEMA):
         sys.exit(f"{path}: unexpected schema {report.get('schema')!r}")
-    return report, {case_key(c): c for c in report["cases"]}
+    return report
+
+
+def compare_sweep(args, base, cand):
+    """BENCH_sweep.json: the cold wall and the warm and cached speedups,
+    and a failure when the grid's results changed."""
+    print(f"baseline:  {args.baseline} (rev {base.get('git_revision')})")
+    print(f"candidate: {args.candidate} (rev {cand.get('git_revision')})")
+    base_cases = {c["name"]: c for c in base.get("cases", [])}
+    cand_cases = {c["name"]: c for c in cand.get("cases", [])}
+    cold_b = base_cases.get("cold_sequential", {}).get("wall_s")
+    cold_c = cand_cases.get("cold_sequential", {}).get("wall_s")
+    if cold_b is not None and cold_c is not None:
+        print(f"{'cold wall_s':>24} {cold_b:>10.4f} -> {cold_c:>10.4f} "
+              f"({cold_c / cold_b:.2f}x)")
+    for label, field in (("warm speedup vs cold", "warm_speedup_vs_cold"),
+                         ("cached speedup vs cold", "cached_speedup_vs_cold")):
+        b, c = base.get(field), cand.get(field)
+        if b is not None and c is not None:
+            print(f"{label:>24} {b:>9.2f}x -> {c:>9.2f}x")
+    grid = cand.get("grid") or base.get("grid") or cand.get("bench", "bench_sweep")
+    cells = cand.get("grid_cells")
+    bh, ch = base.get("results_hash"), cand.get("results_hash")
+    if bh != ch:
+        print(f"FAIL: grid {grid!r} ({cells} cells): results_hash changed {bh} -> {ch} "
+              f"(sweep results differ, not just speed)")
+        return 1
+    print(f"OK: grid {grid!r} ({cells} cells): results_hash {ch} unchanged")
+    return 0
 
 
 def phase_deltas(base_case, cand_case):
@@ -86,8 +126,14 @@ def main():
                              "overhead-bound)")
     args = parser.parse_args()
 
-    base_report, base_cases = load_cases(args.baseline)
-    cand_report, cand_cases = load_cases(args.candidate)
+    base_report = load_report(args.baseline)
+    cand_report = load_report(args.candidate)
+    if base_report["schema"] != cand_report["schema"]:
+        sys.exit(f"schemas differ: {base_report['schema']!r} vs {cand_report['schema']!r}")
+    if base_report["schema"] == SWEEP_SCHEMA:
+        return compare_sweep(args, base_report, cand_report)
+    base_cases = {case_key(c): c for c in base_report["cases"]}
+    cand_cases = {case_key(c): c for c in cand_report["cases"]}
 
     print(f"baseline:  {args.baseline} (rev {base_report.get('git_revision')})")
     print(f"candidate: {args.candidate} (rev {cand_report.get('git_revision')})")
@@ -100,7 +146,7 @@ def main():
         print(f"note: case {fmt_key(key)} only in {side}; skipped")
 
     regressions = []
-    header = f"{'case':>16} {'base steps/s':>14} {'cand steps/s':>14} {'delta':>8}"
+    header = f"{'case':>24} {'base steps/s':>14} {'cand steps/s':>14} {'delta':>8}"
     print(header)
     print("-" * len(header))
     for key in sorted(shared):
@@ -108,7 +154,7 @@ def main():
         if not (was_computed(base_case) and was_computed(cand_case)):
             # A cache hit's wall time measures the cache, not the code under
             # test: never score it against a computed number.
-            print(f"{fmt_key(key):>16} {'cache: ' + base_case.get('cache', 'off'):>14} "
+            print(f"{fmt_key(key):>24} {'cache: ' + base_case.get('cache', 'off'):>14} "
                   f"{'cache: ' + cand_case.get('cache', 'off'):>14} "
                   f"{'skipped':>8}")
             continue
@@ -119,7 +165,7 @@ def main():
         if change < -args.threshold:
             flag = "  REGRESSED"
             regressions.append(key)
-        print(f"{fmt_key(key):>16} {base_sps:>14.1f} {cand_sps:>14.1f} "
+        print(f"{fmt_key(key):>24} {base_sps:>14.1f} {cand_sps:>14.1f} "
               f"{change:>+7.1%}{flag}")
 
     for key in regressions:
@@ -139,26 +185,29 @@ def main():
 
     # Workers-vs-serial speedup inside the candidate report: each sharded
     # case against the serial run of the same (nodes, duration_s).
-    serial_ref = {(c["nodes"], c["duration_s"]): c["steps_per_sec"]
+    def shape_key(c):
+        return (c["nodes"], c["duration_s"], c.get("job_shape", "wide"))
+
+    serial_ref = {shape_key(c): c["steps_per_sec"]
                   for c in cand_cases.values()
                   if c["step_workers"] <= 1 and was_computed(c)}
     sharded = [c for c in cand_cases.values()
                if c["step_workers"] > 1 and was_computed(c)
-               and (c["nodes"], c["duration_s"]) in serial_ref]
+               and shape_key(c) in serial_ref]
     parallel_losses = []
     if sharded:
         print("\ncandidate workers-vs-serial speedup:")
-        header = f"{'case':>16} {'serial steps/s':>15} {'sharded steps/s':>16} {'speedup':>8}"
+        header = f"{'case':>24} {'serial steps/s':>15} {'sharded steps/s':>16} {'speedup':>8}"
         print(header)
         print("-" * len(header))
         for c in sorted(sharded, key=case_key):
-            ref = serial_ref[(c["nodes"], c["duration_s"])]
+            ref = serial_ref[shape_key(c)]
             speedup = c["steps_per_sec"] / ref
             flag = ""
             if speedup < 1.0 and c["nodes"] >= args.parallel_win_min_nodes:
                 flag = "  SLOWER THAN SERIAL"
                 parallel_losses.append(case_key(c))
-            print(f"{fmt_key(case_key(c)):>16} {ref:>15.1f} "
+            print(f"{fmt_key(case_key(c)):>24} {ref:>15.1f} "
                   f"{c['steps_per_sec']:>16.1f} {speedup:>7.2f}x{flag}")
 
     failed = bool(regressions) or bool(hash_changes)
