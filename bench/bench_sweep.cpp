@@ -12,13 +12,17 @@
 //                     shared fitted models, memoized schedules/targets),
 //                     never a served result.  Gate: >= 3x vs cold.
 //   cached_sweep    — a repeat of an identical sweep against a populated
-//                     result cache.  Gate: >= 10x vs cold, 100% hits.
+//                     result cache, timed as the median of 5 repeats (one
+//                     repeat takes ~0.02 s, so a single noisy episode
+//                     could sink the gate).  Gate: >= 10x vs cold, 100%
+//                     hits on every repeat.
 //
 // Every pass hashes every cell's full-fidelity result; any byte of
 // divergence between passes fails the bench — speed that changes results
 // is a bug, not a win.  Cases carry the "cache" provenance field
 // ("hit" | "miss" | "off"); compare_bench.py refuses to score a cached
 // wall time against a computed one.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -179,30 +183,46 @@ int main(int argc, char** argv) {
   std::printf("warm_sweep:      %.3f s (%.2fx vs cold, cache off)\n", warm.wall_s,
               warm_speedup);
 
+  bool hashes_consistent = true;
+  const auto check_hashes = [&](const PassResult& pass, const char* name) {
+    for (std::size_t i = 0; i < cell_count; ++i) {
+      if (pass.hashes[i] != cold.hashes[i]) {
+        std::fprintf(stderr, "FAIL: cell %zu results diverged (cold %s %s %s)\n", i,
+                     hash_hex(cold.hashes[i]).c_str(), name, hash_hex(pass.hashes[i]).c_str());
+        hashes_consistent = false;
+      }
+    }
+  };
+  check_hashes(warm, "warm");
+
   // Prime the cache with one (untimed) sweep into a scratch dir, then time
-  // the repeat — the "re-run the same sweep tomorrow" case.
+  // the repeats — the "re-run the same sweep tomorrow" case.  The reported
+  // wall is their median; the hit rate is the lowest of them.
+  constexpr std::size_t kCachedRepeats = 5;
   namespace fs = std::filesystem;
   const fs::path cache_dir = fs::temp_directory_path() / "anor-bench-sweep-cache";
   fs::remove_all(cache_dir);
   engine::sweep::SweepOptions cached_options;
   cached_options.cache.dir = cache_dir.string();
   (void)run_executor(grid, cached_options);
-  engine::sweep::CacheStats cached_stats;
-  const PassResult cached = run_executor(grid, cached_options, &cached_stats);
-  fs::remove_all(cache_dir);
-  const double cached_speedup = cached.wall_s > 0.0 ? cold.wall_s / cached.wall_s : 0.0;
-  std::printf("cached_sweep:    %.3f s (%.2fx vs cold, hit rate %.0f%%)\n",
-              cached.wall_s, cached_speedup, cached_stats.hit_rate() * 100.0);
-
-  bool hashes_consistent = true;
-  for (std::size_t i = 0; i < cell_count; ++i) {
-    if (warm.hashes[i] != cold.hashes[i] || cached.hashes[i] != cold.hashes[i]) {
-      std::fprintf(stderr, "FAIL: cell %zu results diverged (cold %s warm %s cached %s)\n",
-                   i, hash_hex(cold.hashes[i]).c_str(), hash_hex(warm.hashes[i]).c_str(),
-                   hash_hex(cached.hashes[i]).c_str());
-      hashes_consistent = false;
-    }
+  PassResult cached;
+  std::vector<double> cached_walls;
+  double cached_hit_rate = 1.0;
+  for (std::size_t r = 0; r < kCachedRepeats; ++r) {
+    engine::sweep::CacheStats stats;
+    cached = run_executor(grid, cached_options, &stats);
+    cached_walls.push_back(cached.wall_s);
+    cached_hit_rate = std::min(cached_hit_rate, stats.hit_rate());
+    check_hashes(cached, "cached");
   }
+  fs::remove_all(cache_dir);
+  std::sort(cached_walls.begin(), cached_walls.end());
+  cached.wall_s = cached_walls[kCachedRepeats / 2];
+  const double cached_speedup = cached.wall_s > 0.0 ? cold.wall_s / cached.wall_s : 0.0;
+  std::printf("cached_sweep:    %.3f s (%.2fx vs cold, median of %zu, %.3f-%.3f s, "
+              "lowest hit rate %.0f%%)\n",
+              cached.wall_s, cached_speedup, kCachedRepeats, cached_walls.front(),
+              cached_walls.back(), cached_hit_rate * 100.0);
 
   std::uint64_t combined = 1469598103934665603ULL;
   for (const std::uint64_t h : cold.hashes) {
@@ -212,7 +232,7 @@ int main(int argc, char** argv) {
 
   util::JsonArray cases;
   const auto add_case = [&](const char* name, const PassResult& pass, const char* cache,
-                            double speedup) {
+                            double speedup, std::size_t repeats = 1) {
     util::JsonObject entry;
     entry["name"] = util::Json(std::string(name));
     entry["cells"] = util::Json(cell_count);
@@ -222,11 +242,12 @@ int main(int argc, char** argv) {
     // simulator; compare_bench.py skips any comparison involving one.
     entry["cache"] = util::Json(std::string(cache));
     if (speedup > 0.0) entry["speedup_vs_cold"] = util::Json(speedup);
+    if (repeats > 1) entry["repeats"] = util::Json(repeats);  // wall_s is their median
     cases.push_back(util::Json(std::move(entry)));
   };
   add_case("cold_sequential", cold, "off", 0.0);
   add_case("warm_sweep", warm, "off", warm_speedup);
-  add_case("cached_sweep", cached, "hit", cached_speedup);
+  add_case("cached_sweep", cached, "hit", cached_speedup, kCachedRepeats);
 
   util::JsonObject root;
   root["schema"] = util::Json(std::string("anor.bench_sweep.v1"));
@@ -242,7 +263,7 @@ int main(int argc, char** argv) {
   root["all_hashes_consistent"] = util::Json(hashes_consistent);
   root["warm_speedup_vs_cold"] = util::Json(warm_speedup);
   root["cached_speedup_vs_cold"] = util::Json(cached_speedup);
-  root["cache_hit_rate"] = util::Json(cached_stats.hit_rate());
+  root["cache_hit_rate"] = util::Json(cached_hit_rate);
   root["cases"] = util::Json(std::move(cases));
 
   std::ofstream out(out_path);
@@ -268,9 +289,9 @@ int main(int argc, char** argv) {
                    cached_speedup);
       rc = 1;
     }
-    if (cached_stats.hit_rate() < 1.0) {
+    if (cached_hit_rate < 1.0) {
       std::fprintf(stderr, "FAIL: repeat sweep hit rate %.0f%% (expected 100%%)\n",
-                   cached_stats.hit_rate() * 100.0);
+                   cached_hit_rate * 100.0);
       rc = 1;
     }
   }

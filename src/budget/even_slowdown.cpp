@@ -5,6 +5,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/prof/prof.hpp"
@@ -188,39 +189,122 @@ double ordered_total(const std::vector<JobPowerProfile>& jobs, const ModelGroups
   return total;
 }
 
-}  // namespace
+/// Multiplicative hash of a slowdown's bit pattern; a table of 2^b entries
+/// indexes by its top b bits, which every input bit reaches.
+std::uint64_t slowdown_hash(std::uint64_t bits) { return bits * 0x9E3779B97F4A7C15ULL; }
 
-std::size_t EvenSlowdownBudgeter::CapKeyHash::operator()(const CapKey& key) const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the six words
-  for (std::uint64_t w : key.bits) {
-    h ^= w;
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::size_t>(h);
+bool used(const std::vector<std::uint64_t>& bitmap, std::size_t i) {
+  return (bitmap[i / 64] >> (i % 64) & 1) != 0;
 }
 
-EvenSlowdownBudgeter::CapKey EvenSlowdownBudgeter::cap_key(const model::PowerPerfModel& m,
-                                                           double slowdown) {
-  return CapKey{{std::bit_cast<std::uint64_t>(m.a()),
-                 std::bit_cast<std::uint64_t>(m.b()),
-                 std::bit_cast<std::uint64_t>(m.c()),
-                 std::bit_cast<std::uint64_t>(m.p_min_w()),
-                 std::bit_cast<std::uint64_t>(m.p_max_w()),
-                 std::bit_cast<std::uint64_t>(slowdown)}};
+}  // namespace
+
+double EvenSlowdownBudgeter::CapTable::cap(const model::PowerPerfModel& m, double slowdown,
+                                           std::uint64_t& hits, std::uint64_t& misses) {
+  const auto key = std::bit_cast<std::uint64_t>(slowdown);
+  if (count_ != 0) {
+    const std::size_t mask = entries_.size() - 1;
+    for (std::size_t i = slowdown_hash(key) >> shift_; used(used_, i); i = (i + 1) & mask) {
+      if (entries_[i].slowdown == key) {
+        ++hits;
+        return entries_[i].cap;
+      }
+    }
+  }
+  ++misses;
+  const double cap = m.cap_for_slowdown(slowdown);
+  insert(key, cap);
+  return cap;
+}
+
+void EvenSlowdownBudgeter::CapTable::insert(std::uint64_t key, double cap) {
+  if (2 * (count_ + 1) > entries_.size()) {
+    if (entries_.size() < 2 * kMemoEntriesPerModel) {
+      rehash(std::max(kMinCapacity, 2 * entries_.size()));
+    } else {  // full at the bound: start over rather than grow
+      std::fill(used_.begin(), used_.end(), 0);
+      count_ = 0;
+    }
+  }
+  const std::size_t mask = entries_.size() - 1;
+  std::size_t i = slowdown_hash(key) >> shift_;
+  while (used(used_, i)) i = (i + 1) & mask;
+  used_[i / 64] |= std::uint64_t{1} << (i % 64);
+  entries_[i] = {key, cap};
+  ++count_;
+}
+
+void EvenSlowdownBudgeter::CapTable::rehash(std::size_t capacity) {
+  const std::vector<Entry> old_entries = std::exchange(entries_, std::vector<Entry>(capacity));
+  const std::vector<std::uint64_t> old_used =
+      std::exchange(used_, std::vector<std::uint64_t>(capacity / 64, 0));
+  shift_ = 64 - std::countr_zero(capacity);
+  count_ = 0;
+  for (std::size_t i = 0; i < old_entries.size(); ++i) {
+    if (used(old_used, i)) insert(old_entries[i].slowdown, old_entries[i].cap);
+  }
+}
+
+void EvenSlowdownBudgeter::map_memo_tables(const ModelGroups& groups) const {
+  constexpr std::size_t kIndexSize = 2 * kMemoModels;  // load <= 1/2
+  constexpr int kIndexShift = 64 - std::countr_zero(kIndexSize);
+  if (memo_index_.empty()) {
+    memo_index_.assign(kIndexSize, 0);
+    memo_slots_.reserve(kMemoModels);  // never reallocates: the tables stay put
+  }
+  // The index position of group k's model: its slot's, or the empty one
+  // where the slot would go.
+  const auto position = [&](std::size_t k) {
+    const model::PowerPerfModel& m = *groups.reps[k];
+    const std::array<std::uint64_t, 5> bits = {
+        std::bit_cast<std::uint64_t>(m.a()), std::bit_cast<std::uint64_t>(m.b()),
+        std::bit_cast<std::uint64_t>(m.c()), std::bit_cast<std::uint64_t>(m.p_min_w()),
+        std::bit_cast<std::uint64_t>(m.p_max_w())};
+    std::size_t i = model_hash(m) >> kIndexShift;
+    while (memo_index_[i] != 0 && memo_slots_[memo_index_[i] - 1].model != bits) {
+      i = (i + 1) & (kIndexSize - 1);
+    }
+    return std::pair{i, bits};
+  };
+  group_tables_.assign(groups.reps.size(), nullptr);
+  std::size_t unseen = 0;
+  for (std::size_t k = 0; k < groups.reps.size(); ++k) {
+    const std::uint32_t slot = memo_index_[position(k).first];
+    if (slot != 0) {
+      group_tables_[k] = &memo_slots_[slot - 1].caps;
+    } else {
+      ++unseen;
+    }
+  }
+  if (unseen == 0) return;
+  // Too few free slots: start over, unless this solve alone holds more
+  // models than the memo does (dropping the slots would not make it fit).
+  if (unseen > kMemoModels - memo_slots_.size() && groups.reps.size() <= kMemoModels) {
+    memo_slots_.clear();
+    std::fill(memo_index_.begin(), memo_index_.end(), 0);
+    std::fill(group_tables_.begin(), group_tables_.end(), nullptr);
+  }
+  for (std::size_t k = 0; k < groups.reps.size(); ++k) {
+    if (group_tables_[k] != nullptr) continue;
+    const auto [i, bits] = position(k);  // an earlier group may have opened it
+    if (memo_index_[i] == 0) {
+      if (memo_slots_.size() == kMemoModels) continue;
+      memo_slots_.push_back({bits, CapTable{}});
+      memo_index_[i] = static_cast<std::uint32_t>(memo_slots_.size());
+    }
+    group_tables_[k] = &memo_slots_[memo_index_[i] - 1].caps;
+  }
 }
 
 void EvenSlowdownBudgeter::caps_at_slowdown(ModelGroups& groups, double slowdown) const {
-  if (cap_cache_.size() > (1u << 20)) cap_cache_.clear();  // runaway guard
   for (std::size_t k = 0; k < groups.reps.size(); ++k) {
     const model::PowerPerfModel& m = *groups.reps[k];
-    const auto [it, inserted] = cap_cache_.try_emplace(cap_key(m, slowdown), 0.0);
-    if (inserted) {
-      it->second = m.cap_for_slowdown(slowdown);
-      ++memo_misses_;
+    if (CapTable* table = group_tables_[k]; table != nullptr) {
+      groups.caps[k] = table->cap(m, slowdown, memo_hits_, memo_misses_);
     } else {
-      ++memo_hits_;
+      groups.caps[k] = m.cap_for_slowdown(slowdown);
+      ++memo_misses_;
     }
-    groups.caps[k] = it->second;
   }
 }
 
@@ -242,6 +326,7 @@ BudgetResult EvenSlowdownBudgeter::distribute(const std::vector<JobPowerProfile>
                : group_models(jobs, 0, jobs.size());
   }();
   groups.caps.resize(groups.reps.size());
+  map_memo_tables(groups);
 
   // Every threshold decision below compares the grouped total
   // G = Σ_k N_k·x_k with the budget instead of the reference's job-ordered

@@ -90,9 +90,7 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
                         warm->perf_multipliers.size() ==
                             static_cast<std::size_t>(config_.node_count);
     if (pooled) {
-      for (int n = 0; n < config_.node_count; ++n) {
-        nodes_.set_perf_multiplier(n, warm->perf_multipliers[n]);
-      }
+      nodes_.set_perf_multipliers(warm->perf_multipliers);
     } else {
       if (warm != nullptr) {
         warm->perf_multipliers.clear();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -16,6 +17,76 @@ namespace {
 /// shorter runs (1-2 node jobs) sum faster node by node.
 constexpr int kMinMeanRunNodes = 64;
 
+// Every caller passes an ascending node list (lowest_idle_nodes' output),
+// so entries i..j name one contiguous block exactly when
+// nodes[j] - nodes[i] == j - i, a predicate that holds on a prefix of j:
+// a galloping search finds a block's end in O(log block) steps.
+std::size_t block_end(const std::vector<int>& nodes, std::size_t i) {
+  const auto contiguous = [&](std::size_t j) {
+    return static_cast<std::size_t>(nodes[j] - nodes[i]) == j - i;
+  };
+  std::size_t good = i;  // contiguous(good) holds
+  std::size_t step = 1;
+  std::size_t bad = nodes.size();  // first index known not to hold (or the end)
+  while (good + step < nodes.size()) {
+    if (!contiguous(good + step)) {
+      bad = good + step;
+      break;
+    }
+    good += step;
+    step *= 2;
+  }
+  while (bad - good > 1) {
+    const std::size_t mid = good + (bad - good) / 2;
+    if (contiguous(mid)) {
+      good = mid;
+    } else {
+      bad = mid;
+    }
+  }
+  return good;
+}
+
+/// The first node m in [n, end) whose bit in `bits` equals `set`, or
+/// `end`: a word of the bitmap at a time.
+std::size_t next_with_bit(const std::vector<std::uint64_t>& bits, std::size_t n,
+                          std::size_t end, bool set) {
+  const std::uint64_t flip = set ? 0 : ~std::uint64_t{0};
+  std::size_t w = n / 64;
+  std::uint64_t word = (bits[w] ^ flip) & (~std::uint64_t{0} << (n % 64));
+  while (word == 0) {
+    if (++w * 64 >= end) return end;
+    word = bits[w] ^ flip;
+  }
+  return std::min(end, w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+}
+
+/// Call f(word, mask) for every word of `bits` that holds bits of nodes
+/// [first, last), with `mask` selecting those bits.
+template <class F>
+void for_each_word(std::vector<std::uint64_t>& bits, std::size_t first, std::size_t last, F f) {
+  if (first >= last) return;
+  const std::size_t first_word = first / 64;
+  const std::size_t last_word = (last - 1) / 64;
+  for (std::size_t w = first_word; w <= last_word; ++w) {
+    std::uint64_t mask = ~std::uint64_t{0};
+    if (w == first_word) mask &= ~std::uint64_t{0} << (first % 64);
+    if (w == last_word) mask &= ~std::uint64_t{0} >> (63 - (last - 1) % 64);
+    f(bits[w], mask);
+  }
+}
+
+/// Call f(first, last) for each contiguous block [first, last] of the
+/// ascending node list, in order.
+template <class F>
+void for_each_block(const std::vector<int>& nodes, F f) {
+  for (std::size_t i = 0; i < nodes.size();) {
+    const std::size_t j = block_end(nodes, i);
+    f(static_cast<std::size_t>(nodes[i]), static_cast<std::size_t>(nodes[j]));
+    i = j + 1;
+  }
+}
+
 }  // namespace
 
 NodeTable::NodeTable(int node_count) { reset(node_count); }
@@ -26,7 +97,7 @@ void NodeTable::reset(int node_count) {
   job_id_.assign(n, -1);
   lane_.assign(n, -1);
   power_source_.assign(n, -1);
-  perf_mult_.assign(n, 1.0);
+  perf_mult_.clear();
   idle_bits_.assign((n + 63) / 64, ~std::uint64_t{0});
   if (n % 64 != 0) idle_bits_.back() = (std::uint64_t{1} << (n % 64)) - 1;
   idle_count_ = node_count;
@@ -70,34 +141,56 @@ int NodeTable::start_row(std::size_t row, int job_id, const std::vector<int>& no
     row_power_w_.resize(row + 1, 0.0);
   }
   if (nodes.empty()) return -1;
-  const double first = perf_mult_[idx(nodes.front())];
-  const bool shared = std::all_of(nodes.begin(), nodes.end(),
+  const double first = perf_multiplier(nodes.front());
+  // Without a multiplier column every node runs at 1.0.
+  const bool shared = perf_mult_.empty() ||
+                      std::all_of(nodes.begin(), nodes.end(),
                                   [&](int n) { return perf_mult_[idx(n)] == first; });
   const int shared_lane = shared ? open_lane(row, first) : -1;
-  for (int n : nodes) {
-    job_id_[idx(n)] = job_id;
-    lane_[idx(n)] = shared ? shared_lane : open_lane(row, perf_mult_[idx(n)]);
-    idle_bits_[idx(n) / 64] &= ~(std::uint64_t{1} << (idx(n) % 64));
+  if (!shared) {
+    for (int n : nodes) lane_[idx(n)] = open_lane(row, perf_mult_[idx(n)]);
   }
+  for_each_block(nodes, [&](std::size_t lo, std::size_t hi) {
+    std::fill(job_id_.begin() + static_cast<std::ptrdiff_t>(lo),
+              job_id_.begin() + static_cast<std::ptrdiff_t>(hi + 1), job_id);
+    if (shared) {
+      std::fill(lane_.begin() + static_cast<std::ptrdiff_t>(lo),
+                lane_.begin() + static_cast<std::ptrdiff_t>(hi + 1), shared_lane);
+    }
+    for_each_word(idle_bits_, lo, hi + 1, [](std::uint64_t& word, std::uint64_t mask) {
+      word &= ~mask;
+    });
+  });
   idle_count_ -= static_cast<int>(nodes.size());
   return shared_lane;
 }
 
 void NodeTable::finish_row(const std::vector<int>& nodes) {
-  for (int n : nodes) {
-    const auto lane = idx(lane_[idx(n)]);
-    if (lane_row_[lane] >= 0) {  // a shared lane is freed with its first node
-      lane_progress_[lane] = 0.0;
-      lane_rate_[lane] = 0.0;  // the sweep adds nothing to a free slot
-      lane_row_[lane] = -1;
-      free_lanes_.push_back(static_cast<int>(lane));
-    }
-    job_id_[idx(n)] = -1;
-    lane_[idx(n)] = -1;
-    idle_bits_[idx(n) / 64] |= std::uint64_t{1} << (idx(n) % 64);
-    idle_hint_ = std::min(idle_hint_, idx(n) / 64);
+  if (nodes.empty()) return;
+  // Two nodes of one row share a lane only when all of them do.
+  if (nodes.size() == 1 || lane_[idx(nodes[0])] == lane_[idx(nodes[1])]) {
+    free_lane(lane_[idx(nodes[0])]);
+  } else {
+    for (int n : nodes) free_lane(lane_[idx(n)]);
   }
+  for_each_block(nodes, [&](std::size_t lo, std::size_t hi) {
+    std::fill(job_id_.begin() + static_cast<std::ptrdiff_t>(lo),
+              job_id_.begin() + static_cast<std::ptrdiff_t>(hi + 1), -1);
+    std::fill(lane_.begin() + static_cast<std::ptrdiff_t>(lo),
+              lane_.begin() + static_cast<std::ptrdiff_t>(hi + 1), -1);
+    for_each_word(idle_bits_, lo, hi + 1, [](std::uint64_t& word, std::uint64_t mask) {
+      word |= mask;
+    });
+  });
+  idle_hint_ = std::min(idle_hint_, idx(nodes.front()) / 64);
   idle_count_ += static_cast<int>(nodes.size());
+}
+
+void NodeTable::free_lane(int lane) {
+  lane_progress_[idx(lane)] = 0.0;
+  lane_rate_[idx(lane)] = 0.0;  // the sweep adds nothing to a free slot
+  lane_row_[idx(lane)] = -1;
+  free_lanes_.push_back(lane);
 }
 
 void NodeTable::set_row_power(std::size_t row, double power_w) {
@@ -110,76 +203,23 @@ void NodeTable::set_idle_power_w(double power_w) {
   power_clean_ = false;
 }
 
-// Every caller passes an ascending node list (lowest_idle_nodes' output),
-// so entries i..j name one contiguous block exactly when
-// nodes[j] - nodes[i] == j - i, a predicate that holds on a prefix of j:
-// a galloping search finds a block's end in O(log block) steps.
-namespace {
-
-std::size_t block_end(const std::vector<int>& nodes, std::size_t i) {
-  const auto contiguous = [&](std::size_t j) {
-    return static_cast<std::size_t>(nodes[j] - nodes[i]) == j - i;
-  };
-  std::size_t good = i;  // contiguous(good) holds
-  std::size_t step = 1;
-  std::size_t bad = nodes.size();  // first index known not to hold (or the end)
-  while (good + step < nodes.size()) {
-    if (!contiguous(good + step)) {
-      bad = good + step;
-      break;
-    }
-    good += step;
-    step *= 2;
-  }
-  while (bad - good > 1) {
-    const std::size_t mid = good + (bad - good) / 2;
-    if (contiguous(mid)) {
-      good = mid;
-    } else {
-      bad = mid;
-    }
-  }
-  return good;
-}
-
-/// The first node m in [n, end) whose bit in `bits` equals `set`, or
-/// `end`: a word of the bitmap at a time.
-std::size_t next_with_bit(const std::vector<std::uint64_t>& bits, std::size_t n,
-                          std::size_t end, bool set) {
-  const std::uint64_t flip = set ? 0 : ~std::uint64_t{0};
-  std::size_t w = n / 64;
-  std::uint64_t word = (bits[w] ^ flip) & (~std::uint64_t{0} << (n % 64));
-  while (word == 0) {
-    if (++w * 64 >= end) return end;
-    word = bits[w] ^ flip;
-  }
-  return std::min(end, w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
-}
-
-}  // namespace
-
 void NodeTable::draw_row_power(std::size_t row, const std::vector<int>& nodes) {
-  for (std::size_t i = 0; i < nodes.size();) {
-    const std::size_t j = block_end(nodes, i);
-    draw_block(static_cast<int>(row), idx(nodes[i]), idx(nodes[j]));
-    i = j + 1;
-  }
+  for_each_block(nodes, [&](std::size_t lo, std::size_t hi) {
+    draw_block(static_cast<int>(row), lo, hi);
+  });
   power_clean_ = false;
 }
 
 void NodeTable::draw_idle_power(const std::vector<int>& nodes) {
-  for (std::size_t i = 0; i < nodes.size();) {
-    const std::size_t j = block_end(nodes, i);
-    // Every node of [nodes[i], nodes[j]] is listed: move its idle stretches.
-    const std::size_t end = idx(nodes[j]) + 1;
-    for (std::size_t n = idx(nodes[i]); n < end;) {
-      const std::size_t first = next_with_bit(idle_bits_, n, end, true);
-      if (first == end) break;
-      n = next_with_bit(idle_bits_, first, end, false);
+  // Every node of a block is listed: move its idle stretches.
+  for_each_block(nodes, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t n = lo; n <= hi;) {
+      const std::size_t first = next_with_bit(idle_bits_, n, hi + 1, true);
+      if (first > hi) break;
+      n = next_with_bit(idle_bits_, first, hi + 1, false);
       draw_block(-1, first, n - 1);
     }
-    i = j + 1;
-  }
+  });
   power_clean_ = false;
 }
 
@@ -204,16 +244,10 @@ void NodeTable::set_run_start(std::size_t n, bool starts) {
 }
 
 void NodeTable::clear_run_starts(std::size_t first, std::size_t last) {
-  if (first >= last) return;
-  const std::size_t first_word = first / 64;
-  const std::size_t last_word = (last - 1) / 64;
-  for (std::size_t w = first_word; w <= last_word; ++w) {
-    std::uint64_t mask = ~std::uint64_t{0};
-    if (w == first_word) mask &= ~std::uint64_t{0} << (first % 64);
-    if (w == last_word) mask &= ~std::uint64_t{0} >> (63 - (last - 1) % 64);
-    power_runs_ -= std::popcount(run_starts_[w] & mask);
-    run_starts_[w] &= ~mask;
-  }
+  for_each_word(run_starts_, first, last, [&](std::uint64_t& word, std::uint64_t mask) {
+    power_runs_ -= std::popcount(word & mask);
+    word &= ~mask;
+  });
 }
 
 // Cache-line aligned so the 14-byte inner add loop always sits inside one
@@ -256,6 +290,12 @@ void NodeTable::lowest_idle_nodes(int count, std::vector<int>& out) const {
   // count <= idle_count_, so an idle bit lies ahead and the skip stops.
   while (idle_bits_[idle_hint_] == 0) ++idle_hint_;
   for (std::size_t w = idle_hint_; count > 0; ++w) {
+    if (idle_bits_[w] == ~std::uint64_t{0} && count >= 64) {  // all 64 idle: no bit walk
+      out.resize(out.size() + 64);
+      std::iota(out.end() - 64, out.end(), static_cast<int>(w * 64));
+      count -= 64;
+      continue;
+    }
     for (std::uint64_t bits = idle_bits_[w]; bits != 0 && count > 0; bits &= bits - 1) {
       out.push_back(static_cast<int>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
       --count;

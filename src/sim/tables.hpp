@@ -24,15 +24,17 @@
 //     power then sums each run's equal terms with one util::add_repeated
 //     call, bit for bit the left-to-right node loop.
 // Per node the table keeps ownership (job id), the lane index, the power
-// source, the performance multiplier, an idle bitmap and the run-break
-// bitmap; the per-node getters derive progress, rate, cap and power from
-// lanes and rows.  A job start costs the job, not the cluster: the idle
-// scan starts at a hint (the lowest bitmap word that may hold an idle
-// bit), and JobTable appends starts to an unsorted tail that the next
-// read of the running set sorts and merges in.  CompletionQueue orders the
-// running rows by predicted completion, so the completion phase visits
-// only the rows that may be done.  See DESIGN.md "Performance model of
-// the simulator".
+// source, the performance multiplier (once some node's differs from 1.0),
+// an idle bitmap and the run-break bitmap; the per-node getters derive
+// progress, rate, cap and power from lanes and rows.  A job start costs
+// the job, not the cluster: the idle scan starts at a hint (the lowest
+// bitmap word that may hold an idle bit), start and finish write each
+// contiguous block of the job's nodes with one fill per column and its
+// idle bits a word at a time, and JobTable appends starts to an unsorted
+// tail that the next read of the running set sorts and merges in.
+// CompletionQueue orders the running rows by predicted completion, so the
+// completion phase visits only the rows that may be done.  See DESIGN.md
+// "Performance model of the simulator".
 #pragma once
 
 #include <cstdint>
@@ -94,22 +96,40 @@ class NodeTable {
   /// Number of power runs (1 when every node draws from one source).
   int power_runs() const { return power_runs_; }
 
-  double perf_multiplier(int node) const { return perf_mult_[idx(node)]; }
-  double inv_perf_multiplier(int node) const { return 1.0 / perf_mult_[idx(node)]; }
-  void set_perf_multiplier(int node, double m) { perf_mult_[idx(node)] = m; }
+  double perf_multiplier(int node) const {
+    return perf_mult_.empty() ? 1.0 : perf_mult_[idx(node)];
+  }
+  double inv_perf_multiplier(int node) const { return 1.0 / perf_multiplier(node); }
+  void set_perf_multiplier(int node, double m) {
+    if (perf_mult_.empty()) {
+      if (m == 1.0) return;
+      perf_mult_.assign(job_id_.size(), 1.0);
+    }
+    perf_mult_[idx(node)] = m;
+  }
+  /// Every node's multiplier at once, one per node in node order.
+  void set_perf_multipliers(const std::vector<double>& multipliers) { perf_mult_ = multipliers; }
 
   // --- job rows -----------------------------------------------------------
 
   /// Make the idle `nodes` the nodes of job `job_id`, JobTable row `row`,
   /// and open the row's lanes at progress 0 and rate 0: one lane when
-  /// every node has the same multiplier, else one per node.  Returns the
-  /// shared lane, or -1 when each node has its own (read it with
-  /// lane(node)).  The row's cap starts at 0 and its nodes keep their
-  /// power source.
+  /// every node has the same multiplier, else one per node, opened in
+  /// node order.  Returns the shared lane, or -1 when each node has its
+  /// own (read it with lane(node)).  The row's cap starts at 0 and its
+  /// nodes keep their power source.  `nodes` must be ascending
+  /// (lowest_idle_nodes' order): ownership, a shared lane and the idle
+  /// bits are written per contiguous block (the bits a word at a time),
+  /// and the multiplier comparison is skipped until some node is given a
+  /// multiplier other than 1.0.  O(blocks · log(block size)) plus the
+  /// fills, and O(nodes) for per-node lanes.
   int start_row(std::size_t row, int job_id, const std::vector<int>& nodes);
   /// Free the lanes of a finished row's `nodes` and make them idle (cap,
   /// rate and progress read 0).  They keep drawing the row's power until
-  /// draw_idle_power().
+  /// draw_idle_power().  `nodes` is the row's ascending list: a shared
+  /// lane is freed once (two nodes of a row share a lane only when all
+  /// do), per-node lanes in node order, and ownership, lanes and idle bits
+  /// are written per contiguous block, as in start_row.
   void finish_row(const std::vector<int>& nodes);
 
   /// Cap of a started row; a plain write (the simulator queues the
@@ -161,8 +181,9 @@ class NodeTable {
   /// the prefix of idle_nodes(), found through the idle bitmap without
   /// walking the busy nodes one by one.  The scan starts at the idle hint
   /// and moves it past the all-busy words it skips, so a start costs its
-  /// own nodes plus the words that filled since the last start.  Throws
-  /// std::logic_error when fewer than `count` nodes are idle.
+  /// own nodes plus the words that filled since the last start; an
+  /// all-idle word appends its 64 ids without a walk over its bits.
+  /// Throws std::logic_error when fewer than `count` nodes are idle.
   void lowest_idle_nodes(int count, std::vector<int>& out) const;
   /// O(1): maintained incrementally at start/finish.
   int idle_count() const { return idle_count_; }
@@ -181,6 +202,7 @@ class NodeTable {
     return source < 0 ? idle_power_w_ : row_power_w_[idx(source)];
   }
   int open_lane(std::size_t row, double multiplier);
+  void free_lane(int lane);
   /// Point nodes [first, last] at `source`, keeping the run breaks exact:
   /// only the block's two edges can start a run.
   void draw_block(int source, std::size_t first, std::size_t last);
@@ -193,7 +215,7 @@ class NodeTable {
   std::vector<int> job_id_;
   std::vector<int> lane_;
   std::vector<int> power_source_;
-  std::vector<double> perf_mult_;
+  std::vector<double> perf_mult_;  // empty until a multiplier other than 1.0 is set
   std::vector<std::uint64_t> idle_bits_;  // bit n % 64 of word n / 64: node n idle
   int idle_count_ = 0;
   /// Every idle_bits_ word below this one is zero (no idle node).

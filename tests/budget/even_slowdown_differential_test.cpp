@@ -10,16 +10,20 @@
 // balance point.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "budget/even_slowdown.hpp"
 #include "budget/reference_even_slowdown.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/prof/prof.hpp"
 #include "util/rng.hpp"
 #include "util/shard_workers.hpp"
 
@@ -275,6 +279,157 @@ TEST(EvenSlowdownDifferential, KeyedAndUnkeyedProfilesMix) {
                                   "keyed and unkeyed");
     if (HasFatalFailure()) return;
   }
+}
+
+/// Memo lookups so far, as the budgeter flushes them to telemetry while
+/// profiling is on: {hits, misses}.
+std::pair<std::uint64_t, std::uint64_t> memo_counts() {
+  auto& registry = telemetry::MetricsRegistry::global();
+  return {registry.counter("budget.memo_hits").value(),
+          registry.counter("budget.memo_misses").value()};
+}
+
+/// Groups of the reference's linear scan (== per coefficient, so each
+/// NaN-model job is a group of its own).
+std::size_t reference_groups(const std::vector<JobPowerProfile>& jobs) {
+  std::vector<const model::PowerPerfModel*> reps;
+  for (const JobPowerProfile& j : jobs) {
+    bool seen = false;
+    for (const model::PowerPerfModel* rep : reps) {
+      seen = seen || (rep->a() == j.model.a() && rep->b() == j.model.b() &&
+                      rep->c() == j.model.c() && rep->p_min_w() == j.model.p_min_w() &&
+                      rep->p_max_w() == j.model.p_max_w());
+    }
+    if (!seen) reps.push_back(&j.model);
+  }
+  return reps.size();
+}
+
+std::array<std::uint64_t, 5> model_bits(const model::PowerPerfModel& m) {
+  return {bits(m.a()), bits(m.b()), bits(m.c()), bits(m.p_min_w()), bits(m.p_max_w())};
+}
+
+TEST(EvenSlowdownDifferential, OneBudgeterThroughModelChurnAndMemoClears) {
+  // One budgeter keeps its cap memo across thousands of solves, so the
+  // memo fills and clears at both of its bounds: the job sets churn
+  // through more distinct models than it keeps tables for, one job set
+  // bisects to more distinct slowdowns than a table holds, and one solve
+  // alone has more models than the memo.  NaN-coefficient models (two
+  // payloads) and the signed-zero triplet ride along.  Every result must
+  // match the reference bit for bit, and every cap lookup -- one per
+  // group per bisection step, plus one per group for the final caps --
+  // counts once, as a hit or as a miss.
+  telemetry::prof::Profiler::global().set_enabled(true);
+  struct ProfilingOff {
+    ~ProfilingOff() { telemetry::prof::Profiler::global().set_enabled(false); }
+  } profiling_off;
+  constexpr std::size_t kModels = EvenSlowdownBudgeter::kMemoModels;
+  constexpr std::size_t kEntries = EvenSlowdownBudgeter::kMemoEntriesPerModel;
+
+  util::Rng rng(4105);
+  std::vector<model::PowerPerfModel> pool = model_pool(rng, static_cast<int>(2 * kModels), true);
+  pool.emplace_back(std::numeric_limits<double>::quiet_NaN(), -0.004, 2.0, 120.0, 250.0);
+  pool.emplace_back(std::bit_cast<double>(std::uint64_t{0x7FF8000000000123}), -0.003, 2.0, 110.0,
+                    240.0);
+  // The tolerance never stops the bisection, so every in-between solve
+  // takes all 100 steps down to adjacent doubles.
+  constexpr double kTolerance = -1.0;
+  EvenSlowdownBudgeter budgeter(kTolerance);
+  std::set<std::array<std::uint64_t, 5>> models_seen;
+  std::uint64_t total_hits = 0;
+  // The last solve's result, midpoints and lookups per group.
+  BudgetResult result;
+  std::vector<std::pair<double, double>> visited;
+  std::uint64_t probes_per_group = 0;
+
+  // Returns the solve's {hits, misses}.
+  const auto solve = [&](const std::vector<JobPowerProfile>& jobs, double budget,
+                         const std::string& where) -> std::pair<std::uint64_t, std::uint64_t> {
+    visited.clear();
+    const BudgetResult want = reference::even_slowdown(jobs, budget, kTolerance, &visited);
+    const auto before = memo_counts();
+    result = budgeter.distribute(jobs, budget);
+    expect_bitwise_equal(want, result, where);
+    const auto after = memo_counts();
+    probes_per_group = visited.size() + 1;
+    EXPECT_EQ((after.first - before.first) + (after.second - before.second),
+              reference_groups(jobs) * probes_per_group)
+        << where << ": hits + misses against the lookups";
+    total_hits += after.first - before.first;
+    for (const JobPowerProfile& j : jobs) models_seen.insert(model_bits(j.model));
+    return std::pair{after.first - before.first, after.second - before.second};
+  };
+  const auto in_between = [&](const std::vector<JobPowerProfile>& jobs) {
+    return rng.uniform(total_min_power_w(jobs), total_max_power_w(jobs));
+  };
+
+  // Churn: each solve draws its jobs from a window of six pool models that
+  // slides one model every four solves, so a model lives ~24 solves.
+  // Envelope budgets (no bisection) come up now and then.
+  for (std::size_t i = 0; i < 4 * (pool.size() - 5); ++i) {
+    const std::vector<model::PowerPerfModel> window(
+        pool.begin() + static_cast<std::ptrdiff_t>(i / 4),
+        pool.begin() + static_cast<std::ptrdiff_t>(i / 4 + 6));
+    const std::vector<JobPowerProfile> jobs = random_jobs(rng, window, 24);
+    double budget = in_between(jobs);
+    if (i % 17 == 0) budget = total_max_power_w(jobs);
+    if (i % 23 == 0) budget = 0.5 * total_min_power_w(jobs);
+    solve(jobs, budget, "churn solve " + std::to_string(i));
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(models_seen.size(), kModels) << "the churn must outgrow the memo's model bound";
+
+  // Depth: one job set -- a curve, two of the signed-zero models (p_min
+  // -0.0 and 0.0) and a NaN one -- bisected for random budgets until its
+  // models' distinct slowdowns outnumber what a table holds by half.  The
+  // set alternates with its reverse, whose signed-zero group has the other
+  // rep, and both meet at the deepest slowdown under a budget below their
+  // floor: a floor-pinned cap must carry its own rep's zero, so the two
+  // reps must not share a table.  A solve repeated
+  // twice hits every lookup the second time (the first repeat misses what
+  // a clear inside the solve dropped).
+  const std::vector<model::PowerPerfModel> deep_pool = {pool[0], pool[2 * kModels],
+                                                        pool[2 * kModels + 1], pool.back()};
+  std::vector<JobPowerProfile> deep_jobs[2] = {random_jobs(rng, deep_pool, 12)};
+  deep_jobs[0].front().model = deep_pool[1];  // each set's first job is a signed-zero
+  deep_jobs[0].back().model = deep_pool[2];   // one, a different one in each
+  deep_jobs[1].assign(deep_jobs[0].rbegin(), deep_jobs[0].rend());
+  std::set<std::uint64_t> slowdowns;
+  int zero_caps = 0;  // solves whose signed-zero group sits at its floor
+  for (int i = 0; slowdowns.size() <= kEntries + kEntries / 2; ++i) {
+    ASSERT_LT(i, 10000) << "the bisections stopped finding new slowdowns";
+    const std::vector<JobPowerProfile>& jobs = deep_jobs[i % 2];
+    const double budget = i % 10 < 2 ? 0.5 * total_min_power_w(jobs) : in_between(jobs);
+    solve(jobs, budget, "deep solve " + std::to_string(i));
+    if (HasFailure()) return;
+    for (const auto& [mid, total] : visited) slowdowns.insert(bits(mid));
+    if (result.node_cap_w.front() == 0.0) ++zero_caps;
+    if (i % 50 == 0) {
+      solve(jobs, budget, "deep repeat " + std::to_string(i));
+      const auto [hits, misses] = solve(jobs, budget, "deep repeat " + std::to_string(i));
+      if (HasFailure()) return;
+      EXPECT_EQ(misses, 0u) << "deep repeat " << i;
+      EXPECT_GT(hits, 0u) << "deep repeat " << i;
+    }
+  }
+  EXPECT_GT(zero_caps, 0) << "no solve pinned the signed-zero group at its floor";
+
+  // Width: one solve with more distinct models than the memo keeps tables
+  // for, twice.  The second can hit on at most kModels groups.
+  std::vector<model::PowerPerfModel> wide_pool;
+  for (std::size_t k = 0; k < kModels + 16; ++k) wide_pool.push_back(random_model(rng));
+  std::vector<JobPowerProfile> wide_jobs = random_jobs(rng, wide_pool, 4 * wide_pool.size());
+  for (std::size_t k = 0; k < wide_pool.size(); ++k) wide_jobs[k].model = wide_pool[k];
+  const std::size_t wide_groups = reference_groups(wide_jobs);
+  ASSERT_GT(wide_groups, kModels);
+  const double wide_budget = in_between(wide_jobs);
+  solve(wide_jobs, wide_budget, "wide solve");
+  if (HasFailure()) return;
+  const auto [hits, misses] = solve(wide_jobs, wide_budget, "wide repeat");
+  if (HasFailure()) return;
+  EXPECT_LE(hits, kModels * probes_per_group);
+  EXPECT_GE(misses, (wide_groups - kModels) * probes_per_group);
+  EXPECT_GT(total_hits, 0u);
 }
 
 }  // namespace

@@ -289,6 +289,199 @@ TEST(NodeTable, PowerRunsMatchARebuild) {
   }
 }
 
+/// The per-node semantics that NodeTable's block-wise start and finish
+/// must reproduce, one node at a time: ownership, lanes (opened in node
+/// order, a shared one when every multiplier matches the first, reused
+/// from a LIFO free list, a shared one freed with the row's first node)
+/// and idleness.
+struct PerNodeTable {
+  explicit PerNodeTable(int size)
+      : job_id(static_cast<std::size_t>(size), -1),
+        lane(static_cast<std::size_t>(size), -1),
+        mult(static_cast<std::size_t>(size), 1.0) {}
+
+  int open_lane(int row) {
+    int l = static_cast<int>(lane_row.size());
+    if (free_lanes.empty()) {
+      lane_row.push_back(row);
+    } else {
+      l = free_lanes.back();
+      free_lanes.pop_back();
+      lane_row[static_cast<std::size_t>(l)] = row;
+    }
+    return l;
+  }
+  /// The lane the next open reuses (or appends).
+  int next_lane() const {
+    return free_lanes.empty() ? static_cast<int>(lane_row.size()) : free_lanes.back();
+  }
+  int start(int row, int job, const std::vector<int>& nodes) {
+    if (nodes.empty()) return -1;
+    const double first = mult[static_cast<std::size_t>(nodes.front())];
+    bool shared = true;
+    for (int n : nodes) shared = shared && mult[static_cast<std::size_t>(n)] == first;
+    const int shared_lane = shared ? open_lane(row) : -1;
+    for (int n : nodes) {
+      job_id[static_cast<std::size_t>(n)] = job;
+      lane[static_cast<std::size_t>(n)] = shared ? shared_lane : open_lane(row);
+    }
+    return shared_lane;
+  }
+  void finish(const std::vector<int>& nodes) {
+    for (int n : nodes) {
+      const int l = lane[static_cast<std::size_t>(n)];
+      if (lane_row[static_cast<std::size_t>(l)] >= 0) {
+        lane_row[static_cast<std::size_t>(l)] = -1;
+        free_lanes.push_back(l);
+      }
+      job_id[static_cast<std::size_t>(n)] = -1;
+      lane[static_cast<std::size_t>(n)] = -1;
+    }
+  }
+  std::vector<int> lowest_idle(int count) const {
+    std::vector<int> out;
+    for (std::size_t n = 0; n < job_id.size() && static_cast<int>(out.size()) < count; ++n) {
+      if (job_id[n] < 0) out.push_back(static_cast<int>(n));
+    }
+    return out;
+  }
+  int idle_count() const {
+    return static_cast<int>(std::count(job_id.begin(), job_id.end(), -1));
+  }
+
+  std::vector<int> job_id;
+  std::vector<int> lane;
+  std::vector<double> mult;
+  std::vector<int> lane_row;  // -1 for a free lane
+  std::vector<int> free_lanes;
+};
+
+void expect_matches_per_node(const NodeTable& table, const PerNodeTable& want,
+                             const std::string& where) {
+  ASSERT_EQ(table.idle_count(), want.idle_count()) << where;
+  ASSERT_EQ(table.lane_end(), static_cast<int>(want.lane_row.size())) << where;
+  for (int n = 0; n < table.size(); ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    ASSERT_EQ(table.job_id(n), want.job_id[i]) << where << ", node " << n;
+    ASSERT_EQ(table.lane(n), want.lane[i]) << where << ", node " << n;
+    ASSERT_EQ(table.idle(n), want.job_id[i] < 0) << where << ", node " << n;
+  }
+  for (int l = 0; l < table.lane_end(); ++l) {
+    ASSERT_EQ(table.lane_row(l), want.lane_row[static_cast<std::size_t>(l)])
+        << where << ", lane " << l;
+  }
+  // The lane the next start takes: start a one-node row on a copy.
+  if (table.idle_count() > 0) {
+    NodeTable probe = table;
+    std::vector<int> node;
+    probe.lowest_idle_nodes(1, node);
+    ASSERT_EQ(probe.start_row(0, 0, node), want.next_lane()) << where << ": next lane";
+  }
+}
+
+TEST(NodeTable, BlockEventsMatchAPerNodeReference) {
+  // Random start / finish / lowest-idle sequences, with the lowest idle
+  // nodes (long blocks, whole idle words) or scattered ascending ones
+  // (short blocks), on tables on and off the 64-node word boundary, with
+  // every multiplier 1.0 and with varied ones (per-node lanes, and a
+  // multiplier reset to 1.0 so none varies again).  After every call the
+  // block-wise table must equal the per-node reference.
+  util::Rng rng(20261020);
+  for (const bool varied : {false, true}) {
+    for (int size : {1, 63, 64, 65, 128, 129, 300}) {
+      NodeTable table(size);
+      PerNodeTable want(size);
+      std::vector<std::vector<int>> running;
+      int next_row = 0;
+      long whole_words = 0;    // lowest-idle lists that took an all-idle word
+      long per_node_rows = 0;  // multi-node starts with a lane per node
+      long shared_rows = 0;    // multi-node starts with one shared lane
+      const auto set_multiplier = [&](int n, double m) {
+        table.set_perf_multiplier(n, m);
+        want.mult[static_cast<std::size_t>(n)] = m;
+      };
+      for (int op = 0; op < 1500; ++op) {
+        std::string what;
+        const int choice = static_cast<int>(rng.uniform_int(0, 9));
+        if (choice <= 3 && table.idle_count() > 0) {  // start
+          const int idle = table.idle_count();
+          const int count = static_cast<int>(rng.coin(0.5) ? rng.uniform_int(1, std::min(3, idle))
+                                                            : rng.uniform_int(1, idle));
+          std::vector<int> nodes;
+          if (rng.coin(0.5)) {
+            table.lowest_idle_nodes(count, nodes);
+            what = "start, lowest idle";
+          } else {
+            std::vector<int> pool = table.idle_nodes();
+            for (int i = 0; i < count; ++i) {
+              const auto j = static_cast<std::size_t>(
+                  rng.uniform_int(i, static_cast<std::int64_t>(pool.size()) - 1));
+              std::swap(pool[static_cast<std::size_t>(i)], pool[j]);
+            }
+            nodes.assign(pool.begin(), pool.begin() + count);
+            std::sort(nodes.begin(), nodes.end());
+            what = "start, scattered";
+          }
+          const int lane = table.start_row(static_cast<std::size_t>(next_row), next_row, nodes);
+          ASSERT_EQ(lane, want.start(next_row, next_row, nodes)) << what << ", op " << op;
+          if (nodes.size() > 1) ++(lane < 0 ? per_node_rows : shared_rows);
+          ++next_row;
+          running.push_back(std::move(nodes));
+        } else if (choice <= 6 && !running.empty()) {  // finish
+          const auto pick = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1));
+          table.finish_row(running[pick]);
+          want.finish(running[pick]);
+          running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+          what = "finish";
+        } else if (choice <= 8) {  // lowest idle, appended after a prefix
+          const int count = static_cast<int>(rng.uniform_int(0, table.idle_count()));
+          std::vector<int> got = {-7};
+          table.lowest_idle_nodes(count, got);
+          std::vector<int> expected = want.lowest_idle(count);
+          expected.insert(expected.begin(), -7);
+          ASSERT_EQ(got, expected) << "lowest idle " << count << ", op " << op;
+          for (std::size_t i = 1; i + 63 < got.size(); ++i) {
+            if (got[i] % 64 == 0 && got[i + 63] == got[i] + 63) {
+              ++whole_words;
+              break;
+            }
+          }
+          what = "lowest idle";
+        } else if (varied) {  // a multiplier changes; later starts see it
+          const int n = static_cast<int>(rng.uniform_int(0, size - 1));
+          const double values[] = {1.0, 1.0, 0.9, 1.1};
+          set_multiplier(n, values[rng.uniform_int(0, 3)]);
+          if (rng.coin(0.1)) {  // every multiplier back to 1.0
+            for (int m = 0; m < size; ++m) set_multiplier(m, 1.0);
+          }
+          what = "multiplier";
+        } else if (rng.coin(0.05)) {
+          table.reset(size);
+          want = PerNodeTable(size);
+          running.clear();
+          next_row = 0;
+          what = "reset";
+        }
+        if (what.empty()) continue;
+        expect_matches_per_node(table, want,
+                                (varied ? "varied, " : "uniform, ") + std::to_string(size) +
+                                    " nodes, op " + std::to_string(op) + " (" + what + ")");
+        if (HasFatalFailure()) return;
+      }
+      if (size >= 128) {
+        EXPECT_GT(whole_words, 0) << size << " nodes";
+      }
+      if (size >= 63) {
+        EXPECT_GT(shared_rows, 0) << size << " nodes";
+      }
+      if (size >= 63 && varied) {
+        EXPECT_GT(per_node_rows, 0) << size << " nodes";
+      }
+    }
+  }
+}
+
 TEST(JobTable, AddAndLookupById) {
   JobTable table;
   JobRow row;

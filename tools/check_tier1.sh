@@ -141,10 +141,12 @@ run_gtest "$asan_dir/tests/util_test" 'Logger.*:VirtualClock.*'
 # the busy floor.
 run_gtest "$asan_dir/tests/util_test" 'AddRepeated.*'
 # The grouped solve against the job-ordered reference, serial and sharded:
-# the open-addressed model table and the grouped-decision fallback.
+# the open-addressed model table, the cap memo's slot index and tables
+# (filled past both bounds) and the grouped-decision fallback.
 run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
 # Every node read goes through a lane, row or power-source index, job
-# starts read the idle bitmap from its hint and the total power walks the
+# starts read the idle bitmap from its hint, starts and finishes write
+# per node block against a per-node model, and the total power walks the
 # run-break bitmap; the running set merges a started tail and the
 # completion queue indexes a heap by row: the node- and job-table unit
 # tests, whole runs at 0/2/4 step workers checked tick by tick, the lane

@@ -6,8 +6,9 @@
 # (bench_prof_overhead) runs afterwards so a regression in the profiler
 # itself fails the harness.  The sweep-executor bench (bench_sweep) runs
 # last, writing BENCH_sweep.json and enforcing its own warm-start (>= 3x)
-# and result-cache (>= 10x) gates.  Compare two reports with
-# tools/compare_bench.py.
+# and result-cache (>= 10x) gates.  Every bench runs even when an earlier
+# one fails; the script then exits nonzero and names each one that failed.
+# Compare two reports with tools/compare_bench.py.
 #
 # Usage: tools/run_bench.sh [build_dir] [--quick]
 #   build_dir  CMake build directory (default: build)
@@ -33,6 +34,13 @@ rev="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 if [[ "$rev" != unknown ]] && ! git diff --quiet HEAD -- 2>/dev/null; then
   rev="${rev}-dirty"
 fi
-ANOR_GIT_REVISION="$rev" "$BUILD_DIR"/bench/bench_sim_scale BENCH_sim.json $QUICK
-"$BUILD_DIR"/bench/bench_prof_overhead $QUICK
-ANOR_GIT_REVISION="$rev" "$BUILD_DIR"/bench/bench_sweep BENCH_sweep.json $QUICK
+failed=()
+ANOR_GIT_REVISION="$rev" "$BUILD_DIR"/bench/bench_sim_scale BENCH_sim.json $QUICK ||
+  failed+=(bench_sim_scale)
+"$BUILD_DIR"/bench/bench_prof_overhead $QUICK || failed+=(bench_prof_overhead)
+ANOR_GIT_REVISION="$rev" "$BUILD_DIR"/bench/bench_sweep BENCH_sweep.json $QUICK ||
+  failed+=(bench_sweep)
+if ((${#failed[@]} > 0)); then
+  echo "run_bench: failed: ${failed[*]}" >&2
+  exit 1
+fi
