@@ -10,12 +10,13 @@
 //   warm_sweep      — run_sweep with the cache OFF: the speedup is pure
 //                     warm-start reuse (pooled NodeTable/worker team,
 //                     shared fitted models, memoized schedules/targets),
-//                     never a served result.  Gate: >= 3x vs cold.
+//                     never a served result.  Timed as the median of 5
+//                     repeats (one repeat takes ~0.02 s, so a single
+//                     noisy episode could sink the gate).  Gate: >= 3x
+//                     vs cold.
 //   cached_sweep    — a repeat of an identical sweep against a populated
-//                     result cache, timed as the median of 5 repeats (one
-//                     repeat takes ~0.02 s, so a single noisy episode
-//                     could sink the gate).  Gate: >= 10x vs cold, 100%
-//                     hits on every repeat.
+//                     result cache, timed as the median of 5 repeats.
+//                     Gate: >= 10x vs cold, 100% hits on every repeat.
 //
 // Every pass hashes every cell's full-fidelity result; any byte of
 // divergence between passes fails the bench — speed that changes results
@@ -176,13 +177,6 @@ int main(int argc, char** argv) {
   std::printf("cold_sequential: %.3f s (%.1f ms/cell)\n", cold.wall_s,
               cold.wall_s * 1e3 / static_cast<double>(cell_count));
 
-  engine::sweep::SweepOptions warm_options;
-  warm_options.cache = engine::sweep::CacheConfig::off();
-  const PassResult warm = run_executor(grid, warm_options);
-  const double warm_speedup = warm.wall_s > 0.0 ? cold.wall_s / warm.wall_s : 0.0;
-  std::printf("warm_sweep:      %.3f s (%.2fx vs cold, cache off)\n", warm.wall_s,
-              warm_speedup);
-
   bool hashes_consistent = true;
   const auto check_hashes = [&](const PassResult& pass, const char* name) {
     for (std::size_t i = 0; i < cell_count; ++i) {
@@ -193,35 +187,59 @@ int main(int argc, char** argv) {
       }
     }
   };
-  check_hashes(warm, "warm");
+  // The warm and cached passes each take ~0.02 s, so each is timed as the
+  // median of kRepeats repeats, every one of which must reproduce every
+  // cold cell hash.  `walls` receives the sorted repeat walls.
+  constexpr std::size_t kRepeats = 5;
+  const auto median_pass = [&](const char* name, const auto& run_once,
+                               std::vector<double>& walls) {
+    PassResult pass;
+    walls.clear();
+    for (std::size_t r = 0; r < kRepeats; ++r) {
+      pass = run_once();
+      walls.push_back(pass.wall_s);
+      check_hashes(pass, name);
+    }
+    std::sort(walls.begin(), walls.end());
+    pass.wall_s = walls[kRepeats / 2];
+    return pass;
+  };
+
+  engine::sweep::SweepOptions warm_options;
+  warm_options.cache = engine::sweep::CacheConfig::off();
+  std::vector<double> warm_walls;
+  const PassResult warm =
+      median_pass("warm", [&] { return run_executor(grid, warm_options); }, warm_walls);
+  const double warm_speedup = warm.wall_s > 0.0 ? cold.wall_s / warm.wall_s : 0.0;
+  std::printf("warm_sweep:      %.3f s (%.2fx vs cold, cache off, median of %zu, "
+              "%.3f-%.3f s)\n",
+              warm.wall_s, warm_speedup, kRepeats, warm_walls.front(), warm_walls.back());
 
   // Prime the cache with one (untimed) sweep into a scratch dir, then time
-  // the repeats — the "re-run the same sweep tomorrow" case.  The reported
-  // wall is their median; the hit rate is the lowest of them.
-  constexpr std::size_t kCachedRepeats = 5;
+  // the repeats — the "re-run the same sweep tomorrow" case.  The hit rate
+  // is the lowest of the repeats.
   namespace fs = std::filesystem;
   const fs::path cache_dir = fs::temp_directory_path() / "anor-bench-sweep-cache";
   fs::remove_all(cache_dir);
   engine::sweep::SweepOptions cached_options;
   cached_options.cache.dir = cache_dir.string();
   (void)run_executor(grid, cached_options);
-  PassResult cached;
   std::vector<double> cached_walls;
   double cached_hit_rate = 1.0;
-  for (std::size_t r = 0; r < kCachedRepeats; ++r) {
-    engine::sweep::CacheStats stats;
-    cached = run_executor(grid, cached_options, &stats);
-    cached_walls.push_back(cached.wall_s);
-    cached_hit_rate = std::min(cached_hit_rate, stats.hit_rate());
-    check_hashes(cached, "cached");
-  }
+  const PassResult cached = median_pass(
+      "cached",
+      [&] {
+        engine::sweep::CacheStats stats;
+        PassResult pass = run_executor(grid, cached_options, &stats);
+        cached_hit_rate = std::min(cached_hit_rate, stats.hit_rate());
+        return pass;
+      },
+      cached_walls);
   fs::remove_all(cache_dir);
-  std::sort(cached_walls.begin(), cached_walls.end());
-  cached.wall_s = cached_walls[kCachedRepeats / 2];
   const double cached_speedup = cached.wall_s > 0.0 ? cold.wall_s / cached.wall_s : 0.0;
   std::printf("cached_sweep:    %.3f s (%.2fx vs cold, median of %zu, %.3f-%.3f s, "
               "lowest hit rate %.0f%%)\n",
-              cached.wall_s, cached_speedup, kCachedRepeats, cached_walls.front(),
+              cached.wall_s, cached_speedup, kRepeats, cached_walls.front(),
               cached_walls.back(), cached_hit_rate * 100.0);
 
   std::uint64_t combined = 1469598103934665603ULL;
@@ -246,8 +264,8 @@ int main(int argc, char** argv) {
     cases.push_back(util::Json(std::move(entry)));
   };
   add_case("cold_sequential", cold, "off", 0.0);
-  add_case("warm_sweep", warm, "off", warm_speedup);
-  add_case("cached_sweep", cached, "hit", cached_speedup, kCachedRepeats);
+  add_case("warm_sweep", warm, "off", warm_speedup, kRepeats);
+  add_case("cached_sweep", cached, "hit", cached_speedup, kRepeats);
 
   util::JsonObject root;
   root["schema"] = util::Json(std::string("anor.bench_sweep.v1"));

@@ -74,11 +74,13 @@ BENCHMARK(BM_QuadraticFit)->Arg(16)->Arg(128)->Arg(1024);
 
 void BM_EndpointMailboxRoundTrip(benchmark::State& state) {
   geopm::Endpoint endpoint(128);
-  std::vector<double> sample(geopm::kSampleSize, 1.0);
+  geopm::Sample sample;
+  sample.fill(1.0);
+  std::vector<geopm::TimedSample> drained;
   double t = 0.0;
   for (auto _ : state) {
     endpoint.write_sample(t, sample);
-    benchmark::DoNotOptimize(endpoint.read_samples());
+    benchmark::DoNotOptimize(endpoint.read_samples(drained));
     t += 1.0;
   }
   state.SetItemsProcessed(state.iterations());

@@ -76,8 +76,7 @@ double EmulatedCluster::min_feasible_power_w() const {
 double EmulatedCluster::max_feasible_power_w() const {
   double total = static_cast<double>(free_nodes_.size()) * config_.manager.idle_node_power_w;
   for (const auto& job : running_) {
-    const workload::JobType& type = workload::find_job_type(job->request.type_name);
-    total += job->request.nodes * type.max_power_w;
+    total += job->request.nodes * job->controller->type().max_power_w;
   }
   return total;
 }
@@ -95,7 +94,8 @@ sched::SchedulerView EmulatedCluster::make_view() const {
   view.now_s = clock_.now();
   if (config_.scheduler.backfill) {
     for (const auto& job : running_) {
-      const workload::JobType& type = workload::find_job_type(job->request.type_name);
+      // The controller keeps the job's true type from its start.
+      const workload::JobType& type = job->controller->type();
       // Project the release from the exec time the current cap implies.
       const double projected_end =
           job->controller->start_time_s() +
@@ -246,8 +246,8 @@ void EmulatedCluster::finish_completed_jobs() {
     record.submit_s = job.request.submit_time_s;
     record.start_s = job.controller->start_time_s();
     record.end_s = now;
-    const workload::JobType& type = workload::find_job_type(job.request.type_name);
-    record.reference_runtime_s = uncapped_runtime_s(type, config_.controller.kernel);
+    record.reference_runtime_s =
+        uncapped_runtime_s(job.controller->type(), config_.controller.kernel);
     result_.completed.push_back(record);
 
     sched::JobQosRecord qos_record;

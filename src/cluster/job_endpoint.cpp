@@ -1,6 +1,7 @@
 #include "cluster/job_endpoint.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "geopm/signals.hpp"
 #include "telemetry/metrics.hpp"
@@ -98,7 +99,7 @@ void JobEndpointProcess::apply_cap(double now_s) {
   if (cap != applied_cap_w_) {
     applied_cap_w_ = cap;
     modeler_.record_cap(now_s, cap);
-    endpoint_->write_policy(now_s, {cap});
+    endpoint_->write_policy(now_s, geopm::Policy{cap});
   }
 }
 
@@ -178,8 +179,8 @@ void JobEndpointProcess::step(double now_s) {
   // epoch-completion timestamps GEOPM reports, not the coarser sample
   // times — the difference is the sampling-grid quantization that
   // otherwise blurs seconds-per-epoch (paper Sec. 7.2).
-  for (const geopm::TimedSample& sample : endpoint_->read_samples()) {
-    if (sample.sample.size() < geopm::kSampleSize) continue;
+  endpoint_->read_samples(samples_);
+  for (const geopm::TimedSample& sample : samples_) {
     const auto epoch_count = static_cast<long>(sample.sample[geopm::kSampleEpochCount]);
     const double epoch_time = sample.sample[geopm::kSampleEpochTime];
     modeler_.add_epoch_sample(epoch_time > 0.0 ? epoch_time : sample.timestamp_s,
@@ -205,39 +206,49 @@ void JobEndpointProcess::run_feedback(double now_s) {
   // any single cap, so without the latter check a near-tie could install
   // a model with the wrong slope.  While the decision is ambiguous, cap
   // probing dithers the applied cap to expose the slope.
-  const std::vector<model::EpochObservation> clean = modeler_.clean_observations();
-  if (clean.empty()) return;
-  const double served_error = model::Reclassifier::mean_relative_error(served_model_, clean);
+  // Everything below scores against one pool of the clean observations.
+  std::size_t clean_count = 0;
+  long epochs_seen = 0;
+  for (const model::EpochObservation& obs : modeler_.observations()) {
+    if (obs.mixed_cap) continue;
+    ++clean_count;
+    epochs_seen += obs.epochs;
+  }
+  if (clean_count == 0) return;
+  model::aggregate_by_cap(modeler_.observations(), pool_, 5.0, true);
+  const double served_error = model::Reclassifier::mean_relative_error(served_model_, pool_);
   if (served_error <= config_.reclassifier.divergence_threshold) {
     probing_ = false;
     return;
   }
 
-  long epochs_seen = 0;
-  for (const auto& obs : clean) epochs_seen += obs.epochs;
   if (epochs_seen < config_.reclassifier.min_epochs) return;
 
   // Rank the precharacterized candidates; the online refit competes
   // separately.  A named curve comparable in error to the refit wins the
   // tie: library curves are trustworthy over the whole cap range, while a
   // refit is only supported where it was observed.
-  std::vector<std::pair<double, model::NamedModel>> candidates =
-      reclassifier_.ranked(clean);
-  if (candidates.empty()) return;
-  double best_error = candidates.front().first;
-  model::NamedModel winner = candidates.front().second;
-  double runner_up_error = candidates.size() > 1 ? candidates[1].first : best_error + 10.0;
-  std::string runner_up_name =
-      candidates.size() > 1 ? candidates[1].second.name : "(none)";
+  reclassifier_.ranked(pool_, ranking_);
+  if (ranking_.empty()) return;
+  const std::vector<model::NamedModel>& candidates = reclassifier_.candidates();
+  const model::NamedModel& best = candidates[ranking_.front().second];
+  double best_error = ranking_.front().first;
+  const std::string* winner_name = &best.name;
+  const model::PowerPerfModel* winner_model = &best.model;
+  double runner_up_error = ranking_.size() > 1 ? ranking_[1].first : best_error + 10.0;
+  std::string_view runner_up_name =
+      ranking_.size() > 1 ? std::string_view(candidates[ranking_[1].second].name) : "(none)";
   if (modeler_.has_fitted_model()) {
     const double refit_error =
-        model::Reclassifier::mean_relative_error(modeler_.model(), clean);
+        model::Reclassifier::mean_relative_error(modeler_.model(), pool_);
     if (refit_error + 0.5 * config_.decision_margin < best_error) {
       // The refit is decisively better than every library curve: the job
       // genuinely matches no precharacterized type.
-      winner = model::NamedModel{"online-refit", modeler_.model()};
+      static const std::string kOnlineRefit = "online-refit";
+      winner_name = &kOnlineRefit;
+      winner_model = &modeler_.model();
       runner_up_error = best_error;
-      runner_up_name = candidates.front().second.name;
+      runner_up_name = best.name;
       best_error = refit_error;
     }
   }
@@ -248,11 +259,11 @@ void JobEndpointProcess::run_feedback(double now_s) {
 
   if (improves && decisive) {
     probing_ = false;
-    served_model_ = winner.model;
-    reclassified_to_ = winner.name;
+    served_model_ = *winner_model;
+    reclassified_to_ = *winner_name;
     publish_model(now_s, served_model_, true);
     util::log_debug("job-endpoint",
-                    job_name_ + ": feedback model '" + winner.name + "' replaces " +
+                    job_name_ + ": feedback model '" + *winner_name + "' replaces " +
                         classified_as_ + " (error " + std::to_string(best_error) +
                         " vs served " + std::to_string(served_error) + ")");
     return;
@@ -268,10 +279,11 @@ void JobEndpointProcess::run_feedback(double now_s) {
   } else if (probing_ && now_s >= probe_log_next_s_) {
     probe_log_next_s_ = now_s + 15.0;
     util::log_debug("job-endpoint",
-                    job_name_ + ": probing... best='" + winner.name + "' " +
-                        std::to_string(best_error) + ", runner-up '" + runner_up_name +
-                        "' " + std::to_string(runner_up_error) + ", clean_obs " +
-                        std::to_string(clean.size()));
+                    job_name_ + ": probing... best='" + *winner_name + "' " +
+                        std::to_string(best_error) + ", runner-up '" +
+                        std::string(runner_up_name) + "' " +
+                        std::to_string(runner_up_error) + ", clean_obs " +
+                        std::to_string(clean_count));
   }
 }
 

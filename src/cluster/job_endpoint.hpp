@@ -23,6 +23,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/messages.hpp"
 #include "cluster/reliable_channel.hpp"
@@ -152,6 +154,11 @@ class JobEndpointProcess {
   double probe_next_flip_s_ = 0.0;
   double probe_log_next_s_ = 0.0;
   double applied_cap_w_ = -1.0;   // last cap actually written to the agent
+
+  // Per-step scratch, kept so the loop does not allocate once warm.
+  std::vector<geopm::TimedSample> samples_;
+  std::vector<model::CapAggregate> pool_;
+  std::vector<std::pair<double, std::size_t>> ranking_;
 };
 
 }  // namespace anor::cluster

@@ -1,15 +1,12 @@
 #include "geopm/comm_tree.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace anor::geopm {
 
-std::vector<int> TreeTopology::children_of(int index) const {
-  std::vector<int> children;
-  for (int c = index * fanout + 1; c <= index * fanout + fanout && c < node_count; ++c) {
-    children.push_back(c);
-  }
-  return children;
+int TreeTopology::child_count(int index) const {
+  return std::clamp(node_count - first_child(index), 0, fanout);
 }
 
 int TreeTopology::parent_of(int index) const {
@@ -37,36 +34,45 @@ AgentTree::AgentTree(TreeTopology topology, std::vector<Agent*> agents)
   for (Agent* a : agents_) {
     if (a == nullptr) throw std::invalid_argument("AgentTree: null agent");
   }
+  const auto count = static_cast<std::size_t>(topology_.node_count);
+  policies_.resize(count);
+  sample_offset_.resize(count);
+  int offset = 0;
+  for (int i = 0; i < topology_.node_count; ++i) {
+    sample_offset_[static_cast<std::size_t>(i)] = offset;
+    offset += 1 + topology_.child_count(i);
+  }
+  samples_.resize(static_cast<std::size_t>(offset));
 }
 
-void AgentTree::distribute_from(int index, const std::vector<double>& policy) {
+void AgentTree::distribute_from(int index, const Policy& policy) {
   Agent& agent = *agents_[static_cast<std::size_t>(index)];
   agent.adjust_platform(policy);
-  const std::vector<int> children = topology_.children_of(index);
-  if (children.empty()) return;
-  const std::vector<std::vector<double>> split =
-      agent.split_policy(policy, static_cast<int>(children.size()));
-  for (std::size_t c = 0; c < children.size(); ++c) {
-    distribute_from(children[c], split[c]);
-  }
+  const int count = topology_.child_count(index);
+  if (count == 0) return;
+  const int first = topology_.first_child(index);
+  const std::span<Policy> split(policies_.data() + first, static_cast<std::size_t>(count));
+  agent.split_policy(policy, split);
+  for (int c = 0; c < count; ++c) distribute_from(first + c, split[static_cast<std::size_t>(c)]);
 }
 
-void AgentTree::distribute_policy(const std::vector<double>& policy) {
+void AgentTree::distribute_policy(const Policy& policy) {
   agents_.front()->validate_policy(policy);
   distribute_from(0, policy);
 }
 
-std::vector<double> AgentTree::reduce_from(int index) {
+Sample AgentTree::reduce_from(int index) {
   Agent& agent = *agents_[static_cast<std::size_t>(index)];
-  std::vector<std::vector<double>> samples;
-  samples.push_back(agent.sample_platform());
-  for (int child : topology_.children_of(index)) {
-    samples.push_back(reduce_from(child));
-  }
-  agent.observe_child_samples(samples);
-  return agent.aggregate_samples(samples);
+  const int count = topology_.child_count(index);
+  const int first = topology_.first_child(index);
+  Sample* samples = samples_.data() + sample_offset_[static_cast<std::size_t>(index)];
+  samples[0] = agent.sample_platform();
+  for (int c = 0; c < count; ++c) samples[1 + c] = reduce_from(first + c);
+  const std::span<const Sample> reduced(samples, static_cast<std::size_t>(1 + count));
+  agent.observe_child_samples(reduced);
+  return agent.aggregate_samples(reduced);
 }
 
-std::vector<double> AgentTree::reduce_samples() { return reduce_from(0); }
+Sample AgentTree::reduce_samples() { return reduce_from(0); }
 
 }  // namespace anor::geopm

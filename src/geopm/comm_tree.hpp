@@ -19,8 +19,10 @@ struct TreeTopology {
   int node_count = 1;
   int fanout = 4;
 
-  /// Children of tree position `index` (indices into [0, node_count)).
-  std::vector<int> children_of(int index) const;
+  /// Children of tree position `index` are the contiguous positions
+  /// [first_child(index), first_child(index) + child_count(index)).
+  int first_child(int index) const { return index * fanout + 1; }
+  int child_count(int index) const;
   /// Parent of position `index`, or -1 for the root (index 0).
   int parent_of(int index) const;
   /// Tree depth (root at depth 0); the deepest leaf's depth.
@@ -29,7 +31,8 @@ struct TreeTopology {
 
 /// Runs the fan-out / reduce protocol over a set of per-node agents.
 /// Agents are owned by the caller (the job Controller); the tree only
-/// choreographs them.
+/// choreographs them.  The records every position exchanges live in
+/// scratch sized at construction, so neither direction allocates.
 class AgentTree {
  public:
   /// All agents must outlive the tree; agents[0] is the root.
@@ -40,21 +43,27 @@ class AgentTree {
   /// Fan a policy out from the root to every agent and apply it at each
   /// leaf level (every agent applies; GEOPM applies at leaves, and every
   /// tree node is also a leaf for its own hardware).
-  void distribute_policy(const std::vector<double>& policy);
+  void distribute_policy(const Policy& policy);
 
   /// Sample every agent and reduce up the tree; returns the root sample.
-  std::vector<double> reduce_samples();
+  Sample reduce_samples();
 
   /// Number of tree hops a policy traverses root→deepest leaf; used to
   /// model propagation latency in the emulation.
   int propagation_hops() const { return topology_.depth(); }
 
  private:
-  std::vector<double> reduce_from(int index);
-  void distribute_from(int index, const std::vector<double>& policy);
+  Sample reduce_from(int index);
+  void distribute_from(int index, const Policy& policy);
 
   TreeTopology topology_;
   std::vector<Agent*> agents_;
+  /// policies_[c] is the record position c's parent split to it.
+  std::vector<Policy> policies_;
+  /// Position i reduces [own sample, one per child] at
+  /// samples_[sample_offset_[i]...].
+  std::vector<Sample> samples_;
+  std::vector<int> sample_offset_;
 };
 
 }  // namespace anor::geopm

@@ -15,6 +15,7 @@ JobController::JobController(std::string job_name, workload::JobType type,
                              const util::VirtualClock& clock, util::Rng rng,
                              ControllerConfig config)
     : name_(std::move(job_name)),
+      cap_change_trace_name_("cap_change " + name_),
       type_(std::move(type)),
       nodes_(std::move(nodes)),
       clock_(&clock),
@@ -95,21 +96,19 @@ void JobController::control_step(double now_s) {
   // reshuffle power between nodes as lag evolves; the governor's
   // same-cap writes are suppressed at the leaf, so this is cheap.
   if (auto policy = endpoint_.read_policy()) {
-    if (!policy->policy.empty()) {
-      const double cap = policy->policy[kPolicyPowerCap];
-      if (cap != current_cap_w_) {
-        cap_weighted_integral_ += current_cap_w_ * (now_s - last_cap_change_s_);
-        last_cap_change_s_ = now_s;
-        current_cap_w_ = cap;
-        cap_changes.inc();
-        telemetry::TraceRecorder::global().instant("cap_change " + name_, "job", now_s, cap);
-      }
+    const double cap = policy->policy[kPolicyPowerCap];
+    if (cap != current_cap_w_) {
+      cap_weighted_integral_ += current_cap_w_ * (now_s - last_cap_change_s_);
+      last_cap_change_s_ = now_s;
+      current_cap_w_ = cap;
+      cap_changes.inc();
+      telemetry::TraceRecorder::global().instant(cap_change_trace_name_, "job", now_s, cap);
     }
   }
-  tree_->distribute_policy({current_cap_w_});
+  tree_->distribute_policy(Policy{current_cap_w_});
 
   // 2. Sample the tree and publish the root sample.
-  std::vector<double> sample = tree_->reduce_samples();
+  const Sample sample = tree_->reduce_samples();
   power_gauge_->set(sample[kSamplePower]);
   cap_gauge_->set(current_cap_w_);
   epoch_gauge_->set(sample[kSampleEpochCount]);
@@ -122,7 +121,7 @@ void JobController::control_step(double now_s) {
     row.epoch_count = static_cast<long>(sample[kSampleEpochCount]);
     trace_.push_back(row);
   }
-  endpoint_.write_sample(now_s, std::move(sample));
+  endpoint_.write_sample(now_s, sample);
 }
 
 void JobController::write_trace_csv(std::ostream& out) const {

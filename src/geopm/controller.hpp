@@ -110,6 +110,7 @@ class JobController {
 
  private:
   std::string name_;
+  std::string cap_change_trace_name_;  // "cap_change <job>", built once
   workload::JobType type_;
   std::vector<platform::Node*> nodes_;
   const util::VirtualClock* clock_;

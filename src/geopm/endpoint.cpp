@@ -2,20 +2,20 @@
 
 namespace anor::geopm {
 
-bool Endpoint::write_policy(double timestamp_s, std::vector<double> policy) {
-  return policies_.push(TimedPolicy{timestamp_s, std::move(policy)});
+bool Endpoint::write_policy(double timestamp_s, const Policy& policy) {
+  return policies_.push(TimedPolicy{timestamp_s, policy});
 }
 
-std::vector<TimedSample> Endpoint::read_samples() {
-  std::vector<TimedSample> drained;
+std::size_t Endpoint::read_samples(std::vector<TimedSample>& drained) {
+  drained.clear();
   while (auto sample = samples_.pop()) {
-    drained.push_back(std::move(*sample));
+    drained.push_back(*sample);
   }
   if (!drained.empty()) {
     std::lock_guard<std::mutex> lock(latest_mutex_);
     latest_sample_ = drained.back();
   }
-  return drained;
+  return drained.size();
 }
 
 std::optional<TimedSample> Endpoint::latest_sample() const {
@@ -26,13 +26,13 @@ std::optional<TimedSample> Endpoint::latest_sample() const {
 std::optional<TimedPolicy> Endpoint::read_policy() {
   std::optional<TimedPolicy> newest;
   while (auto policy = policies_.pop()) {
-    newest = std::move(*policy);
+    newest = *policy;
   }
   return newest;
 }
 
-bool Endpoint::write_sample(double timestamp_s, std::vector<double> sample) {
-  return samples_.push(TimedSample{timestamp_s, std::move(sample)});
+bool Endpoint::write_sample(double timestamp_s, const Sample& sample) {
+  return samples_.push(TimedSample{timestamp_s, sample});
 }
 
 }  // namespace anor::geopm

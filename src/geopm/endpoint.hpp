@@ -6,25 +6,29 @@
 // buffers, mimicking the lock-free shmem mailboxes of the real endpoint.
 // Every record carries a virtual timestamp: the paper calls out
 // asynchronous sample management across tiers as a practical challenge
-// (Sec. 7.2), and timestamps are its fix.
+// (Sec. 7.2), and timestamps are its fix.  Records hold the fixed-size
+// Policy and Sample arrays, so the rings move plain values, and the
+// modeler drains samples into a buffer it keeps across periods: neither
+// side allocates per record.
 #pragma once
 
 #include <mutex>
 #include <optional>
 #include <vector>
 
+#include "geopm/signals.hpp"
 #include "util/ring_buffer.hpp"
 
 namespace anor::geopm {
 
 struct TimedPolicy {
   double timestamp_s = 0.0;
-  std::vector<double> policy;
+  Policy policy{};
 };
 
 struct TimedSample {
   double timestamp_s = 0.0;
-  std::vector<double> sample;
+  Sample sample{};
 };
 
 class Endpoint {
@@ -35,10 +39,11 @@ class Endpoint {
   // ---- modeler (writer) side ----
   /// Queue a policy for the agent; returns false if the ring is full
   /// (callers treat a full ring as "agent stalled" and retry next period).
-  bool write_policy(double timestamp_s, std::vector<double> policy);
+  bool write_policy(double timestamp_s, const Policy& policy);
 
-  /// Drain all pending samples, newest last.
-  std::vector<TimedSample> read_samples();
+  /// Drain all pending samples into `drained` (its previous contents are
+  /// replaced), newest last.  Returns the number drained.
+  std::size_t read_samples(std::vector<TimedSample>& drained);
 
   /// Most recent sample ever read (age bookkeeping for the modeler).
   std::optional<TimedSample> latest_sample() const;
@@ -48,7 +53,7 @@ class Endpoint {
   /// as only the newest cap matters); nullopt when none pending.
   std::optional<TimedPolicy> read_policy();
 
-  bool write_sample(double timestamp_s, std::vector<double> sample);
+  bool write_sample(double timestamp_s, const Sample& sample);
 
  private:
   util::SpscRingBuffer<TimedPolicy> policies_;

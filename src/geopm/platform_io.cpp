@@ -10,17 +10,6 @@
 
 namespace anor::geopm {
 
-namespace {
-
-bool known_signal(std::string_view name) {
-  return name == kSignalCpuEnergy || name == kSignalCpuPower || name == kSignalEpochCount ||
-         name == kSignalEpochLastTime || name == kSignalTime;
-}
-
-bool known_control(std::string_view name) { return name == kControlCpuPowerLimit; }
-
-}  // namespace
-
 PlatformIO::PlatformIO(platform::Node& node, const util::VirtualClock& clock)
     : node_(&node), clock_(&clock) {
   const auto package_count = static_cast<std::size_t>(node.package_count());
@@ -28,23 +17,44 @@ PlatformIO::PlatformIO(platform::Node& node, const util::VirtualClock& clock)
   accumulated_energy_j_.assign(package_count, 0.0);
 }
 
+PlatformIO::Signal PlatformIO::resolve_signal(std::string_view name) {
+  if (name == kSignalCpuEnergy) return Signal::kCpuEnergy;
+  if (name == kSignalCpuPower) return Signal::kCpuPower;
+  if (name == kSignalEpochCount) return Signal::kEpochCount;
+  if (name == kSignalEpochLastTime) return Signal::kEpochLastTime;
+  if (name == kSignalTime) return Signal::kTime;
+  throw util::ConfigError("PlatformIO: unknown signal '" + std::string(name) + "'");
+}
+
+PlatformIO::Control PlatformIO::resolve_control(std::string_view name) {
+  if (name == kControlCpuPowerLimit) return Control::kCpuPowerLimit;
+  throw util::ConfigError("PlatformIO: unknown control '" + std::string(name) + "'");
+}
+
 int PlatformIO::push_signal(std::string_view name) {
-  if (!known_signal(name)) {
-    throw util::ConfigError("PlatformIO: unknown signal '" + std::string(name) + "'");
-  }
-  pushed_signals_.emplace_back(name);
+  pushed_signals_.push_back(resolve_signal(name));
   signal_values_.push_back(0.0);
   return static_cast<int>(pushed_signals_.size()) - 1;
 }
 
 int PlatformIO::push_control(std::string_view name) {
-  if (!known_control(name)) {
-    throw util::ConfigError("PlatformIO: unknown control '" + std::string(name) + "'");
-  }
-  pushed_controls_.emplace_back(name);
+  pushed_controls_.push_back(resolve_control(name));
   control_values_.push_back(0.0);
   control_dirty_.push_back(false);
   return static_cast<int>(pushed_controls_.size()) - 1;
+}
+
+double PlatformIO::signal_value(Signal signal, double now_s, double energy_j) const {
+  switch (signal) {
+    case Signal::kCpuEnergy: return energy_j;
+    case Signal::kCpuPower: return derived_power_w_;
+    case Signal::kEpochCount:
+      return kernel_ != nullptr ? static_cast<double>(kernel_->epoch_count()) : 0.0;
+    case Signal::kEpochLastTime:
+      return kernel_ != nullptr ? now_s - kernel_->time_since_last_epoch_s() : 0.0;
+    case Signal::kTime: return now_s;
+  }
+  return 0.0;
 }
 
 double PlatformIO::unwrapped_energy_j() {
@@ -93,18 +103,7 @@ void PlatformIO::read_batch() {
   power_initialized_ = true;
 
   for (std::size_t i = 0; i < pushed_signals_.size(); ++i) {
-    const std::string& name = pushed_signals_[i];
-    if (name == kSignalCpuEnergy) {
-      signal_values_[i] = energy;
-    } else if (name == kSignalCpuPower) {
-      signal_values_[i] = derived_power_w_;
-    } else if (name == kSignalEpochCount) {
-      signal_values_[i] = kernel_ != nullptr ? static_cast<double>(kernel_->epoch_count()) : 0.0;
-    } else if (name == kSignalEpochLastTime) {
-      signal_values_[i] = kernel_ != nullptr ? now - kernel_->time_since_last_epoch_s() : 0.0;
-    } else if (name == kSignalTime) {
-      signal_values_[i] = now;
-    }
+    signal_values_[i] = signal_value(pushed_signals_[i], now, energy);
   }
 }
 
@@ -121,42 +120,31 @@ void PlatformIO::adjust(int control_index, double value) {
 void PlatformIO::write_batch() {
   for (std::size_t i = 0; i < pushed_controls_.size(); ++i) {
     if (!control_dirty_[i]) continue;
-    if (pushed_controls_[i] == kControlCpuPowerLimit) {
-      try {
-        node_->set_power_cap(control_values_[i]);
-      } catch (const util::MsrAccessError& err) {
-        // Transient write fault: keep the control dirty so the next
-        // write_batch retries the cap instead of silently dropping it.
-        static auto& faults =
-            telemetry::MetricsRegistry::global().counter("geopm.pio.cap_write_faults");
-        faults.inc();
-        util::log_debug("platform-io", std::string("cap write deferred: ") + err.what());
-        continue;
+    try {
+      switch (pushed_controls_[i]) {
+        case Control::kCpuPowerLimit: node_->set_power_cap(control_values_[i]); break;
       }
+    } catch (const util::MsrAccessError& err) {
+      // Transient write fault: keep the control dirty so the next
+      // write_batch retries the cap instead of silently dropping it.
+      static auto& faults =
+          telemetry::MetricsRegistry::global().counter("geopm.pio.cap_write_faults");
+      faults.inc();
+      util::log_debug("platform-io", std::string("cap write deferred: ") + err.what());
+      continue;
     }
     control_dirty_[i] = false;
   }
 }
 
 double PlatformIO::read_signal(std::string_view name) {
-  if (!known_signal(name)) {
-    throw util::ConfigError("PlatformIO: unknown signal '" + std::string(name) + "'");
-  }
-  if (name == kSignalCpuEnergy) return unwrapped_energy_j();
-  if (name == kSignalCpuPower) return derived_power_w_;
-  if (name == kSignalEpochCount) {
-    return kernel_ != nullptr ? static_cast<double>(kernel_->epoch_count()) : 0.0;
-  }
-  if (name == kSignalEpochLastTime) {
-    return kernel_ != nullptr ? clock_->now() - kernel_->time_since_last_epoch_s() : 0.0;
-  }
-  return clock_->now();
+  const Signal signal = resolve_signal(name);
+  const double energy = signal == Signal::kCpuEnergy ? unwrapped_energy_j() : 0.0;
+  return signal_value(signal, clock_->now(), energy);
 }
 
 void PlatformIO::write_control(std::string_view name, double value) {
-  if (!known_control(name)) {
-    throw util::ConfigError("PlatformIO: unknown control '" + std::string(name) + "'");
-  }
+  resolve_control(name);
   node_->set_power_cap(value);
 }
 

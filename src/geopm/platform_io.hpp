@@ -2,13 +2,13 @@
 //
 // System software never touches MSRs directly; it pushes named signals and
 // controls, then calls read_batch()/write_batch() once per control loop —
-// the same batching discipline GEOPM uses.  CPU_ENERGY handles the 32-bit
+// the same batching discipline GEOPM uses.  Names resolve once, at push
+// time; the batch calls switch on the resolved kind.  CPU_ENERGY handles the 32-bit
 // PKG_ENERGY_STATUS wraparound; CPU_POWER is derived from energy deltas
 // between consecutive read_batch calls.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,16 +52,24 @@ class PlatformIO {
   platform::Node& node() { return *node_; }
 
  private:
-  double read_signal_now(std::string_view name);
+  enum class Signal : std::uint8_t { kCpuEnergy, kCpuPower, kEpochCount, kEpochLastTime, kTime };
+  enum class Control : std::uint8_t { kCpuPowerLimit };
+
+  /// The signal `name` names; unknown names throw ConfigError.
+  static Signal resolve_signal(std::string_view name);
+  /// The control `name` names; unknown names throw ConfigError.
+  static Control resolve_control(std::string_view name);
+  /// A signal's value at `now_s`; `energy_j` is CPU_ENERGY's value.
+  double signal_value(Signal signal, double now_s, double energy_j) const;
   double unwrapped_energy_j();
 
   platform::Node* node_;
   const util::VirtualClock* clock_;
   const workload::JobKernel* kernel_ = nullptr;
 
-  std::vector<std::string> pushed_signals_;
+  std::vector<Signal> pushed_signals_;
   std::vector<double> signal_values_;
-  std::vector<std::string> pushed_controls_;
+  std::vector<Control> pushed_controls_;
   std::vector<double> control_values_;
   std::vector<bool> control_dirty_;
 

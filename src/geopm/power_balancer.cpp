@@ -10,8 +10,7 @@ namespace anor::geopm {
 PowerBalancerAgent::PowerBalancerAgent(PlatformIO& pio, BalancerConfig config)
     : PowerGovernorAgent(pio), config_(config) {}
 
-void PowerBalancerAgent::observe_child_samples(
-    const std::vector<std::vector<double>>& samples) {
+void PowerBalancerAgent::observe_child_samples(std::span<const Sample> samples) {
   if (samples.size() < 2) return;  // leaf: nothing to balance
 
   // Mean epoch count across the child subtrees (excluding this node's own
@@ -41,29 +40,31 @@ void PowerBalancerAgent::observe_child_samples(
   }
 }
 
-std::vector<std::vector<double>> PowerBalancerAgent::split_policy(
-    const std::vector<double>& policy, int child_count) const {
-  const auto count = static_cast<std::size_t>(child_count);
-  std::vector<std::vector<double>> split(count, policy);
-  if (policy.empty() || child_lag_.size() != count) return split;
-
+void PowerBalancerAgent::split_policy(const Policy& policy, std::span<Policy> children) const {
+  // Registered on the first split, balanced or not, so later splits only
+  // bump them.
   static auto& splits = telemetry::MetricsRegistry::global().counter("job.balancer.splits");
   static auto& max_lag =
       telemetry::MetricsRegistry::global().gauge("job.balancer.max_abs_lag");
+  const std::size_t count = children.size();
+  std::fill(children.begin(), children.end(), policy);
+  if (child_lag_.size() != count) return;
+
   splits.inc();
   double lag_peak = 0.0;
   for (const double lag : child_lag_) lag_peak = std::max(lag_peak, std::abs(lag));
   max_lag.set(lag_peak);
 
+  // Each child's cap is computed in place in its record.
   const double avg_cap = policy[kPolicyPowerCap];
-  std::vector<double> caps(count);
   double target_watts = 0.0;
   double actual_watts = 0.0;
   for (std::size_t c = 0; c < count; ++c) {
-    caps[c] = std::clamp(avg_cap * (1.0 + config_.gain * child_lag_[c]),
-                         config_.cap_floor_w, config_.cap_ceiling_w);
+    double& cap = children[c][kPolicyPowerCap];
+    cap = std::clamp(avg_cap * (1.0 + config_.gain * child_lag_[c]), config_.cap_floor_w,
+                     config_.cap_ceiling_w);
     target_watts += child_nodes_[c] * avg_cap;
-    actual_watts += child_nodes_[c] * caps[c];
+    actual_watts += child_nodes_[c] * cap;
   }
   // Conserve the subtree's power budget after clamping: rescale the
   // unclamped caps repeatedly (clamping after a rescale can break the sum
@@ -73,12 +74,11 @@ std::vector<std::vector<double>> PowerBalancerAgent::split_policy(
     if (std::abs(scale - 1.0) < 1e-6) break;
     actual_watts = 0.0;
     for (std::size_t c = 0; c < count; ++c) {
-      caps[c] = std::clamp(caps[c] * scale, config_.cap_floor_w, config_.cap_ceiling_w);
-      actual_watts += child_nodes_[c] * caps[c];
+      double& cap = children[c][kPolicyPowerCap];
+      cap = std::clamp(cap * scale, config_.cap_floor_w, config_.cap_ceiling_w);
+      actual_watts += child_nodes_[c] * cap;
     }
   }
-  for (std::size_t c = 0; c < count; ++c) split[c][kPolicyPowerCap] = caps[c];
-  return split;
 }
 
 }  // namespace anor::geopm

@@ -11,6 +11,8 @@
 // directly shortens completion time at equal job power.
 #pragma once
 
+#include <vector>
+
 #include "geopm/power_governor.hpp"
 
 namespace anor::geopm {
@@ -31,9 +33,8 @@ class PowerBalancerAgent final : public PowerGovernorAgent {
 
   std::string name() const override { return "power_balancer"; }
 
-  void observe_child_samples(const std::vector<std::vector<double>>& samples) override;
-  std::vector<std::vector<double>> split_policy(const std::vector<double>& policy,
-                                                int child_count) const override;
+  void observe_child_samples(std::span<const Sample> samples) override;
+  void split_policy(const Policy& policy, std::span<Policy> children) const override;
 
   /// Smoothed relative epoch lag per child (diagnostic; empty before the
   /// first reduce).

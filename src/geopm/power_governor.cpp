@@ -7,12 +7,11 @@
 
 namespace anor::geopm {
 
-std::vector<std::vector<double>> Agent::split_policy(const std::vector<double>& policy,
-                                                     int child_count) const {
-  return std::vector<std::vector<double>>(static_cast<std::size_t>(child_count), policy);
+void Agent::split_policy(const Policy& policy, std::span<Policy> children) const {
+  std::fill(children.begin(), children.end(), policy);
 }
 
-void Agent::observe_child_samples(const std::vector<std::vector<double>>&) {}
+void Agent::observe_child_samples(std::span<const Sample>) {}
 
 PowerGovernorAgent::PowerGovernorAgent(PlatformIO& pio) : pio_(&pio) {
   sig_power_ = pio_->push_signal(kSignalCpuPower);
@@ -23,17 +22,14 @@ PowerGovernorAgent::PowerGovernorAgent(PlatformIO& pio) : pio_(&pio) {
   ctl_power_limit_ = pio_->push_control(kControlCpuPowerLimit);
 }
 
-void PowerGovernorAgent::validate_policy(const std::vector<double>& policy) const {
-  if (policy.size() != kPolicySize) {
-    throw util::ConfigError("power_governor: policy size mismatch");
-  }
+void PowerGovernorAgent::validate_policy(const Policy& policy) const {
   const double cap = policy[kPolicyPowerCap];
   if (!(cap > 0.0)) {
     throw util::ConfigError("power_governor: power cap must be positive");
   }
 }
 
-void PowerGovernorAgent::adjust_platform(const std::vector<double>& policy) {
+void PowerGovernorAgent::adjust_platform(const Policy& policy) {
   validate_policy(policy);
   static auto& cap_writes =
       telemetry::MetricsRegistry::global().counter("job.governor.cap_writes");
@@ -51,9 +47,9 @@ void PowerGovernorAgent::adjust_platform(const std::vector<double>& policy) {
   cap_writes.inc();
 }
 
-std::vector<double> PowerGovernorAgent::sample_platform() {
+Sample PowerGovernorAgent::sample_platform() {
   pio_->read_batch();
-  std::vector<double> sample(kSampleSize, 0.0);
+  Sample sample{};
   sample[kSamplePower] = pio_->sample(sig_power_);
   sample[kSampleEnergy] = pio_->sample(sig_energy_);
   sample[kSampleEpochCount] = pio_->sample(sig_epoch_);
@@ -63,9 +59,8 @@ std::vector<double> PowerGovernorAgent::sample_platform() {
   return sample;
 }
 
-std::vector<double> PowerGovernorAgent::aggregate_samples(
-    const std::vector<std::vector<double>>& child_samples) const {
-  std::vector<double> agg(kSampleSize, 0.0);
+Sample PowerGovernorAgent::aggregate_samples(std::span<const Sample> child_samples) const {
+  Sample agg{};
   if (child_samples.empty()) return agg;
   double min_epoch = child_samples.front()[kSampleEpochCount];
   double max_time = child_samples.front()[kSampleTimestamp];

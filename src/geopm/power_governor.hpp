@@ -19,11 +19,10 @@ class PowerGovernorAgent : public Agent {
   explicit PowerGovernorAgent(PlatformIO& pio);
 
   std::string name() const override { return "power_governor"; }
-  void validate_policy(const std::vector<double>& policy) const override;
-  void adjust_platform(const std::vector<double>& policy) override;
-  std::vector<double> sample_platform() override;
-  std::vector<double> aggregate_samples(
-      const std::vector<std::vector<double>>& child_samples) const override;
+  void validate_policy(const Policy& policy) const override;
+  void adjust_platform(const Policy& policy) override;
+  Sample sample_platform() override;
+  Sample aggregate_samples(std::span<const Sample> child_samples) const override;
 
   /// Last cap actually applied (after hardware clamping), for reports.
   double applied_cap_w() const { return applied_cap_w_; }

@@ -6,6 +6,7 @@
 // the bridging layer reads like the real thing.
 #pragma once
 
+#include <array>
 #include <string_view>
 
 namespace anor::geopm {
@@ -20,8 +21,11 @@ inline constexpr std::string_view kSignalTime = "TIME";                  // seco
 // Controls
 inline constexpr std::string_view kControlCpuPowerLimit = "CPU_POWER_LIMIT_CONTROL";  // watts
 
-/// Fixed indices of the policy and sample vectors exchanged between the
-/// endpoint and the agent tree (GEOPM models these as flat double arrays).
+/// Fixed indices of the policy and sample records exchanged between the
+/// endpoint and the agent tree.  GEOPM models these as flat double arrays,
+/// and so do we (Policy and Sample below): a record has one size, so the
+/// tree, the endpoint rings and the agents pass them by value and nothing
+/// on the control path allocates.
 enum PolicyIndex : int {
   kPolicyPowerCap = 0,   // node-level power cap, watts
   kPolicySize = 1,
@@ -36,5 +40,8 @@ enum SampleIndex : int {
   kSampleEpochTime = 5,  // completion time of the global epoch, seconds
   kSampleSize = 6,
 };
+
+using Policy = std::array<double, kPolicySize>;
+using Sample = std::array<double, kSampleSize>;
 
 }  // namespace anor::geopm

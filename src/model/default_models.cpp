@@ -35,7 +35,19 @@ PowerPerfModel default_model(DefaultModelPolicy policy) {
 }
 
 PowerPerfModel model_for_class(const std::string& classified_as) {
-  return PowerPerfModel::from_job_type(workload::find_job_type(classified_as));
+  // One fit per NAS type per process, in table order; the static's
+  // initialization is thread-safe for concurrent sweep workers.
+  static const std::vector<PowerPerfModel> fitted = [] {
+    std::vector<PowerPerfModel> models;
+    for (const workload::JobType& type : workload::nas_job_types()) {
+      models.push_back(PowerPerfModel::from_job_type(type));
+    }
+    return models;
+  }();
+  // find_job_type throws for unknown names and otherwise returns an
+  // element of the NAS table.
+  const workload::JobType& type = workload::find_job_type(classified_as);
+  return fitted[static_cast<std::size_t>(&type - workload::nas_job_types().data())];
 }
 
 }  // namespace anor::model

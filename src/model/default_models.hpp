@@ -25,8 +25,9 @@ std::string to_string(DefaultModelPolicy policy);
 PowerPerfModel default_model(DefaultModelPolicy policy);
 
 /// The model for a (possibly mis-)classified job: the ground-truth curve
-/// of `classified_as`.  Misclassification experiments feed a wrong name
-/// here on purpose.
+/// of `classified_as`, fitted once per process.  Misclassification
+/// experiments feed a wrong name here on purpose; an unknown name throws
+/// ConfigError.
 PowerPerfModel model_for_class(const std::string& classified_as);
 
 }  // namespace anor::model

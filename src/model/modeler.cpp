@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "telemetry/metrics.hpp"
 #include "util/error.hpp"
@@ -22,31 +21,28 @@ telemetry::Counter& refit_rejected_counter(const char* reason) {
 
 }  // namespace
 
-std::vector<CapAggregate> aggregate_by_cap(const std::vector<EpochObservation>& observations,
-                                           double bucket_w) {
-  struct Bucket {
-    double span_s = 0.0;
-    double cap_weighted = 0.0;
-    long epochs = 0;
-  };
-  std::map<long, Bucket> buckets;
+void aggregate_by_cap(std::span<const EpochObservation> observations,
+                      std::vector<CapAggregate>& pool, double bucket_w, bool clean_only) {
+  // While pooling, a bucket's cap_w holds its epoch-weighted cap sum and
+  // sec_per_epoch its span sum; both divide by the epochs at the end.
+  pool.clear();
   for (const EpochObservation& obs : observations) {
-    if (obs.epochs <= 0) continue;
-    Bucket& bucket = buckets[std::lround(obs.avg_cap_w / bucket_w)];
-    bucket.span_s += obs.t_end_s - obs.t_start_s;
-    bucket.cap_weighted += obs.avg_cap_w * static_cast<double>(obs.epochs);
-    bucket.epochs += obs.epochs;
+    if (obs.epochs <= 0 || (clean_only && obs.mixed_cap)) continue;
+    const long key = std::lround(obs.avg_cap_w / bucket_w);
+    auto bucket = std::lower_bound(
+        pool.begin(), pool.end(), key,
+        [](const CapAggregate& aggregate, long k) { return aggregate.key < k; });
+    if (bucket == pool.end() || bucket->key != key) {
+      bucket = pool.insert(bucket, CapAggregate{0.0, 0.0, 0, key});
+    }
+    bucket->sec_per_epoch += obs.t_end_s - obs.t_start_s;
+    bucket->cap_w += obs.avg_cap_w * static_cast<double>(obs.epochs);
+    bucket->epochs += obs.epochs;
   }
-  std::vector<CapAggregate> aggregates;
-  aggregates.reserve(buckets.size());
-  for (const auto& [key, bucket] : buckets) {
-    CapAggregate aggregate;
-    aggregate.cap_w = bucket.cap_weighted / static_cast<double>(bucket.epochs);
-    aggregate.sec_per_epoch = bucket.span_s / static_cast<double>(bucket.epochs);
-    aggregate.epochs = bucket.epochs;
-    aggregates.push_back(aggregate);
+  for (CapAggregate& bucket : pool) {
+    bucket.cap_w /= static_cast<double>(bucket.epochs);
+    bucket.sec_per_epoch /= static_cast<double>(bucket.epochs);
   }
-  return aggregates;
 }
 
 OnlineModeler::OnlineModeler(PowerPerfModel initial_model, ModelerConfig config)
@@ -134,23 +130,30 @@ void OnlineModeler::maybe_detect_phase_change() {
 
   // Split clean observations into "recent" (the newest phase_window) and
   // "older"; compare pooled rates per cap bucket that appears in both.
-  std::vector<EpochObservation> clean = clean_observations();
-  if (clean.size() < config_.phase_window * 3) return;
-  std::vector<EpochObservation> recent(clean.end() - static_cast<long>(config_.phase_window),
-                                       clean.end());
-  clean.resize(clean.size() - config_.phase_window);
-  const std::vector<CapAggregate> older = aggregate_by_cap(clean);
-  const std::vector<CapAggregate> newer = aggregate_by_cap(recent);
+  // The recent window starts at observations_[split]: from there on lie
+  // exactly phase_window clean spans.
+  std::size_t clean = 0;
+  std::size_t split = observations_.size();
+  for (std::size_t i = observations_.size(); i-- > 0;) {
+    if (observations_[i].mixed_cap) continue;
+    if (++clean == config_.phase_window) split = i;
+  }
+  if (clean < config_.phase_window * 3) return;
+  const std::span<const EpochObservation> window(observations_);
+  aggregate_by_cap(window.first(split), pool_, 5.0, true);
+  aggregate_by_cap(window.subspan(split), recent_pool_, 5.0, true);
 
-  for (const CapAggregate& n : newer) {
-    for (const CapAggregate& o : older) {
+  for (const CapAggregate& n : recent_pool_) {
+    for (const CapAggregate& o : pool_) {
       if (std::abs(n.cap_w - o.cap_w) > 5.0) continue;
       if (o.sec_per_epoch <= 0.0) continue;
       const double shift = std::abs(n.sec_per_epoch - o.sec_per_epoch) / o.sec_per_epoch;
       if (shift > config_.phase_shift_threshold) {
         // The job changed behavior: everything before the recent window
-        // describes a previous phase.  Keep only the recent evidence.
-        observations_.assign(recent.begin(), recent.end());
+        // describes a previous phase.  Keep only the recent clean evidence.
+        observations_.erase(observations_.begin(),
+                            observations_.begin() + static_cast<long>(split));
+        std::erase_if(observations_, [](const EpochObservation& obs) { return obs.mixed_cap; });
         fitted_ = false;  // any previous refit described the old phase
         epochs_since_train_ = 0;
         ++phase_changes_;
@@ -197,15 +200,6 @@ std::pair<double, double> OnlineModeler::cap_range_over(double t0_s, double t1_s
   return {lo, hi};
 }
 
-std::vector<EpochObservation> OnlineModeler::clean_observations() const {
-  std::vector<EpochObservation> clean;
-  clean.reserve(observations_.size());
-  for (const EpochObservation& obs : observations_) {
-    if (!obs.mixed_cap) clean.push_back(obs);
-  }
-  return clean;
-}
-
 bool OnlineModeler::retrain() {
   static auto& attempts =
       telemetry::MetricsRegistry::global().counter("job.modeler.refit_attempts");
@@ -215,26 +209,25 @@ bool OnlineModeler::retrain() {
   static auto& fit_error =
       telemetry::MetricsRegistry::global().gauge("job.modeler.refit_error");
   attempts.inc();
-  const std::vector<EpochObservation> clean = clean_observations();
-  if (clean.size() < config_.min_fit_observations) {
+  std::size_t clean = 0;
+  for (const EpochObservation& obs : observations_) clean += obs.mixed_cap ? 0 : 1;
+  if (clean < config_.min_fit_observations) {
     static auto& too_few = refit_rejected_counter("too_few_observations");
     too_few.inc();
     return false;
   }
   // Fit against cap-pooled rates (quantization-free), weighting each cap
   // level by the epochs observed there.
-  const std::vector<CapAggregate> aggregates = aggregate_by_cap(clean);
-  std::vector<double> caps;
-  std::vector<double> times;
-  caps.reserve(aggregates.size());
-  times.reserve(aggregates.size());
-  for (const CapAggregate& aggregate : aggregates) {
-    caps.push_back(aggregate.cap_w);
-    times.push_back(aggregate.sec_per_epoch);
+  aggregate_by_cap(observations_, pool_, 5.0, true);
+  fit_caps_.clear();
+  fit_times_.clear();
+  for (const CapAggregate& aggregate : pool_) {
+    fit_caps_.push_back(aggregate.cap_w);
+    fit_times_.push_back(aggregate.sec_per_epoch);
   }
   try {
     PowerPerfModel refit =
-        PowerPerfModel::fit(caps, times, config_.fit_p_min_w, config_.fit_p_max_w);
+        PowerPerfModel::fit(fit_caps_, fit_times_, config_.fit_p_min_w, config_.fit_p_max_w);
     // Reject non-physical fits (time increasing with power) — noise at
     // nearly identical caps can produce them.
     if (refit.time_at(refit.p_min_w()) + 1e-12 < refit.time_at(refit.p_max_w())) {
@@ -254,8 +247,8 @@ bool OnlineModeler::retrain() {
     // innocuous-looking points.
     double raw_error = 0.0;
     std::size_t counted = 0;
-    for (const EpochObservation& obs : clean) {
-      if (obs.sec_per_epoch <= 0.0) continue;
+    for (const EpochObservation& obs : observations_) {
+      if (obs.mixed_cap || obs.sec_per_epoch <= 0.0) continue;
       raw_error += std::abs(refit.time_at(obs.avg_cap_w) - obs.sec_per_epoch) /
                    obs.sec_per_epoch;
       ++counted;

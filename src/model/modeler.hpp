@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "model/perf_model.hpp"
@@ -86,11 +87,18 @@ struct CapAggregate {
   double cap_w = 0.0;         // epoch-weighted mean cap of the bucket
   double sec_per_epoch = 0.0; // total span / total epochs
   long epochs = 0;
+  long key = 0;               // bucket index: lround(cap / bucket width)
 };
 
-/// Pool clean observations into cap buckets of the given width.
-std::vector<CapAggregate> aggregate_by_cap(const std::vector<EpochObservation>& observations,
-                                           double bucket_w = 5.0);
+/// Pool observations with epochs into cap buckets of the given width,
+/// replacing the contents of `pool` (a buffer the caller keeps, so
+/// repeated pooling does not allocate).  Buckets come out sorted by key,
+/// and each sums its observations in input order.  `clean_only` skips
+/// mixed-cap spans, so the modeler's whole window pools as its clean
+/// observations would.
+void aggregate_by_cap(std::span<const EpochObservation> observations,
+                      std::vector<CapAggregate>& pool, double bucket_w = 5.0,
+                      bool clean_only = false);
 
 class OnlineModeler {
  public:
@@ -113,9 +121,9 @@ class OnlineModeler {
 
   long total_epochs_seen() const { return last_epoch_count_ < 0 ? 0 : last_epoch_count_; }
   std::size_t observation_count() const { return observations_.size(); }
+  /// The observation window; spans marked mixed_cap are unsafe to fit
+  /// against and are skipped wherever the window is pooled.
   const std::vector<EpochObservation>& observations() const { return observations_; }
-  /// Observations safe to fit against: single-cap spans only.
-  std::vector<EpochObservation> clean_observations() const;
 
   /// Force a refit attempt now (normally triggered automatically).
   /// Returns true if the model was replaced.
@@ -146,6 +154,11 @@ class OnlineModeler {
   int phase_changes_ = 0;
 
   std::vector<EpochObservation> observations_;
+  // Pooling and fitting scratch, reused across refits and phase checks.
+  std::vector<CapAggregate> pool_;
+  std::vector<CapAggregate> recent_pool_;
+  std::vector<double> fit_caps_;
+  std::vector<double> fit_times_;
 };
 
 }  // namespace anor::model

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -42,21 +41,26 @@ PowerPerfModel PowerPerfModel::fit(std::span<const double> cap_w,
   if (cap_w.size() != sec_per_epoch.size()) {
     throw util::NumericalError("PowerPerfModel::fit: size mismatch");
   }
-  std::set<long> distinct;
-  for (double cap : cap_w) distinct.insert(std::lround(cap * 16.0));
-  if (cap_w.size() < 3 || distinct.size() < 3) {
+  // At least 3 distinct caps (at 1/16 W) are needed; stop counting at 3.
+  long distinct[3] = {};
+  std::size_t distinct_count = 0;
+  for (std::size_t i = 0; i < cap_w.size() && distinct_count < 3; ++i) {
+    const long key = std::lround(cap_w[i] * 16.0);
+    if (std::find(distinct, distinct + distinct_count, key) == distinct + distinct_count) {
+      distinct[distinct_count++] = key;
+    }
+  }
+  if (cap_w.size() < 3 || distinct_count < 3) {
     throw util::NumericalError("PowerPerfModel::fit: need >=3 observations at >=3 caps");
   }
   // Normalize power by TDP for conditioning; de-normalize coefficients.
   const double scale = workload::kNodeTdpW;
   std::vector<double> x(cap_w.size());
   for (std::size_t i = 0; i < cap_w.size(); ++i) x[i] = cap_w[i] / scale;
-  const std::vector<double> coeffs =
-      util::polyfit(x, std::vector<double>(sec_per_epoch.begin(), sec_per_epoch.end()), 2);
+  const std::vector<double> coeffs = util::polyfit(x, sec_per_epoch, 2);
   PowerPerfModel model(coeffs[2] / (scale * scale), coeffs[1] / scale, coeffs[0], p_min_w,
                        p_max_w);
-  model.r2_ = util::polyfit_r2(coeffs, x,
-                               std::vector<double>(sec_per_epoch.begin(), sec_per_epoch.end()));
+  model.r2_ = util::polyfit_r2(coeffs, x, sec_per_epoch);
   return model;
 }
 

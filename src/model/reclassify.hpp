@@ -9,7 +9,9 @@
 // threshold, proposes the best-matching known curve instead.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,20 +40,23 @@ class Reclassifier {
  public:
   Reclassifier(std::vector<NamedModel> candidates, ReclassifierConfig config = {});
 
-  /// Mean relative error of a model against observations.
+  /// Epoch-weighted mean relative error of a model against cap-pooled
+  /// observations (aggregate_by_cap): individual spans carry sampling
+  /// quantization, pooled rates do not.
   static double mean_relative_error(const PowerPerfModel& model,
-                                    const std::vector<EpochObservation>& observations);
+                                    std::span<const CapAggregate> pool);
 
   /// Propose a replacement when the current model has diverged and a
   /// candidate explains the observations much better.  nullopt otherwise.
-  std::optional<NamedModel> suggest(const std::vector<EpochObservation>& observations,
+  std::optional<NamedModel> suggest(std::span<const EpochObservation> observations,
                                     const PowerPerfModel& current) const;
 
-  /// All candidates ranked by mean relative error, ascending.  Callers
-  /// needing an ambiguity check (is the best decisively better than the
-  /// runner-up?) use this directly.
-  std::vector<std::pair<double, NamedModel>> ranked(
-      const std::vector<EpochObservation>& observations) const;
+  /// Every candidate as (mean relative error against `pool`, index into
+  /// candidates()), ascending by error, replacing the contents of
+  /// `ranking`.  Callers needing an ambiguity check (is the best
+  /// decisively better than the runner-up?) use this directly.
+  void ranked(std::span<const CapAggregate> pool,
+              std::vector<std::pair<double, std::size_t>>& ranking) const;
 
   const ReclassifierConfig& config() const { return config_; }
 
@@ -63,14 +68,15 @@ class Reclassifier {
 };
 
 /// The standard candidate set: all registered NPB job types' ground-truth
-/// curves.
-std::vector<NamedModel> standard_candidates();
+/// curves.  Fitted once per process (a pure function of the static NAS
+/// table) and shared by every caller.
+const std::vector<NamedModel>& standard_candidates();
 
 /// Epoch-weighted mean relative disagreement between two models'
 /// predictions over the caps the observations cover.  Two candidates
 /// below a small distance are interchangeable for budgeting purposes —
 /// picking either is not an ambiguity.
 double model_prediction_distance(const PowerPerfModel& a, const PowerPerfModel& b,
-                                 const std::vector<EpochObservation>& observations);
+                                 std::span<const EpochObservation> observations);
 
 }  // namespace anor::model

@@ -77,20 +77,42 @@ PkgPowerInfo PkgPowerInfo::decode(std::uint64_t raw, const RaplUnits& units) {
 
 MsrFile::MsrFile() {
   // Default msr-safe-style allowlist: all four RAPL registers readable,
-  // only the power limit writable.
-  readable_ = {kMsrRaplPowerUnit, kMsrPkgPowerLimit, kMsrPkgEnergyStatus, kMsrPkgPowerInfo};
-  writable_ = {kMsrPkgPowerLimit};
-  registers_[kMsrRaplPowerUnit] = RaplUnits{}.encode();
-  registers_[kMsrPkgPowerLimit] = 0;
-  registers_[kMsrPkgEnergyStatus] = 0;
-  registers_[kMsrPkgPowerInfo] = 0;
+  // only the power limit writable.  The per-tick registers lead.
+  slots_.reserve(4);
+  slots_.push_back(Slot{kMsrPkgEnergyStatus, true, true, false, 0});
+  slots_.push_back(Slot{kMsrPkgPowerLimit, true, true, true, 0});
+  slots_.push_back(Slot{kMsrRaplPowerUnit, true, true, false, RaplUnits{}.encode()});
+  slots_.push_back(Slot{kMsrPkgPowerInfo, true, true, false, 0});
+}
+
+void MsrFile::throw_unknown(std::uint32_t address) {
+  throw util::MsrAccessError("unknown MSR: " + hex_of(address));
+}
+
+MsrFile::Slot& MsrFile::slot(std::uint32_t address) {
+  for (Slot& s : slots_) {
+    if (s.address == address) return s;
+  }
+  slots_.push_back(Slot{address, false, false, false, 0});
+  return slots_.back();
+}
+
+bool MsrFile::read_allowed(std::uint32_t address) const {
+  const Slot* s = find(address);
+  return s != nullptr && s->readable;
+}
+
+bool MsrFile::write_allowed(std::uint32_t address) const {
+  const Slot* s = find(address);
+  return s != nullptr && s->writable;
 }
 
 std::uint64_t MsrFile::read(std::uint32_t address) const {
   static auto& reads = telemetry::MetricsRegistry::global().counter("node.msr.reads");
   static auto& denied = telemetry::MetricsRegistry::global().counter("node.msr.denied");
   static auto& faults = telemetry::MetricsRegistry::global().counter("node.msr.read_faults");
-  if (readable_.count(address) == 0) {
+  const Slot* s = find(address);
+  if (s == nullptr || !s->readable) {
     denied.inc();
     throw util::MsrAccessError("MSR read denied by allowlist: " + hex_of(address));
   }
@@ -99,14 +121,15 @@ std::uint64_t MsrFile::read(std::uint32_t address) const {
     throw util::MsrAccessError("transient MSR read fault: " + hex_of(address));
   }
   reads.inc();
-  return raw_read(address);
+  if (!s->present) throw_unknown(address);
+  return s->value;
 }
 
 void MsrFile::write(std::uint32_t address, std::uint64_t value) {
   static auto& writes = telemetry::MetricsRegistry::global().counter("node.msr.writes");
   static auto& denied = telemetry::MetricsRegistry::global().counter("node.msr.denied");
   static auto& faults = telemetry::MetricsRegistry::global().counter("node.msr.write_faults");
-  if (writable_.count(address) == 0) {
+  if (!write_allowed(address)) {
     denied.inc();
     throw util::MsrAccessError("MSR write denied by allowlist: " + hex_of(address));
   }
@@ -118,21 +141,14 @@ void MsrFile::write(std::uint32_t address, std::uint64_t value) {
   raw_write(address, value);
 }
 
-std::uint64_t MsrFile::raw_read(std::uint32_t address) const {
-  const auto it = registers_.find(address);
-  if (it == registers_.end()) {
-    throw util::MsrAccessError("unknown MSR: " + hex_of(address));
-  }
-  return it->second;
-}
-
 void MsrFile::raw_write(std::uint32_t address, std::uint64_t value) {
-  registers_[address] = value;
+  Slot& s = slot(address);
+  s.present = true;
+  s.value = value;
 }
 
 void MsrFile::deny_all() {
-  readable_.clear();
-  writable_.clear();
+  for (Slot& s : slots_) s.readable = s.writable = false;
 }
 
 }  // namespace anor::platform

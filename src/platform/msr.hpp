@@ -11,9 +11,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -69,6 +68,12 @@ struct PkgPowerInfo {
 /// would reject them.  The hardware model (CpuPackage) bypasses the
 /// allowlist via raw_* accessors, exactly as silicon updates registers
 /// regardless of the kernel's access policy.
+///
+/// Registers and allowlist bits share one small flat table, searched
+/// linearly, with the four RAPL registers first: a package touches only
+/// those on every tick, so a lookup is a few compares and no access
+/// allocates.  Any other address gets a slot the first time it is
+/// allowed or raw-written.
 class MsrFile {
  public:
   /// Constructs with the default allowlist (the four RAPL registers above;
@@ -79,16 +84,21 @@ class MsrFile {
   std::uint64_t read(std::uint32_t address) const;
   void write(std::uint32_t address, std::uint64_t value);
 
-  /// Ungated accessors used by the hardware model itself.
-  std::uint64_t raw_read(std::uint32_t address) const;
+  /// Ungated accessors used by the hardware model itself (inline: a
+  /// package reads its registers on every tick).
+  std::uint64_t raw_read(std::uint32_t address) const {
+    const Slot* s = find(address);
+    if (s == nullptr || !s->present) throw_unknown(address);
+    return s->value;
+  }
   void raw_write(std::uint32_t address, std::uint64_t value);
 
   /// Allowlist management (tests exercise denial paths).
-  void allow_read(std::uint32_t address) { readable_.insert(address); }
-  void allow_write(std::uint32_t address) { writable_.insert(address); }
+  void allow_read(std::uint32_t address) { slot(address).readable = true; }
+  void allow_write(std::uint32_t address) { slot(address).writable = true; }
   void deny_all();
-  bool read_allowed(std::uint32_t address) const { return readable_.count(address) != 0; }
-  bool write_allowed(std::uint32_t address) const { return writable_.count(address) != 0; }
+  bool read_allowed(std::uint32_t address) const;
+  bool write_allowed(std::uint32_t address) const;
 
   /// Transient-fault hook, consulted on every *gated* access (raw_* is
   /// the silicon and never faults).  Returning true makes the access
@@ -98,9 +108,28 @@ class MsrFile {
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
  private:
-  std::map<std::uint32_t, std::uint64_t> registers_;
-  std::set<std::uint32_t> readable_;
-  std::set<std::uint32_t> writable_;
+  /// One address: its register value (when a register exists there) and
+  /// its allowlist bits.
+  struct Slot {
+    std::uint32_t address = 0;
+    bool present = false;
+    bool readable = false;
+    bool writable = false;
+    std::uint64_t value = 0;
+  };
+
+  /// The slot of `address`, or nullptr when the table has none.
+  const Slot* find(std::uint32_t address) const {
+    for (const Slot& s : slots_) {
+      if (s.address == address) return &s;
+    }
+    return nullptr;
+  }
+  [[noreturn]] static void throw_unknown(std::uint32_t address);
+  /// The slot of `address`, appended (absent and denied) when missing.
+  Slot& slot(std::uint32_t address);
+
+  std::vector<Slot> slots_;
   FaultHook fault_hook_;
 };
 

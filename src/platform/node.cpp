@@ -11,7 +11,7 @@ Node::Node(int node_id, const NodeConfig& config) : id_(node_id), config_(config
   if (config.package_count < 1) throw std::invalid_argument("Node: package_count < 1");
   packages_.reserve(static_cast<std::size_t>(config.package_count));
   for (int i = 0; i < config.package_count; ++i) {
-    packages_.push_back(std::make_unique<CpuPackage>(config.package));
+    packages_.emplace_back(config.package);
   }
 }
 
@@ -37,26 +37,26 @@ void Node::set_power_cap(double node_cap_w) {
   }
   for (auto& pkg : packages_) {
     const PkgPowerLimit limit{per_package, 1.0, true, true};
-    pkg->msr().write(kMsrPkgPowerLimit, limit.encode(pkg->units()));
+    pkg.msr().write(kMsrPkgPowerLimit, limit.encode(pkg.units()));
     limit_writes.inc();
   }
 }
 
 double Node::effective_cap_w() const {
   double total = 0.0;
-  for (const auto& pkg : packages_) total += pkg->effective_cap_w();
+  for (const auto& pkg : packages_) total += pkg.effective_cap_w();
   return total;
 }
 
 double Node::power_w() const {
   double total = 0.0;
-  for (const auto& pkg : packages_) total += pkg->power_w();
+  for (const auto& pkg : packages_) total += pkg.power_w();
   return total;
 }
 
 double Node::total_energy_j() const {
   double total = 0.0;
-  for (const auto& pkg : packages_) total += pkg->total_energy_j();
+  for (const auto& pkg : packages_) total += pkg.total_energy_j();
   return total;
 }
 
@@ -72,7 +72,7 @@ void Node::step(double dt_s) {
     demand = load_->power_demand_w(cap);
   }
   const double per_package_demand = demand / package_count();
-  for (auto& pkg : packages_) pkg->step(dt_s, per_package_demand);
+  for (auto& pkg : packages_) pkg.step(dt_s, per_package_demand);
 }
 
 }  // namespace anor::platform

@@ -31,9 +31,9 @@ class Node {
   const NodeConfig& config() const { return config_; }
   int package_count() const { return static_cast<int>(packages_.size()); }
 
-  CpuPackage& package(int index) { return *packages_.at(static_cast<std::size_t>(index)); }
+  CpuPackage& package(int index) { return packages_.at(static_cast<std::size_t>(index)); }
   const CpuPackage& package(int index) const {
-    return *packages_.at(static_cast<std::size_t>(index));
+    return packages_.at(static_cast<std::size_t>(index));
   }
 
   /// Node-level cap limits (sum over packages).
@@ -71,7 +71,7 @@ class Node {
  private:
   int id_;
   NodeConfig config_;
-  std::vector<std::unique_ptr<CpuPackage>> packages_;
+  std::vector<CpuPackage> packages_;  // sized once, at construction
   std::shared_ptr<ComputeLoad> load_;
 };
 

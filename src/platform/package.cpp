@@ -12,25 +12,40 @@ CpuPackage::CpuPackage(const PackageConfig& config)
   msr_.raw_write(kMsrPkgPowerInfo, info.encode(units_));
   // Power up with the limit at TDP, enabled — the common BIOS default.
   const PkgPowerLimit limit{config_.max_cap_w, 1.0, true, true};
-  msr_.raw_write(kMsrPkgPowerLimit, limit.encode(units_));
+  cap_raw_ = limit.encode(units_);
+  cap_w_ = decode_cap_w(cap_raw_);
+  msr_.raw_write(kMsrPkgPowerLimit, cap_raw_);
 }
 
-double CpuPackage::effective_cap_w() const {
-  const PkgPowerLimit limit = PkgPowerLimit::decode(msr_.raw_read(kMsrPkgPowerLimit), units_);
+double CpuPackage::decode_cap_w(std::uint64_t raw) const {
+  const PkgPowerLimit limit = PkgPowerLimit::decode(raw, units_);
   if (!limit.enabled) return config_.max_cap_w;
   return std::clamp(limit.power_limit_w, config_.min_cap_w, config_.max_cap_w);
 }
 
+double CpuPackage::effective_cap_w() const {
+  const std::uint64_t raw = msr_.raw_read(kMsrPkgPowerLimit);
+  return raw == cap_raw_ ? cap_w_ : decode_cap_w(raw);
+}
+
 void CpuPackage::step(double dt_s, double demand_w) {
   if (dt_s <= 0.0) return;
-  const double cap = effective_cap_w();
+  const std::uint64_t raw = msr_.raw_read(kMsrPkgPowerLimit);
+  if (raw != cap_raw_) {
+    cap_raw_ = raw;
+    cap_w_ = decode_cap_w(raw);
+  }
+  const double cap = cap_w_;
   const double floor = config_.idle_power_w;
   const double target = std::clamp(std::min(demand_w, cap), floor, config_.max_cap_w);
   // First-order settle toward the target power.
   const double tau = config_.response_tau_s;
   if (tau > 1e-9) {
-    const double alpha = 1.0 - std::exp(-dt_s / tau);
-    power_w_ += (target - power_w_) * alpha;
+    if (dt_s != response_dt_s_) {
+      response_dt_s_ = dt_s;
+      response_alpha_ = 1.0 - std::exp(-dt_s / tau);
+    }
+    power_w_ += (target - power_w_) * response_alpha_;
   } else {
     power_w_ = target;
   }

@@ -35,7 +35,8 @@ class CpuPackage {
 
   /// Cap currently programmed in PKG_POWER_LIMIT, clamped by hardware to
   /// the [min_cap, max_cap] range (RAPL ignores out-of-range requests by
-  /// clamping, it does not fault).
+  /// clamping, it does not fault).  Served from the decode cache while
+  /// the register holds the bits step() last decoded.
   double effective_cap_w() const;
 
   /// Instantaneous power draw (after the first-order response), watts.
@@ -46,16 +47,29 @@ class CpuPackage {
 
   /// Advance the hardware model: settle power toward min(demand, cap) and
   /// integrate energy into the wrapping counter.  `demand_w` is the power
-  /// the load would draw on this package if uncapped.
+  /// the load would draw on this package if uncapped.  Refreshes both
+  /// caches below; they are written nowhere else, so const readers on
+  /// other threads never race with a cache update.
   void step(double dt_s, double demand_w);
 
   /// Decoded RAPL units for this package.
   const RaplUnits& units() const { return units_; }
 
  private:
+  /// The clamped cap `raw` PKG_POWER_LIMIT bits program: a pure function
+  /// of the bits (units and cap range are fixed at construction).
+  double decode_cap_w(std::uint64_t raw) const;
+
   PackageConfig config_;
   RaplUnits units_;
   MsrFile msr_;
+  // Decode cache: the PKG_POWER_LIMIT bits last decoded and their cap.
+  std::uint64_t cap_raw_ = 0;
+  double cap_w_ = 0.0;
+  // Response cache: 1 - exp(-dt/tau) for the last dt stepped (tau is
+  // fixed; 0 never matches since step() returns early on dt <= 0).
+  double response_dt_s_ = 0.0;
+  double response_alpha_ = 0.0;
   double power_w_;
   double total_energy_j_ = 0.0;
   double energy_accum_j_ = 0.0;  // sub-counter-unit remainder

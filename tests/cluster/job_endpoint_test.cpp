@@ -31,7 +31,7 @@ struct JobEndpointTest : ::testing::Test {
 
   /// Push an agent sample with the given epoch count at time t.
   void push_sample(double t, long epochs) {
-    std::vector<double> sample(geopm::kSampleSize, 0.0);
+    geopm::Sample sample{};
     sample[geopm::kSampleEpochCount] = static_cast<double>(epochs);
     sample[geopm::kSampleTimestamp] = t;
     geopm_endpoint.write_sample(t, sample);

@@ -69,7 +69,7 @@ TEST(TcpIntegration, EndToEndBudgetAndFeedbackOverSocket) {
     while (epoch_t + bt.epoch_time_s(last_cap) <= clock.now()) {
       epoch_t += bt.epoch_time_s(last_cap);
       ++epochs;
-      std::vector<double> sample(geopm::kSampleSize, 0.0);
+      geopm::Sample sample{};
       sample[geopm::kSampleEpochCount] = static_cast<double>(epochs);
       sample[geopm::kSampleTimestamp] = epoch_t;
       sample[geopm::kSampleEpochTime] = epoch_t;

@@ -15,21 +15,20 @@ class ScriptedAgent final : public Agent {
   explicit ScriptedAgent(double power) : power_(power) {}
 
   std::string name() const override { return "scripted"; }
-  void validate_policy(const std::vector<double>& policy) const override {
-    if (policy.empty()) throw std::invalid_argument("empty policy");
+  void validate_policy(const Policy& policy) const override {
+    if (!(policy[kPolicyPowerCap] > 0.0)) throw std::invalid_argument("zero cap");
   }
-  void adjust_platform(const std::vector<double>& policy) override {
+  void adjust_platform(const Policy& policy) override {
     applied_policies.push_back(policy[0]);
   }
-  std::vector<double> sample_platform() override {
-    std::vector<double> sample(kSampleSize, 0.0);
+  Sample sample_platform() override {
+    Sample sample{};
     sample[kSamplePower] = power_;
     sample[kSampleEpochCount] = power_;  // distinct per agent for min checks
     return sample;
   }
-  std::vector<double> aggregate_samples(
-      const std::vector<std::vector<double>>& child_samples) const override {
-    std::vector<double> agg(kSampleSize, 0.0);
+  Sample aggregate_samples(std::span<const Sample> child_samples) const override {
+    Sample agg{};
     double min_epoch = child_samples.front()[kSampleEpochCount];
     for (const auto& s : child_samples) {
       agg[kSamplePower] += s[kSamplePower];
@@ -45,26 +44,34 @@ class ScriptedAgent final : public Agent {
   double power_;
 };
 
+/// Children of `index` as a list, from the topology's arithmetic.
+std::vector<int> children_of(const TreeTopology& topo, int index) {
+  std::vector<int> children;
+  for (int c = 0; c < topo.child_count(index); ++c) children.push_back(topo.first_child(index) + c);
+  return children;
+}
+
 TEST(TreeTopology, SingleNode) {
   TreeTopology topo{1, 4};
-  EXPECT_TRUE(topo.children_of(0).empty());
+  EXPECT_TRUE(children_of(topo, 0).empty());
   EXPECT_EQ(topo.parent_of(0), -1);
   EXPECT_EQ(topo.depth(), 0);
 }
 
 TEST(TreeTopology, FanoutStructure) {
   TreeTopology topo{7, 2};
-  EXPECT_EQ(topo.children_of(0), (std::vector<int>{1, 2}));
-  EXPECT_EQ(topo.children_of(1), (std::vector<int>{3, 4}));
-  EXPECT_EQ(topo.children_of(2), (std::vector<int>{5, 6}));
-  EXPECT_TRUE(topo.children_of(3).empty());
+  EXPECT_EQ(children_of(topo, 0), (std::vector<int>{1, 2}));
+  EXPECT_EQ(children_of(topo, 1), (std::vector<int>{3, 4}));
+  EXPECT_EQ(children_of(topo, 2), (std::vector<int>{5, 6}));
+  EXPECT_TRUE(children_of(topo, 3).empty());
   EXPECT_EQ(topo.parent_of(5), 2);
   EXPECT_EQ(topo.depth(), 2);
 }
 
 TEST(TreeTopology, PartialLastLevel) {
   TreeTopology topo{5, 4};
-  EXPECT_EQ(topo.children_of(0), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(children_of(topo, 0), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(children_of(topo, 1).empty());
   EXPECT_EQ(topo.depth(), 1);
 }
 

@@ -76,7 +76,8 @@ TEST_F(ControllerTest, EndpointPolicyPropagatesToAllNodes) {
 TEST_F(ControllerTest, SamplesFlowToEndpoint) {
   JobController controller("j", type, node_ptrs(2), clock, util::Rng(1), controller_config);
   run_for(controller, 3.0);
-  const auto samples = controller.endpoint().read_samples();
+  std::vector<TimedSample> samples;
+  controller.endpoint().read_samples(samples);
   ASSERT_FALSE(samples.empty());
   const auto& last = samples.back().sample;
   ASSERT_EQ(last.size(), static_cast<std::size_t>(kSampleSize));
@@ -126,7 +127,8 @@ TEST_F(ControllerTest, ControlStepHonorsPeriod) {
   clock.advance(0.1);
   controller.control_step(clock.now());
   controller.control_step(clock.now());
-  EXPECT_EQ(controller.endpoint().read_samples().size(), 1u);
+  std::vector<TimedSample> samples;
+  EXPECT_EQ(controller.endpoint().read_samples(samples), 1u);
 }
 
 TEST_F(ControllerTest, TraceRecordsControlLoopRows) {

@@ -25,11 +25,15 @@ TEST(Endpoint, SamplesDrainInOrder) {
   Endpoint endpoint;
   endpoint.write_sample(1.0, {100.0});
   endpoint.write_sample(2.0, {110.0});
-  const auto samples = endpoint.read_samples();
+  std::vector<TimedSample> samples;
+  ASSERT_EQ(endpoint.read_samples(samples), 2u);
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_DOUBLE_EQ(samples[0].timestamp_s, 1.0);
   EXPECT_DOUBLE_EQ(samples[1].timestamp_s, 2.0);
-  EXPECT_TRUE(endpoint.read_samples().empty());
+  EXPECT_DOUBLE_EQ(samples[1].sample[0], 110.0);
+  // A second drain replaces the buffer's contents with nothing.
+  EXPECT_EQ(endpoint.read_samples(samples), 0u);
+  EXPECT_TRUE(samples.empty());
 }
 
 TEST(Endpoint, LatestSampleRemembered) {
@@ -37,12 +41,13 @@ TEST(Endpoint, LatestSampleRemembered) {
   EXPECT_FALSE(endpoint.latest_sample().has_value());
   endpoint.write_sample(1.0, {100.0});
   endpoint.write_sample(5.0, {130.0});
-  endpoint.read_samples();
+  std::vector<TimedSample> drained;
+  endpoint.read_samples(drained);
   const auto latest = endpoint.latest_sample();
   ASSERT_TRUE(latest.has_value());
   EXPECT_DOUBLE_EQ(latest->timestamp_s, 5.0);
   // Draining again (empty) must not clear the latest.
-  endpoint.read_samples();
+  endpoint.read_samples(drained);
   EXPECT_TRUE(endpoint.latest_sample().has_value());
 }
 
@@ -65,8 +70,10 @@ TEST(Endpoint, CrossThreadHandoff) {
   });
   int received = 0;
   double last = -1.0;
+  std::vector<TimedSample> drained;
   while (received < kCount) {
-    for (const auto& s : endpoint.read_samples()) {
+    endpoint.read_samples(drained);
+    for (const auto& s : drained) {
       EXPECT_GT(s.timestamp_s, last);
       last = s.timestamp_s;
       ++received;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <vector>
 
 #include "geopm/controller.hpp"
 #include "geopm/signals.hpp"
@@ -10,11 +12,22 @@
 namespace anor::geopm {
 namespace {
 
-std::vector<double> sample_of(double epochs, double nodes = 1.0) {
-  std::vector<double> sample(kSampleSize, 0.0);
+Sample sample_of(double epochs, double nodes = 1.0) {
+  Sample sample{};
   sample[kSampleEpochCount] = epochs;
   sample[kSampleNodeCount] = nodes;
   return sample;
+}
+
+void observe(Agent& agent, std::initializer_list<Sample> samples) {
+  agent.observe_child_samples(std::span<const Sample>(samples.begin(), samples.size()));
+}
+
+/// The agent's split of a `cap` policy across `count` children.
+std::vector<Policy> split_of(const Agent& agent, double cap, int count) {
+  std::vector<Policy> split(static_cast<std::size_t>(count));
+  agent.split_policy(Policy{cap}, split);
+  return split;
 }
 
 struct BalancerTest : ::testing::Test {
@@ -39,7 +52,7 @@ struct BalancerTest : ::testing::Test {
 };
 
 TEST_F(BalancerTest, NoObservationsBroadcasts) {
-  const auto split = agent.split_policy({200.0}, 3);
+  const auto split = split_of(agent, 200.0, 3);
   ASSERT_EQ(split.size(), 3u);
   for (const auto& p : split) EXPECT_DOUBLE_EQ(p[kPolicyPowerCap], 200.0);
 }
@@ -47,32 +60,32 @@ TEST_F(BalancerTest, NoObservationsBroadcasts) {
 TEST_F(BalancerTest, LaggingChildGetsMorePower) {
   // Own sample + two children: child 0 behind (90 epochs), child 1 ahead
   // (110); mean 100.
-  agent.observe_child_samples({sample_of(100), sample_of(90), sample_of(110)});
-  const auto split = agent.split_policy({200.0}, 2);
+  observe(agent, {sample_of(100), sample_of(90), sample_of(110)});
+  const auto split = split_of(agent, 200.0, 2);
   ASSERT_EQ(split.size(), 2u);
   EXPECT_GT(split[0][kPolicyPowerCap], 200.0);
   EXPECT_LT(split[1][kPolicyPowerCap], 200.0);
 }
 
 TEST_F(BalancerTest, SplitConservesSubtreePower) {
-  agent.observe_child_samples({sample_of(100), sample_of(80), sample_of(120)});
-  const auto split = agent.split_policy({200.0}, 2);
+  observe(agent, {sample_of(100), sample_of(80), sample_of(120)});
+  const auto split = split_of(agent, 200.0, 2);
   const double total = split[0][kPolicyPowerCap] + split[1][kPolicyPowerCap];
   EXPECT_NEAR(total, 2 * 200.0, 1.0);
 }
 
 TEST_F(BalancerTest, ConservationWeightsBySubtreeSize) {
   // Child 0 has 3 nodes, child 1 has 1 node.
-  agent.observe_child_samples({sample_of(100), sample_of(90, 3.0), sample_of(130, 1.0)});
-  const auto split = agent.split_policy({200.0}, 2);
+  observe(agent, {sample_of(100), sample_of(90, 3.0), sample_of(130, 1.0)});
+  const auto split = split_of(agent, 200.0, 2);
   const double total = 3.0 * split[0][kPolicyPowerCap] + 1.0 * split[1][kPolicyPowerCap];
   EXPECT_NEAR(total, 4.0 * 200.0, 2.0);
 }
 
 TEST_F(BalancerTest, CapsClampToPlatformRange) {
   // Massive lag: the shift must clamp into [140, 280].
-  agent.observe_child_samples({sample_of(100), sample_of(1), sample_of(199)});
-  const auto split = agent.split_policy({200.0}, 2);
+  observe(agent, {sample_of(100), sample_of(1), sample_of(199)});
+  const auto split = split_of(agent, 200.0, 2);
   for (const auto& p : split) {
     EXPECT_GE(p[kPolicyPowerCap], 140.0);
     EXPECT_LE(p[kPolicyPowerCap], 280.0);
@@ -80,8 +93,8 @@ TEST_F(BalancerTest, CapsClampToPlatformRange) {
 }
 
 TEST_F(BalancerTest, EqualChildrenGetEqualCaps) {
-  agent.observe_child_samples({sample_of(100), sample_of(100), sample_of(100)});
-  const auto split = agent.split_policy({200.0}, 2);
+  observe(agent, {sample_of(100), sample_of(100), sample_of(100)});
+  const auto split = split_of(agent, 200.0, 2);
   EXPECT_DOUBLE_EQ(split[0][kPolicyPowerCap], split[1][kPolicyPowerCap]);
   EXPECT_DOUBLE_EQ(split[0][kPolicyPowerCap], 200.0);
 }
@@ -92,12 +105,12 @@ TEST_F(BalancerTest, SmoothingDampsTheShift) {
   platform::Node node2(1, instant_node());
   PlatformIO pio2(node2, clock);
   PowerBalancerAgent damped(pio2, smooth);
-  damped.observe_child_samples({sample_of(100), sample_of(80), sample_of(120)});
-  agent.observe_child_samples({sample_of(100), sample_of(80), sample_of(120)});
+  observe(damped, {sample_of(100), sample_of(80), sample_of(120)});
+  observe(agent, {sample_of(100), sample_of(80), sample_of(120)});
   const double raw_shift =
-      agent.split_policy({200.0}, 2)[0][kPolicyPowerCap] - 200.0;
+      split_of(agent, 200.0, 2)[0][kPolicyPowerCap] - 200.0;
   const double damped_shift =
-      damped.split_policy({200.0}, 2)[0][kPolicyPowerCap] - 200.0;
+      split_of(damped, 200.0, 2)[0][kPolicyPowerCap] - 200.0;
   EXPECT_GT(raw_shift, damped_shift);
   EXPECT_GT(damped_shift, 0.0);
 }

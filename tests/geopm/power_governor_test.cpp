@@ -60,7 +60,7 @@ TEST_F(PowerGovernorTest, SampleHasAllFields) {
 }
 
 TEST_F(PowerGovernorTest, AggregationSumsPowerMinsEpochs) {
-  std::vector<std::vector<double>> samples = {
+  const std::vector<Sample> samples = {
       {100.0, 1000.0, 7.0, 1.0, 1.0},
       {120.0, 1100.0, 5.0, 1.2, 2.0},
       {90.0, 900.0, 9.0, 0.9, 1.0},
@@ -80,8 +80,8 @@ TEST_F(PowerGovernorTest, AggregationOfNothingIsZeros) {
 }
 
 TEST_F(PowerGovernorTest, DefaultSplitBroadcasts) {
-  const auto split = agent.split_policy({222.0}, 3);
-  ASSERT_EQ(split.size(), 3u);
+  std::vector<Policy> split(3);
+  agent.split_policy(Policy{222.0}, split);
   for (const auto& p : split) {
     ASSERT_EQ(p.size(), 1u);
     EXPECT_DOUBLE_EQ(p[0], 222.0);

@@ -20,11 +20,18 @@ EpochObservation obs(double cap, double spe, long epochs, double t0 = 0.0) {
   return o;
 }
 
+std::vector<CapAggregate> pooled(const std::vector<EpochObservation>& observations,
+                                 double bucket_w = 5.0, bool clean_only = false) {
+  std::vector<CapAggregate> pool;
+  aggregate_by_cap(observations, pool, bucket_w, clean_only);
+  return pool;
+}
+
 TEST(AggregateByCap, PoolsSameBucket) {
   // Quantized spans: "2 or 3 epochs per 4 s" pools back to the true rate.
   std::vector<EpochObservation> observations = {
       obs(150.0, 4.0 / 3.0, 3), obs(150.0, 2.0, 2), obs(150.0, 4.0 / 3.0, 3)};
-  const auto aggregates = aggregate_by_cap(observations);
+  const auto aggregates = pooled(observations);
   ASSERT_EQ(aggregates.size(), 1u);
   EXPECT_EQ(aggregates[0].epochs, 8);
   EXPECT_NEAR(aggregates[0].sec_per_epoch, 12.0 / 8.0, 1e-12);
@@ -34,26 +41,26 @@ TEST(AggregateByCap, PoolsSameBucket) {
 TEST(AggregateByCap, SeparatesDistantCaps) {
   std::vector<EpochObservation> observations = {obs(150.0, 1.5, 4), obs(200.0, 1.2, 4),
                                                 obs(152.0, 1.5, 4)};
-  const auto aggregates = aggregate_by_cap(observations, 5.0);
+  const auto aggregates = pooled(observations, 5.0);
   EXPECT_EQ(aggregates.size(), 2u);
 }
 
 TEST(AggregateByCap, WeightsCapByEpochs) {
   std::vector<EpochObservation> observations = {obs(148.0, 1.0, 1), obs(152.0, 1.0, 3)};
-  const auto aggregates = aggregate_by_cap(observations, 5.0);
+  const auto aggregates = pooled(observations, 5.0);
   ASSERT_EQ(aggregates.size(), 1u);
   EXPECT_NEAR(aggregates[0].cap_w, (148.0 + 3 * 152.0) / 4.0, 1e-12);
 }
 
 TEST(AggregateByCap, SkipsZeroEpochObservations) {
   std::vector<EpochObservation> observations = {obs(150.0, 1.0, 0), obs(150.0, 1.0, 2)};
-  const auto aggregates = aggregate_by_cap(observations);
+  const auto aggregates = pooled(observations);
   ASSERT_EQ(aggregates.size(), 1u);
   EXPECT_EQ(aggregates[0].epochs, 2);
 }
 
 TEST(AggregateByCap, EmptyInEmptyOut) {
-  EXPECT_TRUE(aggregate_by_cap({}).empty());
+  EXPECT_TRUE(pooled({}).empty());
 }
 
 TEST(PredictionDistance, SameModelIsZero) {

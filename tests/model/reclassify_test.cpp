@@ -33,7 +33,9 @@ TEST(Reclassifier, MeanRelativeErrorZeroForTruth) {
   const auto& bt = workload::find_job_type("bt.D.x");
   const PowerPerfModel truth = PowerPerfModel::from_job_type(bt);
   const auto observations = observe(bt, 180.0, 12);
-  EXPECT_NEAR(Reclassifier::mean_relative_error(truth, observations), 0.0, 1e-6);
+  std::vector<CapAggregate> pool;
+  aggregate_by_cap(observations, pool);
+  EXPECT_NEAR(Reclassifier::mean_relative_error(truth, pool), 0.0, 1e-6);
 }
 
 TEST(Reclassifier, DetectsBtMisclassifiedAsIs) {

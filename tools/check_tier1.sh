@@ -6,7 +6,10 @@
 # job-ordered reference), the repeated-add helper, the simulator's node
 # table (lane, row and power-source indices, the idle and run-break
 # bitmaps), job table (the lazily merged running set) and completion
-# queue, and the streaming JSON writer,
+# queue, the emulated job tier (the flat MSR register file, the agent
+# tree's fixed scratch and span-written policy splits, the pooled
+# modeler buffers, the emulated goldens and the zero-allocation tick),
+# and the streaming JSON writer,
 # cache-entry reader, Json::parse and export goldens (parsers of untrusted
 # files), and TSan over the simulator's sharded stepping, the ShardWorkers
 # rendezvous and parallel_for chunking, and the result cache's concurrent
@@ -126,14 +129,14 @@ EOF
 cmp "$policy_dir/first.json" "$policy_dir/second.json"
 rm -rf "$policy_dir"
 
-echo "== sanitizers: ASan/UBSan telemetry, even-slowdown differential, node table, JSON streaming =="
+echo "== sanitizers: ASan/UBSan telemetry, even-slowdown differential, node table, emulated job tier, JSON streaming =="
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$asan_dir" -j"$jobs" --target telemetry_test util_test budget_test engine_test sim_test \
-  anorctl
+  platform_test geopm_test model_test alloc_test anorctl
 "$asan_dir/tests/telemetry_test"
 run_gtest "$asan_dir/tests/util_test" 'Logger.*:VirtualClock.*'
 # util::add_repeated against the plain add loop, bit for bit: the
@@ -153,6 +156,19 @@ run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
 # properties, and the completion gate against a full scan.
 run_gtest "$asan_dir/tests/sim_test" \
   'NodeTable*:SimRowCaps.*:SimLanes.*:JobTable*:SimCompletionGate.*'
+# The emulated job tier writes through spans into fixed scratch: the MSR
+# register file's flat table, the agent tree's per-position records and
+# the balancer's in-place split, PlatformIO's resolved batches, the
+# endpoint rings and caller-owned drain buffer, and the modeler's pooled
+# buckets (sorted inserts into a reused buffer).  The two emulated
+# goldens run the whole tier end to end; the allocation test holds the
+# steady-state tick at zero allocations.
+run_gtest "$asan_dir/tests/platform_test" 'MsrFile.*:CpuPackage.*:Node.*'
+run_gtest "$asan_dir/tests/geopm_test" \
+  'AgentTree.*:TreeTopology.*:BalancerTest.*:ControllerTest.*:PlatformIoTest.*:PowerGovernorTest.*:Endpoint.*'
+run_gtest "$asan_dir/tests/model_test" 'AggregateByCap.*:Reclassifier.*:OnlineModeler.*'
+run_gtest "$asan_dir/tests/engine_test" 'EmulatedDeterminism.*'
+run_gtest "$asan_dir/tests/alloc_test" 'SteadyStateAllocation.*'
 # The streaming writer and number formatter against Json::dump/printf,
 # the cursor (and Json::parse, built on it) against the original parser
 # on mutated texts, the cache-entry reader on truncated and byte-flipped

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_sim.json or two BENCH_sweep.json reports.
+"""Compare two BENCH_sim.json, two BENCH_emu.json or two BENCH_sweep.json reports.
 
 BENCH_sim.json (schema anor.bench_sim.v1): matches cases by (nodes,
 duration_s, step_workers, job_shape; a report without job_shape has only
@@ -9,6 +9,10 @@ steps_per_sec regressed by more than the threshold (default 10%), or if
 any shared case's trace_hash changed: a speed comparison between runs
 that computed different results means nothing, so the script names each
 such case and fails.
+
+BENCH_emu.json (schema anor.bench_emu.v1): the same steps/sec table and
+regression threshold, cases matched by node count, and a failure naming
+each shared case whose result_hash changed.
 
 BENCH_sweep.json (schema anor.bench_sweep.v1): prints the cold pass's
 wall time and the warm and cached speedups over it, baseline -> candidate,
@@ -38,12 +42,19 @@ import sys
 
 
 SIM_SCHEMA = "anor.bench_sim.v1"
+EMU_SCHEMA = "anor.bench_emu.v1"
 SWEEP_SCHEMA = "anor.bench_sweep.v1"
 
 
 def case_key(case):
     return (case["nodes"], case["duration_s"], case["step_workers"],
             case.get("job_shape", "wide"))
+
+
+def case_hash(case):
+    """What the case computed: BENCH_sim's trace_hash, BENCH_emu's
+    result_hash."""
+    return case.get("trace_hash") or case.get("result_hash")
 
 
 def was_computed(case):
@@ -60,7 +71,7 @@ def fmt_key(key):
 def load_report(path):
     with open(path) as f:
         report = json.load(f)
-    if report.get("schema") not in (SIM_SCHEMA, SWEEP_SCHEMA):
+    if report.get("schema") not in (SIM_SCHEMA, EMU_SCHEMA, SWEEP_SCHEMA):
         sys.exit(f"{path}: unexpected schema {report.get('schema')!r}")
     return report
 
@@ -176,10 +187,10 @@ def main():
 
     hash_changes = []
     for key in sorted(shared):
-        bh = base_cases[key].get("trace_hash")
-        ch = cand_cases[key].get("trace_hash")
+        bh = case_hash(base_cases[key])
+        ch = case_hash(cand_cases[key])
         if bh and ch and bh != ch:
-            print(f"{fmt_key(key)}: trace hash changed {bh} -> {ch} "
+            print(f"{fmt_key(key)}: result hash changed {bh} -> {ch} "
                   f"(simulation behavior differs, not just speed)")
             hash_changes.append(key)
 
@@ -217,7 +228,7 @@ def main():
     else:
         print(f"\nOK: no case regressed more than {args.threshold:.0%}")
     if hash_changes:
-        print(f"FAIL: trace hash changed in {len(hash_changes)} case(s): "
+        print(f"FAIL: result hash changed in {len(hash_changes)} case(s): "
               + ", ".join(fmt_key(key) for key in hash_changes))
 
     if args.require_parallel_win:
