@@ -162,7 +162,6 @@ int main(int argc, char** argv) {
     util::JsonObject entry;
     entry["nodes"] = util::Json(nodes);
     entry["duration_s"] = util::Json(kDurationS);
-    entry["step_workers"] = util::Json(0);
     entry["jobs_submitted"] = util::Json(static_cast<double>(spec.schedule.jobs.size()));
     entry["jobs_completed"] = util::Json(timed.jobs_completed);
     entry["steps"] = util::Json(static_cast<double>(timed.steps));

@@ -1,5 +1,5 @@
-// Simulator scaling bench: sweeps node counts and step-worker counts over
-// the seeded tracking scenario and writes BENCH_sim.json (schema
+// Simulator scaling bench: sweeps node counts over the seeded tracking
+// scenario and writes BENCH_sim.json (schema
 // documented in README.md).  Two job shapes: "wide" scales every NAS-long
 // type to nodes/40 nodes (~700 jobs per hour at any size, the per-node
 // layers carry the wall), "dense" keeps their native 1-2 nodes (the job
@@ -8,8 +8,8 @@
 // of uninstrumented runs repeated until they total at least 0.5 s of wall,
 // the span profiler's per-phase breakdown from one more, instrumented run,
 // and an FNV-1a hash over the power trace and QoS records.  Every repeat
-// and the instrumented run must reproduce the case's hash, and sharded
-// cases the serial hash, bit for bit, or the bench exits nonzero.
+// and the instrumented run must reproduce the case's hash, bit for bit,
+// or the bench exits nonzero.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -50,8 +50,7 @@ constexpr double kMinTimedWallS = 0.5;
 struct CaseSpec {
   int nodes = 1000;
   double duration_s = 3600.0;
-  int step_workers = 0;  // 0 = serial
-  bool dense = false;    // native job sizes instead of nodes/40
+  bool dense = false;  // native job sizes instead of nodes/40
 };
 
 struct RunOutcome {
@@ -70,8 +69,6 @@ sim::SimConfig make_config(const CaseSpec& spec, bool telemetry) {
   config.bid.average_power_w = spec.nodes * 150.0;
   config.bid.reserve_w = spec.nodes * 18.0;
   config.telemetry_enabled = telemetry;
-  config.step_workers = spec.step_workers;
-  config.step_shard_nodes = 0;  // auto-size from node and worker count
   return config;
 }
 
@@ -108,28 +105,20 @@ int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sim.json";
   const bool quick = argc > 2 && std::string(argv[2]) == "--quick";
 
-  // Node-count x worker-count sweep.  The 1M x 1h case is the scale
-  // target; sharded variants demonstrate worker-count invariance (fixed
-  // shard boundaries make the trace identical at any worker count) and,
-  // on multicore hosts, the persistent-team speedup.  The dense cases are
-  // the job-dense gate case of ROADMAP item 1 (100k nodes, 20 minutes of
-  // arrivals: ~590k jobs) and a tenth of it.
+  // Node-count sweep.  The 1M x 1h case is the scale target.  The dense
+  // cases are the job-dense gate case of ROADMAP item 1 (100k nodes, 20
+  // minutes of arrivals: ~590k jobs) and a tenth of it.
   std::vector<CaseSpec> specs;
   if (quick) {
-    specs = {{1000, 600.0, 0}, {1000, 600.0, 4}, {1000, 600.0, 0, true}};
+    specs = {{1000, 600.0}, {1000, 600.0, true}};
   } else {
-    specs = {{1000, 3600.0, 0},         {1000, 3600.0, 4},          {10000, 900.0, 0},
-             {10000, 900.0, 2},         {10000, 900.0, 4},          {10000, 900.0, 8},
-             {100000, 3600.0, 0},       {100000, 3600.0, 8},        {1000000, 3600.0, 0},
-             {1000000, 3600.0, 8},      {10000, 1200.0, 0, true},   {100000, 1200.0, 0, true}};
+    specs = {{1000, 3600.0},          {10000, 900.0},          {100000, 3600.0},
+             {1000000, 3600.0},       {10000, 1200.0, true},   {100000, 1200.0, true}};
   }
 
   util::JsonArray cases;
   std::uint64_t serial_hash_1k = 0;
   bool hashes_consistent = true;
-  // Serial reference hash per node count and job shape: sharded runs
-  // must match it.
-  std::vector<std::pair<std::pair<int, bool>, std::uint64_t>> serial_hashes;
 
   for (const CaseSpec& spec : specs) {
     // Timed, uninstrumented runs: the median wall of enough repeats to
@@ -169,22 +158,11 @@ int main(int argc, char** argv) {
       prof_phases[pr.name] = util::Json(std::move(phase));
     }
     if (instrumented.trace_hash != timed.trace_hash) hashes_consistent = false;
-
-    bool matches_serial = true;
-    if (spec.step_workers <= 1) {
-      serial_hashes.push_back({{spec.nodes, spec.dense}, timed.trace_hash});
-      if (spec.nodes == 1000 && !spec.dense) serial_hash_1k = timed.trace_hash;
-    } else {
-      for (const auto& [shape, hash] : serial_hashes) {
-        if (shape == std::pair{spec.nodes, spec.dense}) matches_serial = timed.trace_hash == hash;
-      }
-      if (!matches_serial) hashes_consistent = false;
-    }
+    if (spec.nodes == 1000 && !spec.dense) serial_hash_1k = timed.trace_hash;
 
     util::JsonObject entry;
     entry["nodes"] = util::Json(spec.nodes);
     entry["duration_s"] = util::Json(spec.duration_s);
-    entry["step_workers"] = util::Json(spec.step_workers);
     entry["job_shape"] = util::Json(std::string(spec.dense ? "dense" : "wide"));
     entry["steps"] = util::Json(static_cast<double>(timed.steps));
     entry["wall_s"] = util::Json(timed.wall_s);
@@ -195,7 +173,6 @@ int main(int argc, char** argv) {
         util::Json(timed.wall_s * 1e9 / (static_cast<double>(timed.steps) * spec.nodes));
     entry["jobs_completed"] = util::Json(timed.jobs_completed);
     entry["trace_hash"] = util::Json(hash_hex(timed.trace_hash));
-    entry["matches_serial_hash"] = util::Json(matches_serial);
     // Provenance for the wall-clock numbers: this bench always computes
     // (never serves a cached RunResult), so its timings are comparable to
     // any other "off"/"miss" case — and never to a "hit" one
@@ -204,14 +181,12 @@ int main(int argc, char** argv) {
     entry["profile"] = util::Json(std::move(prof_phases));
     cases.push_back(util::Json(std::move(entry)));
 
-    std::printf("nodes=%-7d %s workers=%d steps=%ld runs=%zu wall_s=%.3f steps_per_sec=%.1f "
-                "jobs_per_sec=%.0f ns_per_node_tick=%.2f hash=%s%s\n",
-                spec.nodes, spec.dense ? "dense" : "wide ", spec.step_workers, timed.steps,
-                walls.size(), timed.wall_s, timed.steps / timed.wall_s,
-                timed.jobs_completed / timed.wall_s,
+    std::printf("nodes=%-7d %s steps=%ld runs=%zu wall_s=%.3f steps_per_sec=%.1f "
+                "jobs_per_sec=%.0f ns_per_node_tick=%.2f hash=%s\n",
+                spec.nodes, spec.dense ? "dense" : "wide ", timed.steps, walls.size(),
+                timed.wall_s, timed.steps / timed.wall_s, timed.jobs_completed / timed.wall_s,
                 timed.wall_s * 1e9 / (static_cast<double>(timed.steps) * spec.nodes),
-                hash_hex(timed.trace_hash).c_str(),
-                matches_serial ? "" : "  HASH MISMATCH vs serial");
+                hash_hex(timed.trace_hash).c_str());
   }
 
   util::JsonObject root;
@@ -226,9 +201,7 @@ int main(int argc, char** argv) {
   root["seed"] = util::Json(static_cast<double>(kSeed));
   root["utilization"] = util::Json(kUtilization);
   root["tracking"] = util::Json(true);
-  // Honest context for the worker-count columns: parallel speedup is only
-  // physically possible when the host has more than one hardware thread
-  // (compare_bench.py conditions its parallel-win gate on this).
+  // Host context for the timings (every case runs on one thread).
   root["hardware_threads"] =
       util::Json(static_cast<double>(std::thread::hardware_concurrency()));
   root["serial_hash_1000_nodes"] = util::Json(hash_hex(serial_hash_1k));
@@ -241,8 +214,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   if (!hashes_consistent) {
-    std::fprintf(stderr,
-                 "FAIL: repeated/sharded/instrumented runs diverged from the serial trace\n");
+    std::fprintf(stderr, "FAIL: repeated/instrumented runs diverged from the case's trace\n");
     return 1;
   }
   return 0;

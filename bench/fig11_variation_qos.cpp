@@ -3,13 +3,14 @@
 // simulator.  Variation levels are "99 % of performance within ±x %" for
 // x in {0, 7.5, 15, 22.5, 30}; 10 seeded trials per level; jobs scaled to
 // 25x their 16-node node counts; 75 % utilization.  QoS target Q = 5.
+#include <algorithm>
+#include <atomic>
 #include <iostream>
-#include <mutex>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "platform/cluster_hw.hpp"
 #include "sim/simulator.hpp"
-#include "util/shard_workers.hpp"
 #include "util/stats.hpp"
 
 int main() {
@@ -20,7 +21,7 @@ int main() {
                       "(1000 nodes, 10 trials/level, mean over trials)");
 
   const double levels[] = {0.0, 0.075, 0.15, 0.225, 0.30};
-  constexpr int kTrials = 10;
+  constexpr std::size_t kTrials = 10;
 
   std::vector<std::string> type_names;
   for (const auto& type : workload::nas_long_job_types()) type_names.push_back(type.name);
@@ -31,28 +32,45 @@ int main() {
   util::TextTable table(header);
   std::vector<std::vector<double>> csv_rows;
 
+  // Trials run in parallel, one thread per hardware thread claiming them
+  // in turn; each trial fills its own slot, and the slots are reduced in
+  // trial order, so the table is a pure function of the seeds.
+  struct Trial {
+    std::map<std::string, double> q90_by_type;
+    double within30 = 0.0;
+  };
+  const std::size_t threads =
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kTrials);
+
   for (double level : levels) {
+    std::vector<Trial> trials(kTrials);
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&] {
+        for (std::size_t trial = next++; trial < kTrials; trial = next++) {
+          sim::SimConfig config;
+          config.node_count = 1000;
+          config.duration_s = 3600.0;
+          config.job_types = sim::standard_sim_types(true, /*node_scale=*/25);
+          config.perf_variation_sigma = platform::sigma_from_band99(level);
+          config.bid.average_power_w = 1000 * 150.0;
+          config.bid.reserve_w = 1000 * 18.0;
+          config.tracking_warmup_s = 300.0;
+          const sim::SimResult result = sim::run_simulation(config, 0.75, 1000 + trial);
+          trials[trial].q90_by_type = result.qos.percentile_by_type(90.0);
+          trials[trial].within30 = result.tracking.fraction_within_30;
+        }
+      });
+    }
+    for (std::thread& thread : pool) thread.join();
+
     std::map<std::string, util::RunningStats> q90_by_type;
     util::RunningStats within30;
-    std::mutex mutex;
-
-    util::ShardWorkers team(0);  // one lane per hardware thread
-    team.parallel_for(kTrials, [&](std::size_t trial) {
-      sim::SimConfig config;
-      config.node_count = 1000;
-      config.duration_s = 3600.0;
-      config.job_types = sim::standard_sim_types(true, /*node_scale=*/25);
-      config.perf_variation_sigma = platform::sigma_from_band99(level);
-      config.bid.average_power_w = 1000 * 150.0;
-      config.bid.reserve_w = 1000 * 18.0;
-      config.tracking_warmup_s = 300.0;
-      const sim::SimResult result =
-          sim::run_simulation(config, 0.75, 1000 + trial);
-      const auto q90 = result.qos.percentile_by_type(90.0);
-      std::lock_guard<std::mutex> lock(mutex);
-      for (const auto& [type, q] : q90) q90_by_type[type].add(q);
-      within30.add(result.tracking.fraction_within_30);
-    });
+    for (const Trial& trial : trials) {
+      for (const auto& [type, q] : trial.q90_by_type) q90_by_type[type].add(q);
+      within30.add(trial.within30);
+    }
 
     std::vector<std::string> fields = {
         "±" + util::TextTable::format_percent(level, 1)};

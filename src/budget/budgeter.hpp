@@ -16,10 +16,6 @@
 
 #include "model/perf_model.hpp"
 
-namespace anor::util {
-class ShardWorkers;
-}  // namespace anor::util
-
 namespace anor::budget {
 
 /// What the cluster tier knows about one running job when budgeting.
@@ -59,12 +55,6 @@ class Budgeter {
   /// saturates when the budget leaves that envelope.
   virtual BudgetResult distribute(const std::vector<JobPowerProfile>& jobs,
                                   double budget_w) const = 0;
-
-  /// Lend the budgeter a persistent worker team for its internal solves
-  /// (pure-function fan-out only — results must be bit-identical with or
-  /// without it).  The team must outlive the budgeter or be detached with
-  /// nullptr.  Default: ignored.
-  virtual void set_shard_workers(util::ShardWorkers* workers) { (void)workers; }
 };
 
 enum class BudgeterKind { kEvenPower, kEvenSlowdown };

@@ -9,7 +9,6 @@
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/prof/prof.hpp"
-#include "util/shard_workers.hpp"
 
 namespace anor::budget {
 
@@ -87,7 +86,7 @@ class ModelIndex {
   int shift_ = 64;
 };
 
-/// Groups of jobs[begin, end), indices local to the range.
+/// Groups of the jobs, in job order.
 ///
 /// A keyed job (JobPowerProfile::model_key) is checked with one same_model
 /// against the group its key last mapped to, and goes through the model
@@ -96,15 +95,14 @@ class ModelIndex {
 /// change nothing: not the first-seen group order, not the merging of
 /// equal models under different keys, not the one-group-per-job of NaN
 /// models (a NaN model never passes the check).
-ModelGroups group_models(const std::vector<JobPowerProfile>& jobs, std::size_t begin,
-                         std::size_t end) {
+ModelGroups group_models(const std::vector<JobPowerProfile>& jobs) {
   ModelGroups groups;
   ModelIndex index;
   std::vector<std::size_t> key_group;  // key -> group + 1, 0 = not seen
-  groups.group_of.resize(end - begin);
+  groups.group_of.resize(jobs.size());
   // Integer accumulators keep the per-job adds off the floating-point
   // latency chain.
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobPowerProfile& j = jobs[i];
     std::size_t k = 0;
     if (j.model_key >= 0 && j.model_key < JobPowerProfile::kMaxModelKey) {
@@ -122,49 +120,7 @@ ModelGroups group_models(const std::vector<JobPowerProfile>& jobs, std::size_t b
     }
     groups.nodes[k] += j.nodes;
     groups.abs_nodes += std::abs(static_cast<std::int64_t>(j.nodes));
-    groups.group_of[i - begin] = k;
-  }
-  return groups;
-}
-
-/// Job lists below this size group serially — the scan is cheaper than a
-/// dispatch.
-constexpr std::size_t kParallelGroupMin = 4096;
-/// Fixed grouping grain: blocks are a pure function of the job count, so
-/// the merge order (and thus the rep table) never depends on how many
-/// workers happened to scan them.
-constexpr std::size_t kGroupGrain = 1024;
-
-ModelGroups group_models_sharded(const std::vector<JobPowerProfile>& jobs,
-                                 util::ShardWorkers& team) {
-  const std::size_t blocks = (jobs.size() + kGroupGrain - 1) / kGroupGrain;
-  std::vector<ModelGroups> partial(blocks);
-  const std::size_t lanes = team.worker_count();
-  team.run([&](std::size_t lane) {
-    const util::ShardWorkers::Slice s = util::ShardWorkers::slice(blocks, lanes, lane);
-    for (std::size_t b = s.begin; b < s.end; ++b) {
-      partial[b] = group_models(jobs, b * kGroupGrain,
-                                std::min(jobs.size(), (b + 1) * kGroupGrain));
-    }
-  });
-
-  // Merge in block order: deterministic regardless of which lane scanned
-  // which block, and the same first-seen group order, reps and job->group
-  // assignments as the serial scan.  N_k and abs_nodes are integer sums,
-  // exact in any order.
-  ModelGroups groups;
-  ModelIndex index;
-  groups.group_of.reserve(jobs.size());
-  std::vector<std::size_t> remap;
-  for (const ModelGroups& block : partial) {
-    remap.clear();
-    for (std::size_t local = 0; local < block.reps.size(); ++local) {
-      const std::size_t k = index.find_or_add(groups, *block.reps[local]);
-      groups.nodes[k] += block.nodes[local];
-      remap.push_back(k);
-    }
-    groups.abs_nodes += block.abs_nodes;
-    for (std::size_t local : block.group_of) groups.group_of.push_back(remap[local]);
+    groups.group_of[i] = k;
   }
   return groups;
 }
@@ -320,10 +276,7 @@ BudgetResult EvenSlowdownBudgeter::distribute(const std::vector<JobPowerProfile>
 
   ModelGroups groups = [&] {
     ANOR_PROF_SCOPE("budget.group");
-    return workers_ != nullptr && workers_->worker_count() >= 2 &&
-                   jobs.size() >= kParallelGroupMin
-               ? group_models_sharded(jobs, *workers_)
-               : group_models(jobs, 0, jobs.size());
+    return group_models(jobs);
   }();
   groups.caps.resize(groups.reps.size());
   map_memo_tables(groups);

@@ -35,11 +35,6 @@ class EvenSlowdownBudgeter final : public Budgeter {
   BudgetResult distribute(const std::vector<JobPowerProfile>& jobs,
                           double budget_w) const override;
 
-  /// Parallel mode: job lists of at least 4096 build their model groups
-  /// block-sharded over the team, merged in block order.  Caps and the
-  /// balance point are bit-identical to the serial solve.
-  void set_shard_workers(util::ShardWorkers* workers) override { workers_ = workers; }
-
   /// Bounds of the cap memo (below): the distinct models it keeps a table
   /// for, and the entries one model's table holds before it is cleared.
   /// A full memo is 64 tables of 2^16 16-byte entries at load 1/2, 1 MiB
@@ -120,9 +115,6 @@ class EvenSlowdownBudgeter final : public Budgeter {
   mutable telemetry::Counter* memo_hits_counter_ = nullptr;
   mutable telemetry::Counter* memo_misses_counter_ = nullptr;
   mutable telemetry::Histogram* bisect_iters_hist_ = nullptr;
-
-  /// Borrowed worker team (see set_shard_workers); nullptr = serial.
-  util::ShardWorkers* workers_ = nullptr;
 };
 
 }  // namespace anor::budget

@@ -84,7 +84,7 @@ struct Instr {
 
 /// A parsed policy expression: compiled once, evaluated per job per
 /// control interval.  Immutable after parse; eval() is const and
-/// thread-safe (the sharded budget solves may fan out).
+/// thread-safe.
 class DslExpr {
  public:
   /// Parse `source`; throws util::ConfigError with the offending position

@@ -97,8 +97,6 @@ sim::SimConfig make_sim_config(const ScenarioSpec& spec) {
   }
   config.tracking_warmup_s = spec.tracking_warmup_s;
   config.tracking_reserve_w = spec.tracking_reserve_w;
-  config.step_workers = spec.step_workers;
-  config.step_shard_nodes = spec.step_shard_nodes;
   return config;
 }
 

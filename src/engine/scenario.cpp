@@ -101,7 +101,13 @@ util::TimeSeries series_from_json(const util::Json& json) {
     throw util::ConfigError("ScenarioSpec targets: array size mismatch");
   }
   util::TimeSeries series;
-  for (std::size_t i = 0; i < t.size(); ++i) series.add(t[i].as_number(), v[i].as_number());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double t_s = t[i].as_number();
+    if (!series.empty() && t_s < series.times().back()) {
+      throw util::ConfigError("ScenarioSpec targets: 't_s' must be non-decreasing");
+    }
+    series.add(t_s, v[i].as_number());
+  }
   return series;
 }
 
@@ -119,8 +125,6 @@ util::Json scenario_spec_to_json(const ScenarioSpec& spec) {
   obj["node_count"] = util::Json(spec.node_count);
   obj["perf_variation_sigma"] = util::Json(spec.perf_variation_sigma);
   obj["seed"] = util::Json(static_cast<double>(spec.seed));
-  obj["step_workers"] = util::Json(spec.step_workers);
-  obj["step_shard_nodes"] = util::Json(spec.step_shard_nodes);
   obj["tracking_warmup_s"] = util::Json(spec.tracking_warmup_s);
   obj["tracking_reserve_w"] = util::Json(spec.tracking_reserve_w);
   if (!spec.artifact_dir.empty()) {
@@ -142,13 +146,10 @@ ScenarioSpec scenario_spec_from_json(const util::Json& json) {
     spec.static_budget_w = json.at("static_budget_w").as_number();
   }
   if (json.contains("targets")) spec.targets = series_from_json(json.at("targets"));
-  spec.node_count = static_cast<int>(json.number_or("node_count", spec.node_count));
+  spec.node_count = util::checked_integer_or(json, "node_count", spec.node_count);
   spec.perf_variation_sigma =
       json.number_or("perf_variation_sigma", spec.perf_variation_sigma);
-  spec.seed = static_cast<std::uint64_t>(json.number_or("seed", 1.0));
-  spec.step_workers = static_cast<int>(json.number_or("step_workers", spec.step_workers));
-  spec.step_shard_nodes =
-      static_cast<int>(json.number_or("step_shard_nodes", spec.step_shard_nodes));
+  spec.seed = util::checked_integer_or<std::uint64_t>(json, "seed", 1);
   spec.tracking_warmup_s = json.number_or("tracking_warmup_s", spec.tracking_warmup_s);
   spec.tracking_reserve_w = json.number_or("tracking_reserve_w", spec.tracking_reserve_w);
   spec.artifact_dir = json.string_or("artifact_dir", "");

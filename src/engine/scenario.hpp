@@ -143,13 +143,10 @@ struct ScenarioSpec {
   double perf_variation_sigma = 0.0;
   std::uint64_t seed = 1;
 
-  /// Tabular backend only: worker threads for the sharded progress sweep
-  /// (<= 1 steps serially) and nodes per shard (0 auto-sizes from node
-  /// and worker count; explicit values are floored at 64).  Shard
-  /// boundaries depend on node count alone, so results are bit-identical
-  /// at any worker count.
+  /// Ignored: runs step serially (DESIGN.md 6h).  Kept so existing
+  /// callers that still assign it compile; no reader, writer or backend
+  /// looks at it, and spec files that carry the key load as before.
   int step_workers = 0;
-  int step_shard_nodes = 0;
 
   /// Exclude this initial window from tracking-error statistics (before
   /// the queue fills, a loaded-power target is unreachable).

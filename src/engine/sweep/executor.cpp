@@ -91,14 +91,7 @@ SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
 
       ANOR_PROF_SCOPE("sweep.cell");
       const auto cell_start = Clock::now();
-      ScenarioSpec spec = materializer.materialize(cell);
-
-      // Step-level sharding policy: with several run workers the cells
-      // step serially (pack many runs per core); a non-negative override
-      // pins it.  Bit-invariant either way, and excluded from the key.
-      int step_override = options.step_workers_override;
-      if (step_override < 0 && run_workers > 1) step_override = 1;
-      if (step_override >= 0) spec.step_workers = step_override;
+      const ScenarioSpec spec = materializer.materialize(cell);
 
       SweepCellResult out;
       out.cell = cell;

@@ -1,16 +1,11 @@
 // Batch sweep executor (DESIGN.md 6i): grid in, per-cell RunResults out.
 //
-// Scheduling composes two levels of parallelism.  The *run level* is a
-// small team of worker threads, each owning a private sim::WarmStart pool
-// (NodeTable, ShardWorkers team, fitted models) and claiming cells from a
-// longest-processing-time order (big cells first, by node_count ×
-// duration) via an atomic cursor — classic LPT so a huge cell cannot land
-// last and serialize the tail.  The *step level* is each run's own
-// ShardWorkers sharding: with one run worker, big runs keep their
-// configured step_workers team; with several run workers, cells default
-// to serial stepping so many small runs pack per core instead of
-// oversubscribing.  Step workers are bit-invariant, so this choice never
-// changes results.
+// Parallel across runs, serial within a run (DESIGN.md 6h): a small team
+// of run workers, each owning a private sim::WarmStart pool (NodeTable,
+// fitted models), claims cells from a longest-processing-time order (big
+// cells first, by node_count × duration) via an atomic cursor — classic
+// LPT so a huge cell cannot land last and serialize the tail.  Every run
+// steps on its worker's thread.
 //
 // Each claimed cell goes: materialize spec → canonical key → cache
 // lookup → (on miss) warm or cold run → cache store.  Cache hits return
@@ -33,13 +28,9 @@ struct SweepOptions {
   /// Run-level worker threads (cells in flight at once).  0 = hardware
   /// concurrency, 1 = in-caller execution (no extra threads).
   int run_workers = 1;
-  /// Reuse NodeTable/worker-team/fitted-model state across a worker's
-  /// consecutive cells (bit-invisible; see sim::WarmStart).
+  /// Reuse NodeTable/fitted-model state across a worker's consecutive
+  /// cells (bit-invisible; see sim::WarmStart).
   bool warm_start = true;
-  /// Per-cell step_workers override: -1 = auto (keep the spec's value
-  /// with one run worker, force serial stepping when packing runs),
-  /// >= 0 forces that value.  Excluded from cache keys either way.
-  int step_workers_override = -1;
   CacheConfig cache;
   /// Called after each cell completes (serialized; may interleave with
   /// running cells).  `done` counts completed cells.

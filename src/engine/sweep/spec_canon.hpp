@@ -12,11 +12,9 @@
 //     text compact, so formatting cannot vary;
 //   - floats canonicalized by the JSON writer's exact round-trip format
 //     ("%.17g", integral values as integers) with -0.0 normalized to 0.0;
-//   - execution-only knobs excluded: `name`, `artifact_dir`,
-//     `artifact_cadence_s` never affect the result, and `step_workers` /
-//     `step_shard_nodes` are bit-invariant by the sharding determinism
-//     contract (pinned by the golden worker-matrix tests) — two runs
-//     differing only in these MUST share a cache entry.
+//   - execution-only knobs excluded: `name`, `artifact_dir` and
+//     `artifact_cadence_s` never affect the result — two runs differing
+//     only in these MUST share a cache entry.
 //
 // The FNV-1a key is seeded with kCacheEpoch, which folds in the golden
 // trace hashes: when an engine change moves the goldens, every old cache

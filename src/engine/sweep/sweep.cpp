@@ -14,10 +14,10 @@ namespace anor::engine::sweep {
 
 namespace {
 
-const char* const kAxisFields[] = {"policy",          "backend",        "signal",
-                                   "utilization",     "duration_s",     "node_count",
-                                   "seed",            "perf_variation_sigma",
-                                   "static_budget_w", "step_workers"};
+const char* const kAxisFields[] = {"policy",     "backend",    "signal",
+                                   "utilization", "duration_s", "node_count",
+                                   "seed",       "perf_variation_sigma",
+                                   "static_budget_w"};
 
 /// Base-spec parsing without ScenarioSpec::validate(): a grid base may
 /// legitimately omit the schedule (generation supplies one per cell).
@@ -33,13 +33,10 @@ ScenarioSpec base_from_json(const util::Json& json) {
   if (json.contains("static_budget_w")) {
     spec.static_budget_w = json.at("static_budget_w").as_number();
   }
-  spec.node_count = static_cast<int>(json.number_or("node_count", spec.node_count));
+  spec.node_count = util::checked_integer_or(json, "node_count", spec.node_count);
   spec.perf_variation_sigma =
       json.number_or("perf_variation_sigma", spec.perf_variation_sigma);
-  spec.seed = static_cast<std::uint64_t>(json.number_or("seed", 1.0));
-  spec.step_workers = static_cast<int>(json.number_or("step_workers", spec.step_workers));
-  spec.step_shard_nodes =
-      static_cast<int>(json.number_or("step_shard_nodes", spec.step_shard_nodes));
+  spec.seed = util::checked_integer_or<std::uint64_t>(json, "seed", 1);
   spec.tracking_warmup_s = json.number_or("tracking_warmup_s", spec.tracking_warmup_s);
   spec.tracking_reserve_w = json.number_or("tracking_reserve_w", spec.tracking_reserve_w);
   return spec;
@@ -121,6 +118,9 @@ SweepGrid SweepGrid::from_json(const util::Json& json) {
         throw util::ConfigError("sweep grid: unknown axis field '" + axis.field + "'");
       }
       for (const util::Json& value : item.at("values").as_array()) {
+        // Integer axes are checked here, before any cell runs.
+        if (axis.field == "node_count") (void)util::checked_integer<int>(value, axis.field);
+        if (axis.field == "seed") (void)util::checked_integer<std::uint64_t>(value, axis.field);
         axis.values.push_back(value);
       }
       if (axis.values.empty()) {
@@ -182,9 +182,9 @@ ScenarioSpec SweepMaterializer::materialize(const SweepCell& cell) {
     } else if (field == "duration_s") {
       gen.duration_s = value.as_number();
     } else if (field == "node_count") {
-      spec.node_count = static_cast<int>(value.as_int());
+      spec.node_count = util::checked_integer<int>(value, field);
     } else if (field == "seed") {
-      spec.seed = static_cast<std::uint64_t>(value.as_number());
+      spec.seed = util::checked_integer<std::uint64_t>(value, field);
     } else if (field == "perf_variation_sigma") {
       spec.perf_variation_sigma = value.as_number();
     } else if (field == "static_budget_w") {
@@ -193,8 +193,6 @@ ScenarioSpec SweepMaterializer::materialize(const SweepCell& cell) {
       } else {
         spec.static_budget_w = value.as_number();
       }
-    } else if (field == "step_workers") {
-      spec.step_workers = static_cast<int>(value.as_int());
     } else {
       throw util::ConfigError("sweep: unknown axis field '" + field + "'");
     }

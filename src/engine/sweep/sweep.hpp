@@ -51,7 +51,7 @@ struct SweepGenerate {
 
 /// One swept dimension: a spec/generate field and its values.  Supported
 /// fields: policy, backend, signal, utilization, duration_s, node_count,
-/// seed, perf_variation_sigma, static_budget_w, step_workers.
+/// seed, perf_variation_sigma, static_budget_w.
 struct SweepAxis {
   std::string field;
   std::vector<util::Json> values;

@@ -44,7 +44,7 @@ util::Json NodeCrashSpec::to_json() const {
 
 NodeCrashSpec NodeCrashSpec::from_json(const util::Json& json) {
   NodeCrashSpec spec;
-  spec.job_id = static_cast<int>(json.number_or("job_id", -1.0));
+  spec.job_id = util::checked_integer_or(json, "job_id", -1);
   spec.crash_s = json.number_or("crash_s", 0.0);
   spec.restart_s = json.number_or("restart_s", 0.0);
   return spec;
@@ -83,7 +83,7 @@ util::Json FaultPlan::to_json() const {
 FaultPlan FaultPlan::from_json(const util::Json& json) {
   FaultPlan plan;
   plan.name = json.string_or("name", "unnamed");
-  plan.seed = static_cast<std::uint64_t>(json.number_or("seed", 1.0));
+  plan.seed = util::checked_integer_or<std::uint64_t>(json, "seed", 1);
   if (json.contains("channel")) plan.channel = ChannelFaultSpec::from_json(json.at("channel"));
   if (json.contains("crashes")) {
     for (const util::Json& crash : json.at("crashes").as_array()) {

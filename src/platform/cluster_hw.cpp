@@ -1,7 +1,5 @@
 #include "platform/cluster_hw.hpp"
 
-#include <algorithm>
-
 namespace anor::platform {
 
 namespace {
@@ -22,10 +20,6 @@ ClusterHw::ClusterHw(const ClusterHwConfig& config, util::Rng rng) : config_(con
           rng.truncated_normal(1.0, config.perf_variation_sigma, 0.5, 1.5);
     }
     nodes_.push_back(std::make_unique<Node>(i, node_config));
-  }
-  if (config.step_workers > 1) {
-    workers_ =
-        std::make_unique<util::ShardWorkers>(static_cast<std::size_t>(config.step_workers));
   }
 }
 
@@ -54,25 +48,7 @@ double ClusterHw::max_cap_w() const {
 }
 
 void ClusterHw::step(double dt_s) {
-  if (workers_ == nullptr) {
-    for (auto& n : nodes_) n->step(dt_s);
-    return;
-  }
-  // Fixed shards derived from node count alone: which worker executes a
-  // shard never affects what the shard computes, so any worker count
-  // reproduces the serial sweep.  Each node's state is touched by exactly
-  // one shard.  The persistent team makes the per-tick dispatch one
-  // epoch bump instead of a queue lock + wake + join.
-  constexpr std::size_t kShardNodes = 64;
-  const std::size_t count = nodes_.size();
-  const std::size_t shards = (count + kShardNodes - 1) / kShardNodes;
-  const std::size_t lanes = workers_->worker_count();
-  workers_->run([&](std::size_t lane) {
-    const util::ShardWorkers::Slice s = util::ShardWorkers::slice(shards, lanes, lane);
-    const std::size_t begin = s.begin * kShardNodes;
-    const std::size_t end = std::min(count, s.end * kShardNodes);
-    for (std::size_t i = begin; i < end; ++i) nodes_[i]->step(dt_s);
-  });
+  for (auto& n : nodes_) n->step(dt_s);
 }
 
 std::vector<int> ClusterHw::idle_nodes() const {

@@ -7,7 +7,6 @@
 
 #include "platform/node.hpp"
 #include "util/rng.hpp"
-#include "util/shard_workers.hpp"
 
 namespace anor::platform {
 
@@ -18,14 +17,6 @@ struct ClusterHwConfig {
   /// 0 disables variation.  The paper's Fig. 11 sweeps this: "99 % of
   /// performance within ±x%" corresponds to sigma = x / 2.576.
   double perf_variation_sigma = 0.0;
-  /// Shard step() across this many pool workers (<= 1 keeps the default
-  /// serial sweep).  Opt-in: nodes step independently, but MSR fault
-  /// hooks installed on nodes are user closures that the cluster cannot
-  /// prove thread-safe, so callers enable sharding only when their hooks
-  /// (if any) tolerate concurrent invocation.  Shard boundaries depend
-  /// only on node count, so results match the serial sweep at any worker
-  /// count.
-  int step_workers = 0;
 };
 
 class ClusterHw {
@@ -51,9 +42,7 @@ class ClusterHw {
   double min_cap_w() const;
   double max_cap_w() const;
 
-  /// Advance every node by dt_s.  Serial by default; sharded across a
-  /// persistent worker team when config.step_workers > 1 (per-node state
-  /// is independent, so sharding cannot change any node's trajectory).
+  /// Advance every node by dt_s, in node order.
   void step(double dt_s);
 
   /// Node indices currently without a load attached.
@@ -62,7 +51,6 @@ class ClusterHw {
  private:
   ClusterHwConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unique_ptr<util::ShardWorkers> workers_;  // only when step_workers > 1
 };
 
 /// Convert a "99 % of performance within ±x" band half-width (fraction,

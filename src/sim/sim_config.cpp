@@ -28,14 +28,6 @@ double SimJobType::power_at(double cap_w) const {
   return std::clamp(cap_w, p_min_w, p_max_w);
 }
 
-int resolve_step_shard_nodes(int node_count, int step_workers, int configured) {
-  if (configured > 0) return std::max(64, configured);
-  const int workers = std::max(1, step_workers);
-  const int target_shards = workers * 4;
-  const int auto_size = (node_count + target_shards - 1) / target_shards;
-  return std::max(64, auto_size);
-}
-
 model::PowerPerfModel SimJobType::budget_model() const {
   // Sample T(P) = 1/rate(P) and fit the quadratic family the budgeters
   // consume.  The fit is near-exact over the narrow cap range.

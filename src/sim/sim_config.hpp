@@ -112,26 +112,7 @@ struct SimConfig {
   /// global metrics registry (sim.ticks, sim.power_w, sim.running_jobs).
   /// Per-phase wall time comes from the span profiler, not from here.
   bool telemetry_enabled = true;
-
-  /// Shard the per-tick progress sweep and the row refresh across this
-  /// many persistent workers (<= 1 keeps them on the stepping thread).
-  /// Both are sized in progress lanes (NodeTable), and shard boundaries
-  /// never depend on the worker count, so any worker count produces
-  /// traces bit-identical to the serial sweep.
-  int step_workers = 0;
-  /// Lanes per shard when step_workers > 1 (a site with no more lanes
-  /// than this runs serially).  0 (the default) auto-sizes from node
-  /// count and worker count via resolve_step_shard_nodes(); explicit
-  /// values are floored at 64.
-  int step_shard_nodes = 0;
 };
-
-/// Effective lanes-per-shard for a run.  `configured` > 0 wins (floored
-/// at 64); 0 auto-sizes so a cluster with one lane per node splits into
-/// ~4 shards per worker (enough slack that uneven shards don't serialize
-/// the team) without dropping below 64-lane shards.  The result depends only on the inputs,
-/// never on which thread asks — sharding stays deterministic.
-int resolve_step_shard_nodes(int node_count, int step_workers, int configured);
 
 /// The six-type / eight-type standard mixes, as SimJobTypes.
 std::vector<SimJobType> standard_sim_types(bool long_types_only, int node_scale);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <ostream>
@@ -11,7 +10,6 @@
 #include "telemetry/prof/prof.hpp"
 #include "util/add_repeated.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace anor::sim {
 
@@ -113,27 +111,6 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
   // Idle nodes draw idle power from t=0.
   nodes_.set_idle_power_w(config_.idle_power_w);
 
-  shard_nodes_ =
-      resolve_step_shard_nodes(config_.node_count, config_.step_workers, config_.step_shard_nodes);
-  if (config_.step_workers > 1) {
-    const auto want = static_cast<std::size_t>(config_.step_workers);
-    if (warm != nullptr && warm->workers != nullptr && warm->workers->worker_count() == want) {
-      workers_ = std::move(warm->workers);  // skip the thread spawn
-    } else {
-      workers_ = std::make_unique<util::ShardWorkers>(want);
-    }
-    const int shards = (config_.node_count + shard_nodes_ - 1) / shard_nodes_;
-    if (shards < config_.step_workers) {
-      util::log_warn("sim", "step_shard_nodes=" + std::to_string(shard_nodes_) + " yields " +
-                                std::to_string(shards) + " shard(s) for " +
-                                std::to_string(config_.node_count) + " nodes — fewer than " +
-                                std::to_string(config_.step_workers) +
-                                " step_workers; extra workers will idle (use "
-                                "step_shard_nodes=0 to auto-size)");
-    }
-    budgeter_->set_shard_workers(workers_.get());
-  }
-
   if (config_.telemetry_enabled) {
     auto& registry = telemetry::MetricsRegistry::global();
     metrics_.ticks = &registry.counter("sim.ticks");
@@ -156,12 +133,6 @@ void TabularSimulator::recycle(WarmStart& warm) {
     warm.nodes = std::make_unique<NodeTable>(std::move(nodes_));
   } else {
     *warm.nodes = std::move(nodes_);
-  }
-  if (workers_ != nullptr) {
-    // The budgeter borrowed the team; detach before handing it to the pool
-    // so nothing holds a pointer past this simulator's lifetime.
-    budgeter_->set_shard_workers(nullptr);
-    warm.workers = std::move(workers_);
   }
 }
 
@@ -190,7 +161,6 @@ void TabularSimulator::queue_row_refresh(std::size_t row_index) {
   if (row.cap_queued) return;
   row.cap_queued = true;
   pending_rows_.push_back(row_index);
-  pending_row_lanes_ += row.lane >= 0 ? 1 : row.nodes.size();
 }
 
 template <class F>
@@ -202,19 +172,18 @@ bool TabularSimulator::every_lane(const JobRow& row, F&& f) const {
   return true;
 }
 
-void TabularSimulator::refresh_lanes(std::size_t begin, std::size_t end) {
+void TabularSimulator::refresh_lanes() {
   // progress_rate is a pure function of the type and the cap, and the
   // budgeter gives every job of a model group one cap, so a refresh asks
   // for few distinct pairs: remember the last cap per real type and its
-  // rate.  The memo is local to this slice, so a sharded refresh shares
-  // nothing.
+  // rate.
   struct RateMemo {
     std::uint64_t cap_bits = 0;
     double rate = 0.0;
     bool valid = false;
   };
   std::vector<RateMemo> memo(config_.job_types.size());
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < pending_rows_.size(); ++i) {
     JobRow& row = jobs_.row(pending_rows_[i]);
     const double cap_w = nodes_.row_cap_w(pending_rows_[i]);
     RateMemo& m = memo[static_cast<std::size_t>(row.type_index)];
@@ -231,7 +200,14 @@ void TabularSimulator::refresh_lanes(std::size_t begin, std::size_t end) {
     });
     repredict_row_completion(row);
     row.cap_queued = false;
-    pending_keys_[i] = row.started() && !row.finished() ? row.earliest_done_s : kNotQueued;
+    // Re-key the completion queue from the new prediction.  The queue
+    // keeps its own copy of each key, so its heap order never sees a
+    // prediction change under it.  Rows become pending only in the
+    // control phase, which follows the tick's completions, so a finished
+    // row never re-enters the queue.
+    if (row.started() && !row.finished()) {
+      completion_queue_.set(pending_rows_[i], row.earliest_done_s);
+    }
   }
 }
 
@@ -276,28 +252,8 @@ void TabularSimulator::refresh_rows() {
                          job_type(jobs_.row(row_index)).power_at(nodes_.row_cap_w(row_index)));
   }
 
-  // Sharded over rows when there are enough lanes to be worth a
-  // rendezvous: rows own disjoint lanes and predictions, each a pure
-  // function of the tables, so the partition cannot change any value.
-  pending_keys_.resize(pending_rows_.size());
-  if (workers_ != nullptr && pending_row_lanes_ > static_cast<std::size_t>(shard_nodes_)) {
-    const std::size_t workers = workers_->worker_count();
-    workers_->run([&](std::size_t worker) {
-      const util::ShardWorkers::Slice rows =
-          util::ShardWorkers::slice(pending_rows_.size(), workers, worker);
-      refresh_lanes(rows.begin, rows.end);
-    });
-  } else {
-    refresh_lanes(0, pending_rows_.size());
-  }
-  // Re-key the completion queue from the new predictions, serially and
-  // after every slice is done: the queue keeps its own copy of each key,
-  // so its heap order never sees a prediction change under it.
-  for (std::size_t i = 0; i < pending_rows_.size(); ++i) {
-    if (!std::isnan(pending_keys_[i])) completion_queue_.set(pending_rows_[i], pending_keys_[i]);
-  }
+  refresh_lanes();
   pending_rows_.clear();
-  pending_row_lanes_ = 0;
   started_rows_.clear();
   finished_rows_.clear();
 }
@@ -310,23 +266,7 @@ void TabularSimulator::flush_sweep() {
   // No span of its own: the engine.node_update component span covers this
   // sweep (minus sim.refresh, which is recorded separately), and an extra
   // span here would eat the profiler-overhead budget.
-  if (workers_ != nullptr && count > shard_nodes_) {
-    // Fixed shard boundaries, multiples of shard_nodes_ lanes: the worker
-    // count decides only which thread sweeps which shards, never what any
-    // shard computes, so traces are bit-identical at any worker count.
-    const int shards = (count + shard_nodes_ - 1) / shard_nodes_;
-    const std::size_t workers = workers_->worker_count();
-    const double dt_s = config_.step_s;
-    workers_->run([&](std::size_t worker) {
-      const util::ShardWorkers::Slice s =
-          util::ShardWorkers::slice(static_cast<std::size_t>(shards), workers, worker);
-      const int begin = static_cast<int>(s.begin) * shard_nodes_;
-      const int end = std::min(count, static_cast<int>(s.end) * shard_nodes_);
-      nodes_.advance_progress_batch(begin, end, dt_s, lag);
-    });
-  } else {
-    nodes_.advance_progress_batch(0, count, config_.step_s, lag);
-  }
+  nodes_.advance_progress_batch(0, count, config_.step_s, lag);
 }
 
 double TabularSimulator::virtual_progress(int lane) const {

@@ -6,10 +6,12 @@
 // updates inputs to the node table that will be processed in the
 // node-update stage of the next time step."
 //
-// Hot-path layout (see DESIGN.md "Performance model of the simulator" and
-// 6h "Persistent sharded stepping"): the node table keeps progress and
-// rate per progress lane (the nodes of a job that share a multiplier: one
-// lane per row without node variation) and cap and power per row; a job
+// Hot-path layout (see DESIGN.md "Performance model of the simulator"):
+// each tick is one serial pass over the tables (DESIGN.md 6h: runs go
+// parallel across a sweep's run workers, never within a tick); the node
+// table keeps progress and rate per progress lane (the nodes of a job
+// that share a multiplier: one lane per row without node variation) and
+// cap and power per row; a job
 // start, finish or cap change is a row event that the next node update
 // refreshes, writing one rate per lane and one power per row;
 // the running-job set / idle count / floor power / total power are
@@ -24,12 +26,9 @@
 // ticks between two rate-change events owe one `rate * dt` substep each,
 // and the owed substeps are flushed in one batched pass over the lanes
 // (bit-identical to per-tick sweeps) right before anything reads or
-// rewrites a rate; and both the flush and the refresh shard across a
-// persistent worker team, sized in lanes, so results are bit-identical at
-// any worker count.
+// rewrites a rate.
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,7 +45,6 @@
 #include "telemetry/metrics.hpp"
 #include "sim/tables.hpp"
 #include "util/rng.hpp"
-#include "util/shard_workers.hpp"
 #include "util/time_series.hpp"
 #include "workload/schedule.hpp"
 
@@ -59,18 +57,16 @@ using SimResult = engine::RunResult;
 /// Pooled across-run resources for the sweep executor (DESIGN.md 6i).
 ///
 /// A cold TabularSimulator construction pays for a NodeTable's column
-/// allocations, a ShardWorkers thread spawn, and one quadratic
-/// model fit per job type — none of which depend on the run's policy or
-/// signal.  A WarmStart carries those across runs: the constructor takes
-/// what fits (table via reset(), team when the worker count matches,
-/// fitted models when the job-type vector compares equal) and
+/// allocations and one quadratic model fit per job type — neither of
+/// which depends on the run's policy or signal.  A WarmStart carries
+/// those across runs: the constructor takes what fits (table via
+/// reset(), fitted models when the job-type vector compares equal) and
 /// `recycle()` returns the reusable parts after run().  Reuse is
 /// bit-invisible by construction — reset() restores exact fresh-table
-/// state, the team never decides what is computed, and equal job types
-/// fit identical models — and pinned by the WarmStart parity tests.
+/// state and equal job types fit identical models — and pinned by the
+/// WarmStart parity tests.
 struct WarmStart {
   std::unique_ptr<NodeTable> nodes;
-  std::unique_ptr<util::ShardWorkers> workers;
   /// Signature for the fitted-model cache: models are valid for exactly
   /// this job-type vector (order included — the classified index points
   /// into it).
@@ -147,11 +143,9 @@ class TabularSimulator {
   /// started or finished since the last one, and gives every queued row
   /// its power, its lanes' rates and a new completion prediction.
   void refresh_rows();
-  /// Rates and predictions for the queued rows pending_rows_[begin, end).
-  /// Each row writes only its own lanes and its own prediction, so
-  /// disjoint slices can run concurrently.  One progress_rate call per
-  /// real type and cap, memoized per slice.
-  void refresh_lanes(std::size_t begin, std::size_t end);
+  /// Rates, predictions and completion keys for the queued rows, in queue
+  /// order.  One progress_rate call per real type and cap, memoized.
+  void refresh_lanes();
   /// Recompute `earliest_done_s` for one running row from its lanes.
   void repredict_row_completion(JobRow& row);
   /// Calls f(lane, node) for each progress lane of a started row — its
@@ -160,10 +154,9 @@ class TabularSimulator {
   template <class F>
   bool every_lane(const JobRow& row, F&& f) const;
   /// Apply every owed `progress += rate * dt` substep (one per elapsed
-  /// tick since the last flush) in a single batched sweep over the lanes,
-  /// sharded across the worker team when one exists.  Bit-identical to
-  /// having swept every tick serially: rates are constant between flush
-  /// points by construction (any rate write is preceded by a flush).
+  /// tick since the last flush) in a single batched sweep over the lanes.
+  /// Bit-identical to having swept every tick: rates are constant between
+  /// flush points by construction (any rate write is preceded by a flush).
   void flush_sweep();
   /// A lane's progress as it will read after the owed substeps are
   /// flushed — the exact per-step accumulation replayed without touching
@@ -210,21 +203,14 @@ class TabularSimulator {
   bool done_ = false;
   bool result_taken_ = false;  // run() handed result_ over
 
-  /// Persistent worker team (config.step_workers > 1) shared by the
-  /// batched sweep flush, the sharded refresh, and the budgeter's sharded
-  /// model grouping.  Work is sized in lanes: a site shards when it has
-  /// more than shard_nodes_ lanes, and the sweep's shard boundaries are
-  /// fixed multiples of shard_nodes_ (which derives from node count alone).
-  std::unique_ptr<util::ShardWorkers> workers_;
-  int shard_nodes_ = 0;
   /// Owed progress substeps (one per tick since the last flush_sweep).
   long sweep_lag_ = 0;
   /// The running rows keyed on earliest_done_s: the completion phase
-  /// tests only the rows whose key is <= now.  Re-keyed serially after
-  /// each refresh (which may shard) from the rows' new predictions; a
-  /// finished row leaves it.  Started rows join at their first refresh,
-  /// which always precedes their first completion phase.  Its heap covers
-  /// the next kCompletionHorizonSteps steps.
+  /// tests only the rows whose key is <= now.  Re-keyed by each refresh
+  /// from the rows' new predictions; a finished row leaves it.  Started
+  /// rows join at their first refresh, which always precedes their first
+  /// completion phase.  Its heap covers the next kCompletionHorizonSteps
+  /// steps.
   CompletionQueue completion_queue_;
   /// One pass over the rows beyond the horizon per this many steps, and a
   /// heap of about this many steps' completions.
@@ -242,15 +228,8 @@ class TabularSimulator {
 
   // Row events since the last refresh, in event order.
   std::vector<std::size_t> pending_rows_;   // started or cap changed (cap_queued)
-  std::size_t pending_row_lanes_ = 0;       // lanes under pending_rows_
   std::vector<std::size_t> started_rows_;   // power sources to move to the row
   std::vector<std::size_t> finished_rows_;  // power sources to move to idle
-  /// The refresh's new completion key per pending row, or kNotQueued for
-  /// a row that is not running.  Rows become pending only in the control
-  /// phase, which follows the tick's completions, so this guards an
-  /// invariant: a finished row never re-enters the queue.
-  std::vector<double> pending_keys_;
-  static constexpr double kNotQueued = std::numeric_limits<double>::quiet_NaN();
   std::vector<std::size_t> finished_scratch_;      // scratch: completions this tick
   std::vector<budget::JobPowerProfile> profiles_;  // scratch: budgeted jobs this tick
   std::vector<std::size_t> budget_rows_;           // scratch: row of each profile

@@ -170,8 +170,7 @@ class NodeTable {
   /// updates in step order, so the result is bit-identical to sweeping
   /// `substeps` times — but the rate/progress columns are streamed once
   /// (the deferred-sweep flush in the simulator batches all steps between
-  /// two rate-change events into one call).  Writes only the progress of
-  /// its own range, so shards over disjoint ranges never race.
+  /// two rate-change events into one call).
   void advance_progress_batch(int begin, int end, double dt_s, long substeps);
 
   // --- idle set and totals ------------------------------------------------
@@ -321,9 +320,8 @@ class JobTable {
 /// store.  A walk past the horizon first moves it `horizon_s` beyond the
 /// walk's time and moves the rows it now covers into the heap: one pass
 /// over the far rows per horizon.  The queue holds its own copy of each
-/// key and changes it only through set(), so a caller that rewrites many
-/// predictions at once (a sharded refresh) re-keys the rows afterwards,
-/// one by one.  A NaN key is never due.
+/// key and changes it only through set(), so a row's prediction can be
+/// rewritten without disturbing the heap order.  A NaN key is never due.
 class CompletionQueue {
  public:
   explicit CompletionQueue(double horizon_s) : horizon_s_(horizon_s) {}

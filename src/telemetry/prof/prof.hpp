@@ -1,9 +1,9 @@
 // Phase-level span profiler: the wall-clock measurement substrate under
 // the whole stack (DESIGN.md 6g "Profiling & span model").
 //
-// ROADMAP's parallel-stepping item needs to know where a step's ~8 us
-// actually go — control vs update_nodes vs the fork/join rendezvous — and
-// counters alone cannot say.  A ProfScope is an RAII span: construction
+// Performance work needs to know where a step's few microseconds actually
+// go — control vs node update vs completions — and counters alone cannot
+// say.  A ProfScope is an RAII span: construction
 // reads a timestamp, destruction reads another and appends one fixed-size
 // record to a *thread-local* buffer.  The hot path takes no locks and
 // allocates nothing after the first span of a (thread, phase) pair; when
@@ -21,10 +21,9 @@
 // nanoseconds once at collection time.
 //
 // Collection contract: phase_report()/lanes()/reset() must run at a
-// quiescent point — after worker threads have joined or between
-// parallel_for calls (the team's completion latch orders their writes
-// before the collector's reads).  This library has no dependencies
-// (util::ShardWorkers instruments itself with it); exporters live in
+// quiescent point — after worker threads (a sweep's run workers) have
+// joined, so the join orders their writes before the collector's reads.
+// This library has no dependencies; exporters live in
 // telemetry/prof_export.hpp.
 #pragma once
 

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -85,6 +86,26 @@ std::string Json::string_or(const std::string& key, const std::string& fallback)
 bool Json::bool_or(const std::string& key, bool fallback) const {
   return contains(key) ? at(key).as_bool() : fallback;
 }
+
+template <class T>
+T checked_integer(const Json& value, const std::string& key) {
+  // T's values are exactly the integers in [lowest, 2^digits): both bounds
+  // are powers of two, so the comparisons below are exact.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lowest = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+  if (value.is_number()) {
+    const double d = value.as_number();
+    if (std::isfinite(d) && std::trunc(d) == d && d >= lowest && d < limit) {
+      return static_cast<T>(d);
+    }
+  }
+  throw ConfigError("'" + key + "' must be an integer in [" +
+                    std::to_string(std::numeric_limits<T>::min()) + ", " +
+                    std::to_string(std::numeric_limits<T>::max()) + "], got " + value.dump());
+}
+
+template int checked_integer<int>(const Json&, const std::string&);
+template std::uint64_t checked_integer<std::uint64_t>(const Json&, const std::string&);
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';

@@ -84,6 +84,18 @@ class Json {
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
 
+/// `value` as an integer of type T (int or std::uint64_t): a number that
+/// is finite, integral and inside T's range, else ConfigError naming `key`.
+/// Readers of integer fields use it instead of a cast of as_number()
+/// (undefined out of range) or of as_int() (which rounds).
+template <class T>
+T checked_integer(const Json& value, const std::string& key);
+/// checked_integer of object member `key`, or `fallback` when it is absent.
+template <class T>
+T checked_integer_or(const Json& object, const std::string& key, T fallback) {
+  return object.contains(key) ? checked_integer<T>(object.at(key), key) : fallback;
+}
+
 /// Append `d` as every JSON number is printed: integral values below 1e15
 /// as integers, anything else as printf's "%.17g" (which round-trips every
 /// double), both produced with std::to_chars.

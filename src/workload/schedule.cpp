@@ -32,10 +32,10 @@ Schedule Schedule::from_json(const util::Json& json) {
   schedule.duration_s = json.number_or("duration_s", 0.0);
   for (const util::Json& item : json.at("jobs").as_array()) {
     JobRequest job;
-    job.job_id = static_cast<int>(item.at("id").as_int());
+    job.job_id = util::checked_integer<int>(item.at("id"), "id");
     job.type_name = item.at("type").as_string();
     job.submit_time_s = item.at("submit_s").as_number();
-    job.nodes = static_cast<int>(item.at("nodes").as_int());
+    job.nodes = util::checked_integer<int>(item.at("nodes"), "nodes");
     job.classified_as = item.string_or("classified_as", "");
     job.walltime_hint_s = item.number_or("walltime_hint_s", 0.0);
     schedule.jobs.push_back(std::move(job));

@@ -25,7 +25,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/prof/prof.hpp"
 #include "util/rng.hpp"
-#include "util/shard_workers.hpp"
 
 namespace anor::budget {
 namespace {
@@ -122,15 +121,13 @@ std::vector<double> threshold_budgets(util::Rng& rng, const std::vector<JobPower
 }
 
 void check_against_reference(std::uint64_t seed, std::size_t job_count, int model_count,
-                             double tolerance_w, util::ShardWorkers& team) {
+                             double tolerance_w) {
   util::Rng rng(seed);
   const std::vector<model::PowerPerfModel> pool =
       model_pool(rng, model_count, /*signed_zeros=*/seed % 2 == 0);
   const std::vector<JobPowerProfile> jobs = random_jobs(rng, pool, job_count);
 
-  EvenSlowdownBudgeter serial(tolerance_w);
-  EvenSlowdownBudgeter sharded(tolerance_w);
-  sharded.set_shard_workers(&team);
+  EvenSlowdownBudgeter budgeter(tolerance_w);
   for (double budget : threshold_budgets(rng, jobs, tolerance_w)) {
     const BudgetResult want = reference::even_slowdown(jobs, budget, tolerance_w);
     const std::string where = "seed " + std::to_string(seed) + ", " +
@@ -138,16 +135,14 @@ void check_against_reference(std::uint64_t seed, std::size_t job_count, int mode
                               std::to_string(pool.size()) + " models, tolerance " +
                               std::to_string(tolerance_w) + ", budget " +
                               std::to_string(budget);
-    expect_bitwise_equal(want, serial.distribute(jobs, budget), where + " (serial)");
-    expect_bitwise_equal(want, sharded.distribute(jobs, budget), where + " (sharded)");
+    expect_bitwise_equal(want, budgeter.distribute(jobs, budget), where);
   }
 }
 
 TEST(EvenSlowdownDifferential, RandomJobSetsMatchTheReferenceBitForBit) {
-  util::ShardWorkers team(3);
   util::Rng sizes(2024);
-  // Fixed sizes pin both sides of the 4096-job sharded-grouping threshold
-  // and its ragged last block; the rest are log-uniform in [1, 6000].
+  // Fixed sizes pin the smallest sets and a few thousand jobs; the rest
+  // are log-uniform in [1, 6000].
   std::vector<std::size_t> job_counts = {1, 2, 4095, 4097, 6000};
   for (int i = 0; i < 11; ++i) {
     job_counts.push_back(
@@ -160,7 +155,7 @@ TEST(EvenSlowdownDifferential, RandomJobSetsMatchTheReferenceBitForBit) {
     // equality; and a negative one, where it never fires and the direction
     // of every step decides the path.
     for (double tolerance_w : {0.5, 0.0, -1.0}) {
-      check_against_reference(seed++, count, models, tolerance_w, team);
+      check_against_reference(seed++, count, models, tolerance_w);
       if (HasFatalFailure()) return;
     }
   }
@@ -182,20 +177,16 @@ TEST(EvenSlowdownDifferential, NaNCoefficientModelsMatchTheReference) {
 }
 
 /// Keyed profiles (JobPowerProfile::model_key) against the reference,
-/// which ignores keys, serial and sharded: a key steers only how the
-/// budgeter finds a job's group, so every result must match bit for bit.
+/// which ignores keys: a key steers only how the budgeter finds a job's
+/// group, so every result must match bit for bit.
 void check_keyed_against_reference(util::Rng& rng, const std::vector<JobPowerProfile>& jobs,
-                                   util::ShardWorkers& team, const std::string& what) {
-  EvenSlowdownBudgeter serial;
-  EvenSlowdownBudgeter sharded;
-  sharded.set_shard_workers(&team);
+                                   const std::string& what) {
+  EvenSlowdownBudgeter budgeter;
   for (double budget : threshold_budgets(rng, jobs, 0.5)) {
     const BudgetResult want = reference::even_slowdown(jobs, budget);
     const std::string where =
         what + ", " + std::to_string(jobs.size()) + " jobs, budget " + std::to_string(budget);
-    expect_bitwise_equal(want, serial.distribute(jobs, budget), where + " (serial)");
-    if (::testing::Test::HasFatalFailure()) return;
-    expect_bitwise_equal(want, sharded.distribute(jobs, budget), where + " (sharded)");
+    expect_bitwise_equal(want, budgeter.distribute(jobs, budget), where);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -216,21 +207,20 @@ std::vector<JobPowerProfile> keyed_jobs(util::Rng& rng,
   return jobs;
 }
 
-// Sizes on both sides of the 4096-job sharded-grouping threshold.
+// One job, hundreds and thousands.
 constexpr std::size_t kKeyedSizes[] = {1, 300, 5000};
 
 TEST(EvenSlowdownDifferential, KeysOverEqualModelsMergeIntoOneGroup) {
   // Two keys name equal models (one with a -0.0 where the other has 0.0):
   // both keys must land in the first-seen group, as equal models do
   // without keys.
-  util::ShardWorkers team(3);
   util::Rng rng(4101);
   std::vector<model::PowerPerfModel> pool = model_pool(rng, 3, false);
   pool.emplace_back(0.0, -0.002, 2.0, -0.0, 250.0);
   pool.emplace_back(0.0, -0.002, 2.0, 0.0, 250.0);
   pool.push_back(pool[0]);
   for (std::size_t count : kKeyedSizes) {
-    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {0, 1, 2, 3, 4, 5}, count), team,
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {0, 1, 2, 3, 4, 5}, count),
                                   "equal models under two keys");
     if (HasFatalFailure()) return;
   }
@@ -239,12 +229,11 @@ TEST(EvenSlowdownDifferential, KeysOverEqualModelsMergeIntoOneGroup) {
 TEST(EvenSlowdownDifferential, KeyOverANaNModelOpensAGroupPerJob) {
   // A NaN coefficient never compares equal, so a keyed NaN-model job
   // fails its key's check and opens its own group, as it does unkeyed.
-  util::ShardWorkers team(3);
   util::Rng rng(4102);
   std::vector<model::PowerPerfModel> pool = model_pool(rng, 3, false);
   pool.emplace_back(std::numeric_limits<double>::quiet_NaN(), -0.004, 2.0, 120.0, 250.0);
   for (std::size_t count : kKeyedSizes) {
-    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {0, 1, 2, 3}, count), team,
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {0, 1, 2, 3}, count),
                                   "a keyed NaN model");
     if (HasFatalFailure()) return;
   }
@@ -253,11 +242,10 @@ TEST(EvenSlowdownDifferential, KeyOverANaNModelOpensAGroupPerJob) {
 TEST(EvenSlowdownDifferential, OneKeyOverTwoModelsFallsBack) {
   // A key that names two different models fails its check on every
   // switch between them and falls back to the model index.
-  util::ShardWorkers team(3);
   util::Rng rng(4103);
   const std::vector<model::PowerPerfModel> pool = model_pool(rng, 4, false);
   for (std::size_t count : kKeyedSizes) {
-    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {7, 7, 2, 7}, count), team,
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, {7, 7, 2, 7}, count),
                                   "one key over two models");
     if (HasFatalFailure()) return;
   }
@@ -266,7 +254,6 @@ TEST(EvenSlowdownDifferential, OneKeyOverTwoModelsFallsBack) {
 TEST(EvenSlowdownDifferential, KeyedAndUnkeyedProfilesMix) {
   // Unkeyed profiles (-1), keys at the top of the keyed range and beyond
   // it (treated as no key) share models with keyed ones.
-  util::ShardWorkers team(3);
   util::Rng rng(4104);
   std::vector<model::PowerPerfModel> pool = model_pool(rng, 5, true);
   pool.push_back(pool[1]);
@@ -275,7 +262,7 @@ TEST(EvenSlowdownDifferential, KeyedAndUnkeyedProfilesMix) {
   // pool: five random curves, the signed-zero triplet, copies of 1 and 2.
   const std::vector<int> keys = {0, 1, -1, 3, top, 5, 5, 6, -1, JobPowerProfile::kMaxModelKey};
   for (std::size_t count : kKeyedSizes) {
-    check_keyed_against_reference(rng, keyed_jobs(rng, pool, keys, count), team,
+    check_keyed_against_reference(rng, keyed_jobs(rng, pool, keys, count),
                                   "keyed and unkeyed");
     if (HasFatalFailure()) return;
   }

@@ -4,7 +4,6 @@
 
 #include "budget/even_power.hpp"
 #include "model/default_models.hpp"
-#include "util/shard_workers.hpp"
 
 namespace anor::budget {
 namespace {
@@ -111,46 +110,9 @@ TEST(EvenSlowdown, MonotoneInBudget) {
   }
 }
 
-TEST(EvenSlowdown, ShardedSolveIsBitIdenticalToSerial) {
-  // The parallel solve (block-sharded group building with node totals)
-  // claims bit-identical results to the serial path.  Hold it to that:
-  // same jobs, same budgets, one budgeter with a worker team attached, one
-  // without — every cap and every balance point must be EXACTLY equal, not
-  // merely close.  The job list is large
-  // enough (> 4096) to cross the sharded-grouping threshold, with a
-  // ragged tail block and an interleaved mix of models so block-local rep
-  // tables come out permuted relative to the serial scan.
-  const char* const kTypes[] = {"bt.D.x", "sp.D.x", "ft.D.x", "cg.D.x",
-                                "ep.D.x", "is.D.x", "lu.D.x"};
-  std::vector<JobPowerProfile> jobs;
-  for (int i = 0; i < 5003; ++i) {
-    jobs.push_back(profile(i, kTypes[i % std::size(kTypes)], 1 + i % 4));
-  }
-
-  EvenSlowdownBudgeter serial;
-  EvenSlowdownBudgeter sharded;
-  util::ShardWorkers team(4);
-  sharded.set_shard_workers(&team);
-
-  const double max_total = total_max_power_w(jobs);
-  for (double frac : {0.95, 0.7, 0.5, 0.3}) {
-    const double budget = frac * max_total;
-    const BudgetResult a = serial.distribute(jobs, budget);
-    const BudgetResult b = sharded.distribute(jobs, budget);
-    EXPECT_EQ(a.balance_point, b.balance_point) << "budget fraction " << frac;
-    EXPECT_EQ(a.allocated_w, b.allocated_w) << "budget fraction " << frac;
-    ASSERT_EQ(a.node_cap_w.size(), b.node_cap_w.size());
-    for (std::size_t k = 0; k < a.node_cap_w.size(); ++k) {
-      EXPECT_EQ(a.node_cap_w[k], b.node_cap_w[k]) << "job " << jobs[k].job_id;
-    }
-  }
-}
-
 TEST(EvenSlowdown, CapsArePositionalNotKeyedByJobId) {
-  // Descending, non-contiguous ids over interleaved models, on the serial
-  // path and on the sharded one (enough jobs to cross the sharded-grouping
-  // threshold): caps[k] must be jobs[k]'s own model solved at the common
-  // slowdown, bit for bit.
+  // Descending, non-contiguous ids over interleaved models: caps[k] must
+  // be jobs[k]'s own model solved at the common slowdown, bit for bit.
   const char* const kTypes[] = {"ep.D.x", "is.D.x", "bt.D.x", "cg.D.x", "sp.D.x"};
   std::vector<JobPowerProfile> jobs;
   for (int i = 0; i < 5003; ++i) {
@@ -158,19 +120,12 @@ TEST(EvenSlowdown, CapsArePositionalNotKeyedByJobId) {
   }
   const double budget = 0.6 * total_max_power_w(jobs);
 
-  EvenSlowdownBudgeter serial;
-  EvenSlowdownBudgeter sharded;
-  util::ShardWorkers team(4);
-  sharded.set_shard_workers(&team);
-  for (const EvenSlowdownBudgeter* budgeter : {&serial, &sharded}) {
-    const BudgetResult result = budgeter->distribute(jobs, budget);
-    ASSERT_EQ(result.node_cap_w.size(), jobs.size());
-    EXPECT_NE(result.node_cap_w[0], result.node_cap_w[2]);  // distinct models, distinct caps
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      ASSERT_EQ(result.node_cap_w[k], jobs[k].model.cap_for_slowdown(result.balance_point))
-          << "position " << k << ", job " << jobs[k].job_id
-          << (budgeter == &sharded ? " (sharded)" : " (serial)");
-    }
+  const BudgetResult result = EvenSlowdownBudgeter().distribute(jobs, budget);
+  ASSERT_EQ(result.node_cap_w.size(), jobs.size());
+  EXPECT_NE(result.node_cap_w[0], result.node_cap_w[2]);  // distinct models, distinct caps
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    ASSERT_EQ(result.node_cap_w[k], jobs[k].model.cap_for_slowdown(result.balance_point))
+        << "position " << k << ", job " << jobs[k].job_id;
   }
 }
 

@@ -3,10 +3,10 @@
 // for bit.  Jobs group by exact coefficient equality (linear scan, first
 // seen order), and every threshold decision -- both envelope branches, the
 // bisection's stop test and its direction -- compares the budget with a
-// total summed over the jobs in input order.  No memo, no sharding, no
-// telemetry: those never change a value.  `visited`, when given, receives
-// every bisection midpoint with the ordered total there, so a test can aim
-// a budget at the exact threshold of a decision.
+// total summed over the jobs in input order.  No memo and no telemetry:
+// those never change a value.  `visited`, when given, receives every
+// bisection midpoint with the ordered total there, so a test can aim a
+// budget at the exact threshold of a decision.
 #pragma once
 
 #include <algorithm>

@@ -114,11 +114,10 @@ ScenarioSpec tiny_spec(const std::string& policy, std::uint64_t seed) {
   spec.static_budget_w = 165.0 * 4;
   spec.node_count = 4;
   spec.seed = seed;
-  spec.step_workers = 2;  // exercise registry reads under sharded stepping
   return spec;
 }
 
-TEST(PolicyRegistry, ConcurrentDispatchUnderShardedWorkersIsRaceFree) {
+TEST(PolicyRegistry, ConcurrentDispatchDuringRegistrationIsRaceFree) {
   // TSan coverage target (check_tier1.sh): concurrent run_scenario calls
   // resolving built-ins while other threads mutate the registry with
   // distinct custom names must not race.

@@ -104,10 +104,9 @@ TEST(SpecCanon, DisplayAndExecutionKnobsAreExcluded) {
   ScenarioSpec b = base_spec();
   b.name = "completely-different-name";
   b.artifact_dir = "";  // empty either way; artifact runs bypass the cache
-  b.step_workers = 8;
-  b.step_shard_nodes = 64;
+  b.step_workers = 8;  // ignored by every backend
   EXPECT_EQ(canonical_spec_hash(a), canonical_spec_hash(b))
-      << "step sharding is bit-invariant and must not fragment the cache";
+      << "display and execution knobs must not fragment the cache";
 }
 
 TEST(SpecCanon, SemanticChangesProduceDistinctKeys) {

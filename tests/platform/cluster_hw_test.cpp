@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
-
-#include "platform/compute_load.hpp"
 #include "util/stats.hpp"
 
 namespace anor::platform {
@@ -71,52 +67,6 @@ TEST(ClusterHw, IdleNodesListsUnloaded) {
   config.node_count = 3;
   ClusterHw hw(config, util::Rng(1));
   EXPECT_EQ(hw.idle_nodes().size(), 3u);
-}
-
-// Deterministic stand-in for a job share: draws a fixed fraction of the
-// cap and accumulates cap-proportional progress.
-class RampLoad : public ComputeLoad {
- public:
-  explicit RampLoad(double demand_frac) : demand_frac_(demand_frac) {}
-  double power_demand_w(double cap_w) const override { return cap_w * demand_frac_; }
-  void advance(double dt_s, double cap_w) override { progress_ += dt_s * cap_w * 1e-5; }
-  bool complete() const override { return progress_ >= 1.0; }
-  double progress() const override { return std::min(progress_, 1.0); }
-
- private:
-  double demand_frac_;
-  double progress_ = 0.0;
-};
-
-TEST(ClusterHw, ShardedStepMatchesSerialBitForBit) {
-  // 150 nodes -> three 64-node shards (the last partial).  Nodes carry
-  // distinct caps, loads, and perf multipliers; after several steps every
-  // per-node observable must equal the serial sweep exactly — sharding
-  // only partitions the loop, it cannot change what any node computes.
-  const auto build = [](int workers) {
-    ClusterHwConfig config;
-    config.node_count = 150;
-    config.perf_variation_sigma = 0.1;
-    config.step_workers = workers;
-    auto hw = std::make_unique<ClusterHw>(config, util::Rng(11));
-    for (int n = 0; n < hw->node_count(); ++n) {
-      hw->node(n).attach_load(std::make_shared<RampLoad>(0.5 + 0.003 * n));
-      hw->node(n).set_power_cap(160.0 + (n % 7) * 15.0);
-    }
-    return hw;
-  };
-  auto serial = build(0);
-  auto sharded = build(4);
-  for (int step = 0; step < 5; ++step) {
-    serial->step(1.0);
-    sharded->step(1.0);
-  }
-  for (int n = 0; n < serial->node_count(); ++n) {
-    EXPECT_EQ(serial->node(n).power_w(), sharded->node(n).power_w()) << "node " << n;
-    EXPECT_EQ(serial->node(n).total_energy_j(), sharded->node(n).total_energy_j());
-    EXPECT_EQ(serial->node(n).load()->progress(), sharded->node(n).load()->progress());
-  }
-  EXPECT_EQ(serial->total_power_w(), sharded->total_power_w());
 }
 
 TEST(SigmaFromBand99, InvertsTheQuantile) {

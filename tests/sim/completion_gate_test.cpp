@@ -66,8 +66,8 @@ TEST(SimCompletionGate, QueueMatchesABruteForceModel) {
 }
 
 /// `node_scale` 1 keeps the native 1-2-node jobs; 0 scales every type to
-/// nodes/40 nodes.  Shards of 64 lanes let a 2-worker refresh shard.
-SimConfig gate_config(int node_scale, int step_workers, double sigma) {
+/// nodes/40 nodes.
+SimConfig gate_config(int node_scale, double sigma) {
   SimConfig config;
   config.node_count = 400;
   config.duration_s = 600.0;
@@ -75,8 +75,6 @@ SimConfig gate_config(int node_scale, int step_workers, double sigma) {
   config.bid.average_power_w = 400 * 150.0;
   config.bid.reserve_w = 400 * 18.0;
   config.perf_variation_sigma = sigma;
-  config.step_workers = step_workers;
-  config.step_shard_nodes = 64;
   return config;
 }
 
@@ -138,18 +136,15 @@ void check_gate_against_full_scan(const SimConfig& config, std::uint64_t seed, l
 }
 
 void check_gate_matrix(int node_scale) {
-  for (int workers : {0, 2}) {
-    for (double sigma : {0.0, 0.05}) {
-      for (std::uint64_t seed : {7u, 1103u}) {
-        long finished = 0;
-        check_gate_against_full_scan(gate_config(node_scale, workers, sigma), seed, finished);
-        if (::testing::Test::HasFatalFailure()) {
-          ADD_FAILURE() << "step_workers=" << workers << " sigma=" << sigma << " seed=" << seed;
-          return;
-        }
-        EXPECT_GT(finished, node_scale > 0 ? 200 : 20)
-            << "step_workers=" << workers << " sigma=" << sigma << " seed=" << seed;
+  for (double sigma : {0.0, 0.05}) {
+    for (std::uint64_t seed : {7u, 1103u}) {
+      long finished = 0;
+      check_gate_against_full_scan(gate_config(node_scale, sigma), seed, finished);
+      if (::testing::Test::HasFatalFailure()) {
+        ADD_FAILURE() << "sigma=" << sigma << " seed=" << seed;
+        return;
       }
+      EXPECT_GT(finished, node_scale > 0 ? 200 : 20) << "sigma=" << sigma << " seed=" << seed;
     }
   }
 }

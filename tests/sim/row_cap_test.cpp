@@ -14,9 +14,6 @@
 //   * the power-run breaks match the per-node power sources, and the
 //     total power equals a left-to-right sum of every node's power, bit
 //     for bit.
-// All are checked at 0, 2 and 4 step workers with shards small enough
-// that the sweep and the refresh run sharded (the sharded case is a TSan
-// target in tools/check_tier1.sh).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,15 +28,13 @@ namespace {
 
 /// `node_scale` 1 keeps the native 1-2-node jobs (job-dense); 0 scales
 /// every type to nodes/40 nodes (a few wide jobs).
-SimConfig row_cap_config(int nodes, int node_scale, int step_workers) {
+SimConfig row_cap_config(int nodes, int node_scale) {
   SimConfig config;
   config.node_count = nodes;
   config.duration_s = 240.0;
   config.job_types = standard_sim_types(true, node_scale > 0 ? node_scale : nodes / 40);
   config.bid.average_power_w = nodes * 150.0;
   config.bid.reserve_w = nodes * 18.0;
-  config.step_workers = step_workers;
-  config.step_shard_nodes = 64;
   return config;
 }
 
@@ -120,24 +115,20 @@ void check_row_cap_invariants(const SimConfig& config, long& checked) {
 }
 
 TEST(SimRowCaps, JobDenseBusyNodesMatchTheirRow) {
-  for (int workers : {0, 2, 4}) {
-    SimConfig config = row_cap_config(400, 1, workers);
-    config.perf_variation_sigma = 0.05;  // per-node rates differ within a row
-    config.protect_at_risk_jobs = true;  // the at-risk cap path writes rows too
-    long checked = 0;
-    check_row_cap_invariants(config, checked);
-    if (HasFatalFailure()) return;
-    EXPECT_GT(checked, 10'000) << "step_workers=" << workers;
-  }
+  SimConfig config = row_cap_config(400, 1);
+  config.perf_variation_sigma = 0.05;  // per-node rates differ within a row
+  config.protect_at_risk_jobs = true;  // the at-risk cap path writes rows too
+  long checked = 0;
+  check_row_cap_invariants(config, checked);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(checked, 10'000);
 }
 
 TEST(SimRowCaps, WideJobBusyNodesMatchTheirRow) {
-  for (int workers : {0, 2, 4}) {
-    long checked = 0;
-    check_row_cap_invariants(row_cap_config(400, 0, workers), checked);
-    if (HasFatalFailure()) return;
-    EXPECT_GT(checked, 10'000) << "step_workers=" << workers;
-  }
+  long checked = 0;
+  check_row_cap_invariants(row_cap_config(400, 0), checked);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(checked, 10'000);
 }
 
 }  // namespace

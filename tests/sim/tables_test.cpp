@@ -124,8 +124,8 @@ TEST(NodeTable, AdvanceProgressUsesCachedRatesOverRanges) {
   const int b = table.start_row(1, 11, {3});
   table.set_lane_rate(a, 0.25);
   table.set_lane_rate(b, 0.5);
-  table.advance_progress_batch(0, 1, 2.0, 1);  // first shard: lane 0
-  table.advance_progress_batch(1, 2, 2.0, 1);  // second shard: lane 1
+  table.advance_progress_batch(0, 1, 2.0, 1);  // first range: lane 0
+  table.advance_progress_batch(1, 2, 2.0, 1);  // second range: lane 1
   EXPECT_DOUBLE_EQ(table.progress(0), 0.0);
   EXPECT_DOUBLE_EQ(table.progress(1), 0.5);
   EXPECT_DOUBLE_EQ(table.progress(2), 0.0);

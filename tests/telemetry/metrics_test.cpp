@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
-#include "util/shard_workers.hpp"
 
 namespace anor::telemetry {
 namespace {
@@ -105,14 +107,17 @@ TEST(MetricsRegistry, ConcurrentUpdatesAreExact) {
 
   constexpr std::size_t kTasks = 8;
   constexpr int kPerTask = 20000;
-  util::ShardWorkers team(4);
-  team.parallel_for(kTasks, [&](std::size_t task) {
-    for (int i = 0; i < kPerTask; ++i) {
-      counter.inc();
-      gauge.add(1.0);
-      histogram.observe(static_cast<double>(task));
-    }
-  });
+  std::vector<std::thread> threads;
+  for (std::size_t task = 0; task < kTasks; ++task) {
+    threads.emplace_back([&, task] {
+      for (int i = 0; i < kPerTask; ++i) {
+        counter.inc();
+        gauge.add(1.0);
+        histogram.observe(static_cast<double>(task));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 
   EXPECT_EQ(counter.value(), kTasks * kPerTask);
   EXPECT_DOUBLE_EQ(gauge.value(), static_cast<double>(kTasks * kPerTask));
@@ -125,11 +130,14 @@ TEST(MetricsRegistry, ConcurrentUpdatesAreExact) {
 
 TEST(MetricsRegistry, ConcurrentRegistrationIsSafe) {
   MetricsRegistry registry;
-  util::ShardWorkers team(4);
-  team.parallel_for(16, [&](std::size_t task) {
+  std::vector<std::thread> threads;
+  for (std::size_t task = 0; task < 16; ++task) {
     // All tasks race to register the same handful of keys.
-    registry.counter("shared.counter", {{"i", std::to_string(task % 4)}}).inc();
-  });
+    threads.emplace_back([&registry, task] {
+      registry.counter("shared.counter", {{"i", std::to_string(task % 4)}}).inc();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(registry.size(), 4u);
   std::uint64_t total = 0;
   for (const MetricSnapshot& snap : registry.snapshot()) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -132,6 +133,37 @@ TEST(Json, ObjectHelpers) {
 TEST(Json, AsIntRounds) {
   EXPECT_EQ(Json(2.6).as_int(), 3);
   EXPECT_EQ(Json(-2.6).as_int(), -3);
+}
+
+TEST(JsonCheckedInteger, AcceptsExactlyTheTargetRange) {
+  EXPECT_EQ(checked_integer<int>(Json(2147483647.0), "k"), 2147483647);
+  EXPECT_EQ(checked_integer<int>(Json(-2147483648.0), "k"), -2147483647 - 1);
+  EXPECT_EQ(checked_integer<int>(Json(-0.0), "k"), 0);
+  EXPECT_EQ(checked_integer<std::uint64_t>(Json(0.0), "k"), 0u);
+  // The largest double below 2^64.
+  EXPECT_EQ(checked_integer<std::uint64_t>(Json(18446744073709549568.0), "k"),
+            18446744073709549568ULL);
+  for (const double bad : {2147483648.0, -2147483649.0, 2.5, -0.5, 1e300, 5e-324}) {
+    EXPECT_THROW(checked_integer<int>(Json(bad), "k"), ConfigError) << bad;
+  }
+  for (const double bad : {-1.0, 18446744073709551616.0, 0.5, -1e300}) {
+    EXPECT_THROW(checked_integer<std::uint64_t>(Json(bad), "k"), ConfigError) << bad;
+  }
+  EXPECT_THROW(checked_integer<int>(Json("7"), "k"), ConfigError);
+  EXPECT_THROW(checked_integer<int>(Json(), "k"), ConfigError);
+}
+
+TEST(JsonCheckedInteger, ErrorNamesTheKeyAndOrFallsBack) {
+  const Json doc = Json::parse(R"({"nodes": 4294967298, "seed": 3})");
+  try {
+    (void)checked_integer_or(doc, "nodes", 1);
+    ADD_FAILURE() << "accepted 4294967298 as an int";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'nodes'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("4294967298"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(checked_integer_or<std::uint64_t>(doc, "seed", 1), 3u);
+  EXPECT_EQ(checked_integer_or<std::uint64_t>(doc, "absent", 9), 9u);
 }
 
 TEST(Json, FileRoundTrip) {

@@ -38,7 +38,7 @@
 //       consistent, QoS verdicts identical.  Exits nonzero on divergence.
 //   anorctl sweep --grid FILE [--out FILE] [--results-out FILE]
 //       [--run-workers N] [--no-cache] [--cache-dir DIR] [--no-warm]
-//       [--step-workers N] [--min-hit-rate F] [--quiet]
+//       [--min-hit-rate F] [--quiet]
 //       Expand an anor.sweep.v1 grid file and run every cell through the
 //       batch executor: run-level worker pool, canonical-spec result
 //       cache (memory + .anor-cache/ on disk), and warm-start run reuse.
@@ -59,8 +59,8 @@
 //   anorctl replay --report FILE
 //       Summarize a saved experiment report (produced by run --out).
 //   anorctl profile [--scenario FILE] [--backend emulated|tabular] [--nodes N]
-//       [--duration S] [--utilization F] [--workers K] [--shard-nodes N]
-//       [--seed K] [--trace-out FILE] [--metrics-out FILE] [--check]
+//       [--duration S] [--utilization F] [--seed K] [--trace-out FILE]
+//       [--metrics-out FILE] [--check]
 //       Run a scenario with the span profiler enabled and print a
 //       per-phase breakdown table (count, total, %wall, p50/p95/p99)
 //       plus a Chrome trace (chrome://tracing / Perfetto).  Default
@@ -460,9 +460,6 @@ int cmd_sweep(const Args& args) {
   engine::sweep::SweepOptions options;
   options.run_workers = static_cast<int>(args.num("run-workers", 1));
   options.warm_start = !args.has("no-warm");
-  if (args.has("step-workers")) {
-    options.step_workers_override = static_cast<int>(args.num("step-workers", -1));
-  }
   if (args.has("no-cache")) {
     options.cache = engine::sweep::CacheConfig::off();
   } else if (args.has("cache-dir")) {
@@ -673,10 +670,6 @@ int cmd_profile(const Args& args) {
   if (args.has("backend")) {
     spec.backend = engine::backend_from_string(args.str("backend"));
   }
-  // Default shard size 64 so the default 1000-node run actually fans out
-  // across worker lanes (the library default of 8192 never shards it).
-  spec.step_workers = static_cast<int>(args.num("workers", 4));
-  spec.step_shard_nodes = static_cast<int>(args.num("shard-nodes", 64));
 
   namespace prof = telemetry::prof;
   prof::Profiler& profiler = prof::Profiler::global();
@@ -685,7 +678,7 @@ int cmd_profile(const Args& args) {
 
   std::cout << "profiling " << spec.schedule.jobs.size() << " jobs on "
             << spec.node_count << " nodes (" << engine::to_string(spec.backend)
-            << " backend, " << spec.step_workers << " step workers)...\n";
+            << " backend)...\n";
 
   // Build the backend first, then arm the profiler and time run() tightly
   // so construction cost does not dilute the coverage number.
@@ -799,12 +792,6 @@ int cmd_profile(const Args& args) {
   }
   if (!has_thread_names) {
     std::cerr << "profile check: trace has no thread_name metadata\n";
-    rc = 1;
-  }
-  if (spec.backend == engine::Backend::kTabular && spec.step_workers > 1 &&
-      lanes.size() < 2) {
-    std::cerr << "profile check: expected worker lanes beyond main (" << spec.step_workers
-              << " step workers requested, " << lanes.size() << " lane(s) traced)\n";
     rc = 1;
   }
   std::set<std::string> have;

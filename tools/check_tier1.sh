@@ -9,11 +9,12 @@
 # queue, the emulated job tier (the flat MSR register file, the agent
 # tree's fixed scratch and span-written policy splits, the pooled
 # modeler buffers, the emulated goldens and the zero-allocation tick),
-# and the streaming JSON writer,
-# cache-entry reader, Json::parse and export goldens (parsers of untrusted
-# files), and TSan over the simulator's sharded stepping, the ShardWorkers
-# rendezvous and parallel_for chunking, and the result cache's concurrent
-# stores and lookups (the paths that share state across workers).
+# and the streaming JSON writer, cache-entry reader, Json::parse, export
+# goldens and the spec and grid readers (parsers of untrusted files), and
+# TSan over what still runs concurrently: seeded trials on a shared
+# metrics registry, the sweep executor's run workers, concurrent policy
+# dispatch and the result cache's concurrent stores and lookups (each run
+# itself steps serially).
 #
 # Usage: tools/check_tier1.sh [build-dir]
 #   build-dir defaults to `build`; the sanitizer builds go to
@@ -53,12 +54,12 @@ ctest --test-dir "$build_dir" --output-on-failure -j"$jobs"
 
 echo "== tier-1: profile smoke (span profiler + Chrome trace) =="
 # The profiler must produce a parseable Chrome trace with the expected
-# top-level engine phases, per-lane monotonic timestamps, worker lanes,
-# and >= 90% wall-time coverage; `anorctl profile --check` exits nonzero
-# otherwise.  Small scenario so the gate stays fast.
+# top-level engine phases, per-lane monotonic timestamps, and >= 90%
+# wall-time coverage; `anorctl profile --check` exits nonzero otherwise.
+# Small scenario so the gate stays fast.
 profile_dir="$(mktemp -d)"
 trap 'rm -rf "$profile_dir"' EXIT
-"$build_dir/tools/anorctl" profile --nodes 300 --duration 600 --workers 2 \
+"$build_dir/tools/anorctl" profile --nodes 300 --duration 600 \
   --check --trace-out "$profile_dir/profile_trace.json" \
   --metrics-out "$profile_dir/profile_metrics.prom"
 
@@ -143,8 +144,8 @@ run_gtest "$asan_dir/tests/util_test" 'Logger.*:VirtualClock.*'
 # significand arithmetic, shifts and bit casts behind the total power and
 # the busy floor.
 run_gtest "$asan_dir/tests/util_test" 'AddRepeated.*'
-# The grouped solve against the job-ordered reference, serial and sharded:
-# the open-addressed model table, the cap memo's slot index and tables
+# The grouped solve against the job-ordered reference: the open-addressed
+# model table, the cap memo's slot index and tables
 # (filled past both bounds) and the grouped-decision fallback.
 run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
 # Every node read goes through a lane, row or power-source index, job
@@ -152,8 +153,8 @@ run_gtest "$asan_dir/tests/budget_test" 'EvenSlowdownDifferential.*'
 # per node block against a per-node model, and the total power walks the
 # run-break bitmap; the running set merges a started tail and the
 # completion queue indexes a heap by row: the node- and job-table unit
-# tests, whole runs at 0/2/4 step workers checked tick by tick, the lane
-# properties, and the completion gate against a full scan.
+# tests, whole runs checked tick by tick, the lane properties, and the
+# completion gate against a full scan.
 run_gtest "$asan_dir/tests/sim_test" \
   'NodeTable*:SimRowCaps.*:SimLanes.*:JobTable*:SimCompletionGate.*'
 # The emulated job tier writes through spans into fixed scratch: the MSR
@@ -175,34 +176,29 @@ run_gtest "$asan_dir/tests/alloc_test" 'SteadyStateAllocation.*'
 # entries, and the golden bytes of every export.
 run_gtest "$asan_dir/tests/util_test" 'Json.*:JsonNumberFormat.*:JsonWriterProperty.*:JsonCursorProperty.*'
 run_gtest "$asan_dir/tests/engine_test" 'ExportDifferential.*:CacheReaderProperty.*:ExportGolden.*'
+# The spec, grid and schedule readers (files users hand to anorctl): the
+# checked integer reader at and past each type's range, and seeded
+# mutants of valid scenario and grid documents, each of which must read
+# into specs that round-trip or throw ConfigError.
+run_gtest "$asan_dir/tests/util_test" 'JsonCheckedInteger.*'
+run_gtest "$asan_dir/tests/engine_test" 'SpecReader*'
 
-echo "== sanitizers: TSan parallel-trial + sharded-step suite =="
+echo "== sanitizers: TSan parallel-trial + run-worker suite =="
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "$tsan_dir" -j"$jobs" --target sim_test util_test platform_test budget_test engine_test
+cmake --build "$tsan_dir" -j"$jobs" --target sim_test engine_test
 # Known false positives from the uninstrumented system libstdc++ (see
 # tools/tsan.supp); real races in our code are still reported.
 export TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}"
-# SimDeterminism covers the persistent-team stepping at workers {1,2,4,8}
-# and the full worker x shard-size matrix; SimRowCaps steps runs whose
-# lane sweep and row refresh shard across the team; SimLanes steps whole
-# runs over the lane layout; SimCompletionGate steps 2-worker runs whose
-# sharded refresh writes the completion keys that the queue then takes
-# serially; ShardWorkers
-# exercises the epoch rendezvous directly (dispatch storms, exception
-# rethrow); the budget filter runs the sharded even-slowdown solve
-# against serial.
-run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.*:SimRowCaps.*:SimLanes.*:SimCompletionGate.*'
-run_gtest "$tsan_dir/tests/util_test" 'ShardWorkers.*'
-run_gtest "$tsan_dir/tests/platform_test" 'ClusterHw.ShardedStepMatchesSerialBitForBit'
-run_gtest "$tsan_dir/tests/budget_test" 'EvenSlowdown.ShardedSolveIsBitIdenticalToSerial'
-# The sweep executor layers run-level workers (atomic cursor, shared
-# result cache, disjoint report slots) on top of the sharded stepping;
-# the registry filter drives concurrent policy dispatch (run_scenario
-# resolving built-ins under sharded workers) against concurrent
+# Four seeded trials step concurrently with telemetry on, sharing the
+# global metrics registry.
+run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.ParallelSeededTrialsShareRegistrySafely'
+# The sweep executor's run-level workers (atomic cursor, shared result
+# cache, disjoint report slots); the registry filter drives concurrent
+# policy dispatch (run_scenario resolving built-ins) against concurrent
 # register/get/unregister of custom names; the cache filter has two
 # threads storing and looking up shared and private keys with both tiers
 # on, entry I/O running outside the cache lock.

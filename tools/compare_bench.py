@@ -2,8 +2,8 @@
 """Compare two BENCH_sim.json, two BENCH_emu.json or two BENCH_sweep.json reports.
 
 BENCH_sim.json (schema anor.bench_sim.v1): matches cases by (nodes,
-duration_s, step_workers, job_shape; a report without job_shape has only
-"wide" cases), prints a side-by-side steps/sec table with the per-phase
+duration_s, job_shape; a report without job_shape has only "wide"
+cases), prints a side-by-side steps/sec table with the per-phase
 profile deltas that moved most, and exits nonzero if any case's
 steps_per_sec regressed by more than the threshold (default 10%), or if
 any shared case's trace_hash changed: a speed comparison between runs
@@ -24,16 +24,11 @@ wall time measures a map lookup, not the simulator, so a case is only
 compared when BOTH sides were actually computed ("miss"/"off"/absent);
 any pair involving a "hit" is reported and skipped, never scored.
 
-Also prints a workers-vs-serial speedup column for the candidate: each
-sharded case against the serial case with the same (nodes, duration_s).
-With --require-parallel-win the script fails when any sharded case at
->= 10k nodes is slower than its serial reference — but only when the
-candidate report was produced on a multicore host (hardware_threads > 1);
-on a single hardware thread a parallel win is physically impossible and
-the gate is reported as skipped.
+Reports from before the simulator stepped serially also carry cases run
+on several step workers (step_workers > 1); those match nothing in a
+newer report and print as "only in baseline; skipped".
 
     tools/compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10]
-        [--require-parallel-win]
 """
 
 import argparse
@@ -47,7 +42,7 @@ SWEEP_SCHEMA = "anor.bench_sweep.v1"
 
 
 def case_key(case):
-    return (case["nodes"], case["duration_s"], case["step_workers"],
+    return (case["nodes"], case["duration_s"], case.get("step_workers", 0),
             case.get("job_shape", "wide"))
 
 
@@ -65,7 +60,8 @@ def was_computed(case):
 
 def fmt_key(key):
     nodes, duration, workers, shape = key
-    return f"{nodes}n/{duration:g}s/w{workers}" + ("/dense" if shape == "dense" else "")
+    return (f"{nodes}n/{duration:g}s" + (f"/w{workers}" if workers > 1 else "")
+            + ("/dense" if shape == "dense" else ""))
 
 
 def load_report(path):
@@ -127,14 +123,6 @@ def main():
                              "(default 0.10)")
     parser.add_argument("--top-phases", type=int, default=3,
                         help="profile phases to show per regressed case")
-    parser.add_argument("--require-parallel-win", action="store_true",
-                        help="fail when a sharded case at >= 10k nodes is "
-                             "slower than its serial reference (skipped when "
-                             "the candidate host has one hardware thread)")
-    parser.add_argument("--parallel-win-min-nodes", type=int, default=10_000,
-                        help="node-count floor for the parallel-win gate "
-                             "(default 10000; smaller cases are dispatch-"
-                             "overhead-bound)")
     args = parser.parse_args()
 
     base_report = load_report(args.baseline)
@@ -194,33 +182,6 @@ def main():
                   f"(simulation behavior differs, not just speed)")
             hash_changes.append(key)
 
-    # Workers-vs-serial speedup inside the candidate report: each sharded
-    # case against the serial run of the same (nodes, duration_s).
-    def shape_key(c):
-        return (c["nodes"], c["duration_s"], c.get("job_shape", "wide"))
-
-    serial_ref = {shape_key(c): c["steps_per_sec"]
-                  for c in cand_cases.values()
-                  if c["step_workers"] <= 1 and was_computed(c)}
-    sharded = [c for c in cand_cases.values()
-               if c["step_workers"] > 1 and was_computed(c)
-               and shape_key(c) in serial_ref]
-    parallel_losses = []
-    if sharded:
-        print("\ncandidate workers-vs-serial speedup:")
-        header = f"{'case':>24} {'serial steps/s':>15} {'sharded steps/s':>16} {'speedup':>8}"
-        print(header)
-        print("-" * len(header))
-        for c in sorted(sharded, key=case_key):
-            ref = serial_ref[shape_key(c)]
-            speedup = c["steps_per_sec"] / ref
-            flag = ""
-            if speedup < 1.0 and c["nodes"] >= args.parallel_win_min_nodes:
-                flag = "  SLOWER THAN SERIAL"
-                parallel_losses.append(case_key(c))
-            print(f"{fmt_key(case_key(c)):>24} {ref:>15.1f} "
-                  f"{c['steps_per_sec']:>16.1f} {speedup:>7.2f}x{flag}")
-
     failed = bool(regressions) or bool(hash_changes)
     if regressions:
         print(f"\nFAIL: {len(regressions)} case(s) regressed more than "
@@ -230,22 +191,6 @@ def main():
     if hash_changes:
         print(f"FAIL: result hash changed in {len(hash_changes)} case(s): "
               + ", ".join(fmt_key(key) for key in hash_changes))
-
-    if args.require_parallel_win:
-        hw_threads = cand_report.get("hardware_threads", 0)
-        if hw_threads <= 1:
-            print(f"parallel-win gate skipped: candidate host reports "
-                  f"{hw_threads:g} hardware thread(s); a speedup over serial "
-                  f"is impossible without real concurrency")
-        elif parallel_losses:
-            print(f"FAIL: {len(parallel_losses)} sharded case(s) at >= "
-                  f"{args.parallel_win_min_nodes} nodes slower than serial on "
-                  f"a {hw_threads:g}-thread host")
-            failed = True
-        else:
-            print("OK: every sharded case at >= "
-                  f"{args.parallel_win_min_nodes} nodes beats its serial "
-                  "reference")
 
     return 1 if failed else 0
 
