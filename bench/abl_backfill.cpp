@@ -45,8 +45,6 @@ int main() {
       config.job_types = sim::standard_sim_types(false, 1);  // incl. short IS/EP
       config.backfill = mode.backfill;
       config.single_queue = mode.single_queue;
-      config.bid.average_power_w = 120 * 165.0;
-      config.bid.reserve_w = 120 * 15.0;
       config.tracking_warmup_s = 300.0;
 
       // Heterogeneous instance sizes inside each queue — the regime where
@@ -70,6 +68,7 @@ int main() {
           job.walltime_hint_s = type.min_exec_time_s() * 1.3;
         }
       }
+      sim::set_bid_targets(config, {120 * 165.0, 120 * 15.0}, rng.child("sim"));
       sim::TabularSimulator simulator(config, schedule, rng.child("sim"));
       const sim::SimResult result = simulator.run();
       worst_q.add(result.qos.worst_quantile());

@@ -28,6 +28,7 @@
 #include "engine/scenario.hpp"
 #include "engine/sweep/result_cache.hpp"
 #include "telemetry/prof/prof.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "workload/job_type.hpp"
@@ -43,17 +44,6 @@ constexpr double kUtilization = 0.95;
 constexpr double kDurationS = 600.0;
 constexpr std::size_t kMinTimedRuns = 3;
 constexpr double kMinTimedWallS = 0.5;
-
-std::string fnv1a_hex(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
 
 engine::ScenarioSpec fig9_spec(int nodes) {
   engine::ScenarioSpec spec;
@@ -98,7 +88,7 @@ RunOutcome run_case(const engine::ScenarioSpec& spec) {
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   const engine::RunResult result = emu.run();  // drained: finalizes and hands over
   out.jobs_completed = result.jobs_completed;
-  out.result_hash = fnv1a_hex(engine::sweep::run_result_to_cache_json(result).dump());
+  out.result_hash = util::hex16(engine::sweep::result_hash(result));
   return out;
 }
 

@@ -21,7 +21,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/prof/prof.hpp"
 #include "util/json.hpp"
-#include "workload/schedule.hpp"
+#include "workload/regulation.hpp"
 
 using namespace anor;
 namespace prof = telemetry::prof;
@@ -30,15 +30,6 @@ namespace {
 
 constexpr std::uint64_t kSeed = 42;
 constexpr double kUtilization = 0.75;
-
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 struct Outcome {
   long steps = 0;
@@ -52,46 +43,24 @@ sim::SimConfig make_config(int nodes, double duration_s) {
   config.node_count = nodes;
   config.duration_s = duration_s;
   config.job_types = sim::standard_sim_types(true, std::max(1, nodes / 40));
-  config.bid.average_power_w = nodes * 150.0;
-  config.bid.reserve_w = nodes * 18.0;
   config.telemetry_enabled = false;
   return config;
-}
-
-workload::Schedule make_schedule(const sim::SimConfig& config) {
-  std::vector<workload::JobType> gen_types;
-  gen_types.reserve(config.job_types.size());
-  for (const sim::SimJobType& t : config.job_types) {
-    workload::JobType gt;
-    gt.name = t.name;
-    gt.nodes = t.nodes;
-    gt.base_epoch_s = t.time_at_pmax_s / 100.0;
-    gt.epochs = 100;
-    gen_types.push_back(std::move(gt));
-  }
-  workload::PoissonScheduleConfig sched_config;
-  sched_config.duration_s = config.duration_s;
-  sched_config.utilization = kUtilization;
-  sched_config.cluster_nodes = config.node_count;
-  return workload::generate_poisson_schedule(gen_types, sched_config,
-                                             util::Rng(kSeed).child("schedule"));
 }
 
 // A single 1000-node/3600s run is only ~35 ms of wall time — far too
 // short to measure a 2% effect against scheduler and frequency noise.
 // Each trial therefore times `reps` back-to-back runs as one aggregate
 // window, which stretches the measurement to hundreds of milliseconds.
-Outcome run_trial(const sim::SimConfig& config, const workload::Schedule& schedule,
-                  bool profiled, int reps) {
+Outcome run_trial(const sim::SimConfig& config, bool profiled, int reps) {
+  const workload::DemandResponseBid bid{config.node_count * 150.0, config.node_count * 18.0};
   prof::Profiler& profiler = prof::Profiler::global();
   Outcome out;
-  std::uint64_t h = 0;
   for (int rep = 0; rep < reps; ++rep) {
+    sim::TabularSimulator simulator = sim::make_simulation(config, bid, kUtilization, kSeed);
     if (profiled) {
       profiler.reset();
       profiler.set_enabled(true);
     }
-    sim::TabularSimulator simulator(config, schedule, util::Rng(kSeed).child("sim"));
     const auto t0 = std::chrono::steady_clock::now();
     const sim::SimResult r = simulator.run();
     out.wall_s +=
@@ -99,14 +68,7 @@ Outcome run_trial(const sim::SimConfig& config, const workload::Schedule& schedu
     out.steps += simulator.steps_taken();
     profiler.set_enabled(false);
 
-    h = 1469598103934665603ULL;
-    h = fnv1a(r.power_w.values().data(), r.power_w.size() * sizeof(double), h);
-    for (const auto& q : r.qos.records()) {
-      h = fnv1a(&q.job_id, sizeof(q.job_id), h);
-      h = fnv1a(&q.submit_s, sizeof(q.submit_s), h);
-      h = fnv1a(&q.start_s, sizeof(q.start_s), h);
-      h = fnv1a(&q.end_s, sizeof(q.end_s), h);
-    }
+    const std::uint64_t h = sim::trace_hash(r);
     if (rep == 0) {
       out.trace_hash = h;
     } else if (h != out.trace_hash) {
@@ -162,7 +124,6 @@ int main(int argc, char** argv) {
   }
 
   const sim::SimConfig config = make_config(1000, quick ? 600.0 : 3600.0);
-  const workload::Schedule schedule = make_schedule(config);
   prof::Profiler::global().set_trace_capacity(256);
 
   // Keep each trial pair short (~150 ms per side): shared-machine slow
@@ -173,8 +134,8 @@ int main(int argc, char** argv) {
   const int reps = quick ? 20 : 4;
 
   // Warm-up so page faults and allocator growth hit neither side.
-  run_trial(config, schedule, /*profiled=*/false, 1);
-  run_trial(config, schedule, /*profiled=*/true, 1);
+  run_trial(config, /*profiled=*/false, 1);
+  run_trial(config, /*profiled=*/true, 1);
 
   std::uint64_t hash = 0;
   bool hashes_identical = true;
@@ -193,11 +154,11 @@ int main(int argc, char** argv) {
       Outcome off;
       Outcome on;
       if (trial % 2 == 0) {
-        off = run_trial(config, schedule, /*profiled=*/false, reps);
-        on = run_trial(config, schedule, /*profiled=*/true, reps);
+        off = run_trial(config, /*profiled=*/false, reps);
+        on = run_trial(config, /*profiled=*/true, reps);
       } else {
-        on = run_trial(config, schedule, /*profiled=*/true, reps);
-        off = run_trial(config, schedule, /*profiled=*/false, reps);
+        on = run_trial(config, /*profiled=*/true, reps);
+        off = run_trial(config, /*profiled=*/false, reps);
       }
       if (hash == 0) hash = off.trace_hash;
       if (off.trace_hash != hash || on.trace_hash != hash) hashes_identical = false;

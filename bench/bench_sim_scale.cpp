@@ -24,6 +24,7 @@
 #include "engine/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/prof/prof.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 using namespace anor;
@@ -32,15 +33,6 @@ namespace {
 
 constexpr std::uint64_t kSeed = 42;
 constexpr double kUtilization = 0.75;
-
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// Repeat a case's timed run until the repeats total this much wall, and
 /// report their median: one ~20 ms run swings more between identical
@@ -66,37 +58,22 @@ sim::SimConfig make_config(const CaseSpec& spec, bool telemetry) {
   config.duration_s = spec.duration_s;
   config.job_types =
       sim::standard_sim_types(true, spec.dense ? 1 : std::max(1, spec.nodes / 40));
-  config.bid.average_power_w = spec.nodes * 150.0;
-  config.bid.reserve_w = spec.nodes * 18.0;
   config.telemetry_enabled = telemetry;
   return config;
 }
 
 RunOutcome run_case(const CaseSpec& spec, bool telemetry) {
+  const workload::DemandResponseBid bid{spec.nodes * 150.0, spec.nodes * 18.0};
   sim::TabularSimulator simulator =
-      sim::make_simulation(make_config(spec, telemetry), kUtilization, kSeed);
+      sim::make_simulation(make_config(spec, telemetry), bid, kUtilization, kSeed);
   const auto t0 = std::chrono::steady_clock::now();
   const sim::SimResult r = simulator.run();
   RunOutcome out;
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   out.steps = simulator.steps_taken();
   out.jobs_completed = r.jobs_completed;
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a(r.power_w.values().data(), r.power_w.size() * sizeof(double), h);
-  for (const auto& q : r.qos.records()) {
-    h = fnv1a(&q.job_id, sizeof(q.job_id), h);
-    h = fnv1a(&q.submit_s, sizeof(q.submit_s), h);
-    h = fnv1a(&q.start_s, sizeof(q.start_s), h);
-    h = fnv1a(&q.end_s, sizeof(q.end_s), h);
-  }
-  out.trace_hash = h;
+  out.trace_hash = sim::trace_hash(r);
   return out;
-}
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return std::string(buf);
 }
 
 }  // namespace
@@ -172,7 +149,7 @@ int main(int argc, char** argv) {
     entry["ns_per_node_tick"] =
         util::Json(timed.wall_s * 1e9 / (static_cast<double>(timed.steps) * spec.nodes));
     entry["jobs_completed"] = util::Json(timed.jobs_completed);
-    entry["trace_hash"] = util::Json(hash_hex(timed.trace_hash));
+    entry["trace_hash"] = util::Json(util::hex16(timed.trace_hash));
     // Provenance for the wall-clock numbers: this bench always computes
     // (never serves a cached RunResult), so its timings are comparable to
     // any other "off"/"miss" case — and never to a "hit" one
@@ -186,7 +163,7 @@ int main(int argc, char** argv) {
                 spec.nodes, spec.dense ? "dense" : "wide ", timed.steps, walls.size(),
                 timed.wall_s, timed.steps / timed.wall_s, timed.jobs_completed / timed.wall_s,
                 timed.wall_s * 1e9 / (static_cast<double>(timed.steps) * spec.nodes),
-                hash_hex(timed.trace_hash).c_str());
+                util::hex16(timed.trace_hash).c_str());
   }
 
   util::JsonObject root;
@@ -204,7 +181,7 @@ int main(int argc, char** argv) {
   // Host context for the timings (every case runs on one thread).
   root["hardware_threads"] =
       util::Json(static_cast<double>(std::thread::hardware_concurrency()));
-  root["serial_hash_1000_nodes"] = util::Json(hash_hex(serial_hash_1k));
+  root["serial_hash_1000_nodes"] = util::Json(util::hex16(serial_hash_1k));
   root["all_hashes_consistent"] = util::Json(hashes_consistent);
   root["cases"] = util::Json(std::move(cases));
 

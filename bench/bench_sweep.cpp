@@ -37,6 +37,7 @@
 #include "engine/sweep/executor.hpp"
 #include "engine/sweep/result_cache.hpp"
 #include "engine/sweep/sweep.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -50,24 +51,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t result_hash(const engine::RunResult& result) {
-  return fnv1a(engine::sweep::run_result_to_cache_json(result).dump());
-}
-
-std::string hash_hex(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
 
 /// The benched grid: 4 policies x 8 utilizations = 32 cells (quick: 2x2)
 /// at a large node count, short horizon, and nonzero node variation —
@@ -139,7 +122,9 @@ PassResult run_cold_sequential(const SweepGrid& grid) {
     results.push_back(engine::run_scenario(materializer.materialize(cell)));
   }
   pass.wall_s = seconds_since(start);  // hashing is verification, not timed work
-  for (const engine::RunResult& result : results) pass.hashes.push_back(result_hash(result));
+  for (const engine::RunResult& result : results) {
+    pass.hashes.push_back(engine::sweep::result_hash(result));
+  }
   return pass;
 }
 
@@ -149,7 +134,9 @@ PassResult run_executor(const SweepGrid& grid, const engine::sweep::SweepOptions
   const engine::sweep::SweepReport report = engine::sweep::run_sweep(grid, options);
   PassResult pass;
   pass.wall_s = seconds_since(start);
-  for (const auto& cell : report.cells) pass.hashes.push_back(result_hash(cell.result));
+  for (const auto& cell : report.cells) {
+    pass.hashes.push_back(engine::sweep::result_hash(cell.result));
+  }
   if (stats != nullptr) *stats = report.cache_stats;
   return pass;
 }
@@ -182,7 +169,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < cell_count; ++i) {
       if (pass.hashes[i] != cold.hashes[i]) {
         std::fprintf(stderr, "FAIL: cell %zu results diverged (cold %s %s %s)\n", i,
-                     hash_hex(cold.hashes[i]).c_str(), name, hash_hex(pass.hashes[i]).c_str());
+                     util::hex16(cold.hashes[i]).c_str(), name,
+                     util::hex16(pass.hashes[i]).c_str());
         hashes_consistent = false;
       }
     }
@@ -242,10 +230,10 @@ int main(int argc, char** argv) {
               cached.wall_s, cached_speedup, kRepeats, cached_walls.front(),
               cached_walls.back(), cached_hit_rate * 100.0);
 
-  std::uint64_t combined = 1469598103934665603ULL;
+  std::uint64_t combined = util::kFnv1aRecordBasis;
   for (const std::uint64_t h : cold.hashes) {
-    const std::string hex = hash_hex(h);
-    combined = fnv1a(hex + "/" + std::to_string(combined));
+    combined = util::fnv1a(util::hex16(h) + "/" + std::to_string(combined),
+                           util::kFnv1aRecordBasis);
   }
 
   util::JsonArray cases;
@@ -277,7 +265,7 @@ int main(int argc, char** argv) {
   root["grid_cells"] = util::Json(cell_count);
   root["hardware_threads"] =
       util::Json(static_cast<double>(std::thread::hardware_concurrency()));
-  root["results_hash"] = util::Json(hash_hex(combined));
+  root["results_hash"] = util::Json(util::hex16(combined));
   root["all_hashes_consistent"] = util::Json(hashes_consistent);
   root["warm_speedup_vs_cold"] = util::Json(warm_speedup);
   root["cached_speedup_vs_cold"] = util::Json(cached_speedup);

@@ -44,11 +44,11 @@ int main() {
   std::cout << "cluster of " << jobs.size() << " jobs, feasible power ["
             << min_w << ", " << max_w << "] W\n\n";
 
-  for (const auto kind :
-       {budget::BudgeterKind::kEvenSlowdown, budget::BudgeterKind::kEvenPower}) {
-    const auto budgeter = budget::make_budgeter(kind);
-    std::cout << "--- budgeter: " << budgeter->name()
-              << (kind == budget::BudgeterKind::kEvenSlowdown ? " (ideal)" : "") << " ---\n";
+  for (const bool ideal : {true, false}) {
+    // Instrumented, so the run artifacts carry the cluster.budget.* series.
+    const auto budgeter = budget::instrument_budgeter(
+        (ideal ? budget::even_slowdown_factory() : budget::even_power_factory())());
+    std::cout << "--- budgeter: " << budgeter->name() << (ideal ? " (ideal)" : "") << " ---\n";
 
     std::vector<std::string> header = {"budget_w"};
     for (const auto& type : types) header.push_back(type.name + "_slowdown%");

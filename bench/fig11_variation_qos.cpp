@@ -54,10 +54,9 @@ int main() {
           config.duration_s = 3600.0;
           config.job_types = sim::standard_sim_types(true, /*node_scale=*/25);
           config.perf_variation_sigma = platform::sigma_from_band99(level);
-          config.bid.average_power_w = 1000 * 150.0;
-          config.bid.reserve_w = 1000 * 18.0;
           config.tracking_warmup_s = 300.0;
-          const sim::SimResult result = sim::run_simulation(config, 0.75, 1000 + trial);
+          const sim::SimResult result =
+              sim::run_simulation(config, {1000 * 150.0, 1000 * 18.0}, 0.75, 1000 + trial);
           trials[trial].q90_by_type = result.qos.percentile_by_type(90.0);
           trials[trial].within30 = result.tracking.fraction_within_30;
         }

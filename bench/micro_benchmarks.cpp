@@ -4,6 +4,8 @@
 // primitives that sit on the control hot path.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "budget/budgeter.hpp"
 #include "geopm/comm_tree.hpp"
 #include "geopm/controller.hpp"
@@ -36,7 +38,7 @@ std::vector<budget::JobPowerProfile> make_profiles(int count) {
 
 void BM_EvenPowerBudgeter(benchmark::State& state) {
   const auto jobs = make_profiles(static_cast<int>(state.range(0)));
-  const auto budgeter = budget::make_budgeter(budget::BudgeterKind::kEvenPower);
+  const auto budgeter = budget::instrument_budgeter(budget::even_power_factory()());
   const double budget = 0.6 * budget::total_max_power_w(jobs);
   for (auto _ : state) {
     benchmark::DoNotOptimize(budgeter->distribute(jobs, budget));
@@ -47,7 +49,7 @@ BENCHMARK(BM_EvenPowerBudgeter)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_EvenSlowdownBudgeter(benchmark::State& state) {
   const auto jobs = make_profiles(static_cast<int>(state.range(0)));
-  const auto budgeter = budget::make_budgeter(budget::BudgeterKind::kEvenSlowdown);
+  const auto budgeter = budget::instrument_budgeter(budget::even_slowdown_factory()());
   const double budget = 0.6 * budget::total_max_power_w(jobs);
   for (auto _ : state) {
     benchmark::DoNotOptimize(budgeter->distribute(jobs, budget));
@@ -101,22 +103,30 @@ BENCHMARK(BM_MsrEncodeDecode);
 void BM_SimulatorStep(benchmark::State& state) {
   sim::SimConfig config;
   config.node_count = static_cast<int>(state.range(0));
-  config.duration_s = 1e9;  // never finish on its own
+  config.duration_s = 7200.0;  // the schedule's horizon
   config.job_types = sim::standard_sim_types(true, 1);
-  config.bid.average_power_w = config.node_count * 150.0;
-  config.bid.reserve_w = config.node_count * 18.0;
 
   util::Rng rng(1);
   workload::PoissonScheduleConfig sc;
-  sc.duration_s = 7200.0;
+  sc.duration_s = config.duration_s;
   sc.utilization = 0.75;
   sc.cluster_nodes = config.node_count;
   std::vector<workload::JobType> types;
   for (const auto& t : workload::nas_long_job_types()) types.push_back(t);
   const auto schedule = workload::generate_poisson_schedule(types, sc, rng);
-  sim::TabularSimulator simulator(config, schedule, rng.child("sim"));
+  const util::Rng sim_rng = rng.child("sim");
+  sim::set_bid_targets(config, {config.node_count * 150.0, config.node_count * 18.0}, sim_rng);
+  std::optional<sim::TabularSimulator> simulator;
+  simulator.emplace(config, schedule, sim_rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator.step());
+    const bool more = simulator->step();
+    benchmark::DoNotOptimize(more);
+    if (!more) {
+      // The run is over: start the next one outside the timed region.
+      state.PauseTiming();
+      simulator.emplace(config, schedule, sim_rng);
+      state.ResumeTiming();
+    }
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

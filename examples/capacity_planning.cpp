@@ -37,8 +37,8 @@ int main() {
   // --- train queue weights against the simulator ---
   sim::EvaluatorConfig eval_config;
   eval_config.base = base;
-  eval_config.base.bid.average_power_w = 200 * 150.0;
-  eval_config.base.bid.reserve_w = 200 * 15.0;
+  eval_config.bid.average_power_w = 200 * 150.0;
+  eval_config.bid.reserve_w = 200 * 15.0;
   eval_config.utilization = 0.75;
   eval_config.seed = 11;
 

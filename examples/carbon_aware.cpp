@@ -53,8 +53,8 @@ int main() {
   const auto carbon_run = run_with_targets(carbon_targets, schedule);
 
   // --- flat baseline at the same mean power budget ---
-  const auto flat_targets =
-      engine::constant_targets(carbon_targets.mean(), kHorizon, 60.0);
+  util::TimeSeries flat_targets;
+  flat_targets.add(0.0, carbon_targets.mean());
   const auto flat_run = run_with_targets(flat_targets, schedule);
 
   const double carbon_aware_g = workload::carbon_emitted_g(carbon_run.power_w, carbon);

@@ -11,6 +11,7 @@
 #include "engine/runner.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
+#include "workload/regulation.hpp"
 
 int main(int argc, char** argv) {
   using namespace anor;
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   // schedule from files").
   const std::string dir = "/tmp";
   const util::TimeSeries targets = workload::fig9_targets(seed);
-  util::save_json_file(dir + "/anor_targets.json", cluster::power_targets_to_json(targets));
+  util::save_json_file(dir + "/anor_targets.json", workload::power_targets_to_json(targets));
 
   workload::PoissonScheduleConfig schedule_config;
   schedule_config.duration_s = 3600.0;
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   spec.seed = seed;
   spec.schedule = workload::Schedule::load(dir + "/anor_schedule.json");
   spec.targets =
-      cluster::power_targets_from_json(util::load_json_file(dir + "/anor_targets.json"));
+      workload::power_targets_from_json(util::load_json_file(dir + "/anor_targets.json"));
 
   std::cout << "running " << spec.schedule.jobs.size()
             << " job arrivals over one hour on 16 nodes...\n";

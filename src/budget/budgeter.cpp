@@ -11,9 +11,8 @@ namespace anor::budget {
 namespace {
 
 /// Decorator recording every distribute() call in the global telemetry
-/// registry.  `make_budgeter` wraps both concrete policies with it, so
-/// every consumer (cluster manager, simulator, benches) is instrumented
-/// without knowing about telemetry.
+/// registry, so every consumer (cluster manager, simulator, benches) is
+/// instrumented without knowing about telemetry.
 class InstrumentedBudgeter final : public Budgeter {
  public:
   explicit InstrumentedBudgeter(std::unique_ptr<Budgeter> inner)
@@ -45,23 +44,12 @@ class InstrumentedBudgeter final : public Budgeter {
 
 }  // namespace
 
-std::string to_string(BudgeterKind kind) {
-  switch (kind) {
-    case BudgeterKind::kEvenPower: return "even-power";
-    case BudgeterKind::kEvenSlowdown: return "even-slowdown";
-  }
-  return "?";
+BudgeterFactory even_power_factory() {
+  return [] { return std::unique_ptr<Budgeter>(std::make_unique<EvenPowerBudgeter>()); };
 }
 
-std::unique_ptr<Budgeter> make_budgeter(BudgeterKind kind) {
-  std::unique_ptr<Budgeter> inner;
-  switch (kind) {
-    case BudgeterKind::kEvenPower: inner = std::make_unique<EvenPowerBudgeter>(); break;
-    case BudgeterKind::kEvenSlowdown:
-      inner = std::make_unique<EvenSlowdownBudgeter>();
-      break;
-  }
-  return instrument_budgeter(std::move(inner));
+BudgeterFactory even_slowdown_factory() {
+  return [] { return std::unique_ptr<Budgeter>(std::make_unique<EvenSlowdownBudgeter>()); };
 }
 
 std::unique_ptr<Budgeter> instrument_budgeter(std::unique_ptr<Budgeter> inner) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,14 +58,19 @@ class Budgeter {
                                   double budget_w) const = 0;
 };
 
-enum class BudgeterKind { kEvenPower, kEvenSlowdown };
+/// Builds a fresh budgeter.  The simulator, the cluster manager and the
+/// policy registry each hold one; the built-in rules and expression-DSL
+/// policies are factories alike.
+using BudgeterFactory = std::function<std::unique_ptr<Budgeter>()>;
 
-std::string to_string(BudgeterKind kind);
-std::unique_ptr<Budgeter> make_budgeter(BudgeterKind kind);
+/// The two built-in rules.  Their products are bare: the simulator and
+/// the cluster manager wrap whatever their factory builds in
+/// instrument_budgeter once.
+BudgeterFactory even_power_factory();
+BudgeterFactory even_slowdown_factory();
 
-/// Wrap a budgeter in the telemetry decorator make_budgeter applies to
-/// the built-in kinds, so custom (policy-registry) budgeters report the
-/// same cluster.budget.* metrics and trace events.
+/// Wrap a budgeter in the telemetry decorator that reports every
+/// distribute() call as cluster.budget.* metrics and a trace event.
 std::unique_ptr<Budgeter> instrument_budgeter(std::unique_ptr<Budgeter> inner);
 
 /// Throws util::ConfigError naming the budgeter unless `result` holds one

@@ -6,6 +6,7 @@
 #include <cstddef>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace anor::budget {
 
@@ -320,12 +321,7 @@ double DslExpr::eval(const DslContext& ctx) const {
 }
 
 std::uint64_t dsl_source_hash(const std::string& source) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char ch : source) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a(source, util::kFnv1aRecordBasis);
 }
 
 double dsl_noise() {

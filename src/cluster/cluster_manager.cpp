@@ -5,7 +5,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
-#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "workload/job_type.hpp"
 
@@ -24,15 +23,9 @@ telemetry::Gauge& cap_gauge(int job_id, ManagedJob& job) {
 
 }  // namespace
 
-ClusterManager::ClusterManager(ClusterManagerConfig config) : config_(config) {
-  budgeter_ = config_.budgeter_factory
-                  ? budget::instrument_budgeter(config_.budgeter_factory())
-                  : budget::make_budgeter(config_.budgeter);
-}
-
-void ClusterManager::load_power_targets(const std::string& path) {
-  targets_ = power_targets_from_json(util::load_json_file(path));
-}
+ClusterManager::ClusterManager(ClusterManagerConfig config)
+    : config_(std::move(config)),
+      budgeter_(budget::instrument_budgeter(config_.budgeter_factory())) {}
 
 void ClusterManager::attach_channel(std::unique_ptr<MessageChannel> channel) {
   ReliableChannelConfig retry = config_.retry;
@@ -324,30 +317,6 @@ void ClusterManager::rebudget(double now_s) {
                      "budget send to " + job.job_name + " failed; will retry");
     }
   }
-}
-
-util::Json power_targets_to_json(const util::TimeSeries& targets) {
-  util::JsonArray t;
-  util::JsonArray p;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    t.push_back(util::Json(targets.times()[i]));
-    p.push_back(util::Json(targets.values()[i]));
-  }
-  util::JsonObject obj;
-  obj["t_s"] = util::Json(std::move(t));
-  obj["power_w"] = util::Json(std::move(p));
-  return util::Json(std::move(obj));
-}
-
-util::TimeSeries power_targets_from_json(const util::Json& json) {
-  const util::JsonArray& t = json.at("t_s").as_array();
-  const util::JsonArray& p = json.at("power_w").as_array();
-  if (t.size() != p.size()) throw util::ConfigError("power targets: array size mismatch");
-  util::TimeSeries series;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    series.add(t[i].as_number(), p[i].as_number());
-  }
-  return series;
 }
 
 }  // namespace anor::cluster

@@ -18,7 +18,6 @@
 // job's liveness is in doubt, so a partition cannot wind it up.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,11 +39,9 @@ namespace anor::cluster {
 struct ClusterManagerConfig {
   /// Budget recompute / target refresh cadence, seconds.
   double control_period_s = 2.0;
-  budget::BudgeterKind budgeter = budget::BudgeterKind::kEvenSlowdown;
-  /// When set, overrides `budgeter`: the policy registry's factory seam
-  /// for custom (e.g. expression-DSL) budgeters.  The manager wraps the
-  /// product in the same telemetry decorator make_budgeter applies.
-  std::function<std::unique_ptr<budget::Budgeter>()> budgeter_factory;
+  /// Builds the budgeter (the policy's); the manager wraps its product in
+  /// budget::instrument_budgeter.
+  budget::BudgeterFactory budgeter_factory = budget::even_slowdown_factory();
   /// Initial model for jobs whose classified type is unknown.
   model::DefaultModelPolicy default_model = model::DefaultModelPolicy::kLeastSensitive;
   /// Accept model updates from the job tier (the feedback path).  When
@@ -103,10 +100,8 @@ class ClusterManager {
   explicit ClusterManager(ClusterManagerConfig config);
 
   /// Power targets over time (watts); replaces any previous series.
-  /// An empty optional clears tracking (budget = unconstrained).
+  /// An empty series clears tracking (budget = unconstrained).
   void set_power_targets(util::TimeSeries targets) { targets_ = std::move(targets); }
-  /// Load targets from a JSON file of {"t_s": [...], "power_w": [...]}.
-  void load_power_targets(const std::string& path);
 
   /// Attach (and take ownership of) the manager side of a job's channel;
   /// it is wrapped in a ReliableChannel internally.  The manager releases
@@ -169,9 +164,5 @@ class ClusterManager {
   std::uint64_t leases_expired_ = 0;
   std::uint64_t channels_attached_ = 0;
 };
-
-/// Serialize/parse the power-target file format.
-util::Json power_targets_to_json(const util::TimeSeries& targets);
-util::TimeSeries power_targets_from_json(const util::Json& json);
 
 }  // namespace anor::cluster

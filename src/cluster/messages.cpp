@@ -155,8 +155,6 @@ Message decode_framed_text(const std::string& text) {
   }
   if (!json.is_object()) throw util::TransportError("corrupt frame: not an object");
   try {
-    // Legacy/unframed texts carry the message at the top level.
-    if (json.contains("type")) return decode(json);
     const auto expected = static_cast<std::uint32_t>(json.at("crc").as_number());
     const std::string payload = json.at("msg").dump();
     if (message_checksum(payload) != expected) {

@@ -100,7 +100,8 @@ std::uint32_t message_checksum(std::string_view payload_text);
 /// decode_framed_text throws util::TransportError on malformed JSON, a
 /// missing/invalid frame shape, or a checksum mismatch — hostile or
 /// bit-flipped bytes are rejected instead of reaching the control plane.
-/// Unframed legacy texts ({"type": ...} at top level) are still accepted.
+/// Unframed text ({"type": ...} at top level) is rejected the same way:
+/// every sender frames, and an unframed message would skip the checksum.
 std::string encode_framed_text(const Message& message);
 Message decode_framed_text(const std::string& text);
 

@@ -54,7 +54,7 @@ void ReliableChannel::enqueue_failed(Message message) {
 bool ReliableChannel::send(const Message& message) {
   ANOR_PROF_SCOPE("channel.send");
   Message stamped = message;
-  if (config_.stamp_seq) set_seq(stamped, ++next_seq_);
+  set_seq(stamped, ++next_seq_);
   // Preserve order: while older messages wait on retry, new ones queue
   // behind them instead of overtaking.
   if (!outbox_.empty()) {
@@ -102,7 +102,7 @@ std::optional<Message> ReliableChannel::receive() {
   static auto& gaps = counter("transport.seq_gaps");
   while (auto message = inner_->receive()) {
     const std::uint64_t seq = seq_of(*message);
-    if (!config_.dedup || seq == 0) return message;
+    if (seq == 0) return message;
     // A hello starts a fresh sequence space (peer restart / rejoin).
     if (std::holds_alternative<JobHelloMsg>(*message)) {
       last_seq_seen_ = seq;

@@ -36,10 +36,6 @@ struct ReliableChannelConfig {
   double retry_jitter_frac = 0.2;
   /// Outbox capacity; overflowing drops the oldest queued message.
   std::size_t max_outbox = 64;
-  /// Stamp outbound messages with a monotonic per-channel sequence.
-  bool stamp_seq = true;
-  /// Drop inbound duplicates and stale reorders by sequence number.
-  bool dedup = true;
   /// Seed for the (deterministic) retry jitter stream.
   std::uint64_t jitter_seed = 1;
 };

@@ -66,9 +66,7 @@ AdmissionCheck check_envelope(const PolicyDescriptor& descriptor) {
   AdmissionCheck check;
   check.name = "budget-envelope";
   try {
-    auto factory = policy_budgeter_factory(descriptor);
-    const std::unique_ptr<budget::Budgeter> budgeter =
-        factory ? factory() : budget::make_budgeter(descriptor.budgeter_kind);
+    const std::unique_ptr<budget::Budgeter> budgeter = descriptor.budgeter_factory();
 
     std::vector<budget::JobPowerProfile> jobs;
     int id = 1;

@@ -1,21 +1,15 @@
 #include "engine/policy_registry.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "budget/expr_budgeter.hpp"
 #include "budget/policy_dsl.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace anor::engine {
 
 namespace {
-
-std::string hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
-  return buf;
-}
 
 std::string join_names(const std::vector<std::string>& names) {
   std::string out;
@@ -27,13 +21,13 @@ std::string join_names(const std::vector<std::string>& names) {
 }
 
 PolicyDescriptor make_builtin(std::string name, std::string summary,
-                              budget::BudgeterKind kind, bool feedback,
+                              budget::BudgeterFactory factory, bool feedback,
                               bool expects_labels, bool strip_labels) {
   PolicyDescriptor d;
   d.name = std::move(name);
   d.summary = std::move(summary);
   d.builtin = true;
-  d.budgeter_kind = kind;
+  d.budgeter_factory = std::move(factory);
   d.feedback = feedback;
   d.expects_misclassification = expects_labels;
   d.strip_labels_for_tabular = strip_labels;
@@ -44,25 +38,24 @@ PolicyDescriptor make_builtin(std::string name, std::string summary,
 
 std::string PolicyDescriptor::identity() const {
   if (builtin) return name;
-  if (!dsl_source.empty()) return name + "#" + hex16(budget::dsl_source_hash(dsl_source));
+  if (!dsl_source.empty()) return name + "#" + util::hex16(budget::dsl_source_hash(dsl_source));
   return name + "#native";
 }
 
 PolicyRegistry::PolicyRegistry() {
-  // The four paper policies (Fig. 6-10 legends), declarative-only so the
-  // runner's dispatch reproduces the legacy code path bit-for-bit.
+  // The four paper policies (Fig. 6-10 legends).
   for (PolicyDescriptor& d : std::vector<PolicyDescriptor>{
            make_builtin("uniform", "performance-agnostic even-power budgeter",
-                        budget::BudgeterKind::kEvenPower, false, false, false),
+                        budget::even_power_factory(), false, false, false),
            make_builtin("characterized",
                         "even-slowdown budgeter with correct precharacterized models",
-                        budget::BudgeterKind::kEvenSlowdown, false, false, false),
+                        budget::even_slowdown_factory(), false, false, false),
            make_builtin("misclassified",
                         "even-slowdown with wrong classification labels, feedback off",
-                        budget::BudgeterKind::kEvenSlowdown, false, true, false),
+                        budget::even_slowdown_factory(), false, true, false),
            make_builtin("adjusted",
                         "misclassified with the job-tier feedback loop enabled",
-                        budget::BudgeterKind::kEvenSlowdown, true, true, true)}) {
+                        budget::even_slowdown_factory(), true, true, true)}) {
     policies_.emplace(d.name, std::move(d));
   }
 }
@@ -104,6 +97,10 @@ void PolicyRegistry::register_expression_policy(const std::string& name,
   d.name = name;
   d.summary = summary.empty() ? "expression-DSL policy" : summary;
   d.dsl_source = expr;
+  d.budgeter_factory = [name, expr] {
+    return std::unique_ptr<budget::Budgeter>(
+        std::make_unique<budget::ExpressionBudgeter>(name, budget::DslExpr::parse(expr)));
+  };
   register_policy(std::move(d));
 }
 
@@ -180,20 +177,6 @@ PolicyDescriptor resolve_policy(const PolicyRef& ref) {
     registry.register_expression_policy(ref.name, ref.dsl);
   }
   return registry.get(ref.name);
-}
-
-std::function<std::unique_ptr<budget::Budgeter>()> policy_budgeter_factory(
-    const PolicyDescriptor& descriptor) {
-  if (descriptor.budgeter_factory) return descriptor.budgeter_factory;
-  if (!descriptor.dsl_source.empty()) {
-    const std::string name = descriptor.name;
-    const std::string source = descriptor.dsl_source;
-    return [name, source] {
-      return std::unique_ptr<budget::Budgeter>(
-          std::make_unique<budget::ExpressionBudgeter>(name, budget::DslExpr::parse(source)));
-    };
-  }
-  return nullptr;
 }
 
 // --- PolicyRef helpers declared in scenario.hpp ------------------------

@@ -3,44 +3,29 @@
 // The paper's four policies used to be a closed enum dispatched through
 // switches; the registry turns the policy set open: a PolicyDescriptor
 // bundles everything run_scenario needs to dispatch a policy — a stable
-// name, the budgeter (a built-in kind or a custom factory), the feedback
-// switches, the schedule-transform expectations (misclassification
-// labels, the Adjusted label-stripping step), and optional per-backend
-// config hooks — and policies register under their name at runtime.
+// name, the budgeter factory, the feedback switches and the
+// schedule-transform expectations (misclassification labels, the
+// Adjusted label-stripping step) — and policies register under their
+// name at runtime.
 //
 // Built-ins vs. the open set:
 //   * The four paper policies are registered by the registry constructor
-//     itself and are *declarative only* (kind + flags, no factory), so
-//     dispatch reaches the exact legacy code path and the golden trace
-//     hashes (b3a442b79219c7d9 / 42ce5da3ae89f65c) are reproduced
-//     bit-for-bit.
+//     itself: `uniform` with budget::even_power_factory, the other three
+//     with budget::even_slowdown_factory.
 //   * Everything else is admission-gated: run_scenario refuses to
 //     dispatch a non-built-in policy until it has passed the admission
 //     harness (engine/policy_admission.hpp) — cross-backend parity plus
 //     the chaos determinism gate.
-//
-// The registry is engine-layer: it may not depend on cluster/sim (sim
-// depends on engine), so the per-backend hooks take forward-declared
-// config types and are *applied* by the runner, which owns both stacks.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "budget/budgeter.hpp"
 #include "engine/scenario.hpp"
-
-namespace anor::cluster {
-struct EmulationConfig;
-}  // namespace anor::cluster
-namespace anor::sim {
-struct SimConfig;
-}  // namespace anor::sim
 
 namespace anor::engine {
 
@@ -49,16 +34,14 @@ struct PolicyDescriptor {
   std::string name;
   std::string summary;
 
-  /// True for the four paper policies: registered by the registry itself,
-  /// exempt from admission, and guaranteed to take the legacy dispatch
-  /// path (no factory, no hooks).
+  /// True for the four paper policies: registered by the registry itself
+  /// and exempt from admission.
   bool builtin = false;
 
-  /// Budgeter selection: when `budgeter_factory` is set it wins (the
-  /// runner instruments and installs it); otherwise `budgeter_kind` is
-  /// handed to budget::make_budgeter unchanged.
-  budget::BudgeterKind budgeter_kind = budget::BudgeterKind::kEvenSlowdown;
-  std::function<std::unique_ptr<budget::Budgeter>()> budgeter_factory;
+  /// Builds the policy's budgeter; both backends install its product
+  /// (instrumented).  Expression-DSL policies get theirs when they
+  /// register.
+  budget::BudgeterFactory budgeter_factory = budget::even_slowdown_factory();
 
   /// Emulated backend: job-tier feedback loop + cluster-tier model
   /// updates (the Adjusted policy's switches).
@@ -70,11 +53,6 @@ struct PolicyDescriptor {
   /// …and, on the tabular backend, stripped again before the run (the
   /// Adjusted policy's converged-feedback model).
   bool strip_labels_for_tabular = false;
-
-  /// Optional per-backend config hooks, applied by the runner after the
-  /// declarative fields (advanced knobs the fields don't cover).
-  std::function<void(cluster::EmulationConfig&)> apply_emulated;
-  std::function<void(sim::SimConfig&)> apply_tabular;
 
   /// Non-empty for expression-DSL policies: the cap expression source
   /// (budget/policy_dsl.hpp).  Folded into identity() so two policies
@@ -100,8 +78,9 @@ class PolicyRegistry {
   /// Built-in names are reserved.
   void register_policy(PolicyDescriptor descriptor);
 
-  /// Convenience: register an expression-DSL policy (parse-checks the
-  /// expression; throws ConfigError on syntax errors).
+  /// Convenience: register an expression-DSL policy whose factory builds
+  /// a budget::ExpressionBudgeter (parse-checks the expression; throws
+  /// ConfigError on syntax errors).
   void register_expression_policy(const std::string& name, const std::string& expr,
                                   const std::string& summary = "");
 
@@ -140,12 +119,5 @@ class PolicyRegistry {
 /// inline DSL expression auto-registers it first (idempotent).  Throws
 /// ConfigError for unknown names or conflicting re-definitions.
 PolicyDescriptor resolve_policy(const PolicyRef& ref);
-
-/// Budgeter factory for a descriptor: the descriptor's explicit factory,
-/// an ExpressionBudgeter for DSL policies, or nullptr for declarative
-/// descriptors (callers fall back to budget::make_budgeter(budgeter_kind)
-/// — the built-ins' unchanged legacy path).
-std::function<std::unique_ptr<budget::Budgeter>()> policy_budgeter_factory(
-    const PolicyDescriptor& descriptor);
 
 }  // namespace anor::engine

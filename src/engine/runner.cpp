@@ -14,26 +14,28 @@
 
 namespace anor::engine {
 
+namespace {
+
+/// The spec's power objective as a target series: a static budget is a
+/// one-sample series, which holds its value at every t.
+util::TimeSeries spec_targets(const ScenarioSpec& spec) {
+  if (!spec.static_budget_w) return spec.targets;
+  util::TimeSeries flat;
+  flat.add(0.0, *spec.static_budget_w);
+  return flat;
+}
+
+}  // namespace
+
 void apply_policy(cluster::EmulationConfig& config, const PolicyRef& policy) {
-  const PolicyDescriptor descriptor = resolve_policy(policy);
-  config.manager.budgeter = descriptor.budgeter_kind;
-  config.manager.budgeter_factory = policy_budgeter_factory(descriptor);
+  PolicyDescriptor descriptor = resolve_policy(policy);
+  config.manager.budgeter_factory = std::move(descriptor.budgeter_factory);
   config.manager.accept_model_updates = descriptor.feedback;
   config.endpoint.feedback_enabled = descriptor.feedback;
-  if (descriptor.apply_emulated) descriptor.apply_emulated(config);
 }
 
 void apply_policy(sim::SimConfig& config, const PolicyRef& policy) {
-  const PolicyDescriptor descriptor = resolve_policy(policy);
-  config.budgeter = descriptor.budgeter_kind;
-  config.budgeter_factory = policy_budgeter_factory(descriptor);
-  if (descriptor.apply_tabular) descriptor.apply_tabular(config);
-}
-
-util::TimeSeries constant_targets(double power_w, double horizon_s, double period_s) {
-  util::TimeSeries series;
-  for (double t = 0.0; t <= horizon_s + 1e-9; t += period_s) series.add(t, power_w);
-  return series;
+  config.budgeter_factory = resolve_policy(policy).budgeter_factory;
 }
 
 cluster::EmulatedCluster make_emulated_cluster(const ScenarioSpec& spec,
@@ -46,12 +48,7 @@ cluster::EmulatedCluster make_emulated_cluster(const ScenarioSpec& spec,
   apply_policy(config, spec.policy);
 
   cluster::EmulatedCluster emu(config, spec.schedule);
-  if (spec.static_budget_w) {
-    const double horizon = std::max(spec.schedule.duration_s, 4.0 * 3600.0);
-    emu.set_power_targets(constant_targets(*spec.static_budget_w, horizon));
-  } else if (!spec.targets.empty()) {
-    emu.set_power_targets(spec.targets);
-  }
+  emu.set_power_targets(spec_targets(spec));
   return emu;
 }
 
@@ -86,15 +83,7 @@ sim::SimConfig make_sim_config(const ScenarioSpec& spec) {
 
   apply_policy(config, spec.policy);
 
-  // The power objective becomes an explicit target series; the bid-driven
-  // regulation walk stays off so both backends track the same targets.
-  config.bid = workload::DemandResponseBid{};
-  if (spec.static_budget_w) {
-    const double horizon_s = std::max(config.duration_s, 4.0 * 3600.0);
-    config.power_targets = constant_targets(*spec.static_budget_w, horizon_s);
-  } else if (!spec.targets.empty()) {
-    config.power_targets = spec.targets;
-  }
+  config.power_targets = spec_targets(spec);
   config.tracking_warmup_s = spec.tracking_warmup_s;
   config.tracking_reserve_w = spec.tracking_reserve_w;
   return config;

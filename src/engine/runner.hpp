@@ -17,21 +17,17 @@
 namespace anor::engine {
 
 /// Configure an emulation for a policy, resolved through the registry
-/// (engine/policy_registry.hpp): the budgeter kind or factory, the
-/// feedback switches, and any custom apply_emulated hook.  The schedule
-/// carries the misclassification labels (workload::misclassify).
+/// (engine/policy_registry.hpp): the budgeter factory and the feedback
+/// switches.  The schedule carries the misclassification labels
+/// (workload::misclassify).
 void apply_policy(cluster::EmulationConfig& config, const PolicyRef& policy);
 
 /// Configure the tabular simulator for a policy: the descriptor's
-/// budgeter kind or factory plus any apply_tabular hook.  The built-in
-/// Adjusted policy's converged feedback loop is modeled by budgeting with
-/// the true (not classified) models — run_scenario strips the labels
-/// before the run (descriptor.strip_labels_for_tabular).
+/// budgeter factory.  The built-in Adjusted policy's converged feedback
+/// loop is modeled by budgeting with the true (not classified) models —
+/// run_scenario strips the labels before the run
+/// (descriptor.strip_labels_for_tabular).
 void apply_policy(sim::SimConfig& config, const PolicyRef& policy);
-
-/// A constant-power target series over a horizon (static budget runs are
-/// degenerate tracking runs, as on the real cluster).
-util::TimeSeries constant_targets(double power_w, double horizon_s, double period_s = 4.0);
 
 /// Build the emulated cluster for a spec (exposed so tests can
 /// single-step it).  `base` carries advanced emulation knobs the
@@ -41,8 +37,8 @@ cluster::EmulatedCluster make_emulated_cluster(const ScenarioSpec& spec,
 
 /// Map a spec onto the tabular simulator: job types derived from the
 /// schedule's workload types (SimJobType::from_job_type), the idle power
-/// floor aligned with the emulated platform, the power objective as an
-/// explicit target series.
+/// floor aligned with the emulated platform, the power objective as the
+/// target series (a static budget is its one-sample series).
 sim::SimConfig make_sim_config(const ScenarioSpec& spec);
 
 /// Build the tabular simulator for a spec (exposed so `anorctl profile`

@@ -6,6 +6,7 @@
 
 #include "telemetry/prof/prof.hpp"
 #include "util/error.hpp"
+#include "workload/regulation.hpp"
 
 namespace anor::engine {
 
@@ -36,6 +37,31 @@ std::map<std::string, util::RunningStats> RunResult::slowdown_by_type() const {
   return by_type;
 }
 
+namespace {
+
+/// The slow half of validate()'s node check, for a job whose `nodes` is
+/// not in 1..node_count.
+void check_job_nodes(const workload::JobRequest& job, int node_count) {
+  const std::string id = "ScenarioSpec: job id " + std::to_string(job.job_id);
+  if (job.nodes < 0) {
+    throw util::ConfigError(id + " asks for " + std::to_string(job.nodes) +
+                            " nodes; nodes must be >= 0 (0 = the type's default)");
+  }
+  int nodes = job.nodes;
+  if (nodes == 0) {
+    // An unknown type is the backend's to report.
+    const std::optional<workload::JobType> type = workload::try_find_job_type(job.type_name);
+    if (!type) return;
+    nodes = type->nodes;
+  }
+  if (nodes > node_count) {
+    throw util::ConfigError(id + " needs " + std::to_string(nodes) +
+                            " nodes but the cluster has " + std::to_string(node_count));
+  }
+}
+
+}  // namespace
+
 void ScenarioSpec::validate() const {
   if (static_budget_w && !targets.empty()) {
     throw util::ConfigError("ScenarioSpec: set either static_budget_w or targets, not both");
@@ -53,6 +79,11 @@ void ScenarioSpec::validate() const {
                               " is negative; ids must be >= 0");
     }
     max_id = std::max(max_id, job.job_id);
+    // One compare passes every job that asks for 1..node_count nodes:
+    // 0 (the type's default) and negative counts wrap past node_count.
+    if (static_cast<unsigned>(job.nodes) - 1u >= static_cast<unsigned>(node_count)) {
+      check_job_nodes(job, node_count);
+    }
   }
   // A repeated id would make the tabular backend lose a job that the
   // emulated one runs.  Dense ids (the generators number 0..n-1) are
@@ -79,40 +110,6 @@ void ScenarioSpec::validate() const {
   }
 }
 
-namespace {
-
-util::Json series_to_json(const util::TimeSeries& series) {
-  util::JsonArray t;
-  util::JsonArray v;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    t.push_back(util::Json(series.times()[i]));
-    v.push_back(util::Json(series.values()[i]));
-  }
-  util::JsonObject obj;
-  obj["t_s"] = util::Json(std::move(t));
-  obj["power_w"] = util::Json(std::move(v));
-  return util::Json(std::move(obj));
-}
-
-util::TimeSeries series_from_json(const util::Json& json) {
-  const util::JsonArray& t = json.at("t_s").as_array();
-  const util::JsonArray& v = json.at("power_w").as_array();
-  if (t.size() != v.size()) {
-    throw util::ConfigError("ScenarioSpec targets: array size mismatch");
-  }
-  util::TimeSeries series;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const double t_s = t[i].as_number();
-    if (!series.empty() && t_s < series.times().back()) {
-      throw util::ConfigError("ScenarioSpec targets: 't_s' must be non-decreasing");
-    }
-    series.add(t_s, v[i].as_number());
-  }
-  return series;
-}
-
-}  // namespace
-
 util::Json scenario_spec_to_json(const ScenarioSpec& spec) {
   util::JsonObject obj;
   obj["schema"] = util::Json(std::string("anor.scenario.v1"));
@@ -121,7 +118,7 @@ util::Json scenario_spec_to_json(const ScenarioSpec& spec) {
   obj["schedule"] = spec.schedule.to_json();
   obj["policy"] = policy_ref_to_json(spec.policy);
   if (spec.static_budget_w) obj["static_budget_w"] = util::Json(*spec.static_budget_w);
-  if (!spec.targets.empty()) obj["targets"] = series_to_json(spec.targets);
+  if (!spec.targets.empty()) obj["targets"] = workload::power_targets_to_json(spec.targets);
   obj["node_count"] = util::Json(spec.node_count);
   obj["perf_variation_sigma"] = util::Json(spec.perf_variation_sigma);
   obj["seed"] = util::Json(static_cast<double>(spec.seed));
@@ -145,7 +142,7 @@ ScenarioSpec scenario_spec_from_json(const util::Json& json) {
   if (json.contains("static_budget_w")) {
     spec.static_budget_w = json.at("static_budget_w").as_number();
   }
-  if (json.contains("targets")) spec.targets = series_from_json(json.at("targets"));
+  if (json.contains("targets")) spec.targets = workload::power_targets_from_json(json.at("targets"));
   spec.node_count = util::checked_integer_or(json, "node_count", spec.node_count);
   spec.perf_variation_sigma =
       json.number_or("perf_variation_sigma", spec.perf_variation_sigma);

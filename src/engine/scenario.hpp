@@ -162,7 +162,8 @@ struct ScenarioSpec {
 
   /// Throws util::ConfigError on contradictions (budget and targets both
   /// set, empty schedule on a tabular run, non-positive node count, a
-  /// negative job id).
+  /// negative or repeated job id, a job with negative `nodes` or wider
+  /// than the cluster).
   void validate() const;
 };
 

@@ -13,6 +13,7 @@
 #include "engine/sweep/spec_canon.hpp"
 #include "telemetry/prof/prof.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 
 namespace anor::engine::sweep {
@@ -245,6 +246,10 @@ util::JsonText run_result_to_cache_json(const RunResult& result) {
   util::JsonWriter out;
   write_run_result_cache_json(out, result);
   return out.finish();
+}
+
+std::uint64_t result_hash(const RunResult& result) {
+  return util::fnv1a(run_result_to_cache_json(result).dump(), util::kFnv1aRecordBasis);
 }
 
 RunResult run_result_from_cache_json(std::string_view text) {

@@ -123,4 +123,8 @@ util::JsonText run_result_to_cache_json(const RunResult& result);
 void write_run_result_cache_json(util::JsonWriter& out, const RunResult& result);
 RunResult run_result_from_cache_json(std::string_view text);
 
+/// FNV-1a over run_result_to_cache_json's bytes: the result hash the
+/// emulated goldens, the benches and perfbench record.
+std::uint64_t result_hash(const RunResult& result);
+
 }  // namespace anor::engine::sweep

@@ -1,10 +1,11 @@
 #include "engine/sweep/spec_canon.hpp"
 
-#include <cstdio>
+#include <string_view>
 
 #include "budget/policy_dsl.hpp"
 #include "engine/policy_registry.hpp"
 #include "telemetry/prof/prof.hpp"
+#include "util/hash.hpp"
 
 namespace anor::engine::sweep {
 
@@ -47,15 +48,10 @@ void write_canon_schedule(util::JsonWriter& out, const workload::Schedule& sched
   out.end_object();
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const char* data, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
+/// FNV-1a 64 over kCacheEpoch then the canonical string.
+std::uint64_t hash_canonical(std::string_view canon) {
+  const std::string_view epoch(kCacheEpoch, sizeof(kCacheEpoch) - 1);
+  return util::fnv1a(canon, util::fnv1a(epoch, util::kFnv1aRecordBasis));
 }
 
 }  // namespace
@@ -68,10 +64,7 @@ std::string policy_identity_for_cache(const PolicyRef& policy) {
     // Inline definitions carry their own identity whether or not they
     // have been registered yet — the key must not depend on process
     // registration state.
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(budget::dsl_source_hash(policy.dsl)));
-    return policy.name + "#" + buf;
+    return policy.name + "#" + util::hex16(budget::dsl_source_hash(policy.dsl));
   }
   PolicyRegistry& registry = PolicyRegistry::global();
   if (!registry.contains(policy.name)) return policy.name + "#unregistered";
@@ -112,27 +105,18 @@ std::string canonical_spec_string(const ScenarioSpec& spec) {
 }
 
 std::uint64_t canonical_spec_hash(const ScenarioSpec& spec) {
-  const std::string canon = canonical_spec_string(spec);
-  std::uint64_t h = fnv1a(kFnvOffset, kCacheEpoch, sizeof(kCacheEpoch) - 1);
-  return fnv1a(h, canon.data(), canon.size());
+  return hash_canonical(canonical_spec_string(spec));
 }
 
 std::string canonical_spec_key(const ScenarioSpec& spec) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(canonical_spec_hash(spec)));
-  return std::string(buf);
+  return util::hex16(canonical_spec_hash(spec));
 }
 
 CanonicalSpec canonicalize_spec(const ScenarioSpec& spec) {
   ANOR_PROF_SCOPE("cache.canonicalize");
   CanonicalSpec canon;
   canon.canonical = canonical_spec_string(spec);
-  std::uint64_t h = fnv1a(kFnvOffset, kCacheEpoch, sizeof(kCacheEpoch) - 1);
-  h = fnv1a(h, canon.canonical.data(), canon.canonical.size());
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  canon.key = buf;
+  canon.key = util::hex16(hash_canonical(canon.canonical));
   return canon;
 }
 

@@ -75,9 +75,6 @@ class JobController {
 
   Endpoint& endpoint() { return endpoint_; }
 
-  /// Virtual time when the next control step is due.
-  double next_control_due_s() const { return next_step_s_; }
-
   /// Run one agent iteration if due at `now_s`: apply any pending endpoint
   /// policy through the tree, then reduce samples and publish the root
   /// sample to the endpoint.

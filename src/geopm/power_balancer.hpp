@@ -36,10 +36,6 @@ class PowerBalancerAgent final : public PowerGovernorAgent {
   void observe_child_samples(std::span<const Sample> samples) override;
   void split_policy(const Policy& policy, std::span<Policy> children) const override;
 
-  /// Smoothed relative epoch lag per child (diagnostic; empty before the
-  /// first reduce).
-  const std::vector<double>& child_lag() const { return child_lag_; }
-
  private:
   BalancerConfig config_;
   // Per-child smoothed epoch lag relative to the subtree mean; index 0 is

@@ -119,7 +119,6 @@ class OnlineModeler {
   /// True once at least one successful refit replaced the initial model.
   bool has_fitted_model() const { return fitted_; }
 
-  long total_epochs_seen() const { return last_epoch_count_ < 0 ? 0 : last_epoch_count_; }
   std::size_t observation_count() const { return observations_.size(); }
   /// The observation window; spans marked mixed_cap are unsafe to fit
   /// against and are skipped wherever the window is pooled.

@@ -10,15 +10,14 @@ namespace anor::sim {
 sched::BidEvaluator make_bid_evaluator(EvaluatorConfig config,
                                        const sched::BidderConfig& prices) {
   return [config, prices](const workload::DemandResponseBid& bid) {
-    SimConfig candidate = config.base;
-    candidate.bid = bid;
-    const SimResult result = run_simulation(candidate, config.utilization, config.seed);
+    const SimResult result =
+        run_simulation(config.base, bid, config.utilization, config.seed);
 
     sched::BidEvaluation eval;
     eval.qos_ok = result.qos.satisfied();
     eval.tracking_ok = result.tracking.samples > 0 &&
                        result.tracking.p90_error <= config.tracking_error_limit;
-    const double hours = candidate.duration_s / util::kSecondsPerHour;
+    const double hours = config.base.duration_s / util::kSecondsPerHour;
     eval.energy_cost =
         prices.energy_price_per_kwh * util::kilowatts_from_watts(bid.average_power_w) * hours;
     eval.reserve_credit =
@@ -31,9 +30,10 @@ sched::WeightEvaluator make_weight_evaluator(EvaluatorConfig config) {
   return [config](const std::map<std::string, double>& weights) {
     SimConfig candidate = config.base;
     candidate.queue_weights = weights;
-    const SimResult result = run_simulation(candidate, config.utilization, config.seed);
+    const SimResult result =
+        run_simulation(candidate, config.bid, config.utilization, config.seed);
     const bool tracking_ok =
-        candidate.bid.reserve_w <= 0.0 ||
+        config.bid.reserve_w <= 0.0 ||
         (result.tracking.samples > 0 &&
          result.tracking.p90_error <= config.tracking_error_limit);
     if (!tracking_ok) return -std::numeric_limits<double>::infinity();

@@ -16,7 +16,10 @@
 namespace anor::sim {
 
 struct EvaluatorConfig {
-  SimConfig base;            // bid/weights fields are overwritten per candidate
+  SimConfig base;  // queue_weights is overwritten per weight candidate
+  /// The bid the weight evaluator tracks (the bid evaluator tracks each
+  /// candidate bid instead).
+  workload::DemandResponseBid bid;
   double utilization = 0.75;
   std::uint64_t seed = 1;
   double tracking_error_limit = 0.30;

@@ -42,6 +42,16 @@ model::PowerPerfModel SimJobType::budget_model() const {
   return model::PowerPerfModel::fit(caps, times, p_min_w, p_max_w);
 }
 
+void set_bid_targets(SimConfig& config, const workload::DemandResponseBid& bid,
+                     const util::Rng& sim_rng) {
+  config.power_targets = util::TimeSeries{};
+  config.tracking_reserve_w = bid.reserve_w;
+  if (bid.reserve_w <= 0.0) return;
+  const double horizon_s = 4.0 * config.duration_s;
+  const workload::RandomWalkRegulation regulation(sim_rng.child("regulation"), horizon_s, 4.0);
+  config.power_targets = workload::make_power_target_series(bid, regulation, horizon_s, 4.0);
+}
+
 std::vector<SimJobType> standard_sim_types(bool long_types_only, int node_scale) {
   const auto& types =
       long_types_only ? workload::nas_long_job_types() : workload::nas_job_types();

@@ -7,15 +7,13 @@
 // per node and execution time at either end.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <map>
 #include <string>
 #include <vector>
 
-#include <map>
-
 #include "budget/budgeter.hpp"
 #include "model/perf_model.hpp"
+#include "util/rng.hpp"
 #include "util/time_series.hpp"
 #include "workload/job_type.hpp"
 #include "workload/regulation.hpp"
@@ -67,12 +65,9 @@ struct SimConfig {
 
   std::vector<SimJobType> job_types;
 
-  budget::BudgeterKind budgeter = budget::BudgeterKind::kEvenSlowdown;
-  /// When set, overrides `budgeter`: the policy registry's factory seam
-  /// for custom (e.g. expression-DSL) budgeters.  The simulator wraps the
-  /// product in the same telemetry decorator make_budgeter applies.
-  /// Custom policies travel by name through ScenarioSpec.
-  std::function<std::unique_ptr<budget::Budgeter>()> budgeter_factory;
+  /// Builds the budgeter (the policy's, see engine::apply_policy); the
+  /// simulator wraps its product in budget::instrument_budgeter.
+  budget::BudgeterFactory budgeter_factory = budget::even_slowdown_factory();
   bool power_aware_admission = true;
   /// EASY backfill within queues (see sched::SchedulerConfig::backfill).
   bool backfill = false;
@@ -83,18 +78,12 @@ struct SimConfig {
   bool protect_at_risk_jobs = false;
   double at_risk_fraction = 0.8;  // protect when projected Q > frac*limit
 
-  /// Demand response: targets follow bid.average +/- bid.reserve * y(t).
-  /// A zero reserve disables tracking (the cluster runs uncapped).
-  workload::DemandResponseBid bid;
-  double regulation_step_s = 4.0;
-  double regulation_volatility = 0.18;
-
-  /// Explicit power-target series (watts).  When non-empty it overrides
-  /// the bid-driven regulation walk, so a scenario can drive the tabular
-  /// backend with exactly the targets the emulated cluster tracks.
+  /// The power objective (watts, zero-order hold; a static budget is one
+  /// sample).  Empty disables tracking: the cluster runs uncapped.  A
+  /// demand-response bid becomes this series through set_bid_targets.
   util::TimeSeries power_targets;
-  /// Error normalization for tracking statistics when `power_targets` is
-  /// set; <= 0 derives half the observed target span.
+  /// Error normalization for tracking statistics; <= 0 derives half the
+  /// observed target span.
   double tracking_reserve_w = 0.0;
 
   /// How often the policy tier re-budgets, seconds.
@@ -113,6 +102,14 @@ struct SimConfig {
   /// Per-phase wall time comes from the span profiler, not from here.
   bool telemetry_enabled = true;
 };
+
+/// Track a demand-response bid: `power_targets` becomes P_avg + R * y(t)
+/// on a 4 s grid over 4 x duration_s (the run's hard stop), with y(t) the
+/// random walk drawn from sim_rng.child("regulation"), and
+/// `tracking_reserve_w` becomes R.  A reserve <= 0 leaves the series
+/// empty.  `sim_rng` is the stream the simulator runs on.
+void set_bid_targets(SimConfig& config, const workload::DemandResponseBid& bid,
+                     const util::Rng& sim_rng);
 
 /// The six-type / eight-type standard mixes, as SimJobTypes.
 std::vector<SimJobType> standard_sim_types(bool long_types_only, int node_scale);

@@ -10,6 +10,7 @@
 #include "telemetry/prof/prof.hpp"
 #include "util/add_repeated.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace anor::sim {
 
@@ -48,18 +49,10 @@ TabularSimulator::TabularSimulator(SimConfig config, workload::Schedule schedule
       completion_queue_(kCompletionHorizonSteps * config_.step_s) {
   if (config_.job_types.empty()) throw util::ConfigError("TabularSimulator: no job types");
   nodes_.reset(config_.node_count);
-  budgeter_ = config_.budgeter_factory
-                  ? budget::instrument_budgeter(config_.budgeter_factory())
-                  : budget::make_budgeter(config_.budgeter);
+  budgeter_ = budget::instrument_budgeter(config_.budgeter_factory());
 
   for (std::size_t i = 0; i < config_.job_types.size(); ++i) {
     type_index_by_name_.emplace(config_.job_types[i].name, static_cast<int>(i));
-  }
-
-  if (config_.bid.reserve_w > 0.0) {
-    regulation_ = std::make_unique<workload::RandomWalkRegulation>(
-        rng_.child("regulation"), config_.duration_s * 4.0, config_.regulation_step_s,
-        config_.regulation_volatility);
   }
 
   // Budgeter-facing models, one per type (the *classified* type indexes
@@ -145,9 +138,7 @@ int TabularSimulator::type_index(const std::string& name) const {
 }
 
 double TabularSimulator::current_target_w() const {
-  if (!config_.power_targets.empty()) return config_.power_targets.sample_at(now_s_);
-  if (regulation_ == nullptr) return 0.0;
-  return config_.bid.target_at(*regulation_, now_s_);
+  return config_.power_targets.empty() ? 0.0 : config_.power_targets.sample_at(now_s_);
 }
 
 void TabularSimulator::set_row_cap(std::size_t row_index, double cap_w) {
@@ -605,8 +596,8 @@ void TabularSimulator::build_engine() {
       [this](double, double) {
         const double power_w = nodes_.total_power_w();
         result_.power_w.add(now_s_, power_w);
-        if (regulation_ != nullptr || !config_.power_targets.empty()) {
-          result_.target_w.add(now_s_, current_target_w());
+        if (!config_.power_targets.empty()) {
+          result_.target_w.add(now_s_, config_.power_targets.sample_at(now_s_));
         }
         append_table_log();
         if (config_.telemetry_enabled) {
@@ -654,10 +645,8 @@ SimResult TabularSimulator::run() {
   }
   flush_sweep();
   result_.end_time_s = now_s_;
-  if (regulation_ != nullptr || !config_.power_targets.empty()) {
-    double reserve = config_.tracking_reserve_w;
-    if (reserve <= 0.0 && regulation_ != nullptr) reserve = config_.bid.reserve_w;
-    engine::finalize_tracking(result_, reserve, config_.tracking_warmup_s);
+  if (!config_.power_targets.empty()) {
+    engine::finalize_tracking(result_, config_.tracking_reserve_w, config_.tracking_warmup_s);
   }
   const double elapsed = std::max(now_s_, config_.step_s);
   result_.mean_utilization = busy_node_seconds_ / (elapsed * config_.node_count);
@@ -665,9 +654,11 @@ SimResult TabularSimulator::run() {
   return std::move(result_);
 }
 
-TabularSimulator make_simulation(const SimConfig& config, double utilization,
-                                 std::uint64_t seed) {
+TabularSimulator make_simulation(SimConfig config, const workload::DemandResponseBid& bid,
+                                 double utilization, std::uint64_t seed) {
   util::Rng rng(seed);
+  const util::Rng sim_rng = rng.child("sim");
+  set_bid_targets(config, bid, sim_rng);
   std::vector<workload::JobType> gen_types;
   gen_types.reserve(config.job_types.size());
   for (const SimJobType& t : config.job_types) {
@@ -682,16 +673,30 @@ TabularSimulator make_simulation(const SimConfig& config, double utilization,
   sched_config.duration_s = config.duration_s;
   sched_config.utilization = utilization;
   sched_config.cluster_nodes = config.node_count;
-  return TabularSimulator(
-      config, workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule")),
-      rng.child("sim"));
+  workload::Schedule schedule =
+      workload::generate_poisson_schedule(gen_types, sched_config, rng.child("schedule"));
+  return TabularSimulator(std::move(config), std::move(schedule), sim_rng);
 }
 
-SimResult run_simulation(const SimConfig& config, double utilization, std::uint64_t seed,
+SimResult run_simulation(const SimConfig& config, const workload::DemandResponseBid& bid,
+                         double utilization, std::uint64_t seed,
                          telemetry::RunArtifactWriter* artifacts) {
-  TabularSimulator simulator = make_simulation(config, utilization, seed);
+  TabularSimulator simulator = make_simulation(config, bid, utilization, seed);
   simulator.set_artifacts(artifacts);
   return simulator.run();
+}
+
+std::uint64_t trace_hash(const SimResult& result) {
+  const std::vector<double>& power = result.power_w.values();
+  std::uint64_t h =
+      util::fnv1a(power.data(), power.size() * sizeof(double), util::kFnv1aRecordBasis);
+  for (const sched::JobQosRecord& q : result.qos.records()) {
+    h = util::fnv1a(&q.job_id, sizeof(q.job_id), h);
+    h = util::fnv1a(&q.submit_s, sizeof(q.submit_s), h);
+    h = util::fnv1a(&q.start_s, sizeof(q.start_s), h);
+    h = util::fnv1a(&q.end_s, sizeof(q.end_s), h);
+  }
+  return h;
 }
 
 }  // namespace anor::sim

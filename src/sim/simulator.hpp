@@ -185,7 +185,6 @@ class TabularSimulator {
   JobTable jobs_;
   sched::AqaScheduler scheduler_;
   std::unique_ptr<budget::Budgeter> budgeter_;
-  std::unique_ptr<workload::RandomWalkRegulation> regulation_;
   std::vector<model::PowerPerfModel> type_models_;  // budgeter view per type
   std::unordered_map<std::string, int> type_index_by_name_;
 
@@ -242,19 +241,27 @@ class TabularSimulator {
   telemetry::RunArtifactWriter* artifacts_ = nullptr;
 };
 
-/// The simulator for a config, a utilization and a seed: a Poisson
-/// schedule of config.job_types (at their configured node counts) filling
-/// `utilization` of the cluster over config.duration_s, drawn from
-/// Rng(seed).child("schedule"), run on Rng(seed).child("sim").  This is the
-/// one mapping from those three inputs to a run; run_simulation, `anorctl
-/// simulate` (with or without --table-log) and bench_sim_scale all use it.
-TabularSimulator make_simulation(const SimConfig& config, double utilization,
-                                 std::uint64_t seed);
+/// The simulator for a config, a bid, a utilization and a seed: a
+/// Poisson schedule of config.job_types (at their configured node counts)
+/// filling `utilization` of the cluster over config.duration_s, drawn
+/// from Rng(seed).child("schedule"), run on Rng(seed).child("sim"), which
+/// also draws the bid's regulation walk (set_bid_targets).  This is the
+/// one mapping from those inputs to a run; run_simulation, `anorctl
+/// simulate` (with or without --table-log), bench_sim_scale and
+/// bench_prof_overhead all use it.
+TabularSimulator make_simulation(SimConfig config, const workload::DemandResponseBid& bid,
+                                 double utilization, std::uint64_t seed);
 
 /// Build with make_simulation, run, and return the result.  Used by
 /// benches and the bid/weight evaluators.  A non-null `artifacts` writer
 /// is sampled once per simulated second (the caller finalizes it).
-SimResult run_simulation(const SimConfig& config, double utilization, std::uint64_t seed,
+SimResult run_simulation(const SimConfig& config, const workload::DemandResponseBid& bid,
+                         double utilization, std::uint64_t seed,
                          telemetry::RunArtifactWriter* artifacts = nullptr);
+
+/// FNV-1a over a run's power trace and QoS records (job id, submit,
+/// start, end): the trace hash the determinism goldens and the
+/// simulator benches record.
+std::uint64_t trace_hash(const SimResult& result);
 
 }  // namespace anor::sim

@@ -13,6 +13,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace anor::util {
 
 /// SplitMix64 step — used to decorrelate seeds.  Public because tests
@@ -26,14 +28,7 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 /// Stable 64-bit hash of a string tag (FNV-1a), used to derive child seeds.
-constexpr std::uint64_t hash_tag(std::string_view tag) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : tag) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+constexpr std::uint64_t hash_tag(std::string_view tag) { return fnv1a(tag); }
 
 /// Seeded wrapper around std::mt19937_64 with convenience distributions.
 class Rng {

@@ -23,7 +23,6 @@ class TimeSeries {
   const std::vector<double>& values() const { return values_; }
 
   double front_time() const { return times_.front(); }
-  double back_time() const { return times_.back(); }
 
   /// Value at time t via zero-order hold (value of the latest sample at or
   /// before t).  Clamps to the first/last sample outside the range.

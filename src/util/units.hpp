@@ -10,12 +10,8 @@ namespace anor::util {
 
 constexpr double kWattsPerKilowatt = 1000.0;
 constexpr double kSecondsPerHour = 3600.0;
-constexpr double kSecondsPerMinute = 60.0;
 
-constexpr double watts_from_kilowatts(double kw) { return kw * kWattsPerKilowatt; }
 constexpr double kilowatts_from_watts(double w) { return w / kWattsPerKilowatt; }
-constexpr double joules_from_watt_seconds(double w, double s) { return w * s; }
-constexpr double watts_from_joules(double j, double s) { return s > 0.0 ? j / s : 0.0; }
 constexpr double hours_from_seconds(double s) { return s / kSecondsPerHour; }
 
 }  // namespace anor::util

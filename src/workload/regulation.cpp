@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/error.hpp"
+
 namespace anor::workload {
 
 RandomWalkRegulation::RandomWalkRegulation(util::Rng rng, double horizon_s, double step_s,
@@ -54,6 +56,34 @@ util::TimeSeries make_power_target_series(const DemandResponseBid& bid,
   util::TimeSeries series;
   for (double t = 0.0; t <= horizon_s + 1e-9; t += update_period_s) {
     series.add(t, bid.target_at(signal, t));
+  }
+  return series;
+}
+
+util::Json power_targets_to_json(const util::TimeSeries& targets) {
+  util::JsonArray t;
+  util::JsonArray p;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    t.push_back(util::Json(targets.times()[i]));
+    p.push_back(util::Json(targets.values()[i]));
+  }
+  util::JsonObject obj;
+  obj["t_s"] = util::Json(std::move(t));
+  obj["power_w"] = util::Json(std::move(p));
+  return util::Json(std::move(obj));
+}
+
+util::TimeSeries power_targets_from_json(const util::Json& json) {
+  const util::JsonArray& t = json.at("t_s").as_array();
+  const util::JsonArray& p = json.at("power_w").as_array();
+  if (t.size() != p.size()) throw util::ConfigError("power targets: array size mismatch");
+  util::TimeSeries series;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double t_s = t[i].as_number();
+    if (!series.empty() && t_s < series.times().back()) {
+      throw util::ConfigError("power targets: 't_s' must be non-decreasing");
+    }
+    series.add(t_s, p[i].as_number());
   }
   return series;
 }

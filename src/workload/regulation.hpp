@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/time_series.hpp"
 
@@ -66,6 +67,13 @@ struct DemandResponseBid {
 util::TimeSeries make_power_target_series(const DemandResponseBid& bid,
                                           const RegulationSignal& signal, double horizon_s,
                                           double update_period_s = 4.0);
+
+/// The power-target file format, {"t_s": [...], "power_w": [...]}: the
+/// `targets` block of a scenario spec and the file `anorctl targets`
+/// writes.  Reading throws util::ConfigError when the arrays differ in
+/// length or a time steps backwards.
+util::Json power_targets_to_json(const util::TimeSeries& targets);
+util::TimeSeries power_targets_from_json(const util::Json& json);
 
 /// The demand-response bid implied by a 16-node cluster's cap range
 /// (the Fig. 9 committed flexibility).

@@ -138,10 +138,13 @@ TEST(TotalEnvelope, Helpers) {
 }
 
 TEST(BudgeterFactory, CreatesBothKinds) {
-  EXPECT_EQ(make_budgeter(BudgeterKind::kEvenPower)->name(), "even-power");
-  EXPECT_EQ(make_budgeter(BudgeterKind::kEvenSlowdown)->name(), "even-slowdown");
-  EXPECT_EQ(to_string(BudgeterKind::kEvenPower), "even-power");
-  EXPECT_EQ(to_string(BudgeterKind::kEvenSlowdown), "even-slowdown");
+  EXPECT_EQ(even_power_factory()()->name(), "even-power");
+  EXPECT_EQ(even_slowdown_factory()()->name(), "even-slowdown");
+  // Each call builds a fresh budgeter: no memo is shared between owners.
+  const BudgeterFactory factory = even_slowdown_factory();
+  EXPECT_NE(factory().get(), factory().get());
+  // The decorator keeps the inner rule's name.
+  EXPECT_EQ(instrument_budgeter(even_power_factory()())->name(), "even-power");
 }
 
 }  // namespace

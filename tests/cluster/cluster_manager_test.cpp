@@ -7,6 +7,8 @@
 #include "cluster/transport.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "workload/regulation.hpp"
 
 namespace anor::cluster {
 namespace {
@@ -195,17 +197,13 @@ TEST_F(ClusterManagerTest, PowerTargetsFileRoundTrip) {
   util::TimeSeries targets;
   targets.add(0.0, 2500.0);
   targets.add(4.0, 2600.0);
-  const util::Json json = power_targets_to_json(targets);
-  const util::TimeSeries loaded = power_targets_from_json(json);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded.sample_at(4.0), 2600.0);
-
   const std::string path = testing::TempDir() + "/anor_targets_test.json";
-  util::save_json_file(path, json);
+  util::save_json_file(path, workload::power_targets_to_json(targets));
   ClusterManager manager(config);
-  manager.load_power_targets(path);
-  EXPECT_DOUBLE_EQ(manager.target_at(5.0).value(), 2600.0);
+  manager.set_power_targets(workload::power_targets_from_json(util::load_json_file(path)));
   std::remove(path.c_str());
+  EXPECT_DOUBLE_EQ(manager.target_at(0.0).value(), 2500.0);
+  EXPECT_DOUBLE_EQ(manager.target_at(5.0).value(), 2600.0);
 }
 
 TEST_F(ClusterManagerTest, TargetAtWithoutTargetsIsNullopt) {

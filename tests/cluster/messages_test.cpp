@@ -118,12 +118,13 @@ TEST(Messages, FramedRoundTrip) {
   EXPECT_EQ(budget->seq, 99u);
 }
 
-TEST(Messages, FramedAcceptsLegacyUnframedText) {
+TEST(Messages, FramedRejectsUnframedText) {
+  // A well-formed message without the {"crc", "msg"} frame carries no
+  // checksum, so the link refuses it like any other corrupt frame.
   PowerBudgetMsg msg;
   msg.job_id = 1;
   msg.node_cap_w = 150.0;
-  const Message decoded = decode_framed_text(encode_text(msg));
-  EXPECT_NE(std::get_if<PowerBudgetMsg>(&decoded), nullptr);
+  EXPECT_THROW(decode_framed_text(encode_text(msg)), util::TransportError);
 }
 
 TEST(Messages, FramedRejectsBitFlips) {

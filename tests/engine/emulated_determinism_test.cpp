@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -19,23 +18,13 @@
 #include "engine/scenario.hpp"
 #include "engine/sweep/result_cache.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/hash.hpp"
 #include "workload/job_type.hpp"
 #include "workload/regulation.hpp"
 #include "workload/schedule.hpp"
 
 namespace anor::engine {
 namespace {
-
-std::string fnv1a_hex(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
 
 /// NAS-long arrivals at `utilization` with demand-response targets of
 /// 150 W +- 18 W per node, as perfbench's grid cells generate them.
@@ -65,10 +54,6 @@ ScenarioSpec dr_spec(const std::string& name, const std::string& policy, int nod
   return spec;
 }
 
-std::string result_hash(const RunResult& result) {
-  return fnv1a_hex(sweep::run_result_to_cache_json(result).dump());
-}
-
 std::uint64_t counter(const char* name) {
   return telemetry::MetricsRegistry::global().counter(name).value();
 }
@@ -83,7 +68,7 @@ TEST(EmulatedDeterminism, GoldenResultHashFeedback) {
   ASSERT_GT(result.jobs_completed, 0);
   EXPECT_EQ(result.jobs_completed, result.jobs_submitted);
   EXPECT_GT(counter("job.modeler.refit_attempts"), refits_before);
-  EXPECT_EQ(result_hash(result), "9469faabc9f14a36");
+  EXPECT_EQ(util::hex16(sweep::result_hash(result)), "9469faabc9f14a36");
 }
 
 TEST(EmulatedDeterminism, GoldenResultHashBalancerVariation) {
@@ -104,7 +89,7 @@ TEST(EmulatedDeterminism, GoldenResultHashBalancerVariation) {
   ASSERT_GT(result.jobs_completed, 0);
   EXPECT_EQ(result.jobs_completed, result.jobs_submitted);
   EXPECT_GT(counter("job.balancer.splits"), splits_before);
-  EXPECT_EQ(result_hash(result), "33c2748c0818b998");
+  EXPECT_EQ(util::hex16(sweep::result_hash(result)), "33c2748c0818b998");
 }
 
 }  // namespace

@@ -159,15 +159,14 @@ TEST(EndToEnd, VariationDegradesQosInSimulation) {
   config.node_count = 60;
   config.duration_s = 1500.0;
   config.job_types = sim::standard_sim_types(true, 1);
-  config.bid.average_power_w = 60 * 150.0;
-  config.bid.reserve_w = 60 * 30.0;
+  const workload::DemandResponseBid bid{60 * 150.0, 60 * 30.0};
 
   auto worst_q = [&](double sigma) {
     sim::SimConfig c = config;
     c.perf_variation_sigma = sigma;
     double total = 0.0;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      total += sim::run_simulation(c, 0.75, seed).qos.worst_quantile();
+      total += sim::run_simulation(c, bid, 0.75, seed).qos.worst_quantile();
     }
     return total / 3.0;
   };

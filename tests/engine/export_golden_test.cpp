@@ -23,6 +23,7 @@
 #include "engine/sweep/executor.hpp"
 #include "engine/sweep/result_cache.hpp"
 #include "engine/sweep/spec_canon.hpp"
+#include "util/hash.hpp"
 #include "workload/job_type.hpp"
 #include "workload/schedule.hpp"
 
@@ -32,14 +33,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string fnv1a_hex(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
+  return util::hex16(util::fnv1a(bytes, util::kFnv1aRecordBasis));
 }
 
 std::string read_file(const fs::path& path) {
@@ -173,8 +167,8 @@ TEST_F(ExportGolden, EmulatedRunResult) {
 }
 
 TEST_F(ExportGolden, CacheJson) {
-  EXPECT_EQ(fnv1a_hex(run_result_to_cache_json(tabular_result()).dump()), "40347d74bb2e4bcb");
-  EXPECT_EQ(fnv1a_hex(run_result_to_cache_json(emulated_result()).dump()), "9abfa01d2be85430");
+  EXPECT_EQ(util::hex16(result_hash(tabular_result())), "40347d74bb2e4bcb");
+  EXPECT_EQ(util::hex16(result_hash(emulated_result())), "9abfa01d2be85430");
 }
 
 TEST_F(ExportGolden, StoredCacheEntry) {

@@ -1,5 +1,5 @@
-// The four built-in policies as apply_policy configures the emulated
-// tier, and the registry queries the runner dispatches on.
+// The four built-in policies as apply_policy configures the backends,
+// and the registry queries the runner dispatches on.
 #include <gtest/gtest.h>
 
 #include "engine/policy_registry.hpp"
@@ -18,27 +18,32 @@ TEST(Policies, Names) {
   EXPECT_THROW(policy_from_string("not-a-policy"), util::ConfigError);
 }
 
+/// The name of the budgeter a config's factory builds.
+std::string budgeter_name(const budget::BudgeterFactory& factory) { return factory()->name(); }
+
 TEST(Policies, UniformUsesEvenPowerNoFeedback) {
   cluster::EmulationConfig config;
   apply_policy(config, PolicyRef("uniform"));
-  EXPECT_EQ(config.manager.budgeter, budget::BudgeterKind::kEvenPower);
+  EXPECT_EQ(budgeter_name(config.manager.budgeter_factory), "even-power");
   EXPECT_FALSE(config.manager.accept_model_updates);
   EXPECT_FALSE(config.endpoint.feedback_enabled);
-  // Built-ins keep the legacy enum dispatch: no factory override.
-  EXPECT_FALSE(static_cast<bool>(config.manager.budgeter_factory));
+  sim::SimConfig tabular;
+  apply_policy(tabular, PolicyRef("uniform"));
+  EXPECT_EQ(budgeter_name(tabular.budgeter_factory), "even-power");
 }
 
 TEST(Policies, CharacterizedUsesEvenSlowdownNoFeedback) {
   cluster::EmulationConfig config;
+  config.manager.budgeter_factory = budget::even_power_factory();
   apply_policy(config, PolicyRef("characterized"));
-  EXPECT_EQ(config.manager.budgeter, budget::BudgeterKind::kEvenSlowdown);
+  EXPECT_EQ(budgeter_name(config.manager.budgeter_factory), "even-slowdown");
   EXPECT_FALSE(config.endpoint.feedback_enabled);
 }
 
 TEST(Policies, AdjustedEnablesFullFeedbackPath) {
   cluster::EmulationConfig config;
   apply_policy(config, PolicyRef("adjusted"));
-  EXPECT_EQ(config.manager.budgeter, budget::BudgeterKind::kEvenSlowdown);
+  EXPECT_EQ(budgeter_name(config.manager.budgeter_factory), "even-slowdown");
   EXPECT_TRUE(config.manager.accept_model_updates);
   EXPECT_TRUE(config.endpoint.feedback_enabled);
 }
@@ -55,7 +60,8 @@ TEST(Policies, ExpressionPolicyGetsACustomBudgeterFactory) {
       "policies-test-expr", "clamp(budget_w / total_nodes, p_min, p_max)");
   cluster::EmulationConfig config;
   apply_policy(config, PolicyRef("policies-test-expr"));
-  EXPECT_TRUE(static_cast<bool>(config.manager.budgeter_factory));
+  // An ExpressionBudgeter carries the policy's name.
+  EXPECT_EQ(budgeter_name(config.manager.budgeter_factory), "policies-test-expr");
   EXPECT_FALSE(config.endpoint.feedback_enabled);
   PolicyRegistry::global().unregister("policies-test-expr");
 }

@@ -24,8 +24,7 @@ TEST(PolicyRegistry, BuiltinsAreAlwaysPresent) {
     const PolicyDescriptor d = registry.get(name);
     EXPECT_TRUE(d.builtin);
     EXPECT_EQ(d.identity(), name) << "builtin identity is the bare name";
-    EXPECT_FALSE(static_cast<bool>(d.budgeter_factory))
-        << "builtins must keep the legacy make_budgeter path";
+    EXPECT_EQ(d.budgeter_factory()->name(), name == "uniform" ? "even-power" : "even-slowdown");
     EXPECT_TRUE(registry.is_admitted(name)) << "builtins bypass admission";
   }
   const std::vector<std::string> names = registry.names();
@@ -94,7 +93,7 @@ TEST(PolicyRegistry, InlineDslRefsResolveAndAutoRegister) {
   const PolicyRef ref("reg-test-inline", "clamp(fair_w, p_min, p_max)");
   const PolicyDescriptor d = resolve_policy(ref);
   EXPECT_EQ(d.dsl_source, ref.dsl);
-  EXPECT_TRUE(static_cast<bool>(policy_budgeter_factory(d)));
+  EXPECT_EQ(d.budgeter_factory()->name(), ref.name);
   // Resolving again is the idempotent path.
   EXPECT_NO_THROW(resolve_policy(ref));
   PolicyRegistry::global().unregister("reg-test-inline");

@@ -30,17 +30,11 @@ cluster::EmulationConfig quiet_base() {
   return base;
 }
 
-TEST(ConstantTargets, UniformGrid) {
-  const auto targets = constant_targets(1000.0, 20.0, 4.0);
-  EXPECT_EQ(targets.size(), 6u);
-  for (double v : targets.values()) EXPECT_DOUBLE_EQ(v, 1000.0);
-}
-
 TEST(Experiment, RejectsBothBudgetAndTargets) {
   ScenarioSpec spec;
   spec.schedule = tiny_schedule();
   spec.static_budget_w = 1000.0;
-  spec.targets = constant_targets(1000.0, 10.0);
+  spec.targets.add(0.0, 1000.0);
   EXPECT_THROW(make_emulated_cluster(spec), util::ConfigError);
 }
 
@@ -60,7 +54,12 @@ TEST(Experiment, StaticBudgetBecomesConstantTargetSeries) {
   spec.static_budget_w = 2 * 160.0;
   const RunResult result = run_scenario(spec, quiet_base());
   ASSERT_FALSE(result.target_w.empty());
-  EXPECT_DOUBLE_EQ(result.target_w.values().front(), 320.0);
+  // Both backends get the budget as one sample, held at every t.
+  for (const double target : result.target_w.values()) EXPECT_EQ(target, 320.0);
+  const sim::SimConfig tabular = make_sim_config(spec);
+  ASSERT_EQ(tabular.power_targets.size(), 1u);
+  EXPECT_EQ(tabular.power_targets.sample_at(-1.0), 320.0);
+  EXPECT_EQ(tabular.power_targets.sample_at(1e9), 320.0);
 }
 
 }  // namespace

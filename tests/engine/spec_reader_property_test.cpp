@@ -16,11 +16,13 @@
 #include <string>
 #include <vector>
 
+#include "engine/runner.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep/sweep.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "workload/regulation.hpp"
 #include "workload/schedule.hpp"
 
 namespace anor::engine {
@@ -83,6 +85,82 @@ TEST(SpecReader, BaseIntegersMustBeIntegralAndInRange) {
                      .empty())
         << base;
   }
+}
+
+/// Spec JSON text for an 8-node cluster on `backend` running a 2-node
+/// cg.D.x job and job 7, a bt.D.x asking for `nodes` nodes.
+std::string one_job_spec(const char* backend, int nodes) {
+  return std::string(R"({"schema": "anor.scenario.v1", "backend": ")") + backend +
+         R"(", "node_count": 8, "policy": "characterized", "static_budget_w": 1600,
+             "schedule": {"duration_s": 600, "jobs": [
+               {"id": 0, "nodes": 2, "type": "cg.D.x", "submit_s": 0},
+               {"id": 7, "nodes": )" +
+         std::to_string(nodes) + R"(, "type": "bt.D.x", "submit_s": 0}]}})";
+}
+
+TEST(SpecReader, JobNodeCountsAreCheckedAgainstTheCluster) {
+  // 1..node_count nodes pass.  A negative count used to run as a
+  // completed job, and a job wider than the cluster never started and was
+  // left out of the report, on both backends: each must fail validation,
+  // naming the job.
+  for (const char* backend : {"tabular", "emulated"}) {
+    for (const int nodes : {1, 2, 8}) {
+      const util::Json json = util::Json::parse(one_job_spec(backend, nodes));
+      EXPECT_NO_THROW((void)scenario_spec_from_json(json)) << backend << " nodes=" << nodes;
+    }
+    for (const int nodes : {-1, 9, 100}) {
+      const util::Json json = util::Json::parse(one_job_spec(backend, nodes));
+      const std::string read_error =
+          config_error([&] { (void)scenario_spec_from_json(json); });
+      EXPECT_NE(read_error.find("job id 7"), std::string::npos)
+          << backend << " nodes=" << nodes << ": " << read_error;
+
+      // The same spec built in code fails in run_scenario before running.
+      ScenarioSpec spec;
+      spec.backend = backend_from_string(backend);
+      spec.node_count = 8;
+      spec.static_budget_w = 1600.0;
+      spec.schedule = workload::Schedule::from_json(json.at("schedule"));
+      const std::string run_error = config_error([&] { (void)run_scenario(spec); });
+      EXPECT_NE(run_error.find("job id 7"), std::string::npos)
+          << backend << " nodes=" << nodes << ": " << run_error;
+    }
+  }
+}
+
+TEST(SpecReader, ZeroNodesMeansTheTypeDefault) {
+  // bt.D.x runs on 2 nodes by default: it fits 2 nodes, not 1.
+  ScenarioSpec spec;
+  spec.node_count = 2;
+  workload::JobRequest job;
+  job.job_id = 3;
+  job.type_name = "bt.D.x";
+  spec.schedule.jobs.push_back(job);
+  EXPECT_NO_THROW(spec.validate());
+  spec.node_count = 1;
+  const std::string error = config_error([&] { spec.validate(); });
+  EXPECT_NE(error.find("job id 3 needs 2 nodes"), std::string::npos) << error;
+}
+
+TEST(SpecReader, TargetsCodecRejectsBackwardTimesAndRaggedArrays) {
+  // The one {"t_s", "power_w"} reader behind both `anorctl run --targets`
+  // and a spec's `targets` block.
+  const auto read = [](const char* text) {
+    return config_error(
+        [&] { (void)workload::power_targets_from_json(util::Json::parse(text)); });
+  };
+  EXPECT_NE(read(R"({"t_s": [0, 8, 4], "power_w": [1, 2, 3]})").find("non-decreasing"),
+            std::string::npos);
+  EXPECT_NE(read(R"({"t_s": [0, 4], "power_w": [1, 2, 3]})").find("size mismatch"),
+            std::string::npos);
+  EXPECT_FALSE(read(R"({"t_s": [0, 4]})").empty());
+  EXPECT_FALSE(read(R"({"t_s": [0, "4"], "power_w": [1, 2]})").empty());
+
+  const std::string spec = R"({"backend": "emulated", "node_count": 8,
+      "targets": {"t_s": [0, 8, 4], "power_w": [1, 2, 3]}})";
+  EXPECT_NE(config_error([&] { (void)scenario_spec_from_json(util::Json::parse(spec)); })
+                .find("non-decreasing"),
+            std::string::npos);
 }
 
 // --- the property ------------------------------------------------------

@@ -72,8 +72,6 @@ SimConfig gate_config(int node_scale, double sigma) {
   config.node_count = 400;
   config.duration_s = 600.0;
   config.job_types = standard_sim_types(true, node_scale > 0 ? node_scale : 10);
-  config.bid.average_power_w = 400 * 150.0;
-  config.bid.reserve_w = 400 * 18.0;
   config.perf_variation_sigma = sigma;
   return config;
 }
@@ -87,7 +85,8 @@ SimConfig gate_config(int node_scale, double sigma) {
 /// this tick.  The scan without the prediction must agree too, so the
 /// gate drops no row that is done.
 void check_gate_against_full_scan(const SimConfig& config, std::uint64_t seed, long& finished) {
-  TabularSimulator sim = make_simulation(config, 0.8, seed);
+  const workload::DemandResponseBid bid{400 * 150.0, 400 * 18.0};
+  TabularSimulator sim = make_simulation(config, bid, 0.8, seed);
   const NodeTable& nodes = sim.node_table();
   const JobTable& jobs = sim.job_table();
   struct RowBefore {

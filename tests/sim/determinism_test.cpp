@@ -18,27 +18,6 @@
 namespace anor::sim {
 namespace {
 
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t trace_hash(const SimResult& r) {
-  std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a(r.power_w.values().data(), r.power_w.size() * sizeof(double), h);
-  for (const auto& q : r.qos.records()) {
-    h = fnv1a(&q.job_id, sizeof(q.job_id), h);
-    h = fnv1a(&q.submit_s, sizeof(q.submit_s), h);
-    h = fnv1a(&q.start_s, sizeof(q.start_s), h);
-    h = fnv1a(&q.end_s, sizeof(q.end_s), h);
-  }
-  return h;
-}
-
 /// `node_scale` 0 scales every job type's node count by nodes/40 (a few
 /// wide jobs at any size); 1 keeps the native 1-2-node jobs, so the
 /// running-job count grows with the cluster.
@@ -48,11 +27,9 @@ std::uint64_t run_seeded(int nodes, double duration_s, bool telemetry, int node_
   config.duration_s = duration_s;
   config.job_types =
       standard_sim_types(true, node_scale > 0 ? node_scale : std::max(1, nodes / 40));
-  config.bid.average_power_w = nodes * 150.0;
-  config.bid.reserve_w = nodes * 18.0;
   config.telemetry_enabled = telemetry;
-
-  return trace_hash(make_simulation(config, 0.75, 42).run());
+  const workload::DemandResponseBid bid{nodes * 150.0, nodes * 18.0};
+  return trace_hash(make_simulation(config, bid, 0.75, 42).run());
 }
 
 // Recorded from the seed run (power trace + QoS records, FNV-1a).  Any

@@ -74,8 +74,8 @@ TEST(WeightEvaluator, ReturnsFiniteScoreForUniformWeights) {
 
 TEST(WeightEvaluator, InfeasibleTrackingIsMinusInfinity) {
   EvaluatorConfig config = small_eval_config();
-  config.base.bid.average_power_w = 60 * 50.0;  // untrackable
-  config.base.bid.reserve_w = 60 * 2.0;
+  config.bid.average_power_w = 60 * 50.0;  // untrackable
+  config.bid.reserve_w = 60 * 2.0;
   const auto evaluate = make_weight_evaluator(config);
   std::map<std::string, double> weights;
   for (const auto& t : config.base.job_types) weights[t.name] = 1.0;

@@ -33,15 +33,14 @@ SimConfig row_cap_config(int nodes, int node_scale) {
   config.node_count = nodes;
   config.duration_s = 240.0;
   config.job_types = standard_sim_types(true, node_scale > 0 ? node_scale : nodes / 40);
-  config.bid.average_power_w = nodes * 150.0;
-  config.bid.reserve_w = nodes * 18.0;
   return config;
 }
 
 /// Steps a run to the end, checking the invariants after every tick;
 /// `checked` counts the busy node-ticks whose rate was compared.
 void check_row_cap_invariants(const SimConfig& config, long& checked) {
-  TabularSimulator sim = make_simulation(config, 0.8, 7);
+  const workload::DemandResponseBid bid{config.node_count * 150.0, config.node_count * 18.0};
+  TabularSimulator sim = make_simulation(config, bid, 0.8, 7);
   const NodeTable& nodes = sim.node_table();
   const JobTable& jobs = sim.job_table();
 

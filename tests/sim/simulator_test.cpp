@@ -81,7 +81,7 @@ TEST(TabularSimulator, RejectsEmptyTypesAndUnknownNames) {
 }
 
 TEST(TabularSimulator, SingleJobRunsToCompletionUncapped) {
-  const SimConfig config = small_config();  // no bid -> no capping
+  const SimConfig config = small_config();  // no targets -> no capping
   TabularSimulator sim(config, one_job_schedule("bt.D.x"), util::Rng(1));
   const SimResult result = sim.run();
   EXPECT_EQ(result.jobs_completed, 1);
@@ -115,10 +115,8 @@ TEST(TabularSimulator, TrackingFollowsTarget) {
   // band inside the cluster's feasible envelope: busy nodes can move in
   // [140, ~p_max], idle nodes are pinned at idle power, so mean ~172 W and
   // reserve ~20 W per node stay trackable.
-  config.bid.average_power_w = 100 * 150.0;
-  config.bid.reserve_w = 100 * 18.0;
   config.tracking_warmup_s = 300.0;
-  const SimResult result = run_simulation(config, 0.75, 42);
+  const SimResult result = run_simulation(config, {100 * 150.0, 100 * 18.0}, 0.75, 42);
   ASSERT_GT(result.tracking.samples, 0u);
   // Paper constraint: error <= 30 % of reserve at least 90 % of the time.
   EXPECT_GE(result.tracking.fraction_within_30, 0.90)
@@ -143,8 +141,8 @@ TEST(TabularSimulator, PerfVariationSlowsSomeJobs) {
 TEST(TabularSimulator, DeterministicPerSeed) {
   SimConfig config = small_config();
   config.duration_s = 600.0;
-  const SimResult a = run_simulation(config, 0.5, 9);
-  const SimResult b = run_simulation(config, 0.5, 9);
+  const SimResult a = run_simulation(config, {}, 0.5, 9);
+  const SimResult b = run_simulation(config, {}, 0.5, 9);
   EXPECT_EQ(a.jobs_completed, b.jobs_completed);
   ASSERT_EQ(a.power_w.size(), b.power_w.size());
   for (std::size_t i = 0; i < a.power_w.size(); i += 37) {
@@ -215,8 +213,7 @@ TEST(TabularSimulator, ProtectAtRiskJobsLiftsTheirCaps) {
   config.at_risk_fraction = 0.0;  // protect anything at risk at all
   // Tight target: after the 9 idle nodes' 90 W each, the running job's
   // budget pins at the floor cap unless it is protected.
-  config.bid.average_power_w = 9 * 90.0 + 145.0;
-  config.bid.reserve_w = 10 * 2.0;
+  set_bid_targets(config, {9 * 90.0 + 145.0, 10 * 2.0}, util::Rng(3));
 
   // Give the job an artificial 20-minute-old submission: T_min ~ 120 s,
   // so projected Q is already far beyond any threshold at start.
@@ -320,7 +317,7 @@ TEST(TabularSimulator, RunHandsItsResultOverOnce) {
 TEST(TabularSimulator, UtilizationReported) {
   SimConfig config = small_config();
   config.duration_s = 2000.0;
-  const SimResult result = run_simulation(config, 0.5, 21);
+  const SimResult result = run_simulation(config, {}, 0.5, 21);
   EXPECT_GT(result.mean_utilization, 0.2);
   EXPECT_LT(result.mean_utilization, 0.9);
 }

@@ -117,6 +117,7 @@
 #include "telemetry/prof/prof.hpp"
 #include "telemetry/prof_export.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/hash.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/grid_signals.hpp"
@@ -227,7 +228,7 @@ int cmd_gen_targets(const Args& args) {
     std::cerr << "unknown --mode '" << mode << "' (dr|carbon|tariff)\n";
     return 2;
   }
-  util::save_json_file(args.require("out"), cluster::power_targets_to_json(targets));
+  util::save_json_file(args.require("out"), workload::power_targets_to_json(targets));
   double lo = targets.values().front();
   double hi = lo;
   for (double v : targets.values()) {
@@ -281,7 +282,7 @@ int cmd_run(const Args& args) {
 
     if (args.has("targets")) {
       spec.targets =
-          cluster::power_targets_from_json(util::load_json_file(args.str("targets")));
+          workload::power_targets_from_json(util::load_json_file(args.str("targets")));
     } else if (args.has("budget")) {
       spec.static_budget_w = args.num("budget", 0.0);
     }
@@ -537,8 +538,8 @@ int simulate(const Args& args, sim::SimResult& result) {
   config.duration_s = args.num("duration", 3600.0);
   config.perf_variation_sigma = platform::sigma_from_band99(args.num("variation", 0.0));
   config.job_types = sim::standard_sim_types(true, static_cast<int>(args.num("scale", 25)));
-  config.bid.average_power_w = config.node_count * args.num("mean-per-node", 150.0);
-  config.bid.reserve_w = config.node_count * args.num("reserve-per-node", 18.0);
+  const workload::DemandResponseBid bid{config.node_count * args.num("mean-per-node", 150.0),
+                                       config.node_count * args.num("reserve-per-node", 18.0)};
   config.tracking_warmup_s = 300.0;
 
   std::ofstream log;
@@ -560,7 +561,7 @@ int simulate(const Args& args, sim::SimResult& result) {
   }
 
   sim::TabularSimulator simulator =
-      sim::make_simulation(config, args.num("utilization", 0.75), args.seed());
+      sim::make_simulation(config, bid, args.num("utilization", 0.75), args.seed());
   // The per-step table log the paper's simulator appends (Sec. 5.6),
   // thinned to every 10th step to keep files manageable.
   if (log.is_open()) simulator.set_table_log(&log, 10);
@@ -1100,6 +1101,11 @@ std::string policy_expr_arg(const Args& args) {
   return "";
 }
 
+/// The built-ins' rule name; every registered policy's budgeter is "custom".
+std::string budgeter_label(const engine::PolicyDescriptor& d) {
+  return d.builtin ? d.budgeter_factory()->name() : "custom";
+}
+
 int cmd_policy_list() {
   engine::PolicyRegistry& registry = engine::PolicyRegistry::global();
   util::TextTable table({"policy", "kind", "budgeter", "admitted", "labels", "summary"});
@@ -1108,10 +1114,7 @@ int cmd_policy_list() {
     const std::string kind = d.builtin ? "builtin"
                              : !d.dsl_source.empty() ? "expression"
                                                      : "native";
-    const std::string budgeter = !d.dsl_source.empty() || d.budgeter_factory
-                                     ? "custom"
-                                     : budget::to_string(d.budgeter_kind);
-    table.add_row({name, kind, budgeter, registry.is_admitted(name) ? "yes" : "no",
+    table.add_row({name, kind, budgeter_label(d), registry.is_admitted(name) ? "yes" : "no",
                    d.expects_misclassification ? "expected" : "-", d.summary});
   }
   table.print(std::cout);
@@ -1126,11 +1129,7 @@ int cmd_policy_show(const Args& args) {
             << "kind:      "
             << (d.builtin ? "builtin" : !d.dsl_source.empty() ? "expression" : "native")
             << "\n"
-            << "budgeter:  "
-            << (!d.dsl_source.empty() || d.budgeter_factory
-                    ? "custom"
-                    : budget::to_string(d.budgeter_kind))
-            << "\n"
+            << "budgeter:  " << budgeter_label(d) << "\n"
             << "feedback:  " << (d.feedback ? "on" : "off") << "\n"
             << "labels:    "
             << (d.expects_misclassification ? "expects misclassification" : "none")
@@ -1150,10 +1149,8 @@ int cmd_policy_validate(const Args& args) {
     return 2;
   }
   const budget::DslExpr parsed = budget::DslExpr::parse(expr);  // throws on error
-  char identity[17];
-  std::snprintf(identity, sizeof(identity), "%016llx",
-                static_cast<unsigned long long>(budget::dsl_source_hash(expr)));
-  std::cout << "expression OK (source hash " << identity << ")\n";
+  std::cout << "expression OK (source hash " << util::hex16(budget::dsl_source_hash(expr))
+            << ")\n";
   if (parsed.uses_noise()) {
     std::cout << "warning: expression calls noise() — it will FAIL the admission "
                  "determinism gates\n";
