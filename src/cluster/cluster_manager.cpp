@@ -1,6 +1,7 @@
 #include "cluster/cluster_manager.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -50,26 +51,32 @@ model::PowerPerfModel ClusterManager::initial_model_for(const std::string& class
 
 bool ClusterManager::handle(const Message& message, MessageChannel& channel, double now_s) {
   auto& registry = telemetry::MetricsRegistry::global();
+  // The one lookup of the sender; every branch below works from it.
+  const int job_id = job_id_of(message);
+  auto it = jobs_.lower_bound(job_id);
+  const bool known = it != jobs_.end() && it->first == job_id;
   // Any message refreshes the sender's liveness lease.
-  const auto lease_it = jobs_.find(job_id_of(message));
-  if (lease_it != jobs_.end()) lease_it->second.last_heard_s = now_s;
+  if (known) hear_from(it->second, now_s);
 
   if (const auto* hello = std::get_if<JobHelloMsg>(&message)) {
     static auto& hellos = registry.counter("cluster.manager.msgs", {{"type", "hello"}});
     hellos.inc();
-    const bool rejoin = jobs_.count(hello->job_id) != 0;
     ManagedJob job;
     job.job_name = hello->job_name;
     job.classified_as = hello->classified_as;
     job.nodes = hello->nodes;
     job.model = initial_model_for(hello->classified_as);
     job.channel = &channel;
-    job.last_heard_s = now_s;
     job.model_updated_s = now_s;
-    jobs_[hello->job_id] = std::move(job);
+    if (known) {
+      it->second = std::move(job);
+    } else {
+      it = jobs_.emplace_hint(it, job_id, std::move(job));
+    }
+    hear_from(it->second, now_s);
     // Budget the newcomer right away instead of waiting out the period.
     next_control_s_ = 0.0;
-    if (rejoin) {
+    if (known) {
       static auto& rejoins = registry.counter("liveness.rejoins");
       rejoins.inc();
       util::log_info("cluster-manager", "job " + hello->job_name + " rejoined");
@@ -81,8 +88,7 @@ bool ClusterManager::handle(const Message& message, MessageChannel& channel, dou
         registry.counter("cluster.manager.msgs", {{"type", "model_update"}});
     updates.inc();
     if (!config_.accept_model_updates) return false;
-    const auto it = jobs_.find(update->job_id);
-    if (it == jobs_.end()) return false;
+    if (!known) return false;
     const model::PowerPerfModel incoming(update->a, update->b, update->c, update->p_min_w,
                                          update->p_max_w);
     it->second.model_updated_s = now_s;
@@ -95,27 +101,61 @@ bool ClusterManager::handle(const Message& message, MessageChannel& channel, dou
     it->second.model_from_feedback = update->from_feedback;
     // Force a cap refresh on the next control step.
     it->second.last_sent_cap_w = -1.0;
-  } else if (const auto* hb = std::get_if<HeartbeatMsg>(&message)) {
+  } else if (std::holds_alternative<HeartbeatMsg>(message)) {
     static auto& beats = registry.counter("liveness.heartbeats_received");
     beats.inc();
-    if (jobs_.count(hb->job_id) == 0) {
+    if (!known) {
       // A heartbeat from a job we expired: the endpoint is alive but not
       // registered.  It will notice our silence and re-send its hello.
       static auto& orphans = registry.counter("liveness.orphan_heartbeats");
       orphans.inc();
     }
-  } else if (const auto* bye = std::get_if<JobGoodbyeMsg>(&message)) {
+  } else if (std::holds_alternative<JobGoodbyeMsg>(message)) {
     static auto& byes = registry.counter("cluster.manager.msgs", {{"type", "goodbye"}});
     byes.inc();
-    jobs_.erase(bye->job_id);
+    if (known) jobs_.erase(it);
     return true;  // channel lifecycle complete
   }
   // PowerBudgetMsg is outbound-only; ignore if echoed.
   return false;
 }
 
+void ClusterManager::hear_from(ManagedJob& job, double now_s) {
+  job.last_heard_s = now_s;
+  oldest_heard_s_ = std::min(oldest_heard_s_, now_s);
+}
+
+void ClusterManager::check_liveness(double now_s) {
+  // Lease expiry (after lease_s of silence) and suspicion (after
+  // suspect_after) each need a job silent for longer than their term.  No
+  // job was last heard before oldest_heard_s_, so while that is recent
+  // enough for the shorter term neither scan could find one.
+  const double suspect_after =
+      config_.lease_s > 0.0 ? 0.5 * config_.lease_s
+                            : (config_.heartbeat_period_s > 0.0
+                                   ? 3.0 * config_.heartbeat_period_s
+                                   : 0.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double first_term = std::min(config_.lease_s > 0.0 ? config_.lease_s : inf,
+                                     suspect_after > 0.0 ? suspect_after : inf);
+  liveness_suspect_ = false;
+  if (!(now_s - oldest_heard_s_ > first_term)) return;
+
+  if (config_.lease_s > 0.0) expire_leases(now_s);
+  // Integral protection: while any job is past half its lease with no
+  // word, the measured-power gap is dominated by the partition, not by
+  // allocation error — freeze the integrator until liveness resolves.
+  // The same pass tightens the bound to the oldest lease left.
+  oldest_heard_s_ = inf;
+  for (const auto& [id, job] : jobs_) {
+    if (suspect_after > 0.0 && now_s - job.last_heard_s > suspect_after) {
+      liveness_suspect_ = true;
+    }
+    oldest_heard_s_ = std::min(oldest_heard_s_, job.last_heard_s);
+  }
+}
+
 void ClusterManager::expire_leases(double now_s) {
-  if (config_.lease_s <= 0.0) return;
   auto& registry = telemetry::MetricsRegistry::global();
   static auto& expired = registry.counter("liveness.lease_expired");
   for (auto it = jobs_.begin(); it != jobs_.end();) {
@@ -198,25 +238,7 @@ void ClusterManager::step(double now_s) {
     }
   }
 
-  expire_leases(now_s);
-
-  // Integral protection: while any job is past half its lease with no
-  // word, the measured-power gap is dominated by the partition, not by
-  // allocation error — freeze the integrator until liveness resolves.
-  liveness_suspect_ = false;
-  const double suspect_after =
-      config_.lease_s > 0.0 ? 0.5 * config_.lease_s
-                            : (config_.heartbeat_period_s > 0.0
-                                   ? 3.0 * config_.heartbeat_period_s
-                                   : 0.0);
-  if (suspect_after > 0.0) {
-    for (const auto& [id, job] : jobs_) {
-      if (now_s - job.last_heard_s > suspect_after) {
-        liveness_suspect_ = true;
-        break;
-      }
-    }
-  }
+  check_liveness(now_s);
 
   send_heartbeats(now_s);
   if (now_s + 1e-12 >= next_control_s_) {

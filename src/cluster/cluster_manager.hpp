@@ -145,6 +145,11 @@ class ClusterManager {
   /// Returns true when the channel finished its lifecycle (job goodbye)
   /// and should be detached.
   bool handle(const Message& message, MessageChannel& channel, double now_s);
+  /// Refresh a job's lease.
+  void hear_from(ManagedJob& job, double now_s);
+  /// Expire silent leases and set liveness_suspect_, scanning the jobs
+  /// only when oldest_heard_s_ says one of them may be overdue.
+  void check_liveness(double now_s);
   void expire_leases(double now_s);
   void expire_stale_models(double now_s);
   void send_heartbeats(double now_s);
@@ -161,6 +166,9 @@ class ClusterManager {
   double correction_w_ = 0.0;
   double last_measurement_s_ = -1.0;
   bool liveness_suspect_ = false;
+  /// No job was last heard before this: a lower bound on the oldest lease,
+  /// made exact by each liveness scan (leases only grow in between).
+  double oldest_heard_s_ = 0.0;
   std::uint64_t leases_expired_ = 0;
   std::uint64_t channels_attached_ = 0;
 };

@@ -56,11 +56,6 @@ EmulatedCluster::EmulatedCluster(EmulationConfig config, workload::Schedule sche
   result_.qos.reserve(schedule_.jobs.size());
 }
 
-EmulatedCluster::~EmulatedCluster() {
-  telemetry::TraceRecorder::global().bind_clock(nullptr);
-  util::Logger::instance().attach_clock(nullptr);
-}
-
 void EmulatedCluster::set_power_targets(util::TimeSeries targets) {
   manager_.set_power_targets(std::move(targets));
 }
@@ -329,10 +324,10 @@ void EmulatedCluster::build_engine() {
 bool EmulatedCluster::step() {
   if (done_) return false;
   // Trace events and log lines recorded anywhere in the control stack
-  // pick up this run's virtual timeline.  Re-bound every step (cheap) so
-  // the binding survives a pre-run move of the cluster object.
-  telemetry::TraceRecorder::global().bind_clock(&clock_);
-  util::Logger::instance().attach_clock(&clock_);
+  // pick up this run's virtual timeline, on this thread only: runs on
+  // other run workers keep their own.  Bound per step, so a pre-run move
+  // of the cluster object cannot leave a binding dangling.
+  const util::ScopedThreadClock bind_clock(&clock_);
   if (engine_ == nullptr) build_engine();
   engine_->step();
   done_ = engine_->stopped();

@@ -83,10 +83,9 @@ class EmulatedCluster {
   using StepHook = std::function<void(EmulatedCluster& cluster, double now_s)>;
 
   EmulatedCluster(EmulationConfig config, workload::Schedule schedule);
-  /// Unbinds the global trace recorder from this run's clock.
-  ~EmulatedCluster();
-  /// Movable so factories can return by value (step() re-binds the trace
-  /// clock, so a move before the run starts is safe).
+  /// Movable so factories can return by value (step() binds the thread's
+  /// trace and log clock for its own duration, so a move before the run
+  /// starts is safe).
   EmulatedCluster(EmulatedCluster&&) = default;
 
   /// Time-varying cluster power targets (watts).  Optional: without them

@@ -206,29 +206,43 @@ void JobEndpointProcess::run_feedback(double now_s) {
   // any single cap, so without the latter check a near-tie could install
   // a model with the wrong slope.  While the decision is ambiguous, cap
   // probing dithers the applied cap to expose the slope.
-  // Everything below scores against one pool of the clean observations.
-  std::size_t clean_count = 0;
-  long epochs_seen = 0;
-  for (const model::EpochObservation& obs : modeler_.observations()) {
-    if (obs.mixed_cap) continue;
-    ++clean_count;
-    epochs_seen += obs.epochs;
+  // Everything below scores against the modeler's pool of the clean
+  // observations.  The scores are pure functions of that pool, the
+  // served model and the modeler's refit, so they are kept until the
+  // modeler's revision or the served model changes; the window changes at
+  // most once per >= 4 s span, the loop runs every period.
+  const std::span<const model::CapAggregate> pool = modeler_.clean_pool();
+  if (pool.empty()) return;
+  if (scored_revision_ != modeler_.revision()) {
+    scored_revision_ = modeler_.revision();
+    served_error_valid_ = false;
+    ranking_valid_ = false;
+    clean_epochs_ = 0;
+    for (const model::CapAggregate& aggregate : pool) clean_epochs_ += aggregate.epochs;
   }
-  if (clean_count == 0) return;
-  model::aggregate_by_cap(modeler_.observations(), pool_, 5.0, true);
-  const double served_error = model::Reclassifier::mean_relative_error(served_model_, pool_);
+  if (!served_error_valid_) {
+    served_error_ = model::Reclassifier::mean_relative_error(served_model_, pool);
+    served_error_valid_ = true;
+  }
+  const double served_error = served_error_;
   if (served_error <= config_.reclassifier.divergence_threshold) {
     probing_ = false;
     return;
   }
 
-  if (epochs_seen < config_.reclassifier.min_epochs) return;
+  if (clean_epochs_ < config_.reclassifier.min_epochs) return;
 
   // Rank the precharacterized candidates; the online refit competes
   // separately.  A named curve comparable in error to the refit wins the
   // tie: library curves are trustworthy over the whole cap range, while a
   // refit is only supported where it was observed.
-  reclassifier_.ranked(pool_, ranking_);
+  if (!ranking_valid_) {
+    reclassifier_.ranked(pool, ranking_);
+    if (modeler_.has_fitted_model()) {
+      refit_error_ = model::Reclassifier::mean_relative_error(modeler_.model(), pool);
+    }
+    ranking_valid_ = true;
+  }
   if (ranking_.empty()) return;
   const std::vector<model::NamedModel>& candidates = reclassifier_.candidates();
   const model::NamedModel& best = candidates[ranking_.front().second];
@@ -238,19 +252,15 @@ void JobEndpointProcess::run_feedback(double now_s) {
   double runner_up_error = ranking_.size() > 1 ? ranking_[1].first : best_error + 10.0;
   std::string_view runner_up_name =
       ranking_.size() > 1 ? std::string_view(candidates[ranking_[1].second].name) : "(none)";
-  if (modeler_.has_fitted_model()) {
-    const double refit_error =
-        model::Reclassifier::mean_relative_error(modeler_.model(), pool_);
-    if (refit_error + 0.5 * config_.decision_margin < best_error) {
-      // The refit is decisively better than every library curve: the job
-      // genuinely matches no precharacterized type.
-      static const std::string kOnlineRefit = "online-refit";
-      winner_name = &kOnlineRefit;
-      winner_model = &modeler_.model();
-      runner_up_error = best_error;
-      runner_up_name = best.name;
-      best_error = refit_error;
-    }
+  if (modeler_.has_fitted_model() && refit_error_ + 0.5 * config_.decision_margin < best_error) {
+    // The refit is decisively better than every library curve: the job
+    // genuinely matches no precharacterized type.
+    static const std::string kOnlineRefit = "online-refit";
+    winner_name = &kOnlineRefit;
+    winner_model = &modeler_.model();
+    runner_up_error = best_error;
+    runner_up_name = best.name;
+    best_error = refit_error_;
   }
 
   const bool improves =
@@ -260,6 +270,7 @@ void JobEndpointProcess::run_feedback(double now_s) {
   if (improves && decisive) {
     probing_ = false;
     served_model_ = *winner_model;
+    served_error_valid_ = false;
     reclassified_to_ = *winner_name;
     publish_model(now_s, served_model_, true);
     util::log_debug("job-endpoint",
@@ -283,7 +294,7 @@ void JobEndpointProcess::run_feedback(double now_s) {
                         std::to_string(best_error) + ", runner-up '" +
                         std::string(runner_up_name) + "' " +
                         std::to_string(runner_up_error) + ", clean_obs " +
-                        std::to_string(clean_count));
+                        std::to_string(modeler_.clean_observation_count()));
   }
 }
 

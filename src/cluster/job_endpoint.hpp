@@ -20,6 +20,7 @@
 // rejoin cleanly once the partition heals.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -155,10 +156,18 @@ class JobEndpointProcess {
   double probe_log_next_s_ = 0.0;
   double applied_cap_w_ = -1.0;   // last cap actually written to the agent
 
+  // Feedback scores, kept while the modeler's revision and the served
+  // model stay the same (run_feedback's decisions still run every step).
+  std::uint64_t scored_revision_ = ~std::uint64_t{0};  // none scored yet
+  bool served_error_valid_ = false;
+  bool ranking_valid_ = false;
+  double served_error_ = 0.0;
+  long clean_epochs_ = 0;
+  double refit_error_ = 0.0;
+  std::vector<std::pair<double, std::size_t>> ranking_;
+
   // Per-step scratch, kept so the loop does not allocate once warm.
   std::vector<geopm::TimedSample> samples_;
-  std::vector<model::CapAggregate> pool_;
-  std::vector<std::pair<double, std::size_t>> ranking_;
 };
 
 }  // namespace anor::cluster

@@ -4,6 +4,22 @@
 
 namespace anor::cluster {
 
+namespace {
+
+/// An integer field of a wire message.  A frame may carry any number
+/// there, so it is read exactly (util::checked_integer) rather than cast:
+/// out of range, a cast is undefined and wraps in practice.
+template <class T>
+T wire_integer(const util::Json& value, const char* key) {
+  try {
+    return util::checked_integer<T>(value, key);
+  } catch (const util::ConfigError& error) {
+    throw util::TransportError(std::string("bad message field: ") + error.what());
+  }
+}
+
+}  // namespace
+
 util::Json encode(const Message& message) {
   util::JsonObject obj;
   std::visit(
@@ -45,20 +61,21 @@ util::Json encode(const Message& message) {
 
 Message decode(const util::Json& json) {
   const std::string& type = json.at("type").as_string();
-  const auto seq = static_cast<std::uint64_t>(json.number_or("seq", 0.0));
+  const std::uint64_t seq =
+      json.contains("seq") ? wire_integer<std::uint64_t>(json.at("seq"), "seq") : 0;
   if (type == "hello") {
     JobHelloMsg msg;
-    msg.job_id = static_cast<int>(json.at("job_id").as_int());
+    msg.job_id = wire_integer<int>(json.at("job_id"), "job_id");
     msg.job_name = json.at("job_name").as_string();
     msg.classified_as = json.at("classified_as").as_string();
-    msg.nodes = static_cast<int>(json.at("nodes").as_int());
+    msg.nodes = wire_integer<int>(json.at("nodes"), "nodes");
     msg.timestamp_s = json.at("t").as_number();
     msg.seq = seq;
     return msg;
   }
   if (type == "budget") {
     PowerBudgetMsg msg;
-    msg.job_id = static_cast<int>(json.at("job_id").as_int());
+    msg.job_id = wire_integer<int>(json.at("job_id"), "job_id");
     msg.node_cap_w = json.at("node_cap_w").as_number();
     msg.timestamp_s = json.at("t").as_number();
     msg.seq = seq;
@@ -66,7 +83,7 @@ Message decode(const util::Json& json) {
   }
   if (type == "model") {
     ModelUpdateMsg msg;
-    msg.job_id = static_cast<int>(json.at("job_id").as_int());
+    msg.job_id = wire_integer<int>(json.at("job_id"), "job_id");
     msg.a = json.at("a").as_number();
     msg.b = json.at("b").as_number();
     msg.c = json.at("c").as_number();
@@ -80,14 +97,14 @@ Message decode(const util::Json& json) {
   }
   if (type == "goodbye") {
     JobGoodbyeMsg msg;
-    msg.job_id = static_cast<int>(json.at("job_id").as_int());
+    msg.job_id = wire_integer<int>(json.at("job_id"), "job_id");
     msg.timestamp_s = json.at("t").as_number();
     msg.seq = seq;
     return msg;
   }
   if (type == "hb") {
     HeartbeatMsg msg;
-    msg.job_id = static_cast<int>(json.at("job_id").as_int());
+    msg.job_id = wire_integer<int>(json.at("job_id"), "job_id");
     msg.timestamp_s = json.at("t").as_number();
     msg.seq = seq;
     return msg;
@@ -155,12 +172,19 @@ Message decode_framed_text(const std::string& text) {
   }
   if (!json.is_object()) throw util::TransportError("corrupt frame: not an object");
   try {
-    const auto expected = static_cast<std::uint32_t>(json.at("crc").as_number());
-    const std::string payload = json.at("msg").dump();
-    if (message_checksum(payload) != expected) {
+    const auto expected = wire_integer<std::uint32_t>(json.at("crc"), "crc");
+    const util::Json& payload = json.at("msg");
+    if (message_checksum(payload.dump()) != expected) {
       throw util::TransportError("corrupt frame: checksum mismatch");
     }
-    return decode(json.at("msg"));
+    Message message = decode(payload);
+    // Accept only what the encoder would have sent for this message: a
+    // frame whose fields the decoder ignores (unknown keys, an explicit
+    // zero seq, a missing flag) is not a frame this protocol produces.
+    if (!(encode(message) == payload)) {
+      throw util::TransportError("corrupt frame: not the encoding of its message");
+    }
+    return message;
   } catch (const util::TransportError&) {
     throw;
   } catch (const std::exception& error) {

@@ -1,5 +1,7 @@
 #include "cluster/transport.hpp"
 
+#include <vector>
+
 #include "telemetry/metrics.hpp"
 
 namespace anor::cluster {
@@ -11,13 +13,44 @@ struct TimedMessage {
   Message message;
 };
 
-/// Shared state of one direction of the in-process link.
+/// Shared state of one direction of the in-process link: a FIFO in a ring
+/// of power-of-two size that doubles when full and never shrinks, so a
+/// warm link queues and delivers without allocating.
 struct Pipe {
-  std::mutex mutex;
-  std::deque<TimedMessage> queue;
+  std::vector<TimedMessage> ring;
+  std::size_t head = 0;   // slot of the oldest queued message
+  std::size_t count = 0;  // queued messages
   bool open = true;
+
+  void push(double deliver_at_s, const Message& message) {
+    if (count == ring.size()) grow();
+    TimedMessage& slot = ring[(head + count) & (ring.size() - 1)];
+    slot.deliver_at_s = deliver_at_s;
+    slot.message = message;
+    ++count;
+  }
+
+  const TimedMessage& front() const { return ring[head]; }
+
+  Message pop() {
+    Message message = std::move(ring[head].message);
+    head = (head + 1) & (ring.size() - 1);
+    --count;
+    return message;
+  }
+
+  void grow() {
+    std::vector<TimedMessage> larger(ring.empty() ? 8 : 2 * ring.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      larger[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+    }
+    ring = std::move(larger);
+    head = 0;
+  }
 };
 
+/// No locks: both ends of a pair belong to one serially stepped run (see
+/// make_inproc_pair).
 class InprocChannel final : public MessageChannel {
  public:
   InprocChannel(const util::VirtualClock& clock, double latency_s, std::shared_ptr<Pipe> out,
@@ -27,20 +60,13 @@ class InprocChannel final : public MessageChannel {
   ~InprocChannel() override {
     // Closing one end tears down the link in both directions, as a socket
     // close would.
-    {
-      std::lock_guard<std::mutex> lock(out_->mutex);
-      out_->open = false;
-    }
-    {
-      std::lock_guard<std::mutex> lock(in_->mutex);
-      in_->open = false;
-    }
+    out_->open = false;
+    in_->open = false;
   }
 
   bool send(const Message& message) override {
-    std::lock_guard<std::mutex> lock(out_->mutex);
     if (!out_->open) return false;
-    out_->queue.push_back(TimedMessage{clock_->now() + latency_s_, message});
+    out_->push(clock_->now() + latency_s_, message);
     static auto& sent =
         telemetry::MetricsRegistry::global().counter("cluster.transport.inproc.sent");
     sent.inc();
@@ -48,21 +74,16 @@ class InprocChannel final : public MessageChannel {
   }
 
   std::optional<Message> receive() override {
-    std::lock_guard<std::mutex> lock(in_->mutex);
-    if (in_->queue.empty()) return std::nullopt;
-    if (in_->queue.front().deliver_at_s > clock_->now()) return std::nullopt;
-    Message message = std::move(in_->queue.front().message);
-    in_->queue.pop_front();
+    if (in_->count == 0) return std::nullopt;
+    if (in_->front().deliver_at_s > clock_->now()) return std::nullopt;
+    std::optional<Message> message(in_->pop());
     static auto& received =
         telemetry::MetricsRegistry::global().counter("cluster.transport.inproc.received");
     received.inc();
     return message;
   }
 
-  bool connected() const override {
-    std::lock_guard<std::mutex> lock(in_->mutex);
-    return in_->open || !in_->queue.empty();
-  }
+  bool connected() const override { return in_->open || in_->count != 0; }
 
  private:
   const util::VirtualClock* clock_;

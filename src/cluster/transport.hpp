@@ -6,9 +6,7 @@
 // and is exercised by integration tests and the tcp_demo example.
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -40,6 +38,12 @@ struct InprocPair {
 
 /// Create a connected pair.  The clock must outlive both ends.  Messages
 /// sent at time t become receivable at t + latency_s.
+///
+/// Thread contract: the pair takes no lock.  Both ends and the clock must
+/// be used from one thread at a time, as they are inside one emulated run
+/// (which steps serially; whole runs go to the sweep's run workers, never
+/// single ends).  Handing a pair to another thread needs a happens-before
+/// edge, as a thread start or a join gives.
 InprocPair make_inproc_pair(const util::VirtualClock& clock, double latency_s = 0.005);
 
 }  // namespace anor::cluster

@@ -19,6 +19,13 @@ telemetry::Counter& refit_rejected_counter(const char* reason) {
                                                       {{"reason", reason}});
 }
 
+/// A refit the pooled caps cannot support: too few distinct caps, or a
+/// singular system.
+void count_numerical_rejection() {
+  static auto& numerical = refit_rejected_counter("numerical");
+  numerical.inc();
+}
+
 }  // namespace
 
 void aggregate_by_cap(std::span<const EpochObservation> observations,
@@ -47,6 +54,26 @@ void aggregate_by_cap(std::span<const EpochObservation> observations,
 
 OnlineModeler::OnlineModeler(PowerPerfModel initial_model, ModelerConfig config)
     : model_(std::move(initial_model)), config_(config) {}
+
+void OnlineModeler::window_changed() {
+  pool_stale_ = true;
+  ++revision_;
+}
+
+std::span<const CapAggregate> OnlineModeler::clean_pool() {
+  if (pool_stale_) {
+    aggregate_by_cap(observations_, clean_pool_, 5.0, true);
+    clean_count_ = 0;
+    for (const EpochObservation& obs : observations_) clean_count_ += obs.mixed_cap ? 0 : 1;
+    pool_stale_ = false;
+  }
+  return clean_pool_;
+}
+
+std::size_t OnlineModeler::clean_observation_count() {
+  (void)clean_pool();
+  return clean_count_;
+}
 
 void OnlineModeler::record_cap(double t_s, double cap_w) {
   if (!cap_change_times_.empty() && t_s < cap_change_times_.back()) {
@@ -118,6 +145,7 @@ std::optional<EpochObservation> OnlineModeler::add_epoch_sample(double t_s, long
                         observations_.begin() +
                             static_cast<long>(observations_.size() - config_.max_observations));
   }
+  window_changed();
   epochs_since_train_ += delta_epochs;
   maybe_detect_phase_change();
   maybe_retrain();
@@ -140,11 +168,11 @@ void OnlineModeler::maybe_detect_phase_change() {
   }
   if (clean < config_.phase_window * 3) return;
   const std::span<const EpochObservation> window(observations_);
-  aggregate_by_cap(window.first(split), pool_, 5.0, true);
+  aggregate_by_cap(window.first(split), older_pool_, 5.0, true);
   aggregate_by_cap(window.subspan(split), recent_pool_, 5.0, true);
 
   for (const CapAggregate& n : recent_pool_) {
-    for (const CapAggregate& o : pool_) {
+    for (const CapAggregate& o : older_pool_) {
       if (std::abs(n.cap_w - o.cap_w) > 5.0) continue;
       if (o.sec_per_epoch <= 0.0) continue;
       const double shift = std::abs(n.sec_per_epoch - o.sec_per_epoch) / o.sec_per_epoch;
@@ -154,6 +182,7 @@ void OnlineModeler::maybe_detect_phase_change() {
         observations_.erase(observations_.begin(),
                             observations_.begin() + static_cast<long>(split));
         std::erase_if(observations_, [](const EpochObservation& obs) { return obs.mixed_cap; });
+        window_changed();
         fitted_ = false;  // any previous refit described the old phase
         epochs_since_train_ = 0;
         ++phase_changes_;
@@ -209,21 +238,25 @@ bool OnlineModeler::retrain() {
   static auto& fit_error =
       telemetry::MetricsRegistry::global().gauge("job.modeler.refit_error");
   attempts.inc();
-  std::size_t clean = 0;
-  for (const EpochObservation& obs : observations_) clean += obs.mixed_cap ? 0 : 1;
-  if (clean < config_.min_fit_observations) {
+  if (clean_observation_count() < config_.min_fit_observations) {
     static auto& too_few = refit_rejected_counter("too_few_observations");
     too_few.inc();
     return false;
   }
   // Fit against cap-pooled rates (quantization-free), weighting each cap
   // level by the epochs observed there.
-  aggregate_by_cap(observations_, pool_, 5.0, true);
   fit_caps_.clear();
   fit_times_.clear();
-  for (const CapAggregate& aggregate : pool_) {
+  for (const CapAggregate& aggregate : clean_pool()) {
     fit_caps_.push_back(aggregate.cap_w);
     fit_times_.push_back(aggregate.sec_per_epoch);
+  }
+  // Not enough cap diversity yet (e.g. the job has run under a single cap
+  // so far): keep serving the current model.  Most refit attempts end
+  // here, so this is checked up front rather than caught from fit.
+  if (!PowerPerfModel::has_distinct_caps(fit_caps_)) {
+    count_numerical_rejection();
+    return false;
   }
   try {
     PowerPerfModel refit =
@@ -262,15 +295,14 @@ bool OnlineModeler::retrain() {
     }
     model_ = refit;
     fitted_ = true;
+    ++revision_;
     accepted.inc();
     fit_r2.set(refit.r2());
     fit_error.set(mean_error);
     return true;
   } catch (const util::NumericalError&) {
-    // Not enough cap diversity yet (e.g. the job has run under a single
-    // cap so far); keep serving the current model.
-    static auto& numerical = refit_rejected_counter("numerical");
-    numerical.inc();
+    // A singular system despite distinct caps.
+    count_numerical_rejection();
     return false;
   }
 }

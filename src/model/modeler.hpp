@@ -9,6 +9,7 @@
 // rates (the asynchrony challenge of Sec. 7.2).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -124,6 +125,16 @@ class OnlineModeler {
   /// against and are skipped wherever the window is pooled.
   const std::vector<EpochObservation>& observations() const { return observations_; }
 
+  /// The window's clean spans pooled by cap (aggregate_by_cap with
+  /// clean_only), rebuilt at the first read after the window changes.
+  /// Refits and the endpoint's feedback scoring both read it.
+  std::span<const CapAggregate> clean_pool();
+  /// Clean (single-cap) spans in the window.
+  std::size_t clean_observation_count();
+  /// Changes whenever the window or the served model does, so callers can
+  /// keep what they computed from clean_pool() and model() until then.
+  std::uint64_t revision() const { return revision_; }
+
   /// Force a refit attempt now (normally triggered automatically).
   /// Returns true if the model was replaced.
   bool retrain();
@@ -134,6 +145,8 @@ class OnlineModeler {
  private:
   void maybe_retrain();
   void maybe_detect_phase_change();
+  /// Mark the window changed: the clean pool is stale.
+  void window_changed();
   double average_cap_over(double t0_s, double t1_s) const;
   /// Min/max cap over a window (first = min, second = max).
   std::pair<double, double> cap_range_over(double t0_s, double t1_s) const;
@@ -153,8 +166,13 @@ class OnlineModeler {
   int phase_changes_ = 0;
 
   std::vector<EpochObservation> observations_;
-  // Pooling and fitting scratch, reused across refits and phase checks.
-  std::vector<CapAggregate> pool_;
+  std::uint64_t revision_ = 0;
+  // The clean pool and its clean-span count, valid while !pool_stale_.
+  std::vector<CapAggregate> clean_pool_;
+  std::size_t clean_count_ = 0;
+  bool pool_stale_ = true;
+  // Phase-check and fitting scratch, reused across calls.
+  std::vector<CapAggregate> older_pool_;
   std::vector<CapAggregate> recent_pool_;
   std::vector<double> fit_caps_;
   std::vector<double> fit_times_;

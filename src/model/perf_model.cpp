@@ -35,13 +35,8 @@ PowerPerfModel PowerPerfModel::from_job_type(const workload::JobType& type) {
   return fit(caps, times, lo, hi);
 }
 
-PowerPerfModel PowerPerfModel::fit(std::span<const double> cap_w,
-                                   std::span<const double> sec_per_epoch, double p_min_w,
-                                   double p_max_w) {
-  if (cap_w.size() != sec_per_epoch.size()) {
-    throw util::NumericalError("PowerPerfModel::fit: size mismatch");
-  }
-  // At least 3 distinct caps (at 1/16 W) are needed; stop counting at 3.
+bool PowerPerfModel::has_distinct_caps(std::span<const double> cap_w) {
+  // Count distinct caps at 1/16 W; stop counting at 3.
   long distinct[3] = {};
   std::size_t distinct_count = 0;
   for (std::size_t i = 0; i < cap_w.size() && distinct_count < 3; ++i) {
@@ -50,7 +45,16 @@ PowerPerfModel PowerPerfModel::fit(std::span<const double> cap_w,
       distinct[distinct_count++] = key;
     }
   }
-  if (cap_w.size() < 3 || distinct_count < 3) {
+  return distinct_count == 3;
+}
+
+PowerPerfModel PowerPerfModel::fit(std::span<const double> cap_w,
+                                   std::span<const double> sec_per_epoch, double p_min_w,
+                                   double p_max_w) {
+  if (cap_w.size() != sec_per_epoch.size()) {
+    throw util::NumericalError("PowerPerfModel::fit: size mismatch");
+  }
+  if (!has_distinct_caps(cap_w)) {
     throw util::NumericalError("PowerPerfModel::fit: need >=3 observations at >=3 caps");
   }
   // Normalize power by TDP for conditioning; de-normalize coefficients.

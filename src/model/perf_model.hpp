@@ -27,9 +27,13 @@ class PowerPerfModel {
   /// type's true curve and fits it exactly.
   static PowerPerfModel from_job_type(const workload::JobType& type);
 
+  /// fit's precondition: at least 3 caps that differ at 1/16 W.  Callers
+  /// that refit in a loop check it instead of catching fit's throw.
+  static bool has_distinct_caps(std::span<const double> cap_w);
+
   /// Least-squares fit from cap/seconds-per-epoch observations.
-  /// Requires at least 3 points with at least 3 distinct caps; throws
-  /// NumericalError otherwise.  Computes and stores the training R².
+  /// Requires has_distinct_caps(cap_w); throws NumericalError otherwise
+  /// (and on a singular system).  Computes and stores the training R².
   static PowerPerfModel fit(std::span<const double> cap_w,
                             std::span<const double> sec_per_epoch, double p_min_w,
                             double p_max_w);

@@ -21,11 +21,6 @@ TraceRecorder::TraceRecorder(std::size_t capacity) : capacity_(std::max<std::siz
   ring_.reserve(capacity_);
 }
 
-void TraceRecorder::bind_clock(const util::VirtualClock* clock) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  clock_ = clock;
-}
-
 void TraceRecorder::push(TraceEvent event) {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -91,9 +86,9 @@ void TraceRecorder::counter(std::string_view name, std::string_view category, do
                   std::string(category)});
 }
 
-double TraceRecorder::clock_now() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return clock_ != nullptr ? clock_->now() : 0.0;
+double TraceRecorder::clock_now() {
+  const util::VirtualClock* clock = util::thread_clock();
+  return clock != nullptr ? clock->now() : 0.0;
 }
 
 void TraceRecorder::instant(std::string_view name, std::string_view category) {

@@ -41,19 +41,16 @@ struct TraceEvent {
 };
 
 /// Bounded, thread-safe trace-event ring.  Event timestamps are virtual
-/// seconds: pass them explicitly, or bind_clock() once and use the
-/// clockless overloads.
+/// seconds: pass them explicitly, or use the clockless overloads, which
+/// read the calling thread's clock (util::ScopedThreadClock).
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t capacity = 1 << 16);
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// The clock must outlive the recorder (or be unbound with nullptr).
-  void bind_clock(const util::VirtualClock* clock);
-
-  /// Bound clock's current time (0 when no clock is bound).
-  double clock_now() const;
+  /// The calling thread's clock's current time (0 when none is bound).
+  static double clock_now();
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
@@ -66,7 +63,7 @@ class TraceRecorder {
                double value = 0.0);
   void counter(std::string_view name, std::string_view category, double t_s, double value);
 
-  /// Clockless overloads: use the bound clock (t = 0 if none bound).
+  /// Clockless overloads: stamp clock_now().
   void instant(std::string_view name, std::string_view category);
   void counter(std::string_view name, std::string_view category, double value);
 
@@ -106,13 +103,12 @@ class TraceRecorder {
   std::vector<TraceEvent> ring_;
   std::size_t next_ = 0;  // overwrite cursor once full
   std::uint64_t total_ = 0;
-  const util::VirtualClock* clock_ = nullptr;
   bool enabled_ = true;
 };
 
 /// RAII span against a recorder: begin at construction, end at
-/// destruction (using the recorder's bound clock) or at an explicit
-/// end(t_s) call.
+/// destruction (at the thread's clock_now()) or at an explicit end(t_s)
+/// call.
 class TraceSpan {
  public:
   TraceSpan(TraceRecorder& recorder, std::string_view name, std::string_view category,

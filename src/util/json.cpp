@@ -105,6 +105,7 @@ T checked_integer(const Json& value, const std::string& key) {
 }
 
 template int checked_integer<int>(const Json&, const std::string&);
+template std::uint32_t checked_integer<std::uint32_t>(const Json&, const std::string&);
 template std::uint64_t checked_integer<std::uint64_t>(const Json&, const std::string&);
 
 void append_json_string(std::string& out, std::string_view s) {

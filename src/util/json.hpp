@@ -84,8 +84,9 @@ class Json {
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
 
-/// `value` as an integer of type T (int or std::uint64_t): a number that
-/// is finite, integral and inside T's range, else ConfigError naming `key`.
+/// `value` as an integer of type T (int, std::uint32_t or std::uint64_t):
+/// a number that is finite, integral and inside T's range, else
+/// ConfigError naming `key`.
 /// Readers of integer fields use it instead of a cast of as_number()
 /// (undefined out of range) or of as_int() (which rounds).
 template <class T>

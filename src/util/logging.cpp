@@ -109,11 +109,6 @@ void Logger::clear_component_levels() {
   recompute_min_enabled_locked();
 }
 
-void Logger::attach_clock(const VirtualClock* clock) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  clock_ = clock;
-}
-
 void Logger::set_sink(std::ostream* sink) {
   std::lock_guard<std::mutex> lock(mutex_);
   sink_ = sink;
@@ -171,9 +166,9 @@ void Logger::write(LogLevel level, std::string_view component, std::string_view 
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostream& out = sink_ != nullptr ? *sink_ : std::clog;
   out << '[' << to_string(level) << ' ' << wall_timestamp();
-  if (clock_ != nullptr) {
+  if (const VirtualClock* clock = thread_clock()) {
     char vt[32];
-    std::snprintf(vt, sizeof(vt), " vt=%.3f", clock_->now());
+    std::snprintf(vt, sizeof(vt), " vt=%.3f", clock->now());
     out << vt;
   }
   out << "] " << component << ": " << message << '\n';

@@ -6,8 +6,9 @@
 // output clean.
 //
 // Each line carries a wall-clock timestamp, and — when a `VirtualClock`
-// is attached — the virtual time of the emulated run, so log lines line
-// up with trace events and artifact time series:
+// is bound to the logging thread (`ScopedThreadClock`, util/clock.hpp) —
+// the virtual time of the emulated run, so log lines line up with trace
+// events and artifact time series:
 //
 //   [WARN 2026-08-06 12:34:56.789 vt=120.500] cluster: over budget
 //
@@ -27,8 +28,6 @@
 #include <string_view>
 
 namespace anor::util {
-
-class VirtualClock;
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
@@ -56,11 +55,6 @@ class Logger {
   void set_component_level(std::string_view component, LogLevel level);
   void clear_component_levels();
 
-  /// Attaches the virtual time base whose `now()` is printed as
-  /// `vt=<seconds>` on every line.  Pass nullptr to detach.  The clock
-  /// must outlive all logging calls while attached.
-  void attach_clock(const VirtualClock* clock);
-
   /// Redirect output (default: std::clog).  The stream must outlive all
   /// logging calls; pass nullptr to restore the default.
   void set_sink(std::ostream* sink);
@@ -81,7 +75,8 @@ class Logger {
   bool configure_from_spec(std::string_view spec);
 
   /// Write one formatted line:
-  /// "[LEVEL <wall timestamp>[ vt=<virtual seconds>]] component: message".
+  /// "[LEVEL <wall timestamp>[ vt=<virtual seconds>]] component: message",
+  /// with vt= read from the calling thread's clock when one is bound.
   void write(LogLevel level, std::string_view component, std::string_view message);
 
  private:
@@ -92,7 +87,6 @@ class Logger {
   mutable std::mutex mutex_;
   LogLevel level_ = LogLevel::kWarn;
   std::map<std::string, LogLevel, std::less<>> component_levels_;
-  const VirtualClock* clock_ = nullptr;
   std::ostream* sink_ = nullptr;
   std::atomic<int> min_enabled_{static_cast<int>(LogLevel::kWarn)};
 };

@@ -8,15 +8,22 @@
 // This executable replaces the global operator new with a counting one
 // (counting only inside a scope, on the calling thread) and pins that
 // property: after one warm-up tick, 100 ticks of ClusterHw::step plus
-// JobController::control_step allocate nothing.
+// JobController::control_step allocate nothing.  The head node's tick
+// holds to the same between rebudgets: polling a job's channel, taking
+// its heartbeat, the liveness checks and heartbeating it back.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "cluster/cluster_manager.hpp"
+#include "cluster/messages.hpp"
+#include "cluster/reliable_channel.hpp"
+#include "cluster/transport.hpp"
 #include "geopm/controller.hpp"
 #include "geopm/signals.hpp"
 #include "platform/cluster_hw.hpp"
@@ -139,6 +146,56 @@ TEST(SteadyStateAllocation, GovernorTickAllocatesNothing) {
 
 TEST(SteadyStateAllocation, BalancerTickAllocatesNothing) {
   EXPECT_EQ(steady_state_allocations(geopm::AgentKind::kPowerBalancer), 0u);
+}
+
+TEST(SteadyStateAllocation, HeadNodeTickAllocatesNothing) {
+  util::VirtualClock clock;
+  cluster::ClusterManagerConfig config;
+  config.cluster_nodes = 4;
+  config.control_period_s = 1000.0;  // one rebudget, at registration
+  config.heartbeat_period_s = 1.0;   // a heartbeat down on every tick
+  cluster::ClusterManager manager(config);
+  cluster::InprocPair pair = cluster::make_inproc_pair(clock, 0.01);
+  manager.attach_channel(std::move(pair.a));
+  cluster::ReliableChannel endpoint(*pair.b);
+
+  cluster::JobHelloMsg hello;
+  hello.job_id = 1;
+  hello.job_name = "bt.D.x#1";
+  hello.classified_as = "bt.D.x";
+  hello.nodes = 2;
+  ASSERT_TRUE(endpoint.send(hello));
+  std::size_t beats_down = 0;
+  const auto tick = [&] {
+    clock.advance(1.0);
+    endpoint.poll(clock.now());
+    cluster::HeartbeatMsg beat;
+    beat.job_id = 1;
+    beat.timestamp_s = clock.now();
+    endpoint.send(beat);
+    manager.step(clock.now());
+    while (auto message = endpoint.receive()) {
+      if (std::holds_alternative<cluster::HeartbeatMsg>(*message)) ++beats_down;
+    }
+  };
+
+  // Warm-up: registration and its rebudget, the budget message, the
+  // links' first ring slots and the metric handles, the lease counter's
+  // at the first liveness scan (once a lease may be 6 s old).
+  for (int i = 0; i < 10; ++i) tick();
+  ASSERT_EQ(manager.active_jobs(), 1u);
+  const std::size_t beats_before = beats_down;
+  std::size_t allocations = 0;
+  {
+    const AllocationScope scope;
+    for (int i = 0; i < 100; ++i) tick();
+    allocations = scope.count();
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(beats_down - beats_before, 100u);
+  EXPECT_EQ(manager.active_jobs(), 1u);
+  EXPECT_FALSE(manager.liveness_suspect());
+  EXPECT_EQ(manager.leases_expired(), 0u);
 }
 
 }  // namespace

@@ -2,10 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace anor::cluster {
 namespace {
+
+/// A frame around `msg` whose checksum field reads `crc`.
+std::string frame_with_crc(const util::Json& msg, double crc) {
+  util::JsonObject frame;
+  frame["crc"] = util::Json(crc);
+  frame["msg"] = msg;
+  return util::Json(std::move(frame)).dump();
+}
+
+/// A frame around `msg` with the checksum the decoder will accept.
+std::string frame_of(const util::Json& msg) {
+  return frame_with_crc(msg, static_cast<double>(message_checksum(msg.dump())));
+}
 
 TEST(Messages, HelloRoundTrip) {
   JobHelloMsg msg;
@@ -174,6 +194,119 @@ TEST(Messages, FramedRejectsHostileBytes) {
   frame["msg"] = util::Json(inner);
   EXPECT_THROW(decode_framed_text(util::Json(std::move(frame)).dump()),
                util::TransportError);
+}
+
+TEST(Messages, FramedRejectsOutOfRangeIntegers) {
+  // Checksum-valid frames whose integer fields do not fit: read by a cast,
+  // job 4294967297 became job 1 and seq -1 became 2^64-1, after which a
+  // ReliableChannel dropped every later message from that peer as a
+  // duplicate.
+  util::JsonObject beat;
+  beat["type"] = util::Json("hb");
+  beat["t"] = util::Json(0.0);
+  beat["job_id"] = util::Json(4294967297.0);
+  beat["seq"] = util::Json(-1.0);
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(beat))), util::TransportError);
+  beat["job_id"] = util::Json(1);
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(beat))), util::TransportError);
+  beat["seq"] = util::Json(18446744073709551616.0);  // 2^64
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(beat))), util::TransportError);
+  beat["seq"] = util::Json(2.5);
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(beat))), util::TransportError);
+  beat["seq"] = util::Json(3);
+  const Message ok = decode_framed_text(frame_of(util::Json(beat)));
+  EXPECT_EQ(job_id_of(ok), 1);
+  EXPECT_EQ(seq_of(ok), 3u);
+
+  util::JsonObject hello = encode(JobHelloMsg{5, "bt.D.x#5", "is.D.x", 2, 1.0, 1}).as_object();
+  hello["nodes"] = util::Json(-4294967294.0);
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(hello))), util::TransportError);
+
+  // The checksum field itself: 2^32 + crc used to wrap onto crc.
+  const util::Json msg = encode(HeartbeatMsg{1, 0.0, 3});
+  const double crc = static_cast<double>(message_checksum(msg.dump()));
+  EXPECT_NO_THROW(decode_framed_text(frame_with_crc(msg, crc)));
+  EXPECT_THROW(decode_framed_text(frame_with_crc(msg, crc + 4294967296.0)),
+               util::TransportError);
+  EXPECT_THROW(decode_framed_text(frame_with_crc(msg, crc - 4294967296.0)),
+               util::TransportError);
+}
+
+TEST(Messages, FramedRejectsFieldsTheDecoderWouldIgnore) {
+  util::JsonObject budget = encode(PowerBudgetMsg{3, 150.0, 2.0, 9}).as_object();
+  EXPECT_NO_THROW(decode_framed_text(frame_of(util::Json(budget))));
+  util::JsonObject extra = budget;
+  extra["extra"] = util::Json(1);
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(extra))), util::TransportError);
+  util::JsonObject zero_seq = budget;
+  zero_seq["seq"] = util::Json(0);  // the encoder leaves an unstamped seq out
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(zero_seq))), util::TransportError);
+  util::JsonObject as_beat = budget;
+  as_beat["type"] = util::Json("hb");  // node_cap_w would be dropped
+  EXPECT_THROW(decode_framed_text(frame_of(util::Json(as_beat))), util::TransportError);
+}
+
+// Seeded mutants of valid frames, each re-checksummed so that it reaches
+// the decoder: every one must decode to a message that re-encodes to the
+// very same frame, or be rejected with TransportError.
+TEST(MessagesProperty, MutatedFramesDecodeExactlyOrThrow) {
+  const std::vector<Message> originals = {
+      JobHelloMsg{7, "bt.D.x#7", "is.D.x", 4, 12.5, 3},
+      PowerBudgetMsg{7, 187.25, 30.0, 8},
+      ModelUpdateMsg{7, 1e-4, -0.05, 9.5, 140.0, 280.0, 0.93, true, 44.0, 12},
+      JobGoodbyeMsg{7, 600.0, 40},
+      HeartbeatMsg{7, 58.0, 21},
+  };
+  const std::vector<std::string> keys = {
+      "type", "job_id", "job_name", "classified_as", "nodes", "node_cap_w", "a", "b", "c",
+      "p_min_w", "p_max_w", "r2", "from_feedback", "t", "seq", "extra"};
+  // Integers at and past the edges of int, uint32 and uint64, fractions
+  // and magnitudes no integer field can hold.
+  const std::vector<double> numbers = {
+      0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 2147483647.0, 2147483648.0, -2147483648.0,
+      -2147483649.0, 4294967295.0, 4294967296.0, 4294967297.0, 9007199254740993.0,
+      9223372036854775808.0, 18446744073709549568.0, 18446744073709551616.0, 1e300, -1e300};
+  const std::vector<std::string> strings = {"hello", "budget", "model", "goodbye", "hb",
+                                            "alien", ""};
+  util::Rng rng(29);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    util::JsonObject msg =
+        encode(originals[static_cast<std::size_t>(rng.uniform_int(0, 4))]).as_object();
+    const int mutations = static_cast<int>(rng.uniform_int(1, 3));
+    for (int m = 0; m < mutations; ++m) {
+      const std::string& key = keys[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(keys.size()) - 1))];
+      switch (rng.uniform_int(0, 5)) {
+        case 0: msg.erase(key); break;
+        case 1:
+        case 2:
+          msg[key] = util::Json(numbers[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(numbers.size()) - 1))]);
+          break;
+        case 3: msg[key] = util::Json(rng.uniform(-1e6, 1e6)); break;
+        case 4:
+          msg[key] = util::Json(strings[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(strings.size()) - 1))]);
+          break;
+        default: msg[key] = rng.coin(0.5) ? util::Json(rng.coin(0.5)) : util::Json(); break;
+      }
+    }
+    const util::Json payload(std::move(msg));
+    double crc = static_cast<double>(message_checksum(payload.dump()));
+    if (rng.coin(0.05)) crc += rng.coin(0.5) ? 4294967296.0 : -4294967296.0;
+    const std::string frame = frame_with_crc(payload, crc);
+    try {
+      const Message decoded = decode_framed_text(frame);
+      EXPECT_EQ(encode_framed_text(decoded), frame);
+      ++accepted;
+    } catch (const util::TransportError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(Messages, ChecksumIsStableAndSensitive) {

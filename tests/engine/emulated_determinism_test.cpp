@@ -54,8 +54,8 @@ ScenarioSpec dr_spec(const std::string& name, const std::string& policy, int nod
   return spec;
 }
 
-std::uint64_t counter(const char* name) {
-  return telemetry::MetricsRegistry::global().counter(name).value();
+std::uint64_t counter(const char* name, const telemetry::MetricLabels& labels = {}) {
+  return telemetry::MetricsRegistry::global().counter(name, labels).value();
 }
 
 TEST(EmulatedDeterminism, GoldenResultHashFeedback) {
@@ -63,12 +63,21 @@ TEST(EmulatedDeterminism, GoldenResultHashFeedback) {
   ScenarioSpec spec = dr_spec("golden-feedback", "adjusted", 16, 900.0, 0.95, 24,
                               workload::nas_long_job_types());
   workload::misclassify(spec.schedule, "bt.D.x", "is.D.x");
+  // The run's work, not only its result: a change to when the modeler
+  // refits or the manager polls and rebudgets moves these counts.
+  const telemetry::MetricLabels numerical{{"reason", "numerical"}};
   const std::uint64_t refits_before = counter("job.modeler.refit_attempts");
+  const std::uint64_t numerical_before = counter("job.modeler.refit_rejected", numerical);
+  const std::uint64_t sent_before = counter("cluster.transport.inproc.sent");
+  const std::uint64_t rebudgets_before = counter("cluster.manager.rebudgets");
   const RunResult result = run_scenario(spec);
   ASSERT_GT(result.jobs_completed, 0);
   EXPECT_EQ(result.jobs_completed, result.jobs_submitted);
-  EXPECT_GT(counter("job.modeler.refit_attempts"), refits_before);
   EXPECT_EQ(util::hex16(sweep::result_hash(result)), "9469faabc9f14a36");
+  EXPECT_EQ(counter("job.modeler.refit_attempts") - refits_before, 1866u);
+  EXPECT_EQ(counter("job.modeler.refit_rejected", numerical) - numerical_before, 990u);
+  EXPECT_EQ(counter("cluster.transport.inproc.sent") - sent_before, 15941u);
+  EXPECT_EQ(counter("cluster.manager.rebudgets") - rebudgets_before, 751u);
 }
 
 TEST(EmulatedDeterminism, GoldenResultHashBalancerVariation) {

@@ -141,6 +141,36 @@ TEST(SweepExecutorTest, RunWorkerCountCannotChangeResults) {
   }
 }
 
+TEST(SweepExecutorTest, EmulatedRunWorkersMatchSerial) {
+  // Emulated runs on two run workers: each binds its own clock for trace
+  // and log stamps on its own thread, and its in-process tier links take
+  // no lock, so nothing of one run may reach the other (TSan runs this).
+  const SweepGrid grid = SweepGrid::from_json(util::Json::parse(R"({
+    "schema": "anor.sweep.v1",
+    "name": "emulated-grid-test",
+    "base": {"backend": "emulated", "node_count": 8, "seed": 11},
+    "generate": {"duration_s": 240, "utilization": 0.8, "signal": "budget",
+                 "budget_per_node_w": 150},
+    "axes": [
+      {"field": "policy", "values": ["characterized", "adjusted"]},
+      {"field": "utilization", "values": [0.6, 0.9]}
+    ]
+  })"));
+  SweepOptions serial;
+  serial.cache = CacheConfig::off();
+  const SweepReport reference = run_sweep(grid, serial);
+  SweepOptions parallel = serial;
+  parallel.run_workers = 2;
+  const SweepReport report = run_sweep(grid, parallel);
+  ASSERT_EQ(reference.cells.size(), 4u);
+  ASSERT_EQ(report.cells.size(), reference.cells.size());
+  for (std::size_t i = 0; i < report.cells.size(); ++i) {
+    EXPECT_GT(reference.cells[i].result.jobs_completed, 0) << reference.cells[i].cell.name;
+    EXPECT_EQ(fingerprint(report.cells[i].result), fingerprint(reference.cells[i].result))
+        << reference.cells[i].cell.name;
+  }
+}
+
 TEST(SweepExecutorTest, WarmStartOffCannotChangeResults) {
   const SweepGrid grid = test_grid();
   SweepOptions warm;

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "fault/fault_plan.hpp"
+#include "util/hash.hpp"
 
 namespace anor::fault {
 namespace {
@@ -65,6 +66,25 @@ TEST(ChaosIntegration, DifferentFaultSeedChangesTheTrace) {
   const ChaosResult second = run_chaos(config);
   EXPECT_FALSE(first.event_trace.empty());
   EXPECT_NE(first.event_trace, second.event_trace);
+}
+
+// The fault-event traces themselves, pinned: the replay tests above only
+// check that two runs agree, so a change to when the manager polls its
+// channels (which releases delayed sends) would pass them unnoticed.
+TEST(ChaosIntegration, GoldenEventTraceDropTenPercentPlusOneCrash) {
+  ChaosConfig config;
+  config.plan = FaultPlan::preset("drop10_crash1");
+  const ChaosResult result = run_chaos(config);
+  EXPECT_EQ(result.event_trace.size(), 5903u);
+  EXPECT_EQ(util::hex16(util::fnv1a(result.event_trace)), "34fbbae98e14bd66");
+}
+
+TEST(ChaosIntegration, GoldenEventTraceKitchenSink) {
+  ChaosConfig config;
+  config.plan = FaultPlan::preset("chaos");
+  const ChaosResult result = run_chaos(config);
+  EXPECT_EQ(result.event_trace.size(), 31540u);
+  EXPECT_EQ(util::hex16(util::fnv1a(result.event_trace)), "4dcd9a9c774c4dda");
 }
 
 TEST(ChaosIntegration, KitchenSinkPlanStillRecovers) {

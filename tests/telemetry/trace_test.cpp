@@ -96,12 +96,14 @@ TEST(TraceRecorder, ClocklessOverloadsUseBoundClock) {
   TraceRecorder recorder(8);
   util::VirtualClock clock;
   EXPECT_DOUBLE_EQ(recorder.clock_now(), 0.0);  // no clock bound
-  recorder.bind_clock(&clock);
-  clock.advance(7.5);
-  EXPECT_DOUBLE_EQ(recorder.clock_now(), 7.5);
-  recorder.instant("moment", "test");
-  recorder.counter("series", "test", 42.0);
-  recorder.bind_clock(nullptr);
+  {
+    const util::ScopedThreadClock bind(&clock);
+    clock.advance(7.5);
+    EXPECT_DOUBLE_EQ(recorder.clock_now(), 7.5);
+    recorder.instant("moment", "test");
+    recorder.counter("series", "test", 42.0);
+  }
+  EXPECT_DOUBLE_EQ(recorder.clock_now(), 0.0);  // the scope restored no clock
   const auto events = recorder.events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_DOUBLE_EQ(events[0].t_s, 7.5);
@@ -193,12 +195,11 @@ TEST(TraceRecorder, JsonlExportIsOneObjectPerLine) {
 TEST(TraceSpan, RaiiEmitsBeginAndEnd) {
   TraceRecorder recorder(8);
   util::VirtualClock clock;
-  recorder.bind_clock(&clock);
   {
+    const util::ScopedThreadClock bind(&clock);
     TraceSpan span(recorder, "scope", "test", clock.now());
     clock.advance(2.0);
   }
-  recorder.bind_clock(nullptr);
   const auto events = recorder.events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].phase, TracePhase::kBegin);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "util/clock.hpp"
 #include "util/logging.hpp"
@@ -13,7 +14,6 @@ struct LoggerGuard {
     Logger::instance().set_sink(nullptr);
     Logger::instance().set_level(LogLevel::kWarn);
     Logger::instance().clear_component_levels();
-    Logger::instance().attach_clock(nullptr);
   }
 };
 
@@ -60,11 +60,12 @@ TEST(Logger, VirtualTimestampAppearsWhenClockAttached) {
   clock.advance(3.25);
   Logger::instance().set_sink(&sink);
   Logger::instance().set_level(LogLevel::kWarn);
-  Logger::instance().attach_clock(&clock);
-  log_warn("vtc", "in virtual time");
+  {
+    const ScopedThreadClock bind(&clock);
+    log_warn("vtc", "in virtual time");
+  }
   EXPECT_NE(sink.str().find(" vt=3.250] vtc: in virtual time"), std::string::npos);
 
-  Logger::instance().attach_clock(nullptr);
   sink.str("");
   log_warn("vtc", "back to wall time");
   EXPECT_EQ(sink.str().find("vt="), std::string::npos);
@@ -184,6 +185,25 @@ TEST(VirtualClock, AdvanceIsMonotone) {
   EXPECT_DOUBLE_EQ(clock.now(), 1.5);
   clock.advance_to(4.0);
   EXPECT_DOUBLE_EQ(clock.now(), 4.0);
+}
+
+TEST(VirtualClock, ThreadBindingNestsAndStaysOnItsThread) {
+  const VirtualClock outer(1.0);
+  const VirtualClock inner(2.0);
+  EXPECT_EQ(thread_clock(), nullptr);
+  {
+    const ScopedThreadClock bind_outer(&outer);
+    {
+      const ScopedThreadClock bind_inner(&inner);
+      EXPECT_EQ(thread_clock(), &inner);
+      const VirtualClock* seen_elsewhere = &inner;
+      std::thread other([&seen_elsewhere] { seen_elsewhere = thread_clock(); });
+      other.join();
+      EXPECT_EQ(seen_elsewhere, nullptr);
+    }
+    EXPECT_EQ(thread_clock(), &outer);
+  }
+  EXPECT_EQ(thread_clock(), nullptr);
 }
 
 }  // namespace

@@ -10,11 +10,12 @@
 # tree's fixed scratch and span-written policy splits, the pooled
 # modeler buffers, the emulated goldens and the zero-allocation tick),
 # and the streaming JSON writer, cache-entry reader, Json::parse, export
-# goldens and the spec and grid readers (parsers of untrusted files), and
-# TSan over what still runs concurrently: seeded trials on a shared
-# metrics registry, the sweep executor's run workers, concurrent policy
-# dispatch and the result cache's concurrent stores and lookups (each run
-# itself steps serially).
+# goldens, the spec and grid readers (parsers of untrusted files) and the
+# wire-frame decoder, and TSan over what still runs concurrently: seeded
+# trials on a shared metrics registry, the sweep executor's run workers
+# (tabular and emulated runs, whose in-process tier links take no lock),
+# concurrent policy dispatch and the result cache's concurrent stores and
+# lookups (each run itself steps serially).
 #
 # Usage: tools/check_tier1.sh [build-dir]
 #   build-dir defaults to `build`; the sanitizer builds go to
@@ -134,10 +135,10 @@ echo "== sanitizers: ASan/UBSan telemetry, even-slowdown differential, node tabl
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=undefined,float-cast-overflow -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 cmake --build "$asan_dir" -j"$jobs" --target telemetry_test util_test budget_test engine_test sim_test \
-  platform_test geopm_test model_test alloc_test anorctl
+  platform_test geopm_test model_test alloc_test cluster_test anorctl
 "$asan_dir/tests/telemetry_test"
 run_gtest "$asan_dir/tests/util_test" 'Logger.*:VirtualClock.*'
 # util::add_repeated against the plain add loop, bit for bit: the
@@ -182,6 +183,13 @@ run_gtest "$asan_dir/tests/engine_test" 'ExportDifferential.*:CacheReaderPropert
 # into specs that round-trip or throw ConfigError.
 run_gtest "$asan_dir/tests/util_test" 'JsonCheckedInteger.*'
 run_gtest "$asan_dir/tests/engine_test" 'SpecReader*'
+# Wire frames (what a peer sends): checksum-valid frames with integer
+# fields out of range, and seeded mutants of valid frames, each of which
+# must decode to a message that re-encodes to the same frame or throw
+# TransportError.  float-cast-overflow (not in GCC's `undefined` group)
+# catches a double cast to an integer it does not fit; no UBSan check
+# recovers, so a report fails the binary instead of only printing.
+run_gtest "$asan_dir/tests/cluster_test" 'Messages*'
 
 echo "== sanitizers: TSan parallel-trial + run-worker suite =="
 tsan_dir="${build_dir}-tsan"
@@ -197,11 +205,13 @@ export TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}"
 # global metrics registry.
 run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.ParallelSeededTrialsShareRegistrySafely'
 # The sweep executor's run-level workers (atomic cursor, shared result
-# cache, disjoint report slots); the registry filter drives concurrent
-# policy dispatch (run_scenario resolving built-ins) against concurrent
-# register/get/unregister of custom names; the cache filter has two
-# threads storing and looking up shared and private keys with both tiers
-# on, entry I/O running outside the cache lock.
+# cache, disjoint report slots; on an emulated grid each run's clock
+# binding and lock-free tier links stay on its own worker); the registry
+# filter drives concurrent policy dispatch (run_scenario resolving
+# built-ins) against concurrent register/get/unregister of custom names;
+# the cache filter has two threads storing and looking up shared and
+# private keys with both tiers on, entry I/O running outside the cache
+# lock.
 run_gtest "$tsan_dir/tests/engine_test" \
   'SweepExecutorTest.*:PolicyRegistry.Concurrent*:ResultCacheTest.Concurrent*'
 
