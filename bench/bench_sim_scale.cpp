@@ -5,7 +5,7 @@
 // layers carry the wall), "dense" keeps their native 1-2 nodes (the job
 // count grows with the cluster, the per-job layers carry the wall).  For
 // every case it reports steps/sec, jobs/sec and ns/node-tick as the median
-// of uninstrumented runs repeated until they total at least 0.5 s of wall,
+// of at least 5 uninstrumented runs totalling at least 2 s of wall,
 // the span profiler's per-phase breakdown from one more, instrumented run,
 // and an FNV-1a hash over the power trace and QoS records.  Every repeat
 // and the instrumented run must reproduce the case's hash, bit for bit,
@@ -34,10 +34,13 @@ namespace {
 constexpr std::uint64_t kSeed = 42;
 constexpr double kUtilization = 0.75;
 
-/// Repeat a case's timed run until the repeats total this much wall, and
-/// report their median: one ~20 ms run swings more between identical
-/// runs than compare_bench.py's regression threshold.
-constexpr double kMinTimedWallS = 0.5;
+/// Repeat a case's timed run at least this often and until the repeats
+/// total this much wall (bench_emu's floor), and report their median: one
+/// ~20 ms run swings more between identical runs than compare_bench.py's
+/// regression threshold, and a multi-second case needs several runs to
+/// have a median at all.
+constexpr std::size_t kMinTimedRuns = 5;
+constexpr double kMinTimedWallS = 2.0;
 
 struct CaseSpec {
   int nodes = 1000;
@@ -98,11 +101,13 @@ int main(int argc, char** argv) {
   bool hashes_consistent = true;
 
   for (const CaseSpec& spec : specs) {
-    // Timed, uninstrumented runs: the median wall of enough repeats to
-    // total kMinTimedWallS, each of which must compute the same trace.
+    // Timed, uninstrumented runs: the median wall of at least
+    // kMinTimedRuns repeats totalling kMinTimedWallS, each of which must
+    // compute the same trace.
     RunOutcome timed = run_case(spec, /*telemetry=*/false);
     std::vector<double> walls = {timed.wall_s};
-    for (double total = timed.wall_s; total < kMinTimedWallS;) {
+    for (double total = timed.wall_s;
+         walls.size() < kMinTimedRuns || total < kMinTimedWallS;) {
       const RunOutcome repeat = run_case(spec, /*telemetry=*/false);
       if (repeat.trace_hash != timed.trace_hash) hashes_consistent = false;
       walls.push_back(repeat.wall_s);

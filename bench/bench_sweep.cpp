@@ -8,7 +8,7 @@
 //                     (every cell regenerates its schedule/targets and
 //                     refits its models, as N separate invocations would).
 //   warm_sweep      — run_sweep with the cache OFF: the speedup is pure
-//                     warm-start reuse (pooled NodeTable/worker team,
+//                     warm-start reuse (pooled NodeTable and variation column,
 //                     shared fitted models, memoized schedules/targets),
 //                     never a served result.  Timed as the median of 5
 //                     repeats (one repeat takes ~0.02 s, so a single

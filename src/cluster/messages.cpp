@@ -120,10 +120,6 @@ int job_id_of(const Message& message) {
   return std::visit([](const auto& msg) { return msg.job_id; }, message);
 }
 
-double timestamp_of(const Message& message) {
-  return std::visit([](const auto& msg) { return msg.timestamp_s; }, message);
-}
-
 std::uint64_t seq_of(const Message& message) {
   return std::visit([](const auto& msg) { return msg.seq; }, message);
 }

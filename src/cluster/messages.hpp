@@ -83,9 +83,6 @@ Message decode_text(const std::string& text);
 /// The job id of any message.
 int job_id_of(const Message& message);
 
-/// The sender timestamp of any message.
-double timestamp_of(const Message& message);
-
 /// The channel sequence number of any message (0 = unstamped).
 std::uint64_t seq_of(const Message& message);
 void set_seq(Message& message, std::uint64_t seq);

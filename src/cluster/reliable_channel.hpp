@@ -62,8 +62,6 @@ class ReliableChannel final : public MessageChannel {
   void poll(double now_s);
 
   std::size_t outbox_size() const { return outbox_.size(); }
-  std::uint64_t last_seq_sent() const { return next_seq_; }
-  std::uint64_t last_seq_seen() const { return last_seq_seen_; }
   const ReliableChannelConfig& config() const { return config_; }
   MessageChannel& inner() { return *inner_; }
 

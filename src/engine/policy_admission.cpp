@@ -12,13 +12,15 @@
 #include "fault/chaos.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "workload/job_type.hpp"
 #include "workload/schedule.hpp"
 
 namespace anor::engine {
 
 namespace {
+
+constexpr double kBudgetPerNodeW = 165.0;
+constexpr char kChaosPlan[] = "drop10_crash1";
 
 /// The harness itself runs scenarios with the candidate policy;
 /// ensure_admitted must wave those through or admission would recurse.
@@ -51,7 +53,7 @@ ScenarioSpec admission_spec(const PolicyRef& policy, const PolicyDescriptor& des
   spec.backend = backend;
   spec.schedule = std::move(schedule);
   spec.policy = policy;
-  spec.static_budget_w = options.budget_per_node_w * options.node_count;
+  spec.static_budget_w = kBudgetPerNodeW * options.node_count;
   spec.tracking_reserve_w = *spec.static_budget_w;  // flat target: budget-normalized
   spec.node_count = options.node_count;
   spec.seed = options.seed;
@@ -148,42 +150,35 @@ AdmissionCheck check_tabular_determinism(const PolicyRef& policy,
   return check;
 }
 
-/// 3. Cross-backend parity: the contract tests/engine/parity_test.cpp
-/// pins for built-ins, applied to the candidate.
+/// 3. Cross-backend parity: the contract (parity_gaps) that
+/// tests/engine/parity_test.cpp pins for built-ins, applied to the
+/// candidate.
 AdmissionCheck check_parity(const PolicyRef& policy, const PolicyDescriptor& descriptor,
                             const AdmissionOptions& options, const RunResult& tabular) {
   AdmissionCheck check;
   check.name = "cross-backend-parity";
   try {
     const ScenarioSpec spec = admission_spec(policy, descriptor, options, Backend::kEmulated);
-    const RunResult emulated = run_scenario(spec);
-
-    auto mean_slowdown = [](const RunResult& result) {
-      util::RunningStats stats;
-      for (const CompletedJob& job : result.completed) stats.add(job.slowdown());
-      return stats.mean();
-    };
-    const double tracking_gap =
-        std::abs(emulated.tracking.p90_error - tabular.tracking.p90_error);
-    const double slowdown_gap = std::abs(mean_slowdown(emulated) - mean_slowdown(tabular));
-    if (tracking_gap >= options.tracking_tol) {
+    const ParitySummary emu = parity_summary(run_scenario(spec));
+    const ParitySummary tab = parity_summary(tabular);
+    const ParityGaps gaps = parity_gaps(emu, tab);
+    if (!gaps.tracking_ok()) {
       check.detail = "tracking p90 disagrees across backends: emulated " +
-                     fmt(emulated.tracking.p90_error) + " vs tabular " +
-                     fmt(tabular.tracking.p90_error);
+                     fmt(emu.p90_tracking) + " vs tabular " + fmt(tab.p90_tracking);
       return check;
     }
-    if (slowdown_gap >= options.slowdown_tol) {
-      check.detail = "mean slowdown disagrees across backends (gap " + fmt(slowdown_gap) +
+    if (!gaps.slowdown_ok()) {
+      check.detail = "mean slowdown disagrees across backends (gap " + fmt(gaps.slowdown) +
                      ")";
       return check;
     }
-    if (emulated.qos.satisfied() != tabular.qos.satisfied()) {
+    if (!gaps.qos_agree) {
       check.detail = "QoS verdicts disagree across backends";
       return check;
     }
     check.passed = true;
-    check.detail = "tracking gap " + fmt(tracking_gap) + ", slowdown gap " +
-                   fmt(slowdown_gap) + ", QoS verdicts agree";
+    check.detail = "tracking gap " + fmt(gaps.tracking) + ", slowdown gap " +
+                   fmt(gaps.slowdown) + ", QoS verdicts agree";
   } catch (const std::exception& e) {
     check.detail = e.what();
   }
@@ -198,7 +193,7 @@ AdmissionCheck check_chaos(const PolicyRef& policy, const AdmissionOptions& opti
   check.name = "chaos-determinism";
   try {
     fault::ChaosConfig config;
-    config.plan = fault::FaultPlan::preset(options.chaos_plan);
+    config.plan = fault::FaultPlan::preset(kChaosPlan);
     config.duration_s = options.chaos_duration_s;
     config.node_count = options.chaos_node_count;
     apply_policy(config.base, policy);
@@ -215,7 +210,8 @@ AdmissionCheck check_chaos(const PolicyRef& policy, const AdmissionOptions& opti
       return check;
     }
     check.passed = true;
-    check.detail = "plan '" + options.chaos_plan + "': traces and power series identical (" +
+    check.detail = std::string("plan '") + kChaosPlan +
+                   "': traces and power series identical (" +
                    std::to_string(first.fault_events) + " fault events)";
   } catch (const std::exception& e) {
     check.detail = e.what();

@@ -9,9 +9,10 @@
 //      bit-identical when repeated (a pure function of its inputs);
 //   2. tabular determinism: the full scenario run twice produces
 //      byte-identical RunResult artifacts;
-//   3. cross-backend parity: the existing emulated-vs-tabular agreement
-//      contract (tracking p90 / mean slowdown within tolerance, QoS
-//      verdicts equal) — tests/engine/parity_test.cpp for built-ins;
+//   3. cross-backend parity: the emulated-vs-tabular agreement contract
+//      (parity_gaps in engine/scenario.hpp: tracking p90 / mean slowdown
+//      within tolerance, QoS verdicts equal) that
+//      tests/engine/parity_test.cpp pins for built-ins;
 //   4. chaos determinism: the `anorctl chaos --verify-determinism` gate —
 //      two closed-loop fault-injection runs with the policy applied must
 //      produce identical fault-event traces and power series.
@@ -34,22 +35,19 @@ namespace anor::engine {
 
 /// Knobs for the admission scenario.  Defaults keep a full admission to a
 /// few seconds while staying inside the parity harness's operating
-/// envelope (budget-constrained Poisson schedule of long NAS types).
+/// envelope (budget-constrained Poisson schedule of long NAS types, at
+/// the parity suite's 165 W per node; the chaos gate runs the
+/// drop10_crash1 plan).
 struct AdmissionOptions {
   double duration_s = 480.0;
   int node_count = 6;
   double utilization = 0.75;
-  double budget_per_node_w = 165.0;
   std::uint64_t seed = 7;
-  /// Parity tolerances, matching tests/engine/parity_test.cpp.
-  double tracking_tol = 0.25;
-  double slowdown_tol = 0.25;
   /// Chaos determinism gate (skippable for unit tests that only probe the
   /// cheaper checks).
   bool chaos_gate = true;
   double chaos_duration_s = 120.0;
   int chaos_node_count = 6;
-  std::string chaos_plan = "drop10_crash1";
 };
 
 struct AdmissionCheck {

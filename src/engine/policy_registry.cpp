@@ -166,11 +166,6 @@ void PolicyRegistry::mark_admitted(const std::string& name) {
   admitted_[name] = policy->second.identity();
 }
 
-void PolicyRegistry::clear_admission(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  admitted_.erase(name);
-}
-
 PolicyDescriptor resolve_policy(const PolicyRef& ref) {
   PolicyRegistry& registry = PolicyRegistry::global();
   if (!ref.dsl.empty()) {

@@ -105,7 +105,6 @@ class PolicyRegistry {
   /// definition resets its admission.
   bool is_admitted(const std::string& name) const;
   void mark_admitted(const std::string& name);
-  void clear_admission(const std::string& name);
 
  private:
   PolicyRegistry();

@@ -45,7 +45,7 @@ sim::SimConfig make_sim_config(const ScenarioSpec& spec);
 /// and benches can time `run()` without the construction cost).  Applies
 /// the same Adjusted-policy label stripping as run_scenario.
 sim::TabularSimulator make_tabular_simulator(const ScenarioSpec& spec);
-/// Same, drawing pooled NodeTable/worker-team/fitted-model resources from
+/// Same, drawing pooled NodeTable/fitted-model/variation resources from
 /// `warm` (may be nullptr = cold; see sim::WarmStart).
 sim::TabularSimulator make_tabular_simulator(const ScenarioSpec& spec, sim::WarmStart* warm);
 

@@ -1,6 +1,7 @@
 #include "engine/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -131,7 +132,7 @@ util::Json scenario_spec_to_json(const ScenarioSpec& spec) {
   return util::Json(std::move(obj));
 }
 
-ScenarioSpec scenario_spec_from_json(const util::Json& json) {
+ScenarioSpec scenario_fields_from_json(const util::Json& json) {
   ScenarioSpec spec;
   spec.name = json.string_or("name", spec.name);
   spec.backend = backend_from_string(json.string_or("backend", "emulated"));
@@ -151,6 +152,11 @@ ScenarioSpec scenario_spec_from_json(const util::Json& json) {
   spec.tracking_reserve_w = json.number_or("tracking_reserve_w", spec.tracking_reserve_w);
   spec.artifact_dir = json.string_or("artifact_dir", "");
   spec.artifact_cadence_s = json.number_or("artifact_cadence_s", spec.artifact_cadence_s);
+  return spec;
+}
+
+ScenarioSpec scenario_spec_from_json(const util::Json& json) {
+  ScenarioSpec spec = scenario_fields_from_json(json);
   spec.validate();
   return spec;
 }
@@ -276,6 +282,18 @@ void save_run_result(const std::string& path, const RunResult& result) {
   util::JsonWriter out(2);
   write_run_result_json(out, result);
   util::save_json_file(path, out.finish());
+}
+
+ParitySummary parity_summary(const RunResult& result) {
+  util::RunningStats slowdowns;
+  for (const CompletedJob& job : result.completed) slowdowns.add(job.slowdown());
+  return {slowdowns.mean(), result.tracking.p90_error, result.qos.satisfied()};
+}
+
+ParityGaps parity_gaps(const ParitySummary& emulated, const ParitySummary& tabular) {
+  return {std::abs(emulated.p90_tracking - tabular.p90_tracking),
+          std::abs(emulated.mean_slowdown - tabular.mean_slowdown),
+          emulated.qos_ok == tabular.qos_ok};
 }
 
 }  // namespace anor::engine

@@ -169,8 +169,15 @@ struct ScenarioSpec {
 
 /// JSON round-trip (includes the schedule with misclassification labels,
 /// the targets series, and the backend/policy selectors).
+/// scenario_spec_from_json is scenario_fields_from_json then validate().
 util::Json scenario_spec_to_json(const ScenarioSpec& spec);
 ScenarioSpec scenario_spec_from_json(const util::Json& json);
+
+/// The field parse alone: every anor.scenario.v1 field, unknown keys
+/// ignored, no validate().  A sweep grid reads its base through it (the
+/// base may leave the schedule to the grid's generate block; each cell is
+/// validated once materialized).
+ScenarioSpec scenario_fields_from_json(const util::Json& json);
 
 // --- shared aggregation path -------------------------------------------
 //
@@ -202,5 +209,38 @@ void write_series_json(util::JsonWriter& out, const util::TimeSeries& series,
 
 /// Write the artifact to a file (indented, as save_json_file).
 void save_run_result(const std::string& path, const RunResult& result);
+
+// --- the cross-backend parity contract ---------------------------------
+//
+// One scenario run on both backends must agree on what the paper's
+// results rest on: tracking error, mean job slowdown and the QoS verdict.
+// `anorctl parity`, the admission harness (policy_admission.hpp) and
+// tests/engine/parity_test.cpp all judge a pair of runs here.
+
+/// Largest gap allowed between the backends' p90 tracking errors (a
+/// fraction of the reserve) and between their mean job slowdowns; a gap
+/// passes only when strictly below.
+inline constexpr double kParityTrackingTol = 0.25;
+inline constexpr double kParitySlowdownTol = 0.25;
+
+/// What the contract compares of one run.
+struct ParitySummary {
+  double mean_slowdown = 0.0;
+  double p90_tracking = 0.0;
+  bool qos_ok = false;
+};
+ParitySummary parity_summary(const RunResult& result);
+
+/// The verdict on an emulated and a tabular run of one scenario: it
+/// passes when tracking_ok(), slowdown_ok() and qos_agree all hold.
+struct ParityGaps {
+  double tracking = 0.0;
+  double slowdown = 0.0;
+  bool qos_agree = false;
+
+  bool tracking_ok() const { return tracking < kParityTrackingTol; }
+  bool slowdown_ok() const { return slowdown < kParitySlowdownTol; }
+};
+ParityGaps parity_gaps(const ParitySummary& emulated, const ParitySummary& tabular);
 
 }  // namespace anor::engine

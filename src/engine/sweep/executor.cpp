@@ -105,16 +105,12 @@ SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         out.key = canon.key;
       }
       out.cache = cache.lookup(canon, &out.result);
-      if (out.cache == CacheOutcome::kOff || out.cache == CacheOutcome::kMiss) {
-        if (options.warm_start) {
-          out.result = run_scenario_warm(spec, warm);
-        } else {
-          out.result = run_scenario(spec);
-        }
+      if (out.cache == CacheOutcome::kHit) {
+        metrics.cache_hits->inc();
+      } else {
+        out.result = run_scenario_warm(spec, warm);
         cache.store(canon, out.result);
         metrics.cells_computed->inc();
-      } else {
-        metrics.cache_hits->inc();
       }
       out.wall_s = seconds_since(cell_start);
       metrics.cells_done->inc();
@@ -152,7 +148,7 @@ SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   report.cache_stats = cache.stats();
   report.wall_s = seconds_since(sweep_start);
   for (const SweepCellResult& cell : report.cells) {
-    if (cell.cache == CacheOutcome::kMemoryHit || cell.cache == CacheOutcome::kDiskHit) {
+    if (cell.cache == CacheOutcome::kHit) {
       ++report.cache_hits;
     } else {
       ++report.cells_computed;
@@ -172,7 +168,6 @@ util::JsonText sweep_report_json(const SweepReport& report, int indent) {
   out.key("hit_rate").value(stats.hit_rate());
   out.key("invalidated").value(stats.invalidated);
   out.key("lookups").value(stats.lookups);
-  out.key("memory_hits").value(stats.memory_hits);
   out.key("misses").value(stats.misses);
   out.key("stores").value(stats.stores);
   out.end_object();

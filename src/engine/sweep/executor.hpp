@@ -8,10 +8,11 @@
 // steps on its worker's thread.
 //
 // Each claimed cell goes: materialize spec → canonical key → cache
-// lookup → (on miss) warm or cold run → cache store.  Cache hits return
-// the stored RunResult bit-for-bit.  The report lists cells in grid
-// order regardless of completion order, so two identical sweeps differ
-// only in wall-clock/cache-outcome metadata — never in results.
+// lookup → (on miss) warm run on the worker's pool → cache store.  Cache
+// hits return the stored RunResult bit-for-bit, and warm reuse is
+// bit-invisible (WarmStart.*), so the report lists cells in grid order
+// regardless of completion order and two identical sweeps differ only in
+// wall-clock/cache-outcome metadata — never in results.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +29,9 @@ struct SweepOptions {
   /// Run-level worker threads (cells in flight at once).  0 = hardware
   /// concurrency, 1 = in-caller execution (no extra threads).
   int run_workers = 1;
-  /// Reuse NodeTable/fitted-model state across a worker's consecutive
-  /// cells (bit-invisible; see sim::WarmStart).
+  /// Ignored: every worker reuses NodeTable/fitted-model state across its
+  /// consecutive cells, which cannot change a result (sim::WarmStart).
+  /// Kept so existing callers that still assign it compile.
   bool warm_start = true;
   CacheConfig cache;
   /// Called after each cell completes (serialized; may interleave with

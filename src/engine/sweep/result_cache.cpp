@@ -177,18 +177,7 @@ const char* to_string(CacheOutcome outcome) {
   switch (outcome) {
     case CacheOutcome::kOff: return "off";
     case CacheOutcome::kMiss: return "miss";
-    case CacheOutcome::kMemoryHit: return "memory_hit";
-    case CacheOutcome::kDiskHit: return "disk_hit";
-  }
-  return "?";
-}
-
-const char* cache_state(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kOff: return "off";
-    case CacheOutcome::kMiss: return "miss";
-    case CacheOutcome::kMemoryHit:
-    case CacheOutcome::kDiskHit: return "hit";
+    case CacheOutcome::kHit: return "hit";
   }
   return "?";
 }
@@ -265,46 +254,23 @@ std::string ResultCache::entry_path(const std::string& key) const {
   return config_.dir + "/" + key + ".json";
 }
 
-CacheOutcome ResultCache::lookup(const ScenarioSpec& spec, RunResult* result) {
-  if (!config_.enabled()) return CacheOutcome::kOff;
-  return lookup(canonicalize_spec(spec), result);
-}
-
 CacheOutcome ResultCache::lookup(const CanonicalSpec& canon, RunResult* result) {
   if (!config_.enabled()) return CacheOutcome::kOff;
   ANOR_PROF_SCOPE("cache.lookup");
-  std::shared_ptr<const MemoryEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.lookups;
-    if (config_.memory) {
-      const auto it = memory_.find(canon.key);
-      if (it != memory_.end()) entry = it->second;
-    }
-  }
-  if (entry != nullptr && entry->spec_canonical == canon.canonical) {
-    *result = entry->result;
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.memory_hits;
-    return CacheOutcome::kMemoryHit;
-  }
-  const DiskRead read = config_.disk ? lookup_disk(canon, result) : DiskRead::kAbsent;
-  if (read == DiskRead::kHit && config_.memory) {
-    entry = std::make_shared<const MemoryEntry>(MemoryEntry{canon.canonical, *result});
-  }
+  const DiskRead read = read_entry(canon, result);
   std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.lookups;
   if (read == DiskRead::kHit) {
-    if (config_.memory) memory_[canon.key] = std::move(entry);
     ++stats_.disk_hits;
-    return CacheOutcome::kDiskHit;
+    return CacheOutcome::kHit;
   }
   if (read == DiskRead::kInvalid) ++stats_.invalidated;
   ++stats_.misses;
   return CacheOutcome::kMiss;
 }
 
-ResultCache::DiskRead ResultCache::lookup_disk(const CanonicalSpec& canon,
-                                               RunResult* result) const {
+ResultCache::DiskRead ResultCache::read_entry(const CanonicalSpec& canon,
+                                              RunResult* result) const {
   const std::string path = entry_path(canon.key);
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return DiskRead::kAbsent;
@@ -323,27 +289,13 @@ ResultCache::DiskRead ResultCache::lookup_disk(const CanonicalSpec& canon,
   }
 }
 
-void ResultCache::store(const ScenarioSpec& spec, const RunResult& result) {
-  if (!config_.enabled()) return;
-  store(canonicalize_spec(spec), result);
-}
-
 void ResultCache::store(const CanonicalSpec& canon, const RunResult& result) {
   if (!config_.enabled()) return;
   ANOR_PROF_SCOPE("cache.store");
-  std::shared_ptr<const MemoryEntry> entry;
-  if (config_.memory) {
-    entry = std::make_shared<const MemoryEntry>(MemoryEntry{canon.canonical, result});
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.stores;
-    if (entry != nullptr) memory_[canon.key] = std::move(entry);
   }
-  if (config_.disk) store_disk(canon, result);
-}
-
-void ResultCache::store_disk(const CanonicalSpec& canon, const RunResult& result) {
   util::JsonWriter out;
   out.begin_object();
   out.key("epoch").value(kCacheEpoch);

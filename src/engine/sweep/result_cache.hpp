@@ -1,4 +1,4 @@
-// Two-tier deterministic result cache (DESIGN.md 6i).
+// Deterministic on-disk result cache (DESIGN.md 6i).
 //
 // Every RunResult is a pure function of its spec's canonical form, so a
 // cache hit may substitute for a run outright — provided the stored bytes
@@ -9,32 +9,28 @@
 // std::to_chars), which round-trips IEEE doubles, and the entry reader
 // parses them back with std::from_chars.
 //
-// Tiers:
-//   memory — map keyed by the canonical hex key, holding the RunResult by
-//            value; hits copy it out (no re-parse).
-//   disk   — one `<key>.json` file per entry under `dir`, written
-//            atomically (a tmp name unique to the write, then rename; a
-//            crash in between leaves a `<key>.json.tmp.*` file that is
-//            never read).
-//            Entries carry the cache epoch and the full canonical spec
-//            string; a mismatch in either — stale golden hashes after an
-//            engine change, or a key collision — reads as a miss, so
-//            stale caches self-invalidate and collisions can never serve
-//            a wrong result.  Entries are decoded straight into a
-//            RunResult, with no JSON tree in between; corrupt or
-//            unparseable files are likewise just misses.
+// A cache is its directory: one `<key>.json` file per entry, written
+// atomically (a tmp name unique to the write, then rename; a crash in
+// between leaves a `<key>.json.tmp.*` file that is never read).  Entries
+// carry the cache epoch and the full canonical spec string; a mismatch in
+// either — stale golden hashes after an engine change, or a key
+// collision — reads as a miss, so stale caches self-invalidate and
+// collisions can never serve a wrong result.  Entries are decoded
+// straight into a RunResult, with no JSON tree in between; corrupt or
+// unparseable files are likewise just misses.  Nothing is held in
+// memory: a valid grid's cells have distinct keys, so a result kept
+// after its store could only serve a second lookup of one spec in one
+// process.
 //
-// The mutex guards only the memory map and the stats: serializing,
-// writing, reading and decoding entries run outside it, so concurrent
-// sweep workers do not take turns on the disk tier.
+// The mutex guards only the stats: serializing, writing, reading and
+// decoding entries run outside it, so concurrent sweep workers do not
+// take turns on the directory.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "engine/scenario.hpp"
 #include "engine/sweep/spec_canon.hpp"
@@ -43,33 +39,28 @@
 namespace anor::engine::sweep {
 
 struct CacheConfig {
-  bool memory = true;
-  bool disk = true;
   std::string dir = ".anor-cache";
 
-  bool enabled() const { return memory || disk; }
-  static CacheConfig off() { return CacheConfig{false, false, ""}; }
+  bool enabled() const { return !dir.empty(); }
+  static CacheConfig off() { return CacheConfig{""}; }
 };
 
-enum class CacheOutcome { kOff, kMiss, kMemoryHit, kDiskHit };
+/// Per-lookup provenance, and the bench vocabulary ("off" | "miss" |
+/// "hit": BENCH_*.json "cache" field; compare_bench.py refuses to compare
+/// a cached wall time against a computed one).
+enum class CacheOutcome { kOff, kMiss, kHit };
 const char* to_string(CacheOutcome outcome);
-/// "hit" | "miss" | "off" — the bench provenance vocabulary
-/// (BENCH_*.json "cache" field; compare_bench.py refuses to compare a
-/// cached wall time against a computed one).
-const char* cache_state(CacheOutcome outcome);
 
 struct CacheStats {
   std::uint64_t lookups = 0;
-  std::uint64_t memory_hits = 0;
   std::uint64_t disk_hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
-  /// Disk entries rejected for epoch/spec mismatch or parse failure.
+  /// Entries rejected for epoch/spec mismatch or parse failure.
   std::uint64_t invalidated = 0;
 
-  std::uint64_t hits() const { return memory_hits + disk_hits; }
   double hit_rate() const {
-    return lookups > 0 ? static_cast<double>(hits()) / static_cast<double>(lookups) : 0.0;
+    return lookups > 0 ? static_cast<double>(disk_hits) / static_cast<double>(lookups) : 0.0;
   }
 };
 
@@ -79,39 +70,25 @@ class ResultCache {
 
   const CacheConfig& config() const { return config_; }
 
-  /// Probe memory then disk for the spec's canonical key.  On a hit,
-  /// fills `result` with the stored RunResult (bit-identical to the run
-  /// that produced it) and promotes disk hits into the memory tier.
-  /// Thread-safe.
-  CacheOutcome lookup(const ScenarioSpec& spec, RunResult* result);
-  /// Same, against a precomputed canonical form (canonicalization
-  /// serializes the whole schedule; a lookup + store pair should pay it
-  /// once, not three times).
+  /// Probe the directory for the spec's canonical key (canonicalize
+  /// once per cell: it serializes the whole schedule).  On a hit, fills
+  /// `result` with the stored RunResult, bit-identical to the run that
+  /// produced it.  Thread-safe.
   CacheOutcome lookup(const CanonicalSpec& canon, RunResult* result);
 
-  /// Store a computed result under the spec's canonical key in every
-  /// enabled tier.  Thread-safe.
-  void store(const ScenarioSpec& spec, const RunResult& result);
+  /// Store a computed result under the spec's canonical key.  Thread-safe.
   void store(const CanonicalSpec& canon, const RunResult& result);
 
   CacheStats stats() const;
 
  private:
-  struct MemoryEntry {
-    std::string spec_canonical;
-    RunResult result;
-  };
-
   enum class DiskRead { kAbsent, kHit, kInvalid };
 
   std::string entry_path(const std::string& key) const;
-  DiskRead lookup_disk(const CanonicalSpec& canon, RunResult* result) const;
-  void store_disk(const CanonicalSpec& canon, const RunResult& result);
+  DiskRead read_entry(const CanonicalSpec& canon, RunResult* result) const;
 
   CacheConfig config_;
   mutable std::mutex mutex_;
-  /// Shared so a hit copies the result out after the lock is released.
-  std::unordered_map<std::string, std::shared_ptr<const MemoryEntry>> memory_;
   CacheStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "engine/sweep/sweep.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -14,32 +15,26 @@ namespace anor::engine::sweep {
 
 namespace {
 
-const char* const kAxisFields[] = {"policy",     "backend",    "signal",
-                                   "utilization", "duration_s", "node_count",
-                                   "seed",       "perf_variation_sigma",
-                                   "static_budget_w"};
+/// The axis fields, and whether a cell reads each one with and without a
+/// generate block: without one there is no generated workload or signal
+/// to vary, and with one the signal sets every cell's power objective.
+struct AxisField {
+  const char* name;
+  bool read_with_generate;
+  bool read_without_generate;
+};
+constexpr AxisField kAxisFields[] = {
+    {"policy", true, true},         {"backend", true, true},
+    {"signal", true, false},        {"utilization", true, false},
+    {"duration_s", true, false},    {"node_count", true, true},
+    {"seed", true, true},           {"perf_variation_sigma", true, true},
+    {"static_budget_w", false, true}};
 
-/// Base-spec parsing without ScenarioSpec::validate(): a grid base may
-/// legitimately omit the schedule (generation supplies one per cell).
-/// Field names/defaults mirror scenario_spec_from_json.
-ScenarioSpec base_from_json(const util::Json& json) {
-  ScenarioSpec spec;
-  spec.name = json.string_or("name", spec.name);
-  spec.backend = backend_from_string(json.string_or("backend", "tabular"));
-  if (json.contains("schedule")) {
-    spec.schedule = workload::Schedule::from_json(json.at("schedule"));
+const AxisField* find_axis_field(const std::string& field) {
+  for (const AxisField& known : kAxisFields) {
+    if (field == known.name) return &known;
   }
-  if (json.contains("policy")) spec.policy = policy_ref_from_json(json.at("policy"));
-  if (json.contains("static_budget_w")) {
-    spec.static_budget_w = json.at("static_budget_w").as_number();
-  }
-  spec.node_count = util::checked_integer_or(json, "node_count", spec.node_count);
-  spec.perf_variation_sigma =
-      json.number_or("perf_variation_sigma", spec.perf_variation_sigma);
-  spec.seed = util::checked_integer_or<std::uint64_t>(json, "seed", 1);
-  spec.tracking_warmup_s = json.number_or("tracking_warmup_s", spec.tracking_warmup_s);
-  spec.tracking_reserve_w = json.number_or("tracking_reserve_w", spec.tracking_reserve_w);
-  return spec;
+  return nullptr;
 }
 
 std::string value_label(const util::Json& value) {
@@ -59,13 +54,6 @@ std::string value_label(const util::Json& value) {
 }
 
 }  // namespace
-
-bool is_sweep_axis_field(const std::string& field) {
-  for (const char* known : kAxisFields) {
-    if (field == known) return true;
-  }
-  return false;
-}
 
 SweepGrid SweepGrid::from_json(const util::Json& json) {
   const std::string schema = json.string_or("schema", "anor.sweep.v1");
@@ -88,11 +76,25 @@ SweepGrid SweepGrid::from_json(const util::Json& json) {
     }
   }
 
-  if (json.contains("base")) grid.base = base_from_json(json.at("base"));
+  // A grid without a base reads as one with an empty base.
+  const util::Json no_base{util::JsonObject{}};
+  const util::Json& base = json.contains("base") ? json.at("base") : no_base;
+  grid.base = scenario_fields_from_json(base);
+  if (!base.contains("backend")) grid.base.backend = Backend::kTabular;
+  if (base.contains("artifact_dir")) {
+    throw util::ConfigError(
+        "sweep grid: base.artifact_dir would have every cell write into one directory");
+  }
+  grid.generate.enabled = json.contains("generate");
+  for (const char* field : {"schedule", "static_budget_w", "targets"}) {
+    if (grid.generate.enabled && base.contains(field)) {
+      throw util::ConfigError(std::string("sweep grid: base.") + field +
+                              " is replaced in every cell by the generate block");
+    }
+  }
 
-  if (json.contains("generate")) {
+  if (grid.generate.enabled) {
     const util::Json& gen = json.at("generate");
-    grid.generate.enabled = true;
     grid.generate.duration_s = gen.number_or("duration_s", grid.generate.duration_s);
     grid.generate.utilization = gen.number_or("utilization", grid.generate.utilization);
     grid.generate.signal = gen.string_or("signal", grid.generate.signal);
@@ -114,13 +116,29 @@ SweepGrid SweepGrid::from_json(const util::Json& json) {
     for (const util::Json& item : json.at("axes").as_array()) {
       SweepAxis axis;
       axis.field = item.at("field").as_string();
-      if (!is_sweep_axis_field(axis.field)) {
+      const AxisField* known = find_axis_field(axis.field);
+      if (known == nullptr) {
         throw util::ConfigError("sweep grid: unknown axis field '" + axis.field + "'");
+      }
+      if (!(grid.generate.enabled ? known->read_with_generate
+                                  : known->read_without_generate)) {
+        throw util::ConfigError("sweep grid: axis '" + axis.field + "' changes nothing " +
+                                (grid.generate.enabled ? "under" : "without") +
+                                " a generate block");
       }
       for (const util::Json& value : item.at("values").as_array()) {
         // Integer axes are checked here, before any cell runs.
         if (axis.field == "node_count") (void)util::checked_integer<int>(value, axis.field);
         if (axis.field == "seed") (void)util::checked_integer<std::uint64_t>(value, axis.field);
+        // Two cells with one value would be one scenario under two names.
+        if (std::find(axis.values.begin(), axis.values.end(), value) != axis.values.end()) {
+          throw util::ConfigError("sweep grid: axis '" + axis.field + "' lists " +
+                                  value.dump() + " twice");
+        }
+        if (axis.field == "static_budget_w" && !value.is_null() && !grid.base.targets.empty()) {
+          throw util::ConfigError(
+              "sweep grid: axis 'static_budget_w' sets a budget on a base with targets");
+        }
         axis.values.push_back(value);
       }
       if (axis.values.empty()) {
@@ -233,9 +251,7 @@ ScenarioSpec SweepMaterializer::materialize(const SweepCell& cell) {
       workload::misclassify(spec.schedule, gen.misclassify_true, gen.misclassify_as);
     }
 
-    // The signal fully determines the cell's power objective.
-    spec.static_budget_w.reset();
-    spec.targets.clear();
+    // The signal is the cell's power objective (from_json admits no other).
     if (gen.signal == "budget") {
       spec.static_budget_w = gen.budget_per_node_w * spec.node_count;
     } else if (gen.signal != "none") {

@@ -50,8 +50,9 @@ struct SweepGenerate {
 };
 
 /// One swept dimension: a spec/generate field and its values.  Supported
-/// fields: policy, backend, signal, utilization, duration_s, node_count,
-/// seed, perf_variation_sigma, static_budget_w.
+/// fields: policy, backend, node_count, seed, perf_variation_sigma; with
+/// a generate block also signal, utilization, duration_s; without one
+/// also static_budget_w.
 struct SweepAxis {
   std::string field;
   std::vector<util::Json> values;
@@ -82,10 +83,18 @@ struct SweepGrid {
 
   /// Parse `anor.sweep.v1`: {schema, name, policies: [{name, expr,
   /// summary}], base: <anor.scenario.v1 fields>, generate: {...},
-  /// axes: [{field, values: [...]}]}.  The base object may omit the
-  /// schedule when generation is enabled.  Policy definitions are
-  /// registered (idempotently) as a side effect.  Throws
-  /// util::ConfigError on unknown axis fields or malformed values.
+  /// axes: [{field, values: [...]}]}.  The base goes through the spec
+  /// reader's field parse (scenario_fields_from_json; a missing base
+  /// reads as an empty one, and a base without `backend` runs tabular)
+  /// and needs a schedule unless generation is enabled.  Policy definitions are registered (idempotently) as a side
+  /// effect.  Every cell is the distinct scenario its name states, so
+  /// this throws util::ConfigError naming the field for what no cell
+  /// would run as written: a base artifact_dir (one directory for every
+  /// cell); under generate, a base schedule, static_budget_w or targets
+  /// and a static_budget_w axis; without generate, a signal, utilization
+  /// or duration_s axis, and a budget on a base with targets; an axis
+  /// that lists one value twice; an unknown axis field or a malformed
+  /// value.
   static SweepGrid from_json(const util::Json& json);
 
   std::size_t cell_count() const;
@@ -111,8 +120,5 @@ class SweepMaterializer {
   std::map<std::string, workload::Schedule> schedules_;
   std::map<std::string, util::TimeSeries> targets_;
 };
-
-/// Validate an axis field name (shared by from_json and tests).
-bool is_sweep_axis_field(const std::string& field);
 
 }  // namespace anor::engine::sweep

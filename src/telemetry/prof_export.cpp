@@ -112,24 +112,6 @@ void write_prof_chrome_trace(std::ostream& out, const prof::Profiler& profiler) 
   out << prof_chrome_trace_json(profiler).dump() << "\n";
 }
 
-util::Json prof_phase_report_json(const prof::Profiler& profiler) {
-  util::JsonArray phases;
-  for (const prof::PhaseReport& report : profiler.phase_report()) {
-    util::JsonObject phase;
-    phase["name"] = report.name;
-    phase["count"] = static_cast<double>(report.count);
-    phase["total_ns"] = report.total_ns;
-    phase["mean_ns"] = report.mean_ns();
-    phase["min_ns"] = report.min_ns;
-    phase["max_ns"] = report.max_ns;
-    phase["p50_ns"] = report.p50_ns;
-    phase["p95_ns"] = report.p95_ns;
-    phase["p99_ns"] = report.p99_ns;
-    phases.emplace_back(std::move(phase));
-  }
-  return util::Json(std::move(phases));
-}
-
 namespace {
 
 std::string exposition_from_snapshots(const std::vector<MetricSnapshot>& snapshots) {

@@ -30,11 +30,6 @@ namespace anor::telemetry {
 util::Json prof_chrome_trace_json(const prof::Profiler& profiler);
 void write_prof_chrome_trace(std::ostream& out, const prof::Profiler& profiler);
 
-/// Name-sorted per-phase statistics as JSON (one object per phase with
-/// count/total_ns/min/max/p50/p95/p99/mean), for bench reports and
-/// artifacts.
-util::Json prof_phase_report_json(const prof::Profiler& profiler);
-
 /// Prometheus text exposition of every registry metric; `sanitize` maps
 /// '.'/'-' and other illegal name characters to '_'.
 std::string prometheus_exposition(const MetricsRegistry& registry);

@@ -332,7 +332,6 @@ util::Json sweep_report_json(const SweepReport& report) {
 
   util::JsonObject stats;
   stats["lookups"] = util::Json(report.cache_stats.lookups);
-  stats["memory_hits"] = util::Json(report.cache_stats.memory_hits);
   stats["disk_hits"] = util::Json(report.cache_stats.disk_hits);
   stats["misses"] = util::Json(report.cache_stats.misses);
   stats["stores"] = util::Json(report.cache_stats.stores);

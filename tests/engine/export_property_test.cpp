@@ -157,13 +157,12 @@ SweepReport random_report(util::Rng& rng) {
     cell.cell.name = awkward_string(rng);
     cell.spec_name = awkward_string(rng);
     cell.key = awkward_string(rng);
-    cell.cache = static_cast<CacheOutcome>(rng.uniform_int(0, 3));
+    cell.cache = static_cast<CacheOutcome>(rng.uniform_int(0, 2));
     cell.wall_s = awkward_double(rng, false);
     cell.result = random_result(rng, false);
     report.cells.push_back(std::move(cell));
   }
   report.cache_stats.lookups = static_cast<std::uint64_t>(rng.uniform_int(0, 1LL << 60));
-  report.cache_stats.memory_hits = static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
   report.cache_stats.disk_hits = static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
   report.cache_stats.misses = static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
   report.cache_stats.stores = static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
@@ -280,18 +279,11 @@ class CacheReaderProperty : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  CacheConfig disk_only() const {
-    CacheConfig config;
-    config.memory = false;
-    config.dir = dir_.string();
-    return config;
-  }
-
   /// Look `text` up as this spec's disk entry in a fresh cache; on a miss
   /// the entry must have been counted as invalidated.
   CacheOutcome lookup_text(const std::string& text, RunResult* out) const {
     std::ofstream(dir_ / (canon_.key + ".json"), std::ios::binary) << text;
-    ResultCache cache(disk_only());
+    ResultCache cache(CacheConfig{dir_.string()});
     const CacheOutcome outcome = cache.lookup(canon_, out);
     if (outcome == CacheOutcome::kMiss) EXPECT_EQ(cache.stats().invalidated, 1u);
     return outcome;
@@ -321,12 +313,12 @@ TEST_F(CacheReaderProperty, StoredEntriesAndDomWrittenEntriesAreServed) {
   for (int i = 0; i < 40; ++i) {
     const RunResult result = random_result(rng, true);
     {
-      ResultCache writer(disk_only());
+      ResultCache writer(CacheConfig{dir_.string()});
       writer.store(canon_, result);
     }
-    ResultCache reader(disk_only());
+    ResultCache reader(CacheConfig{dir_.string()});
     RunResult out;
-    ASSERT_EQ(reader.lookup(canon_, &out), CacheOutcome::kDiskHit);
+    ASSERT_EQ(reader.lookup(canon_, &out), CacheOutcome::kHit);
     ASSERT_EQ(fingerprint(out), fingerprint(result));
     // The bytes store() writes are the DOM reference's entry, and an entry
     // the DOM writer produced (compact or pretty) is served too.
@@ -335,7 +327,7 @@ TEST_F(CacheReaderProperty, StoredEntriesAndDomWrittenEntriesAreServed) {
     ASSERT_EQ(stored, dom_entry(result, -1));
     for (const int indent : {-1, 2}) {
       RunResult served;
-      ASSERT_EQ(lookup_text(dom_entry(result, indent), &served), CacheOutcome::kDiskHit);
+      ASSERT_EQ(lookup_text(dom_entry(result, indent), &served), CacheOutcome::kHit);
       ASSERT_EQ(fingerprint(served), fingerprint(result));
     }
   }
@@ -386,7 +378,7 @@ TEST_F(CacheReaderProperty, KeyShuffledEntriesStillHit) {
     std::string text;
     dump_shuffled(dom_reference::cache_entry_json(spec_, result), rng, text);
     RunResult served;
-    ASSERT_EQ(lookup_text(text, &served), CacheOutcome::kDiskHit);
+    ASSERT_EQ(lookup_text(text, &served), CacheOutcome::kHit);
     ASSERT_EQ(fingerprint(served), fingerprint(result));
   }
 }
@@ -455,7 +447,7 @@ TEST_F(CacheReaderProperty, ByteFlipsMissOrDecodeAsTheDomDecodeWould) {
       const bool dom_hit = dom_reference::decode_cache_entry(flipped, canon_.canonical, &dom);
       RunResult streamed;
       const CacheOutcome outcome = lookup_text(flipped, &streamed);
-      ASSERT_EQ(outcome == CacheOutcome::kDiskHit, dom_hit) << flipped;
+      ASSERT_EQ(outcome == CacheOutcome::kHit, dom_hit) << flipped;
       if (dom_hit) {
         ++hits;
         ASSERT_EQ(fingerprint(streamed), fingerprint(dom));
@@ -471,7 +463,7 @@ TEST_F(CacheReaderProperty, SubnormalsNowReadExactly) {
   result.mean_utilization = DBL_TRUE_MIN;
   result.completed[0].start_s = -std::nextafter(DBL_MIN, 0.0);
   RunResult out;
-  ASSERT_EQ(lookup_text(dom_entry(result, -1), &out), CacheOutcome::kDiskHit);
+  ASSERT_EQ(lookup_text(dom_entry(result, -1), &out), CacheOutcome::kHit);
   EXPECT_EQ(out.mean_utilization, DBL_TRUE_MIN);
   EXPECT_EQ(out.completed[0].start_s, -std::nextafter(DBL_MIN, 0.0));
 }

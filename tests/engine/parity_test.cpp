@@ -1,19 +1,17 @@
 // Cross-backend parity: the same ScenarioSpec run through the emulated
-// cluster and the tabular simulator must agree on what matters — tracking
-// error within tolerance, the paper's per-policy slowdown ordering, and
-// the QoS verdict — for all four policies.  This is the contract that
+// cluster and the tabular simulator must agree on what matters — the
+// parity contract (engine::parity_gaps: tracking error and mean slowdown
+// within tolerance, equal QoS verdicts) and the paper's per-policy
+// slowdown ordering — for all four policies.  This is the contract that
 // makes a scenario validated at simulator scale meaningful for the
 // emulated (and, in the paper, the real) cluster.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
-
 #include <string>
 
 #include "engine/policy_registry.hpp"
 #include "engine/runner.hpp"
-#include "util/stats.hpp"
 #include "workload/job_type.hpp"
 #include "workload/schedule.hpp"
 
@@ -22,13 +20,8 @@ namespace {
 
 constexpr int kNodes = 8;
 constexpr double kBudgetW = 165.0 * kNodes;
-constexpr double kTrackingTol = 0.25;  // of the budget-normalized error
-constexpr double kSlowdownTol = 0.25;
 
-struct Outcome {
-  double mean_slowdown = 0.0;
-  double p90_tracking = 0.0;
-  bool qos_ok = false;
+struct Outcome : ParitySummary {
   int completed = 0;
 };
 
@@ -57,14 +50,7 @@ Outcome run_one(const PolicyRef& policy, Backend backend) {
   spec.seed = 7;
 
   const RunResult result = run_scenario(spec);
-  Outcome outcome;
-  util::RunningStats slowdowns;
-  for (const auto& job : result.completed) slowdowns.add(job.slowdown());
-  outcome.mean_slowdown = slowdowns.mean();
-  outcome.p90_tracking = result.tracking.p90_error;
-  outcome.qos_ok = result.qos.satisfied();
-  outcome.completed = result.jobs_completed;
-  return outcome;
+  return Outcome{parity_summary(result), result.jobs_completed};
 }
 
 class ParityTest : public ::testing::Test {
@@ -100,7 +86,7 @@ TEST_F(ParityTest, TrackingErrorAgreesWithinTolerance) {
     const Outcome& tab = backends.at(Backend::kTabular);
     EXPECT_GT(emu.p90_tracking, 0.0) << policy;
     EXPECT_GT(tab.p90_tracking, 0.0) << policy;
-    EXPECT_LT(std::abs(emu.p90_tracking - tab.p90_tracking), kTrackingTol)
+    EXPECT_TRUE(parity_gaps(emu, tab).tracking_ok())
         << policy << ": " << emu.p90_tracking << " vs " << tab.p90_tracking;
   }
 }
@@ -109,15 +95,15 @@ TEST_F(ParityTest, MeanSlowdownAgreesWithinTolerance) {
   for (const auto& [policy, backends] : grid()) {
     const Outcome& emu = backends.at(Backend::kEmulated);
     const Outcome& tab = backends.at(Backend::kTabular);
-    EXPECT_LT(std::abs(emu.mean_slowdown - tab.mean_slowdown), kSlowdownTol)
+    EXPECT_TRUE(parity_gaps(emu, tab).slowdown_ok())
         << policy << ": " << emu.mean_slowdown << " vs " << tab.mean_slowdown;
   }
 }
 
 TEST_F(ParityTest, QosVerdictsAgree) {
   for (const auto& [policy, backends] : grid()) {
-    EXPECT_EQ(backends.at(Backend::kEmulated).qos_ok,
-              backends.at(Backend::kTabular).qos_ok)
+    EXPECT_TRUE(
+        parity_gaps(backends.at(Backend::kEmulated), backends.at(Backend::kTabular)).qos_agree)
         << policy;
   }
 }

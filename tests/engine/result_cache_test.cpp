@@ -1,4 +1,4 @@
-// Two-tier result cache (engine/sweep/result_cache).
+// Disk result cache (engine/sweep/result_cache).
 //
 // The load-bearing property: a cache hit substitutes for a run, so the
 // stored bytes must reproduce the RunResult bit-for-bit, and any doubt
@@ -41,11 +41,7 @@ class ResultCacheTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  CacheConfig disk_config() const {
-    CacheConfig config;
-    config.dir = dir_.string();
-    return config;
-  }
+  CacheConfig disk_config() const { return CacheConfig{dir_.string()}; }
 
   fs::path dir_;
 };
@@ -87,41 +83,32 @@ TEST_F(ResultCacheTest, RunResultRoundTripsBitForBit) {
   EXPECT_EQ(decoded.tracking.p90_error, result.tracking.p90_error);
 }
 
-TEST_F(ResultCacheTest, MemoryTierHitsAfterStore) {
-  ResultCache cache(CacheConfig{true, false, ""});
-  const ScenarioSpec spec = small_spec();
-  RunResult out;
-  EXPECT_EQ(cache.lookup(spec, &out), CacheOutcome::kMiss);
-  const RunResult result = run_scenario(spec);
-  cache.store(spec, result);
-  EXPECT_EQ(cache.lookup(spec, &out), CacheOutcome::kMemoryHit);
-  EXPECT_EQ(fingerprint(out), fingerprint(result));
-  EXPECT_EQ(cache.stats().lookups, 2u);
-  EXPECT_EQ(cache.stats().memory_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
 TEST_F(ResultCacheTest, DiskTierSurvivesProcessRestart) {
-  const ScenarioSpec spec = small_spec();
-  const RunResult result = run_scenario(spec);
+  const CanonicalSpec spec = canonicalize_spec(small_spec());
+  const RunResult result = run_scenario(small_spec());
   {
     ResultCache cache(disk_config());
+    RunResult out;
+    EXPECT_EQ(cache.lookup(spec, &out), CacheOutcome::kMiss);
     cache.store(spec, result);
   }
-  // A fresh cache object = a fresh process as far as the memory tier is
-  // concerned; the entry must come back from disk, bit-identical.
+  // A fresh cache object reads what another one stored, as a fresh
+  // process would, bit-identical; every lookup goes to the directory.
   ResultCache reopened(disk_config());
-  RunResult out;
-  EXPECT_EQ(reopened.lookup(spec, &out), CacheOutcome::kDiskHit);
-  EXPECT_EQ(fingerprint(out), fingerprint(result));
-  // Disk hits are promoted into the memory tier.
-  EXPECT_EQ(reopened.lookup(spec, &out), CacheOutcome::kMemoryHit);
+  for (int i = 0; i < 2; ++i) {
+    RunResult out;
+    EXPECT_EQ(reopened.lookup(spec, &out), CacheOutcome::kHit);
+    EXPECT_EQ(fingerprint(out), fingerprint(result));
+  }
+  EXPECT_EQ(reopened.stats().lookups, 2u);
+  EXPECT_EQ(reopened.stats().disk_hits, 2u);
+  EXPECT_EQ(reopened.stats().misses, 0u);
 }
 
 TEST_F(ResultCacheTest, OffConfigNeverStoresOrHits) {
   ResultCache cache(CacheConfig::off());
-  const ScenarioSpec spec = small_spec();
-  const RunResult result = run_scenario(spec);
+  const CanonicalSpec spec = canonicalize_spec(small_spec());
+  const RunResult result = run_scenario(small_spec());
   RunResult out;
   EXPECT_EQ(cache.lookup(spec, &out), CacheOutcome::kOff);
   cache.store(spec, result);
@@ -132,22 +119,20 @@ TEST_F(ResultCacheTest, OffConfigNeverStoresOrHits) {
 TEST_F(ResultCacheTest, DifferentSpecsDoNotCrossTalk) {
   ResultCache cache(disk_config());
   const ScenarioSpec a = small_spec(11);
-  const ScenarioSpec b = small_spec(12);
-  cache.store(a, run_scenario(a));
+  cache.store(canonicalize_spec(a), run_scenario(a));
   RunResult out;
-  EXPECT_EQ(cache.lookup(b, &out), CacheOutcome::kMiss);
+  EXPECT_EQ(cache.lookup(canonicalize_spec(small_spec(12)), &out), CacheOutcome::kMiss);
 }
 
 TEST_F(ResultCacheTest, EpochMismatchInvalidatesDiskEntries) {
-  const ScenarioSpec spec = small_spec();
-  const RunResult result = run_scenario(spec);
+  const CanonicalSpec spec = canonicalize_spec(small_spec());
   {
     ResultCache cache(disk_config());
-    cache.store(spec, result);
+    cache.store(spec, run_scenario(small_spec()));
   }
   // Rewrite the entry as a past engine version would have: same payload,
   // older epoch (as after a golden-trace change).
-  const fs::path entry = dir_ / (canonical_spec_key(spec) + ".json");
+  const fs::path entry = dir_ / (spec.key + ".json");
   ASSERT_TRUE(fs::exists(entry));
   util::Json doc = util::load_json_file(entry.string());
   util::JsonObject obj = doc.as_object();
@@ -161,14 +146,14 @@ TEST_F(ResultCacheTest, EpochMismatchInvalidatesDiskEntries) {
 }
 
 TEST_F(ResultCacheTest, SpecMismatchUnderColludingKeyIsAMiss) {
-  const ScenarioSpec spec = small_spec();
+  const CanonicalSpec spec = canonicalize_spec(small_spec());
   {
     ResultCache cache(disk_config());
-    cache.store(spec, run_scenario(spec));
+    cache.store(spec, run_scenario(small_spec()));
   }
   // Simulate a key collision: the file exists under this spec's key but
   // records a different canonical spec.
-  const fs::path entry = dir_ / (canonical_spec_key(spec) + ".json");
+  const fs::path entry = dir_ / (spec.key + ".json");
   util::Json doc = util::load_json_file(entry.string());
   util::JsonObject obj = doc.as_object();
   obj["spec_canonical"] = util::Json(std::string("{\"something\":\"else\"}"));
@@ -181,12 +166,13 @@ TEST_F(ResultCacheTest, SpecMismatchUnderColludingKeyIsAMiss) {
 }
 
 TEST_F(ResultCacheTest, CorruptDiskEntryIsAMissNotACrash) {
-  const ScenarioSpec spec = small_spec();
+  const CanonicalSpec spec = canonicalize_spec(small_spec());
+  const RunResult result = run_scenario(small_spec());
   {
     ResultCache cache(disk_config());
-    cache.store(spec, run_scenario(spec));
+    cache.store(spec, result);
   }
-  const fs::path entry = dir_ / (canonical_spec_key(spec) + ".json");
+  const fs::path entry = dir_ / (spec.key + ".json");
   std::ofstream(entry) << "{ truncated garbage";
 
   ResultCache reopened(disk_config());
@@ -194,20 +180,19 @@ TEST_F(ResultCacheTest, CorruptDiskEntryIsAMissNotACrash) {
   EXPECT_EQ(reopened.lookup(spec, &out), CacheOutcome::kMiss);
   EXPECT_EQ(reopened.stats().invalidated, 1u);
   // And a store over the bad entry repairs it.
-  const RunResult result = run_scenario(spec);
   reopened.store(spec, result);
   ResultCache again(disk_config());
-  EXPECT_EQ(again.lookup(spec, &out), CacheOutcome::kDiskHit);
+  EXPECT_EQ(again.lookup(spec, &out), CacheOutcome::kHit);
   EXPECT_EQ(fingerprint(out), fingerprint(result));
 }
 
 TEST_F(ResultCacheTest, ConcurrentStoresAndLookupsStayConsistent) {
-  // Two threads store and look up one shared key and one key each, with
-  // both tiers on; a third does the same through a second cache object on
-  // the same directory, so two objects publish the shared key at once.
-  // Entries are serialized, written and decoded outside the cache's lock,
-  // so this is the race the lock scope must survive: a reader object on
-  // the directory reads what the writers are concurrently publishing.
+  // Two threads store and look up one shared key and one key each; a
+  // third does the same through a second cache object on the same
+  // directory, so two objects publish the shared key at once.  Entries
+  // are serialized, written, read and decoded outside the cache's lock,
+  // so this is the race the lock scope must survive: every lookup reads
+  // what the writers are concurrently publishing.
   const ScenarioSpec shared = small_spec();
   const RunResult result = run_scenario(shared);
   const std::string expected = fingerprint(result);
@@ -223,18 +208,14 @@ TEST_F(ResultCacheTest, ConcurrentStoresAndLookupsStayConsistent) {
     for (int i = 0; i < 8; ++i) {
       writer.store(shared_canon, result);
       writer.store(own_canon, result);
-      RunResult out;
-      EXPECT_EQ(writer.lookup(shared_canon, &out), CacheOutcome::kMemoryHit);
-      EXPECT_EQ(fingerprint(out), expected);
-      EXPECT_EQ(writer.lookup(own_canon, &out), CacheOutcome::kMemoryHit);
-      EXPECT_EQ(fingerprint(out), expected);
-      // Published before this thread's store returned: a disk or (once a
-      // lookup promoted it) memory hit, never a miss or a torn entry.
-      for (const CanonicalSpec* canon : {&shared_canon, &own_canon}) {
-        RunResult read;
-        const CacheOutcome outcome = reader.lookup(*canon, &read);
-        EXPECT_TRUE(outcome == CacheOutcome::kDiskHit || outcome == CacheOutcome::kMemoryHit);
-        EXPECT_EQ(fingerprint(read), expected);
+      // Published before this thread's store returned: a hit through
+      // either object, never a miss or a torn entry.
+      for (ResultCache* probe : {&writer, &reader}) {
+        for (const CanonicalSpec* canon : {&shared_canon, &own_canon}) {
+          RunResult read;
+          EXPECT_EQ(probe->lookup(*canon, &read), CacheOutcome::kHit);
+          EXPECT_EQ(fingerprint(read), expected);
+        }
       }
     }
   };
@@ -246,11 +227,11 @@ TEST_F(ResultCacheTest, ConcurrentStoresAndLookupsStayConsistent) {
   c.join();
 
   EXPECT_EQ(cache.stats().stores, 32u);
-  EXPECT_EQ(cache.stats().memory_hits, 32u);
+  EXPECT_EQ(cache.stats().disk_hits, 32u);
   EXPECT_EQ(other.stats().stores, 16u);
-  EXPECT_EQ(other.stats().memory_hits, 16u);
+  EXPECT_EQ(other.stats().disk_hits, 16u);
   EXPECT_EQ(reader.stats().lookups, 48u);
-  EXPECT_EQ(reader.stats().hits(), 48u);
+  EXPECT_EQ(reader.stats().disk_hits, 48u);
   EXPECT_EQ(reader.stats().invalidated, 0u);
   // Every tmp file was renamed into place.
   std::size_t files = 0;

@@ -1,9 +1,12 @@
 // Sweep grid expansion + batch executor (engine/sweep).
 //
-// The executor's contract: the report lists one result per cell in grid
-// order, every result is bit-identical to a plain run_scenario of the
-// materialized spec, and neither the run-level worker count, warm-start
-// reuse, nor the cache can change a single byte of any result.
+// The grid reader's contract: every cell is the distinct scenario its
+// name states, so the base goes through the spec reader and a grid that
+// some cell would not run as written is rejected, naming the field.  The
+// executor's: the report lists one result per cell in grid order, every
+// result is bit-identical to a plain run_scenario of the materialized
+// spec, and neither the run-level worker count nor the cache can change a
+// single byte of any result.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,6 +14,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/runner.hpp"
@@ -39,6 +43,29 @@ const char* kGridJson = R"({
 })";
 
 SweepGrid test_grid() { return SweepGrid::from_json(util::Json::parse(kGridJson)); }
+
+/// An empty cache directory named for the test and the pid: ctest runs
+/// every case as its own, possibly concurrent, process, so no two runs
+/// may share it.
+fs::path fresh_cache_dir() {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("anor-" + std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+       "-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  return dir;
+}
+
+/// The ConfigError message SweepGrid::from_json throws for `text`, or ""
+/// when it reads the grid.
+std::string grid_error(const std::string& text) {
+  try {
+    (void)SweepGrid::from_json(util::Json::parse(text));
+  } catch (const util::ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
 
 std::string fingerprint(const RunResult& result) {
   return run_result_to_cache_json(result).dump();
@@ -83,6 +110,73 @@ TEST(SweepGridTest, RequiresScheduleOrGenerate) {
     "base": {"node_count": 8}
   })");
   EXPECT_THROW(SweepGrid::from_json(bare), util::ConfigError);
+  // No base reads as an empty one: a base without `backend` runs tabular.
+  EXPECT_EQ(SweepGrid::from_json(util::Json::parse(R"({"generate": {}})")).base.backend,
+            Backend::kTabular);
+}
+
+TEST(SweepGridTest, RejectsGridsWhoseCellsWouldNotRunAsWritten) {
+  // An axis that changes nothing or repeats a value makes two names for
+  // one scenario (one cache key); a budget over base targets and a base
+  // field the generate block replaces describe no runnable cell; a base
+  // artifact_dir gives every cell one directory.  The error names the
+  // field.
+  const auto grid = [](const std::string& base, const std::string& rest) {
+    return R"({"base": {"node_count": 8)" + base + "}, " + rest + "}";
+  };
+  const std::string gen = R"("generate": {"duration_s": 120})";
+  const std::string schedule = R"(, "schedule": {"duration_s": 60, "jobs": [
+      {"id": 0, "nodes": 1, "type": "bt.D.x", "submit_s": 0}]})";
+  const auto axis = [](const char* field, const char* values) {
+    return std::string(R"("axes": [{"field": ")") + field + R"(", "values": )" + values + "}]";
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {grid("", gen + ", " + axis("static_budget_w", "[1000, 1200]")), "'static_budget_w'"},
+      {grid(schedule, axis("utilization", "[0.5, 0.8]")), "'utilization'"},
+      {grid(schedule, axis("duration_s", "[60, 120]")), "'duration_s'"},
+      {grid(schedule, axis("signal", R"(["none", "dr"])")), "'signal'"},
+      {grid(schedule + R"(, "targets": {"t_s": [0], "power_w": [1200]})",
+            axis("static_budget_w", "[null, 1200]")),
+       "'static_budget_w' sets a budget on a base with targets"},
+      {grid("", gen + ", " + axis("policy", R"(["uniform", "adjusted", "uniform"])")),
+       R"('policy' lists "uniform" twice)"},
+      {grid("", gen + ", " + axis("utilization", "[0.5, 0.50]")), "'utilization' lists 0.5 twice"},
+      {grid(R"(, "schedule": {"duration_s": 60, "jobs": []})", gen), "base.schedule"},
+      {grid(R"(, "static_budget_w": 1200)", gen), "base.static_budget_w"},
+      {grid(R"(, "targets": {"t_s": [0], "power_w": [1200]})", gen), "base.targets"},
+      {grid(R"(, "artifact_dir": "arts")", gen), "base.artifact_dir"}};
+  for (const auto& [text, field] : cases) {
+    const std::string error = grid_error(text);
+    EXPECT_NE(error.find(field), std::string::npos) << text << "\n  threw: " << error;
+  }
+}
+
+TEST(SweepGridTest, BaseTargetsReachEveryCell) {
+  // A base is a scenario spec: its target series reaches every cell, and
+  // each cell's result is what `anorctl run --scenario` of the same spec
+  // (read back through scenario_spec_from_json) computes.
+  const SweepGrid generated = test_grid();
+  ScenarioSpec spec = SweepMaterializer(generated).materialize(generated.expand().front());
+  spec.static_budget_w.reset();
+  spec.targets.add(0.0, 1120.0);
+  spec.targets.add(120.0, 1060.0);
+  spec.targets.add(240.0, 1280.0);
+  util::JsonObject document;
+  document["base"] = scenario_spec_to_json(spec);
+  document["axes"] = util::Json::parse(
+      R"([{"field": "policy", "values": ["uniform", "characterized"]}])");
+  SweepOptions options;
+  options.cache = CacheConfig::off();
+  const SweepReport report =
+      run_sweep(SweepGrid::from_json(util::Json(std::move(document))), options);
+  ASSERT_EQ(report.cells.size(), 2u);
+  for (const SweepCellResult& cell : report.cells) {
+    EXPECT_FALSE(cell.result.target_w.empty()) << cell.cell.name;
+    EXPECT_GT(cell.result.tracking.samples, 0u) << cell.cell.name;
+    spec.policy = policy_ref_from_json(cell.cell.assignment.front().second);
+    const RunResult alone = run_scenario(scenario_spec_from_json(scenario_spec_to_json(spec)));
+    EXPECT_EQ(fingerprint(cell.result), fingerprint(alone)) << cell.cell.name;
+  }
 }
 
 TEST(SweepGridTest, MaterializerSharesSchedulesAcrossPolicyCells) {
@@ -171,27 +265,8 @@ TEST(SweepExecutorTest, EmulatedRunWorkersMatchSerial) {
   }
 }
 
-TEST(SweepExecutorTest, WarmStartOffCannotChangeResults) {
-  const SweepGrid grid = test_grid();
-  SweepOptions warm;
-  warm.cache = CacheConfig::off();
-  SweepOptions cold = warm;
-  cold.warm_start = false;
-  const SweepReport a = run_sweep(grid, warm);
-  const SweepReport b = run_sweep(grid, cold);
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_EQ(fingerprint(a.cells[i].result), fingerprint(b.cells[i].result));
-  }
-}
-
 TEST(SweepExecutorTest, SecondPassServesEveryCellFromTheCache) {
-  // Test name + pid: ctest runs every case as its own, possibly
-  // concurrent, process, so no two runs may share the directory.
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("anor-" + std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
-       "-" + std::to_string(::getpid()));
-  fs::remove_all(dir);
+  const fs::path dir = fresh_cache_dir();
   const SweepGrid grid = test_grid();
   SweepOptions options;
   options.cache.dir = dir.string();
@@ -206,7 +281,7 @@ TEST(SweepExecutorTest, SecondPassServesEveryCellFromTheCache) {
   EXPECT_DOUBLE_EQ(second.cache_stats.hit_rate(), 1.0);
   for (std::size_t i = 0; i < first.cells.size(); ++i) {
     EXPECT_EQ(fingerprint(second.cells[i].result), fingerprint(first.cells[i].result));
-    EXPECT_EQ(second.cells[i].cache, CacheOutcome::kDiskHit);
+    EXPECT_EQ(second.cells[i].cache, CacheOutcome::kHit);
   }
 
   // The deterministic projection is byte-identical across the two passes
@@ -247,16 +322,19 @@ TEST(SweepExecutorTest, ReportJsonCarriesCacheProvenance) {
     EXPECT_TRUE(cell.at("key").as_string().empty());
   }
 
-  // Memory-only cache: a first pass misses everywhere but carries the
-  // canonical key for every cell.
-  SweepOptions memory_only;
-  memory_only.cache.memory = true;
-  memory_only.cache.disk = false;
-  const util::Json doc = util::Json::parse(sweep_report_json(run_sweep(grid, memory_only)).dump());
-  for (const util::Json& cell : doc.at("cells").as_array()) {
-    EXPECT_EQ(cell.at("cache").as_string(), "miss");
-    EXPECT_EQ(cell.at("key").as_string().size(), 16u);
+  // A fresh cache directory: a first pass misses everywhere but carries
+  // the canonical key for every cell, and a second pass reads "hit".
+  const fs::path dir = fresh_cache_dir();
+  SweepOptions cached;
+  cached.cache.dir = dir.string();
+  for (const char* expected : {"miss", "hit"}) {
+    const util::Json doc = util::Json::parse(sweep_report_json(run_sweep(grid, cached)).dump());
+    for (const util::Json& cell : doc.at("cells").as_array()) {
+      EXPECT_EQ(cell.at("cache").as_string(), expected);
+      EXPECT_EQ(cell.at("key").as_string().size(), 16u);
+    }
   }
+  fs::remove_all(dir);
 }
 
 }  // namespace

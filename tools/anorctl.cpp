@@ -33,15 +33,17 @@
 //       [--extra-policy NAME[,NAME...]]
 //       Run the same scenario through the emulated cluster AND the tabular
 //       simulator under all four built-in policies (plus any admitted
-//       --extra-policy entries) and check the backends agree:
-//       tracking errors within tolerance, per-policy slowdown ordering
-//       consistent, QoS verdicts identical.  Exits nonzero on divergence.
+//       --extra-policy entries) and check the backends agree: the parity
+//       contract (engine::parity_gaps: tracking p90 and mean slowdown gaps
+//       below 0.25, QoS verdicts identical) and a consistent per-policy
+//       slowdown ordering.  Exits nonzero on divergence.
 //   anorctl sweep --grid FILE [--out FILE] [--results-out FILE]
-//       [--run-workers N] [--no-cache] [--cache-dir DIR] [--no-warm]
+//       [--run-workers N] [--no-cache] [--cache-dir DIR]
 //       [--min-hit-rate F] [--quiet]
 //       Expand an anor.sweep.v1 grid file and run every cell through the
 //       batch executor: run-level worker pool, canonical-spec result
-//       cache (memory + .anor-cache/ on disk), and warm-start run reuse.
+//       cache (one file per cell under .anor-cache/), and warm-start run
+//       reuse.
 //       Prints live per-cell progress and a summary table; --out writes
 //       the full anor.sweep_result.v1 report, --results-out writes the
 //       deterministic anor.sweep_results.v1 projection (byte-identical
@@ -345,8 +347,6 @@ int cmd_parity(const Args& args) {
   const int nodes = static_cast<int>(args.num("nodes", 8));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.num("seed", 7));
   const double budget_w = args.num("budget", 165.0 * nodes);
-  const double tracking_tol = args.num("tracking-tol", 0.25);
-  const double slowdown_tol = args.num("slowdown-tol", 0.25);
 
   workload::PoissonScheduleConfig sched_config;
   sched_config.duration_s = duration;
@@ -376,12 +376,8 @@ int cmd_parity(const Args& args) {
     }
   }
 
-  struct Cell {
-    double mean_slowdown = 0.0;
-    double p90_tracking = 0.0;
-    bool qos_ok = false;
-  };
-  std::map<std::string, std::map<std::string, Cell>> grid;  // policy -> backend
+  // policy -> backend
+  std::map<std::string, std::map<std::string, engine::ParitySummary>> grid;
 
   util::TextTable table(
       {"policy", "backend", "jobs", "mean_slowdown", "p90_tracking", "qos"});
@@ -404,13 +400,7 @@ int cmd_parity(const Args& args) {
       spec.node_count = nodes;
       spec.seed = seed;
       const engine::RunResult result = engine::run_scenario(spec, run_base_config());
-
-      util::RunningStats slowdowns;
-      for (const auto& job : result.completed) slowdowns.add(job.slowdown());
-      Cell cell;
-      cell.mean_slowdown = slowdowns.mean();
-      cell.p90_tracking = result.tracking.p90_error;
-      cell.qos_ok = result.qos.satisfied();
+      const engine::ParitySummary cell = engine::parity_summary(result);
       grid[engine::to_string(policy)][engine::to_string(backend)] = cell;
       table.add_row({engine::to_string(policy), engine::to_string(backend),
                      std::to_string(result.jobs_completed),
@@ -423,19 +413,20 @@ int cmd_parity(const Args& args) {
 
   int rc = 0;
   for (const auto& [policy, cells] : grid) {
-    const Cell& emu = cells.at("emulated");
-    const Cell& tab = cells.at("tabular");
-    if (std::abs(emu.p90_tracking - tab.p90_tracking) > tracking_tol) {
+    const engine::ParitySummary& emu = cells.at("emulated");
+    const engine::ParitySummary& tab = cells.at("tabular");
+    const engine::ParityGaps gaps = engine::parity_gaps(emu, tab);
+    if (!gaps.tracking_ok()) {
       std::cerr << "parity: " << policy << ": tracking p90 diverged ("
                 << emu.p90_tracking << " vs " << tab.p90_tracking << ")\n";
       rc = 1;
     }
-    if (std::abs(emu.mean_slowdown - tab.mean_slowdown) > slowdown_tol) {
+    if (!gaps.slowdown_ok()) {
       std::cerr << "parity: " << policy << ": mean slowdown diverged ("
                 << emu.mean_slowdown << " vs " << tab.mean_slowdown << ")\n";
       rc = 1;
     }
-    if (emu.qos_ok != tab.qos_ok) {
+    if (!gaps.qos_agree) {
       std::cerr << "parity: " << policy << ": QoS verdicts disagree\n";
       rc = 1;
     }
@@ -460,7 +451,6 @@ int cmd_sweep(const Args& args) {
 
   engine::sweep::SweepOptions options;
   options.run_workers = static_cast<int>(args.num("run-workers", 1));
-  options.warm_start = !args.has("no-warm");
   if (args.has("no-cache")) {
     options.cache = engine::sweep::CacheConfig::off();
   } else if (args.has("cache-dir")) {
@@ -470,8 +460,7 @@ int cmd_sweep(const Args& args) {
   std::cout << "sweep '" << grid.name << "': " << grid.cell_count() << " cells, "
             << (options.run_workers == 0 ? "auto" : std::to_string(options.run_workers))
             << " run worker(s), cache "
-            << (options.cache.enabled() ? options.cache.dir : std::string("off"))
-            << ", warm-start " << (options.warm_start ? "on" : "off") << "\n";
+            << (options.cache.enabled() ? options.cache.dir : std::string("off")) << "\n";
   if (!args.has("quiet")) {
     options.on_cell_done = [](const engine::sweep::SweepCellResult& cell,
                               std::size_t done, std::size_t total) {
@@ -488,7 +477,7 @@ int cmd_sweep(const Args& args) {
   for (const engine::sweep::SweepCellResult& cell : report.cells) {
     util::RunningStats slowdowns;
     for (const auto& job : cell.result.completed) slowdowns.add(job.slowdown());
-    table.add_row({cell.cell.name, std::string(cache_state(cell.cache)),
+    table.add_row({cell.cell.name, std::string(to_string(cell.cache)),
                    util::TextTable::format_double(cell.wall_s, 3),
                    std::to_string(cell.result.jobs_completed),
                    util::TextTable::format_percent(slowdowns.mean()),
@@ -503,8 +492,7 @@ int cmd_sweep(const Args& args) {
   std::cout << report.cells.size() << " cells in "
             << util::TextTable::format_double(report.wall_s, 2) << " s: "
             << report.cells_computed << " computed, " << report.cache_hits
-            << " cache hit(s) (" << stats.memory_hits << " memory, " << stats.disk_hits
-            << " disk, " << stats.invalidated << " invalidated)\n";
+            << " cache hit(s), " << stats.invalidated << " invalidated\n";
 
   if (args.has("out")) {
     util::save_json_file(args.str("out"), engine::sweep::sweep_report_json(report, 2));

@@ -15,7 +15,7 @@
 # trials on a shared metrics registry, the sweep executor's run workers
 # (tabular and emulated runs, whose in-process tier links take no lock),
 # concurrent policy dispatch and the result cache's concurrent stores and
-# lookups (each run itself steps serially).
+# lookups on one directory (each run itself steps serially).
 #
 # Usage: tools/check_tier1.sh [build-dir]
 #   build-dir defaults to `build`; the sanitizer builds go to
@@ -178,11 +178,12 @@ run_gtest "$asan_dir/tests/alloc_test" 'SteadyStateAllocation.*'
 run_gtest "$asan_dir/tests/util_test" 'Json.*:JsonNumberFormat.*:JsonWriterProperty.*:JsonCursorProperty.*'
 run_gtest "$asan_dir/tests/engine_test" 'ExportDifferential.*:CacheReaderProperty.*:ExportGolden.*'
 # The spec, grid and schedule readers (files users hand to anorctl): the
-# checked integer reader at and past each type's range, and seeded
-# mutants of valid scenario and grid documents, each of which must read
-# into specs that round-trip or throw ConfigError.
+# checked integer reader at and past each type's range, seeded mutants of
+# valid scenario and grid documents, each of which must read into specs
+# that round-trip or throw ConfigError, and the grid reader's rejections
+# of grids whose cells would not run as written.
 run_gtest "$asan_dir/tests/util_test" 'JsonCheckedInteger.*'
-run_gtest "$asan_dir/tests/engine_test" 'SpecReader*'
+run_gtest "$asan_dir/tests/engine_test" 'SpecReader*:SweepGridTest.*'
 # Wire frames (what a peer sends): checksum-valid frames with integer
 # fields out of range, and seeded mutants of valid frames, each of which
 # must decode to a message that re-encodes to the same frame or throw
@@ -209,9 +210,9 @@ run_gtest "$tsan_dir/tests/sim_test" 'SimDeterminism.ParallelSeededTrialsShareRe
 # binding and lock-free tier links stay on its own worker); the registry
 # filter drives concurrent policy dispatch (run_scenario resolving
 # built-ins) against concurrent register/get/unregister of custom names;
-# the cache filter has two threads storing and looking up shared and
-# private keys with both tiers on, entry I/O running outside the cache
-# lock.
+# the cache filter has three threads on two cache objects over one
+# directory storing and looking up shared and private keys, entry I/O
+# running outside the cache lock.
 run_gtest "$tsan_dir/tests/engine_test" \
   'SweepExecutorTest.*:PolicyRegistry.Concurrent*:ResultCacheTest.Concurrent*'
 
